@@ -14,12 +14,10 @@ from .model import (
 )
 from .inference import ForwardTrellis, ViterbiTrellis, coupled_viterbi, forward
 from .training import (
-    AlphaGradients,
     DegenerateModelError,
     FitConfig,
     FitResult,
     GradientSet,
-    alpha_gradients,
     fit,
     likelihood_gradient,
     reestimate,
@@ -59,7 +57,9 @@ from .backtest import (
     stats_from_ret_vol,
 )
 from .oracle import (
+    AlphaGradients,
     SampledPaths,
+    alpha_gradients,
     brute_likelihood,
     brute_viterbi,
     fd_gradient,

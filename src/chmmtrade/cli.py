@@ -73,7 +73,7 @@ def _cmd_fit(args) -> int:
         params0 = load_params(args.params_in)
     else:
         params0 = jittered_params(args.n_states, n_bins, seed=args.seed)
-    cfg = FitConfig(sweeps=args.sweeps, rel_tol=args.rel_tol, seed=args.seed)
+    cfg = FitConfig(sweeps=args.sweeps, rel_tol=args.rel_tol)
     result = fit(params0, obs, cfg)
     save_params(result.params, args.params_out)
     if args.trace_out:

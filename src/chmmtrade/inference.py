@@ -81,6 +81,12 @@ def forward(
     """
     if validate:
         check_params(params)
+    return _forward(params, obs, scale)[0]
+
+
+def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
+    """Unvalidated forward recursion; returns the trellis and the emission
+    lookup ``bt`` it used, so the gradient's reverse sweep can reuse both."""
     n = params.n_states
     t_len = obs.length
     bt = _emission_lookup(params, obs)  # (T, 2, N)
@@ -129,7 +135,7 @@ def forward(
         log_per_chain=log_pc,
         log_joint=log_joint,
         scale_factors=scales,
-    )
+    ), bt
 
 
 def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrellis:
@@ -157,14 +163,14 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
     log_delta[:, 0] = log_pi + log_bt[0]
 
     for t in range(1, t_len):
-        for c in range(2):
-            partial = log_delta[c, t - 1][:, None] + log_a[0, c]        # (i, k)
-            scores = partial[:, None, :] + log_a[1, c][None, :, :]      # (i, j, k)
-            flat = scores.reshape(n * n, n)
-            best = np.argmax(flat, axis=0)                              # first max: lowest (i, j)
-            log_delta[c, t] = flat[best, np.arange(n)] + log_bt[t, c]
-            psi[c, t, :, 0] = best // n
-            psi[c, t, :, 1] = best % n
+        # Both chains at once; the leading axis is the target chain c.
+        partial = log_delta[:, t - 1, :, None] + log_a[0]                # (c, i, k)
+        scores = partial[:, :, None, :] + log_a[1][:, None, :, :]       # (c, i, j, k)
+        flat = scores.reshape(2, n * n, n)
+        best = np.argmax(flat, axis=1)                                  # first max: lowest (i, j)
+        log_delta[:, t] = np.take_along_axis(flat, best[:, None, :], axis=1)[:, 0] + log_bt[t]
+        psi[:, t, :, 0] = best // n
+        psi[:, t, :, 1] = best % n
 
     paths = np.zeros((2, t_len), dtype=np.int64)
     log_best = np.empty(2)

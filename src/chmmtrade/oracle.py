@@ -1,8 +1,9 @@
 """Brute-force references and generators used for verification.
 
-Everything here recomputes model quantities by exhaustive enumeration or
-numerical differencing, sharing no code with the recursive
-implementations, so tests can cross-check the two routes.
+Everything here recomputes model quantities by exhaustive enumeration,
+numerical differencing or forward-mode derivative propagation, sharing
+no recursion with the library's implementations, so tests can
+cross-check the two routes.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .indicators import Discretizer, OhlcBar, bin_value
+from .inference import ForwardTrellis, _emission_lookup
 from .model import ChmmParams, ObservationSequence, check_params
 
 __all__ = [
+    "AlphaGradients",
+    "alpha_gradients",
     "SampledPaths",
     "sample_chmm",
     "brute_likelihood",
@@ -222,6 +226,122 @@ def fd_gradient(
     up = forward(perturbed(params, family, index, +h), obs, validate=False).joint_likelihood
     down = forward(perturbed(params, family, index, -h), obs, validate=False).joint_likelihood
     return (up - down) / (2.0 * h)
+
+
+@dataclass(frozen=True)
+class AlphaGradients:
+    """Trellis derivatives d alpha_t(c, j) / d w for all parameters w.
+
+    The leading axes of each array are (t, chain, state); trailing axes
+    index the parameter the derivative is taken in.
+    """
+
+    d_priors: np.ndarray    # (T, 2, N, 2, N)
+    d_trans: np.ndarray     # (T, 2, N, 2, 2, N, N)
+    d_emit: np.ndarray      # (T, 2, N, 2, N, M)
+    d_coupling: np.ndarray  # (T, 2, N, 2, 2)
+    trellis: ForwardTrellis
+
+
+def _one_hot_obs(obs: ObservationSequence, n_bins: int) -> np.ndarray:
+    hot = np.zeros((obs.length, 2, n_bins))
+    for c in range(2):
+        hot[np.arange(obs.length), c, obs.bins[c]] = 1.0
+    return hot
+
+
+def alpha_gradients(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -> AlphaGradients:
+    """Forward-mode derivative recursion: full trellis derivative history.
+
+    The derivatives of alpha propagate through the same linear recursion
+    as the trellis itself, with one source term per parameter family.
+    Contracting the last step with the other chain's trellis mass,
+    ``einsum("c,cj...->...", tail[::-1], d[-1])``, gives the likelihood
+    gradient.  With ``scale=True`` the trellis and every derivative are
+    divided by the same per-step normalizer; the contracted gradient then
+    carries the squared cumulative factor relative to its true value.
+    Cost grows as T N^4 in the transition block, so this is a reference,
+    not a training path.
+    """
+    check_params(params)
+    n, m = params.n_states, params.n_bins
+    t_len = obs.length
+    bt = _emission_lookup(params, obs)          # (T, 2, N)
+    hot = _one_hot_obs(obs, m)                  # (T, 2, M)
+    eye2 = np.eye(2)
+    eyen = np.eye(n)
+
+    alpha = np.empty((2, t_len, n))
+    scales = np.ones(t_len)
+
+    d_pi = np.einsum("pa,qi,pq->pqai", eye2, eyen, bt[0])
+    d_a = np.zeros((2, n, 2, 2, n, n))
+    d_b = np.einsum("pa,qj,pk,pq->pqajk", eye2, eyen, hot[0], params.priors)
+    d_th = np.zeros((2, n, 2, 2))
+
+    step = params.priors * bt[0]
+    if scale:
+        s = step.sum()
+        if s > 0.0:
+            step = step / s
+            d_pi = d_pi / s
+            d_b = d_b / s
+            scales[0] = s
+    alpha[:, 0] = step
+
+    history = ([d_pi], [d_a], [d_b], [d_th])
+
+    for t in range(1, t_len):
+        aprev = alpha[:, t - 1]
+        z = params.coupling[:, :, None, None] * params.trans * bt[t][None, :, None, :]
+
+        new_pi = np.einsum("acij,ai...->cj...", z, d_pi)
+        new_a = np.einsum("acij,ai...->cj...", z, d_a)
+        new_b = np.einsum("acij,ai...->cj...", z, d_b)
+        new_th = np.einsum("acij,ai...->cj...", z, d_th)
+
+        # Direct terms: derivative of this step's own factors.
+        core_a = np.einsum("ac,cj,ai->acij", params.coupling, bt[t], aprev)
+        new_a += np.einsum("pc,qj,acij->pqacij", eye2, eyen, core_a)
+        mass = np.einsum("ac,acij,ai->cj", params.coupling, params.trans, aprev)
+        new_b += np.einsum("pc,qj,ck,cj->pqcjk", eye2, eyen, hot[t], mass)
+        core_th = np.einsum("acij,ai->acj", params.trans, aprev) * bt[t][None, :, :]
+        new_th += np.einsum("pc,acj->pjac", eye2, core_th)
+
+        step = mass * bt[t]
+        if scale:
+            s = step.sum()
+            if s > 0.0:
+                step = step / s
+                new_pi = new_pi / s
+                new_a = new_a / s
+                new_b = new_b / s
+                new_th = new_th / s
+                scales[t] = s
+        alpha[:, t] = step
+        d_pi, d_a, d_b, d_th = new_pi, new_a, new_b, new_th
+        for hist, arr in zip(history, (d_pi, d_a, d_b, d_th)):
+            hist.append(arr)
+
+    tail = alpha[:, -1].sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_scales = np.log(scales) if scale else np.zeros(t_len)
+        log_pc = np.log(tail) + log_scales.sum()
+    log_joint = float(log_pc.sum())
+    with np.errstate(over="ignore"):
+        per_chain = np.exp(log_pc) if scale else tail
+        joint = float(np.exp(log_joint)) if scale else float(tail[0] * tail[1])
+    alpha.setflags(write=False)
+    trellis = ForwardTrellis(
+        alpha=alpha,
+        per_chain_likelihood=per_chain,
+        joint_likelihood=joint,
+        log_per_chain=log_pc,
+        log_joint=log_joint,
+        scale_factors=scales if scale else None,
+    )
+    d_pi, d_a, d_b, d_th = (np.stack(h) for h in history)
+    return AlphaGradients(d_priors=d_pi, d_trans=d_a, d_emit=d_b, d_coupling=d_th, trellis=trellis)
 
 
 def permutation_aligned_mae(true_params: ChmmParams, fitted: ChmmParams) -> float:

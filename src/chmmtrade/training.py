@@ -1,11 +1,14 @@
 """Likelihood gradients and multiplicative re-estimation.
 
-The joint likelihood is a polynomial with non-negative coefficients in
-every parameter entry, so its exact partial derivatives propagate through
-the same linear recursion as the forward trellis, with one source term
-per parameter family.  Re-estimation is the Baum-Eagon growth transform
-``w <- w * dP/dw / normalizer`` applied per simplex row, which never
-decreases the likelihood.
+The joint likelihood is the product of the two chains' trellis masses at
+the last step, each linear in the forward trellis.  One reverse sweep
+through the coupled recursion, seeded with the other chain's mass,
+carries the adjoint of every trellis entry back to the first step; the
+four gradient families are then sums over steps of trellis values times
+adjoints, in O(T N^2) work.  Re-estimation is the Baum-Eagon growth
+transform ``w <- w * dP/dw / normalizer`` applied per simplex row, which
+never decreases the likelihood.  The forward-mode derivative recursion
+lives on in ``oracle.alpha_gradients`` as a cross-check.
 """
 
 from __future__ import annotations
@@ -15,16 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import ForwardTrellis, _emission_lookup
+from .inference import ForwardTrellis, _forward
 from .model import ChmmParams, ObservationSequence, check_params
 
 __all__ = [
     "DegenerateModelError",
     "GradientSet",
-    "AlphaGradients",
     "FitConfig",
     "FitResult",
-    "alpha_gradients",
     "likelihood_gradient",
     "reestimate",
     "fit",
@@ -52,140 +53,56 @@ class GradientSet:
     log_scale: float = 0.0
 
 
-@dataclass(frozen=True)
-class AlphaGradients:
-    """Trellis derivatives d alpha_t(c, j) / d w for all parameters w.
+def _checked_forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
+    """Validated forward pass of one gradient evaluation.
 
-    The leading axes of each array are (t, chain, state); trailing axes
-    index the parameter the derivative is taken in.
-    """
-
-    d_priors: np.ndarray    # (T, 2, N, 2, N)
-    d_trans: np.ndarray     # (T, 2, N, 2, 2, N, N)
-    d_emit: np.ndarray      # (T, 2, N, 2, N, M)
-    d_coupling: np.ndarray  # (T, 2, N, 2, 2)
-    trellis: ForwardTrellis
-
-
-def _one_hot_obs(obs: ObservationSequence, n_bins: int) -> np.ndarray:
-    hot = np.zeros((obs.length, 2, n_bins))
-    for c in range(2):
-        hot[np.arange(obs.length), c, obs.bins[c]] = 1.0
-    return hot
-
-
-def _gradient_pass(params: ChmmParams, obs: ObservationSequence, scale: bool, keep_history: bool):
-    """Shared forward + derivative sweep.
-
-    Returns (trellis, final derivative arrays, per-family history or None).
-    With ``scale=True`` the trellis and every derivative are divided by
-    the same per-step normalizer, keeping long products representable;
-    the derivatives then carry the squared cumulative factor relative to
-    their true values (the likelihood carries it once per chain).
+    Returns the trellis and its emission lookup.  Raises
+    DegenerateModelError when either chain's final trellis mass is zero.
     """
     check_params(params)
-    n, m = params.n_states, params.n_bins
-    t_len = obs.length
-    bt = _emission_lookup(params, obs)          # (T, 2, N)
-    hot = _one_hot_obs(obs, m)                  # (T, 2, M)
-    eye2 = np.eye(2)
-    eyen = np.eye(n)
-
-    alpha = np.empty((2, t_len, n))
-    scales = np.ones(t_len)
-
-    d_pi = np.einsum("pa,qi,pq->pqai", eye2, eyen, bt[0])
-    d_a = np.zeros((2, n, 2, 2, n, n))
-    d_b = np.einsum("pa,qj,pk,pq->pqajk", eye2, eyen, hot[0], params.priors)
-    d_th = np.zeros((2, n, 2, 2))
-
-    step = params.priors * bt[0]
-    if scale:
-        s = step.sum()
-        if s > 0.0:
-            step = step / s
-            d_pi = d_pi / s
-            d_b = d_b / s
-            scales[0] = s
-    alpha[:, 0] = step
-
-    history = ([d_pi], [d_a], [d_b], [d_th]) if keep_history else None
-
-    for t in range(1, t_len):
-        aprev = alpha[:, t - 1]
-        z = params.coupling[:, :, None, None] * params.trans * bt[t][None, :, None, :]
-
-        new_pi = np.einsum("acij,ai...->cj...", z, d_pi)
-        new_a = np.einsum("acij,ai...->cj...", z, d_a)
-        new_b = np.einsum("acij,ai...->cj...", z, d_b)
-        new_th = np.einsum("acij,ai...->cj...", z, d_th)
-
-        # Direct terms: derivative of this step's own factors.
-        core_a = np.einsum("ac,cj,ai->acij", params.coupling, bt[t], aprev)
-        new_a += np.einsum("pc,qj,acij->pqacij", eye2, eyen, core_a)
-        mass = np.einsum("ac,acij,ai->cj", params.coupling, params.trans, aprev)
-        new_b += np.einsum("pc,qj,ck,cj->pqcjk", eye2, eyen, hot[t], mass)
-        core_th = np.einsum("acij,ai->acj", params.trans, aprev) * bt[t][None, :, :]
-        new_th += np.einsum("pc,acj->pjac", eye2, core_th)
-
-        step = mass * bt[t]
-        if scale:
-            s = step.sum()
-            if s > 0.0:
-                step = step / s
-                new_pi = new_pi / s
-                new_a = new_a / s
-                new_b = new_b / s
-                new_th = new_th / s
-                scales[t] = s
-        alpha[:, t] = step
-        d_pi, d_a, d_b, d_th = new_pi, new_a, new_b, new_th
-        if keep_history:
-            for hist, arr in zip(history, (d_pi, d_a, d_b, d_th)):
-                hist.append(arr)
-
-    tail = alpha[:, -1].sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_scales = np.log(scales) if scale else np.zeros(t_len)
-        log_pc = np.log(tail) + log_scales.sum()
-    log_joint = float(log_pc.sum())
-    with np.errstate(over="ignore"):
-        per_chain = np.exp(log_pc) if scale else tail
-        joint = float(np.exp(log_joint)) if scale else float(tail[0] * tail[1])
-    alpha.setflags(write=False)
-    trellis = ForwardTrellis(
-        alpha=alpha,
-        per_chain_likelihood=per_chain,
-        joint_likelihood=joint,
-        log_per_chain=log_pc,
-        log_joint=log_joint,
-        scale_factors=scales if scale else None,
-    )
-    finals = (d_pi, d_a, d_b, d_th)
-    stacked = tuple(np.stack(h) for h in history) if keep_history else None
-    return trellis, tail, float(log_scales.sum()), finals, stacked
+    trellis, bt = _forward(params, obs, scale)
+    tail = trellis.alpha[:, -1].sum(axis=1)
+    if not (tail > 0.0).all():
+        raise DegenerateModelError(f"zero likelihood: per-chain trellis mass {tail.tolist()}")
+    return trellis, bt
 
 
-def alpha_gradients(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -> AlphaGradients:
-    """Full trellis derivative history for all four parameter families."""
-    trellis, _, _, _, stacked = _gradient_pass(params, obs, scale=scale, keep_history=True)
-    d_pi, d_a, d_b, d_th = stacked
-    return AlphaGradients(d_priors=d_pi, d_trans=d_a, d_emit=d_b, d_coupling=d_th, trellis=trellis)
+def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis, bt) -> GradientSet:
+    """Reverse sweep over a forward trellis; every gradient family at once.
 
+    ``u[t, c, j]`` is the derivative of the likelihood in the step-t
+    trellis entry before its scaling, i.e. the adjoint of alpha_t divided
+    by that step's normalizer.  With a scaled trellis the result is the
+    true gradient divided by the squared product of the normalizers,
+    which ``log_scale`` records and the growth transform ignores.
+    """
+    alpha = trellis.alpha                              # (2, T, N)
+    t_len, n = obs.length, params.n_states
+    scales = trellis.scale_factors if trellis.scale_factors is not None else np.ones(t_len)
+    theta = params.coupling[:, :, None, None]
+    w = theta * params.trans                           # (a, c, i, j)
+    w_flat = w.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # rows (a, i), columns (c, j)
 
-def _assemble(trellis_tail: np.ndarray, log_total: float, finals) -> GradientSet:
-    if not (trellis_tail > 0.0).all():
-        raise DegenerateModelError(
-            f"zero likelihood: per-chain trellis mass {trellis_tail.tolist()}"
-        )
-    weights = trellis_tail[::-1].copy()  # dP/dw weighs each chain by the other's mass
-    parts = [np.einsum("c,cj...->...", weights, d) for d in finals]
+    # dP/dalpha_T weighs each chain by the other chain's final mass.
+    u = np.empty((t_len, 2, n))
+    u[-1] = alpha[:, -1].sum(axis=1)[::-1, None] / scales[-1]
+    for t in range(t_len - 1, 0, -1):
+        u[t - 1] = (w_flat @ (bt[t] * u[t]).ravel()).reshape(2, n) / scales[t - 1]
+
+    bu = bt * u                                        # (T, 2, N)
+    x = np.einsum("ati,tcj->acij", alpha[:, :-1], bu[1:])
+    mass = np.empty((t_len, 2, n))                     # what multiplies bt[t] in the forward step
+    mass[0] = params.priors
+    mass[1:] = np.einsum("acij,ati->tcj", w, alpha[:, :-1])
+    hot = np.zeros((t_len, 2, params.n_bins))
+    hot[np.arange(t_len)[:, None], [0, 1], obs.bins.T] = 1.0
+    d_emit = np.einsum("tck,tcj->cjk", hot, mass * u)
     return GradientSet(
-        d_priors=parts[0],
-        d_trans=parts[1],
-        d_emit=parts[2],
-        d_coupling=parts[3],
-        log_scale=2.0 * log_total,
+        d_priors=bu[0],
+        d_trans=theta * x,
+        d_emit=d_emit,
+        d_coupling=np.einsum("acij,acij->ac", params.trans, x),
+        log_scale=2.0 * float(np.log(scales).sum()),
     )
 
 
@@ -195,8 +112,7 @@ def likelihood_gradient(params: ChmmParams, obs: ObservationSequence, scale: boo
     Raises DegenerateModelError when either chain assigns probability
     zero to its observation sequence.
     """
-    _, tail, log_total, finals, _ = _gradient_pass(params, obs, scale=scale, keep_history=False)
-    return _assemble(tail, log_total, finals)
+    return _adjoint_pass(params, obs, *_checked_forward(params, obs, scale))
 
 
 def _simplex_update(w: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
@@ -228,13 +144,12 @@ class FitConfig:
 
     sweeps: update passes per fit; rel_tol: smallest relative likelihood
     improvement worth keeping; warm_start: seed each sliding-window fit
-    from the previous window's result; seed: initialization jitter seed.
+    from the previous window's result.
     """
 
     sweeps: int = 3
     rel_tol: float = 1e-6
     warm_start: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.sweeps < 1:
@@ -258,22 +173,20 @@ def fit(params0: ChmmParams, obs: ObservationSequence, cfg: FitConfig = FitConfi
     is strictly the accepted states and is non-decreasing.  Deterministic:
     identical inputs give bit-identical parameters.
     """
-    trellis, tail, log_total, finals, _ = _gradient_pass(params0, obs, scale=True, keep_history=False)
-    grads = _assemble(tail, log_total, finals)
     params = params0
-    log_p = trellis.log_joint
-    trace = [log_p]
+    trellis, bt = _checked_forward(params, obs, scale=True)
+    trace = [trellis.log_joint]
     sweeps_run = 0
     for _ in range(cfg.sweeps):
-        cand = reestimate(params, grads)
-        trellis, tail, log_total, finals, _ = _gradient_pass(cand, obs, scale=True, keep_history=False)
-        cand_grads = _assemble(tail, log_total, finals)
-        cand_log_p = trellis.log_joint
+        # The reverse sweep runs only for a state about to be re-estimated,
+        # so the last accepted candidate never pays for one.
+        cand = reestimate(params, _adjoint_pass(params, obs, trellis, bt))
+        cand_trellis, cand_bt = _checked_forward(cand, obs, scale=True)
         # Relative improvement below rel_tol, compared in log space so huge
         # likelihood jumps cannot overflow: P1/P0 - 1 < tol  <=>  log P1 - log P0 < log1p(tol).
-        if cand_log_p - log_p < math.log1p(cfg.rel_tol):
+        if cand_trellis.log_joint - trace[-1] < math.log1p(cfg.rel_tol):
             break
-        params, grads, log_p = cand, cand_grads, cand_log_p
-        trace.append(log_p)
+        params, trellis, bt = cand, cand_trellis, cand_bt
+        trace.append(trellis.log_joint)
         sweeps_run += 1
     return FitResult(params=params, log_likelihoods=trace, sweeps_run=sweeps_run)

@@ -1,0 +1,21 @@
+"""Every demo script runs to completion against the checkout's sources."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert done.returncode == 0, done.stderr

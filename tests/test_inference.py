@@ -191,3 +191,56 @@ def test_viterbi_psi_stores_maximizing_pairs(rng):
                 scores = vt.log_delta[c, t - 1][:, None] + log_a[0, c][:, k][:, None] + log_a[1, c][:, k][None, :]
                 i, j = vt.psi[c, t, k]
                 assert scores[i, j] == scores.max()
+
+
+def _per_chain_viterbi_scores(params, obs):
+    """The decoder's recursion written one chain at a time, as a reference
+    for the chain-vectorised loop: (log_delta, psi)."""
+    n = params.n_states
+    with np.errstate(divide="ignore"):
+        log_a = np.log(params.trans)
+        log_bt = np.log(np.stack([params.emit[c][:, obs.bins[c]].T for c in range(2)], axis=1))
+        log_delta = np.empty((2, obs.length, n))
+        log_delta[:, 0] = np.log(params.priors) + log_bt[0]
+    psi = np.zeros((2, obs.length, n, 2), dtype=np.int64)
+    for t in range(1, obs.length):
+        for c in range(2):
+            partial = log_delta[c, t - 1][:, None] + log_a[0, c]
+            scores = partial[:, None, :] + log_a[1, c][None, :, :]
+            flat = scores.reshape(n * n, n)
+            best = np.argmax(flat, axis=0)
+            log_delta[c, t] = flat[best, np.arange(n)] + log_bt[t, c]
+            psi[c, t, :, 0] = best // n
+            psi[c, t, :, 1] = best % n
+    return log_delta, psi
+
+
+def test_viterbi_matches_per_chain_loop_with_zero_transitions(rng):
+    # Small integer weights give exact zeros (-inf scores) and many exact
+    # ties, so the first-max rule and -inf handling are both exercised.
+    # The loop is the reference: its additions run in the same order, so
+    # every score and argmax must agree bit for bit.
+    def rows(shape, axis):
+        raw = rng.integers(0, 3, size=shape).astype(float)
+        raw[(raw.sum(axis=axis, keepdims=True) == 0).repeat(shape[axis], axis=axis)] = 1.0
+        return raw / raw.sum(axis=axis, keepdims=True)
+
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 5))
+        p = ChmmParams(
+            priors=rows((2, n), 1),
+            trans=rows((2, 2, n, n), 3),
+            emit=rows((2, n, m), 2),
+            coupling=rows((2, 2), 0),
+        )
+        obs = random_obs(rng, m, int(rng.integers(1, 8)))
+        vt = coupled_viterbi(p, obs)
+        log_delta, psi = _per_chain_viterbi_scores(p, obs)
+        assert_array_equal(vt.log_delta, log_delta)
+        assert_array_equal(vt.psi, psi)
+        for c in range(2):
+            q = [int(np.argmax(log_delta[c, -1]))]
+            for t in range(obs.length - 1, 0, -1):
+                q.append(int(psi[c, t, q[-1], 0]))
+            assert_array_equal(vt.paths[c], q[::-1])

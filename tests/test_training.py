@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from chmmtrade import (
@@ -19,6 +21,7 @@ from chmmtrade import (
     sample_chmm,
     validate_params,
 )
+from chmmtrade import training
 from conftest import random_obs, random_params
 
 FAMILIES = ("priors", "trans", "emit", "coupling")
@@ -262,3 +265,91 @@ def test_fit_config_validation():
         FitConfig(sweeps=0)
     with pytest.raises(ValueError):
         FitConfig(rel_tol=-1.0)
+
+
+@st.composite
+def simplex_instances(draw):
+    """Parameters from small integer weights, so exact zeros are common
+    (and every all-zero simplex falls back to uniform), N = 1 included."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    t_len = draw(st.integers(1, 12))
+
+    def rows(shape, axis):
+        size = int(np.prod(shape))
+        raw = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)), dtype=float)
+        raw = raw.reshape(shape)
+        raw[(raw.sum(axis=axis, keepdims=True) == 0).repeat(shape[axis], axis=axis)] = 1.0
+        return raw / raw.sum(axis=axis, keepdims=True)
+
+    p = ChmmParams(
+        priors=rows((2, n), 1),
+        trans=rows((2, 2, n, n), 3),
+        emit=rows((2, n, m), 2),
+        coupling=rows((2, 2), 0),
+    )
+    bins = draw(st.lists(st.integers(0, m - 1), min_size=2 * t_len, max_size=2 * t_len))
+    return p, ObservationSequence(np.array(bins).reshape(2, t_len))
+
+
+def forward_mode_gradient(params, obs, scale):
+    """Likelihood gradient by contracting the forward-mode trellis
+    derivatives with the other chain's final mass."""
+    ag = alpha_gradients(params, obs, scale=scale)
+    tail = ag.trellis.alpha[:, -1].sum(axis=1)
+    if not (tail > 0.0).all():
+        raise DegenerateModelError("zero per-chain trellis mass")
+    parts = {f: np.einsum("c,cj...->...", tail[::-1], getattr(ag, "d_" + f)[-1]) for f in FAMILIES}
+    log_scale = 2.0 * float(np.log(ag.trellis.scale_factors).sum()) if scale else 0.0
+    return parts, log_scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(instance=simplex_instances(), scale=st.booleans())
+def test_adjoint_gradient_matches_forward_mode(instance, scale):
+    params, obs = instance
+    try:
+        expected, log_scale = forward_mode_gradient(params, obs, scale)
+    except DegenerateModelError:
+        with pytest.raises(DegenerateModelError):
+            likelihood_gradient(params, obs, scale=scale)
+        return
+    g = likelihood_gradient(params, obs, scale=scale)
+    assert g.log_scale == log_scale
+    for family, got in grad_arrays(g).items():
+        # Identical zeros keep the growth transform's frozen rows unchanged.
+        assert_array_equal(got == 0.0, expected[family] == 0.0, err_msg=family)
+        assert_allclose(got, expected[family], rtol=1e-12, atol=0.0, err_msg=family)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, math.inf])
+@pytest.mark.parametrize("sweeps", [1, 2, 3, 4])
+def test_fit_equals_hand_loop_and_skips_unused_reverse_sweeps(rng, monkeypatch, sweeps, rel_tol):
+    p0 = jittered_params(3, 4, seed=11)
+    obs = random_obs(rng, 4, 5)
+    params = p0
+    trace = [forward(p0, obs, scale=True).log_joint]
+    for _ in range(sweeps):
+        cand = reestimate(params, likelihood_gradient(params, obs, scale=True))
+        cand_log_p = forward(cand, obs, scale=True).log_joint
+        if cand_log_p - trace[-1] < math.log1p(rel_tol):
+            break
+        params = cand
+        trace.append(cand_log_p)
+
+    reverse_sweeps = []
+    adjoint = training._adjoint_pass
+
+    def counted(*args):
+        reverse_sweeps.append(args[0])
+        return adjoint(*args)
+
+    monkeypatch.setattr(training, "_adjoint_pass", counted)
+    res = fit(p0, obs, FitConfig(sweeps=sweeps, rel_tol=rel_tol))
+
+    for name in FAMILIES:
+        assert_array_equal(getattr(res.params, name), getattr(params, name))
+    assert res.log_likelihoods == trace
+    assert res.sweeps_run == len(trace) - 1
+    # One reverse sweep per candidate evaluated; none for the final state.
+    assert len(reverse_sweeps) == min(sweeps, res.sweeps_run + 1)
