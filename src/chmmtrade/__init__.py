@@ -37,7 +37,6 @@ from .indicators import (
 )
 from .strategy import (
     Signal,
-    StatePrediction,
     allocation_fraction,
     generate_signal,
     next_state_marginal,

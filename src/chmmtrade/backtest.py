@@ -19,7 +19,6 @@ from .indicators import CCI_DISCRETIZER, RSI_DISCRETIZER, Discretizer, atr, cci,
 from .inference import coupled_viterbi, forward
 from .model import ChmmParams, ObservationSequence, jittered_params
 from .strategy import (
-    StatePrediction,
     allocation_fraction,
     generate_signal,
     next_state_marginal,
@@ -201,10 +200,15 @@ def perf_stats(equity: EquityCurve, baseline_ratio: float) -> PerfStats:
     values = np.asarray(equity.values, dtype=float)
     if values.size < 2:
         raise ValueError("need at least two equity points")
+    return stats_from_ret_vol(*_ret_vol(values), baseline_ratio)
+
+
+def _ret_vol(values: np.ndarray) -> tuple[float, float]:
+    """Total percent return and horizon-scaled percent volatility."""
     rets = np.diff(values) / values[:-1]
     total = (values[-1] / values[0] - 1.0) * 100.0
-    vol = float(rets.std() * math.sqrt(rets.size) * 100.0)
-    return stats_from_ret_vol(total, vol, baseline_ratio)
+    vol = float(rets.std() * math.sqrt(rets.size) * 100.0) if rets.size else 0.0
+    return total, vol
 
 
 def _indicator_series(cfg: BacktestConfig, bars) -> np.ndarray:
@@ -214,29 +218,14 @@ def _indicator_series(cfg: BacktestConfig, bars) -> np.ndarray:
     return cci(bars, cfg.indicator_period)
 
 
-def _feasible_from(cfg: BacktestConfig, ind1, ind2, atr1) -> int | None:
-    """First bar index at which a decision can be made, or None."""
-    hist = cfg.sma_period + 1 if cfg.predictor == "baseline" else max(cfg.sma_period, cfg.lookback)
-    for t in range(len(ind1)):
-        if t - hist + 1 < 0 or not np.isfinite(atr1[t]):
-            continue
-        if not np.isfinite(ind1[t - hist + 1: t + 1]).all():
-            continue
-        if cfg.predictor != "baseline" and not np.isfinite(ind2[t - hist + 1: t + 1]).all():
-            continue
-        return t
-    return None
+def _decision_inputs(cfg: BacktestConfig, bars1, bars2, modeled: bool):
+    """Both indicator series, the traded series' ATR and the first decision bar.
 
-
-def _init_params(cfg: BacktestConfig, t: int) -> ChmmParams:
-    return jittered_params(cfg.n_states, cfg.n_bins, seed=(cfg.seed, t, 101))
-
-
-def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None = None) -> BacktestResult:
-    """Run the bar loop over two aligned OHLC series; see module docs.
-
-    Deterministic for a fixed ``cfg.seed``.  Raises ValueError on
-    misaligned series or when no bar has enough history to decide on.
+    A decision bar needs a finite ATR and a full window of finite
+    indicator values: ``sma_period + 1`` of the traded series for the
+    baseline, ``max(sma_period, lookback)`` of both series when the model
+    is refit.  Raises ValueError on misaligned series or when no bar
+    qualifies.
     """
     if len(bars1) != len(bars2) or any(
         a.timestamp != b.timestamp for a, b in zip(bars1, bars2)
@@ -250,12 +239,64 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
     ind1 = _indicator_series(cfg, bars1)
     ind2 = _indicator_series(cfg, bars2)
     atr1 = atr(bars1, cfg.atr_period)
-    disc = cfg.discretizer
-    modeled = cfg.predictor != "baseline"
+    hist = max(cfg.sma_period, cfg.lookback) if modeled else cfg.sma_period + 1
+    for t in range(hist - 1, n_bars):
+        window = slice(t - hist + 1, t + 1)
+        if (
+            np.isfinite(atr1[t])
+            and np.isfinite(ind1[window]).all()
+            and (not modeled or np.isfinite(ind2[window]).all())
+        ):
+            return ind1, ind2, atr1, t
+    raise ValueError("insufficient data: no bar has a full history window")
 
-    t0 = _feasible_from(cfg, ind1, ind2, atr1)
-    if t0 is None:
-        raise ValueError("insufficient data: no bar has a full history window")
+
+def _init_params(cfg: BacktestConfig, t: int) -> ChmmParams:
+    return jittered_params(cfg.n_states, cfg.n_bins, seed=(cfg.seed, t, 101))
+
+
+def _fitted_windows(cfg: BacktestConfig, ind1, ind2, t0: int, prev_params: ChmmParams | None = None):
+    """Refit the model at every bar from ``t0`` on; yields ``(obs, FitResult)``.
+
+    A window holds the last ``lookback`` discretised values of both
+    series.  With warm starting on, its fit starts from the previous fit
+    (``prev_params`` for the first window) unless those parameters give
+    the window zero likelihood; otherwise from seeded jittered parameters.
+    """
+    disc = cfg.discretizer
+    for t in range(t0, len(ind1)):
+        lo = t - cfg.lookback + 1
+        obs = ObservationSequence.from_lists(
+            [discretize(disc, v) for v in ind1[lo: t + 1]],
+            [discretize(disc, v) for v in ind2[lo: t + 1]],
+        )
+        params0 = prev_params if cfg.fit.warm_start and prev_params is not None else _init_params(cfg, t)
+        if not np.isfinite(forward(params0, obs, scale=True).log_joint):
+            # Warm-started parameters zeroed a bin this window observes.
+            params0 = _init_params(cfg, t)
+        result = fit(params0, obs, cfg.fit)
+        prev_params = result.params
+        yield obs, result
+
+
+def _next_states(cfg: BacktestConfig, params: ChmmParams, obs: ObservationSequence, predictor: str):
+    """Most probable next state per chain from the named predictor."""
+    if predictor == "viterbi":
+        return next_state_viterbi(params, coupled_viterbi(params, obs), cfg.fidelity)
+    return next_state_marginal(params, cfg.fidelity)
+
+
+def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None = None) -> BacktestResult:
+    """Run the bar loop over two aligned OHLC series; see module docs.
+
+    Deterministic for a fixed ``cfg.seed``.  Raises ValueError on
+    misaligned series or when no bar has enough history to decide on.
+    """
+    modeled = cfg.predictor != "baseline"
+    ind1, ind2, atr1, t0 = _decision_inputs(cfg, bars1, bars2, modeled)
+    n_bars = len(bars1)
+    disc = cfg.discretizer
+    windows = _fitted_windows(cfg, ind1, ind2, t0) if modeled else None
 
     cash = cfg.notional
     open_trades: list[TradeRecord] = []
@@ -265,7 +306,6 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
     equity_ts: list[datetime] = []
     equity_vals: list[float] = []
     pending = None  # (side, size_fraction, stop_dist, target_dist)
-    prev_params: ChmmParams | None = None
 
     for t in range(t0, n_bars):
         bar = bars1[t]
@@ -318,37 +358,19 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
         atr_now = float(atr1[t])
         size_fraction = 1.0
         if modeled:
-            lo = t - cfg.lookback + 1
-            obs = ObservationSequence.from_lists(
-                [discretize(disc, v) for v in ind1[lo: t + 1]],
-                [discretize(disc, v) for v in ind2[lo: t + 1]],
-            )
-            params0 = prev_params if cfg.fit.warm_start and prev_params is not None else _init_params(cfg, t)
-            if not np.isfinite(forward(params0, obs, scale=True).log_joint):
-                # Warm-started parameters zeroed a bin this window observes.
-                params0 = _init_params(cfg, t)
-            result = fit(params0, obs, cfg.fit)
-            prev_params = result.params
+            obs, result = next(windows)
             fit_records.append(
                 FitRecord(window_end=bar.timestamp, sweeps_run=result.sweeps_run, trace=result.log_likelihoods)
             )
-            if cfg.predictor == "viterbi":
-                vt = coupled_viterbi(result.params, obs)
-                psi = next_state_viterbi(result.params, vt, cfg.fidelity)
-            else:
-                psi = next_state_marginal(result.params, cfg.fidelity)
-            pred = StatePrediction(
-                psi=psi,
-                method=cfg.predictor,
-                x_fraction=allocation_fraction(result.params, psi[0], 0, cfg.fidelity),
-            )
-            value1 = predict_observation(result.params, pred.psi[0], 0, disc)
-            value2 = predict_observation(result.params, pred.psi[1], 1, disc)
-            row.predicted_value, row.predicted_state = value1, pred.psi[0]
-            row.predicted_value2, row.predicted_state2 = value2, pred.psi[1]
-            row.transition_prob = pred.x_fraction
+            psi = _next_states(cfg, result.params, obs, cfg.predictor)
+            x_fraction = allocation_fraction(result.params, psi[0], 0, cfg.fidelity)
+            value1 = predict_observation(result.params, psi[0], 0, disc)
+            value2 = predict_observation(result.params, psi[1], 1, disc)
+            row.predicted_value, row.predicted_state = value1, psi[0]
+            row.predicted_value2, row.predicted_state2 = value2, psi[1]
+            row.transition_prob = x_fraction
             if cfg.dynamic_allocation:
-                size_fraction = pred.x_fraction
+                size_fraction = x_fraction
             trigger_series = np.append(ind1[t - cfg.sma_period + 1: t + 1], value1)
         else:
             trigger_series = ind1[t - cfg.sma_period: t + 1]
@@ -379,10 +401,7 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
         trades.append(tr)
 
     equity = EquityCurve(timestamps=equity_ts, values=np.asarray(equity_vals))
-    values = equity.values
-    rets = np.diff(values) / values[:-1] if values.size > 1 else np.zeros(0)
-    total = (values[-1] / values[0] - 1.0) * 100.0 if values.size else 0.0
-    vol = float(rets.std() * math.sqrt(rets.size) * 100.0) if rets.size else 0.0
+    total, vol = _ret_vol(equity.values)
     if vol > 0.0:
         stats = stats_from_ret_vol(total, vol, baseline_ratio)
     else:
@@ -420,36 +439,14 @@ def compare_predictors(
     bars on which the two coincide; when they track each other closely
     the cheaper marginal predictor can stand in for the decoder.
     """
-    if len(bars1) != len(bars2) or any(
-        a.timestamp != b.timestamp for a, b in zip(bars1, bars2)
-    ):
-        raise ValueError("series are misaligned: timestamps must match one-to-one")
-    ind1 = _indicator_series(cfg, bars1)
-    ind2 = _indicator_series(cfg, bars2)
-    atr1 = atr(bars1, cfg.atr_period)
+    ind1, ind2, _, t0 = _decision_inputs(cfg, bars1, bars2, modeled=True)
     disc = cfg.discretizer
-
-    work = BacktestConfig(**{**cfg.__dict__, "predictor": "marginal"})
-    t0 = _feasible_from(work, ind1, ind2, atr1)
-    if t0 is None:
-        raise ValueError("insufficient data: no bar has a full history window")
-
     rows: list[ComparisonRow] = []
-    prev_params = initial_params
-    for t in range(t0, len(bars1)):
-        lo = t - cfg.lookback + 1
-        obs = ObservationSequence.from_lists(
-            [discretize(disc, v) for v in ind1[lo: t + 1]],
-            [discretize(disc, v) for v in ind2[lo: t + 1]],
-        )
-        params0 = prev_params if cfg.fit.warm_start and prev_params is not None else _init_params(cfg, t)
-        if not np.isfinite(forward(params0, obs, scale=True).log_joint):
-            params0 = _init_params(cfg, t)
-        fitted = fit(params0, obs, cfg.fit).params
-        prev_params = fitted
-        psi_m = next_state_marginal(fitted, cfg.fidelity)
-        vt = coupled_viterbi(fitted, obs)
-        psi_v = next_state_viterbi(fitted, vt, cfg.fidelity)
+    windows = _fitted_windows(cfg, ind1, ind2, t0, initial_params)
+    for t, (obs, result) in enumerate(windows, start=t0):
+        fitted = result.params
+        psi_m = _next_states(cfg, fitted, obs, "marginal")
+        psi_v = _next_states(cfg, fitted, obs, "viterbi")
         rows.append(
             ComparisonRow(
                 timestamp=bars1[t].timestamp,

@@ -156,6 +156,7 @@ _CONFIG_KEYS = {
     "rel_tol": float,
     "warm_start": bool,
 }
+_FIT_KEYS = ("sweeps", "rel_tol", "warm_start")
 
 
 def load_config(path) -> dict[str, str]:
@@ -187,31 +188,22 @@ def backtest_config_from_mapping(mapping: dict) -> BacktestConfig:
             parsed[key] = _BOOL_WORDS[word]
         else:
             parsed[key] = kind(raw)
-    fit_kwargs = {k: parsed.pop(k) for k in ("sweeps", "rel_tol", "warm_start") if k in parsed}
+    fit_kwargs = {k: parsed.pop(k) for k in _FIT_KEYS if k in parsed}
     return BacktestConfig(fit=FitConfig(**fit_kwargs), **parsed)
 
 
 def config_to_text(cfg: BacktestConfig) -> str:
-    pairs = [
-        ("system", cfg.system),
-        ("lookback", cfg.lookback),
-        ("n_states", cfg.n_states),
-        ("n_bins", cfg.n_bins),
-        ("indicator_period", cfg.indicator_period),
-        ("sma_period", cfg.sma_period),
-        ("atr_period", cfg.atr_period),
-        ("stop_mult", repr(float(cfg.stop_mult))),
-        ("target_mult", repr(float(cfg.target_mult))),
-        ("dynamic_allocation", str(cfg.dynamic_allocation).lower()),
-        ("predictor", cfg.predictor),
-        ("notional", repr(float(cfg.notional))),
-        ("fidelity", cfg.fidelity),
-        ("seed", cfg.seed),
-        ("sweeps", cfg.fit.sweeps),
-        ("rel_tol", repr(float(cfg.fit.rel_tol))),
-        ("warm_start", str(cfg.fit.warm_start).lower()),
-    ]
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+    lines = []
+    for key, kind in _CONFIG_KEYS.items():
+        value = getattr(cfg.fit if key in _FIT_KEYS else cfg, key)
+        if kind is bool:
+            text = str(value).lower()
+        elif kind is float:
+            text = repr(float(value))
+        else:
+            text = str(value)
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
 
 
 # -- result files ----------------------------------------------------------

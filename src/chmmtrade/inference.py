@@ -66,9 +66,7 @@ def _emission_lookup(params: ChmmParams, obs: ObservationSequence) -> np.ndarray
     )  # (T, 2, N)
 
 
-def forward(
-    params: ChmmParams, obs: ObservationSequence, scale: bool = False, validate: bool = True
-) -> ForwardTrellis:
+def forward(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -> ForwardTrellis:
     """Run the coupled forward recursion.
 
     With ``scale=False`` (default) alpha is raw probability mass, safe for
@@ -76,11 +74,8 @@ def forward(
     step is normalized by the total mass of both chains and the factors
     are retained, so arbitrarily long sequences stay in range and the
     likelihood is recoverable through ``log_per_chain`` / ``log_joint``.
-    ``validate=False`` skips the simplex checks, needed when evaluating
-    the likelihood at raw off-simplex points for numerical differencing.
     """
-    if validate:
-        check_params(params)
+    check_params(params)
     return _forward(params, obs, scale)[0]
 
 

@@ -15,7 +15,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .indicators import Discretizer, OhlcBar, bin_value
-from .inference import ForwardTrellis, _emission_lookup
+from .inference import ForwardTrellis, _emission_lookup, _forward
 from .model import ChmmParams, ObservationSequence, check_params
 
 __all__ = [
@@ -221,10 +221,8 @@ def fd_gradient(
     w = float(np.asarray(getattr(params, family))[index])
     if not (0.0 <= w - h and w + h <= 1.0):
         raise ValueError(f"perturbation leaves [0, 1]: {family}[{index}] = {w} with h = {h}")
-    from .inference import forward
-
-    up = forward(perturbed(params, family, index, +h), obs, validate=False).joint_likelihood
-    down = forward(perturbed(params, family, index, -h), obs, validate=False).joint_likelihood
+    up = _forward(perturbed(params, family, index, +h), obs, scale=False)[0].joint_likelihood
+    down = _forward(perturbed(params, family, index, -h), obs, scale=False)[0].joint_likelihood
     return (up - down) / (2.0 * h)
 
 

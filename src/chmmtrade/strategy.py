@@ -20,7 +20,6 @@ from .inference import ViterbiTrellis
 from .model import ChmmParams
 
 __all__ = [
-    "StatePrediction",
     "Signal",
     "next_state_marginal",
     "next_state_viterbi",
@@ -39,15 +38,6 @@ CCI_LONG_LEVEL = 105.0
 CCI_SHORT_LEVEL = -105.0
 
 FIDELITIES = ("corrected", "literal")
-
-
-@dataclass(frozen=True)
-class StatePrediction:
-    """Most probable next state per chain plus optional sizing fraction."""
-
-    psi: tuple[int, int]
-    method: str  # "marginal" | "viterbi"
-    x_fraction: float | None = None
 
 
 @dataclass(frozen=True)
@@ -81,6 +71,12 @@ def _source_matrices(params: ChmmParams, chain: int, fidelity: str):
     return (theta[1, 1], self_mat), (theta[0, 1], params.trans[0, 1])
 
 
+def _marginal_scores(params: ChmmParams, chain: int, fidelity: str) -> np.ndarray:
+    """Coupling-weighted blend of the column sums of the matrices feeding ``chain``."""
+    (w_self, m_self), (w_cross, m_cross) = _source_matrices(params, chain, fidelity)
+    return w_self * m_self.sum(axis=0) + w_cross * m_cross.sum(axis=0)
+
+
 def next_state_marginal(params: ChmmParams, fidelity: str = "corrected") -> tuple[int, int]:
     """Most probable next state per chain from column-summed transitions.
 
@@ -90,12 +86,7 @@ def next_state_marginal(params: ChmmParams, fidelity: str = "corrected") -> tupl
     wins, lowest index on ties.
     """
     _check_fidelity(fidelity)
-    out = []
-    for chain in range(2):
-        (w_self, m_self), (w_cross, m_cross) = _source_matrices(params, chain, fidelity)
-        scores = w_self * m_self.sum(axis=0) + w_cross * m_cross.sum(axis=0)
-        out.append(int(np.argmax(scores)))
-    return out[0], out[1]
+    return tuple(int(np.argmax(_marginal_scores(params, chain, fidelity))) for chain in range(2))
 
 
 def next_state_viterbi(
@@ -139,8 +130,7 @@ def allocation_fraction(params: ChmmParams, psi: int, chain: int, fidelity: str 
     _check_fidelity(fidelity)
     if not 0 <= psi < params.n_states:
         raise IndexError(f"state {psi} out of range")
-    (w_self, m_self), (w_cross, m_cross) = _source_matrices(params, chain, fidelity)
-    per_target = w_self * m_self.sum(axis=0) + w_cross * m_cross.sum(axis=0)
+    per_target = _marginal_scores(params, chain, fidelity)
     return float(per_target[psi] / per_target.sum())
 
 

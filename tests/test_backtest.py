@@ -6,6 +6,7 @@ from chmmtrade import (
     BacktestConfig,
     EquityCurve,
     atr,
+    compare_predictors,
     perf_stats,
     run_backtest,
     stats_from_ret_vol,
@@ -62,16 +63,18 @@ def test_flat_series_has_no_trades():
 def test_misaligned_series_rejected():
     bars = bars_from_closes(np.full(40, 1.0))
     other = filler_bars(41)
-    with pytest.raises(ValueError, match="misaligned"):
-        run_backtest(baseline_cfg(), bars, other)
-    with pytest.raises(ValueError, match="misaligned"):
-        run_backtest(baseline_cfg(), bars, filler_bars(40)[1:] + filler_bars(1))
+    for run in (run_backtest, compare_predictors):
+        with pytest.raises(ValueError, match="misaligned"):
+            run(baseline_cfg(), bars, other)
+        with pytest.raises(ValueError, match="misaligned"):
+            run(baseline_cfg(), bars, filler_bars(40)[1:] + filler_bars(1))
 
 
 def test_insufficient_data_rejected():
     bars = bars_from_closes(np.full(5, 1.0))
-    with pytest.raises(ValueError, match="insufficient"):
-        run_backtest(baseline_cfg(), bars, filler_bars(5))
+    for run in (run_backtest, compare_predictors):
+        with pytest.raises(ValueError, match="insufficient data: need more than 12 bars, got 5"):
+            run(baseline_cfg(), bars, filler_bars(5))
 
 
 def test_one_trade_fixture_hits_target_exactly():
@@ -185,6 +188,23 @@ def test_cci_system_runs_end_to_end():
     res = run_backtest(cfg, bars1, bars2)
     assert len(res.diagnostics) > 0
     assert np.isfinite(res.equity.values).all()
+
+
+@pytest.mark.parametrize("system", ["rsi", "cci"])
+def test_compare_rows_equal_backtest_diagnostics(system):
+    params = _default_sim_params(3, 8, seed=5)
+    bars1, bars2 = synthetic_ohlc(params, 200, seed=5, amplitude=0.005)
+    cfg = BacktestConfig(system=system, n_states=3, seed=4)
+    rows = compare_predictors(cfg, bars1, bars2).rows
+    by_predictor = {
+        p: run_backtest(BacktestConfig(system=system, n_states=3, seed=4, predictor=p), bars1, bars2).diagnostics
+        for p in ("marginal", "viterbi")
+    }
+    assert len(rows) == len(by_predictor["marginal"]) == len(by_predictor["viterbi"]) > 100
+    for row, m, v in zip(rows, by_predictor["marginal"], by_predictor["viterbi"]):
+        assert row.timestamp == m.timestamp == v.timestamp
+        assert (row.state_marginal, row.value_marginal) == (m.predicted_state, m.predicted_value)
+        assert (row.state_viterbi, row.value_viterbi) == (v.predicted_state, v.predicted_value)
 
 
 def test_stats_from_ret_vol_paper_rows():

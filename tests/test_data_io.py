@@ -131,6 +131,28 @@ def test_config_round_trip(tmp_path):
     assert loaded == cfg
 
 
+def test_config_text_of_defaults():
+    assert data_io.config_to_text(BacktestConfig()) == (
+        "system = rsi\n"
+        "lookback = 4\n"
+        "n_states = 5\n"
+        "n_bins = 8\n"
+        "indicator_period = 4\n"
+        "sma_period = 4\n"
+        "atr_period = 12\n"
+        "stop_mult = 2.0\n"
+        "target_mult = 6.0\n"
+        "dynamic_allocation = false\n"
+        "predictor = marginal\n"
+        "notional = 1000000.0\n"
+        "fidelity = corrected\n"
+        "seed = 0\n"
+        "sweeps = 3\n"
+        "rel_tol = 1e-06\n"
+        "warm_start = true\n"
+    )
+
+
 def test_config_defaults_and_comments(tmp_path):
     path = write(tmp_path, "c.cfg", "# cci run\nsystem = cci\nsweeps = 5\n")
     cfg = data_io.backtest_config_from_mapping(data_io.load_config(path))

@@ -96,6 +96,16 @@ def test_forward_zero_probability_emissions_are_permitted():
     assert p1 > 0.0
 
 
+@pytest.mark.parametrize("decode", [forward, coupled_viterbi])
+def test_off_simplex_params_rejected(rng, decode):
+    p = random_params(rng, 3, 4)
+    trans = p.trans.copy()
+    trans[0, 1, 2, 0] += 0.25
+    off = ChmmParams(priors=p.priors, trans=trans, emit=p.emit, coupling=p.coupling)
+    with pytest.raises(ValueError, match="invalid parameters"):
+        decode(off, random_obs(rng, 4, 5))
+
+
 def test_viterbi_single_state_path():
     p = ChmmParams(
         priors=np.ones((2, 1)),
