@@ -121,16 +121,7 @@ def _cmd_compare(args) -> int:
     initial = load_params(args.params) if args.params else None
     result = compare_predictors(cfg, pair.bars1, pair.bars2, initial_params=initial)
     if args.out:
-        import csv
-
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "state_marginal", "state_viterbi", "value_marginal", "value_viterbi"])
-            for r in result.rows:
-                writer.writerow([
-                    r.timestamp.isoformat(), r.state_marginal, r.state_viterbi,
-                    repr(r.value_marginal), repr(r.value_viterbi),
-                ])
+        data_io.write_comparison_csv(args.out, result.rows)
     print(f"bars_compared = {len(result.rows)}")
     print(f"state_agreement = {result.state_agreement:.6f}")
     print(f"value_agreement = {result.value_agreement:.6f}")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .backtest import (
     BacktestConfig,
+    ComparisonRow,
     DiagnosticRow,
     EquityCurve,
     FitRecord,
@@ -46,6 +47,8 @@ __all__ = [
     "load_obs_csv",
     "write_fit_log",
     "load_fit_log",
+    "write_comparison_csv",
+    "load_comparison_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -391,3 +394,35 @@ def load_fit_log(path) -> list[FitRecord]:
                 )
             )
     return records
+
+
+COMPARISON_HEADER = ["timestamp", "state_marginal", "state_viterbi", "value_marginal", "value_viterbi"]
+
+
+def write_comparison_csv(path, rows) -> None:
+    """Per-bar predictor comparison rows, one line per decision bar."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(COMPARISON_HEADER)
+        for r in rows:
+            writer.writerow([
+                r.timestamp.isoformat(), r.state_marginal, r.state_viterbi,
+                repr(r.value_marginal), repr(r.value_viterbi),
+            ])
+
+
+def load_comparison_csv(path) -> list[ComparisonRow]:
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            rows.append(
+                ComparisonRow(
+                    timestamp=_parse_timestamp(row["timestamp"]),
+                    state_marginal=int(row["state_marginal"]),
+                    state_viterbi=int(row["state_viterbi"]),
+                    value_marginal=float(row["value_marginal"]),
+                    value_viterbi=float(row["value_viterbi"]),
+                )
+            )
+    return rows

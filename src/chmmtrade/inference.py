@@ -60,10 +60,10 @@ def _emission_lookup(params: ChmmParams, obs: ObservationSequence) -> np.ndarray
         raise ValueError(
             f"observation bin {int(obs.bins.max())} out of range for {params.n_bins} bins"
         )
-    # emit is (2, N, M); take per-chain columns for each step.
-    return np.stack(
-        [params.emit[c][:, obs.bins[c]].T for c in range(2)], axis=1
-    )  # (T, 2, N)
+    # emit is (2, N, M); chain c reads its own symbol's column at each step.
+    # Indexing with bins.T puts the step axis first, so each step's (2, N)
+    # block is contiguous for the per-step recursions.
+    return params.emit[[[0, 1]], :, obs.bins.T]  # (T, 2, N)
 
 
 def forward(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -> ForwardTrellis:
@@ -88,6 +88,7 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
 
     alpha = np.empty((2, t_len, n))
     scales = np.ones(t_len) if scale else None
+    w = params.coupling[:, :, None, None] * params.trans  # (a, c, i, j)
 
     step = params.priors * bt[0]  # (2, N)
     if scale:
@@ -98,13 +99,14 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     alpha[:, 0] = step
 
     for t in range(1, t_len):
-        # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i]
-        mass = np.einsum("ac,acij,ai->cj", params.coupling, params.trans, alpha[:, t - 1])
-        step = mass * bt[t]
+        # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i],
+        # read from ``step``, which still holds alpha[:, t-1]; then the emissions.
+        step = np.einsum("acij,ai->cj", w, step)
+        step *= bt[t]
         if scale:
             s = step.sum()
             if s > 0.0:
-                step = step / s
+                step /= s
                 scales[t] = s
         alpha[:, t] = step
 
@@ -133,6 +135,16 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     ), bt
 
 
+# Pair scores held at once while back-pointers are recovered (about 1 MB
+# of float64); bounds the decoder's temporaries independently of T.
+_PSI_BLOCK_SCORES = 1 << 17
+
+
+def _psi_block_steps(n_states: int) -> int:
+    """Steps per back-pointer block: 2 * N^3 pair scores per step."""
+    return max(1, _PSI_BLOCK_SCORES // (2 * n_states**3))
+
+
 def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrellis:
     """Decode the best state path of each chain.
 
@@ -143,7 +155,9 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
     where a1, a2 are the two transition matrices pointing into chain c
     and i indexes the chain's own previous state.  All argmax operations
     break ties toward the lowest index (row-major over (i, j) pairs), so
-    decoding is deterministic across platforms.
+    decoding is deterministic across platforms.  The recursion keeps only
+    the maximum; the maximizing pairs ``psi`` are recovered from the
+    finished trellis in blocks of steps, with the same scores and ties.
     """
     check_params(params)
     n = params.n_states
@@ -153,19 +167,29 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
         log_pi = np.log(params.priors)  # (2, N)
         log_bt = np.log(_emission_lookup(params, obs))  # (T, 2, N)
 
-    log_delta = np.empty((2, t_len, n))
-    psi = np.zeros((2, t_len, n, 2), dtype=np.int64)
-    log_delta[:, 0] = log_pi + log_bt[0]
+    own_a, cross_a = log_a[0], log_a[1]  # log a1[c, i, k], log a2[c, j, k]
+    # A pair (i, j) scores own(i) + cross(j), with own(i) = delta_{t-1}(i)
+    # + log a1[i, k] and cross(j) = log a2[j, k].  Rounding is monotone in
+    # each operand, so the largest rounded pair score is exactly
+    # fl(max_i own(i) + max_j cross(j)): the recursion carries only that.
+    cross_max = cross_a.max(axis=1)  # (c, k)
 
+    log_delta = np.empty((2, t_len, n))
+    log_delta[:, 0] = log_pi + log_bt[0]
     for t in range(1, t_len):
-        # Both chains at once; the leading axis is the target chain c.
-        partial = log_delta[:, t - 1, :, None] + log_a[0]                # (c, i, k)
-        scores = partial[:, :, None, :] + log_a[1][:, None, :, :]       # (c, i, j, k)
-        flat = scores.reshape(2, n * n, n)
-        best = np.argmax(flat, axis=1)                                  # first max: lowest (i, j)
-        log_delta[:, t] = np.take_along_axis(flat, best[:, None, :], axis=1)[:, 0] + log_bt[t]
-        psi[:, t, :, 0] = best // n
-        psi[:, t, :, 1] = best % n
+        own = log_delta[:, t - 1, :, None] + own_a  # (c, i, k)
+        log_delta[:, t] = own.max(axis=1) + cross_max + log_bt[t]
+
+    # Back-pointers from the finished trellis, a block of steps at a time:
+    # every pair score of each target state and the first maximum among them.
+    psi = np.zeros((2, t_len, n, 2), dtype=np.int64)
+    block = _psi_block_steps(n)
+    for t0 in range(1, t_len, block):
+        t1 = min(t0 + block, t_len)
+        partial = log_delta[:, t0 - 1 : t1 - 1, :, None] + own_a[:, None]  # (c, t, i, k)
+        scores = partial[:, :, :, None, :] + cross_a[:, None, None]       # (c, t, i, j, k)
+        best = np.argmax(scores.reshape(2, t1 - t0, n * n, n), axis=2)    # first max: lowest (i, j)
+        np.divmod(best, n, out=(psi[:, t0:t1, :, 0], psi[:, t0:t1, :, 1]))
 
     paths = np.zeros((2, t_len), dtype=np.int64)
     log_best = np.empty(2)

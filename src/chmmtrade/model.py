@@ -115,6 +115,8 @@ def validate_params(params: ChmmParams) -> list[str]:
     An empty list means the parameters are valid.  Chains, rows and
     columns are reported 1-based to match the serialized text format.
     """
+    if _all_within_bounds(params):
+        return []
     issues: list[str] = []
 
     for name, arr in (
@@ -146,6 +148,28 @@ def validate_params(params: ChmmParams) -> list[str]:
     for c in np.nonzero(np.abs(cols - 1.0) > SIMPLEX_ATOL)[0]:
         issues.append(f"coupling column {c + 1}: sums to {cols[c]!r}")
     return issues
+
+
+def _all_within_bounds(params: ChmmParams) -> bool:
+    """Every check of ``validate_params`` at once, over all four families;
+    True only when none of them would report.  NaN fails each comparison,
+    so it falls through to the message builder."""
+    entries = np.concatenate(
+        [params.priors.ravel(), params.trans.ravel(), params.emit.ravel(), params.coupling.ravel()]
+    )
+    sums = np.concatenate(
+        [
+            params.priors.sum(axis=1),
+            params.trans.sum(axis=3).ravel(),
+            params.emit.sum(axis=2).ravel(),
+            params.coupling.sum(axis=0),
+        ]
+    )
+    return bool(
+        entries.min() >= 0.0
+        and entries.max() <= 1.0
+        and (np.abs(sums - 1.0) <= SIMPLEX_ATOL).all()
+    )
 
 
 def check_params(params: ChmmParams) -> None:

@@ -119,8 +119,7 @@ def _simplex_update(w: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     """Growth-transform update of one family; zero-gradient rows freeze."""
     num = w * g
     denom = num.sum(axis=axis, keepdims=True)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    return np.where(denom > 0.0, num / safe, w)
+    return np.divide(num, denom, out=np.array(w), where=denom > 0.0)
 
 
 def reestimate(params: ChmmParams, grads: GradientSet) -> ChmmParams:

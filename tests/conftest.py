@@ -2,6 +2,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from chmmtrade import ChmmParams, ObservationSequence, OhlcBar
 
@@ -25,6 +26,31 @@ def random_params(rng, n, m, low=0.2):
 
 def random_obs(rng, m, t_len):
     return ObservationSequence(rng.integers(0, m, size=(2, t_len)))
+
+
+@st.composite
+def simplex_instances(draw):
+    """Parameters from small integer weights, so exact zeros are common
+    (and every all-zero simplex falls back to uniform), N = 1 included."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    t_len = draw(st.integers(1, 12))
+
+    def rows(shape, axis):
+        size = int(np.prod(shape))
+        raw = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)), dtype=float)
+        raw = raw.reshape(shape)
+        raw[(raw.sum(axis=axis, keepdims=True) == 0).repeat(shape[axis], axis=axis)] = 1.0
+        return raw / raw.sum(axis=axis, keepdims=True)
+
+    p = ChmmParams(
+        priors=rows((2, n), 1),
+        trans=rows((2, 2, n, n), 3),
+        emit=rows((2, n, m), 2),
+        coupling=rows((2, 2), 0),
+    )
+    bins = draw(st.lists(st.integers(0, m - 1), min_size=2 * t_len, max_size=2 * t_len))
+    return p, ObservationSequence(np.array(bins).reshape(2, t_len))
 
 
 def bars_from_closes(closes, start_time=T0, bar_minutes=10):

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from chmmtrade import BacktestConfig, EquityCurve, ObservationSequence, PerfStats, TradeRecord
-from chmmtrade.backtest import DiagnosticRow, FitRecord
+from chmmtrade.backtest import ComparisonRow, DiagnosticRow, FitRecord
 from chmmtrade import data_io
 from conftest import T0, bars_from_closes
 
@@ -251,3 +251,20 @@ def test_fit_log_round_trip(tmp_path):
     data_io.write_fit_log(path, records)
     again = data_io.load_fit_log(path)
     assert again == records
+
+
+def test_comparison_round_trip(tmp_path):
+    rows = [
+        ComparisonRow(timestamp=T0, state_marginal=2, state_viterbi=4,
+                      value_marginal=43.75, value_viterbi=0.1 + 0.2),
+        ComparisonRow(timestamp=T0.replace(minute=10), state_marginal=0, state_viterbi=0,
+                      value_marginal=81.25, value_viterbi=81.25),
+    ]
+    path = tmp_path / "compare.csv"
+    data_io.write_comparison_csv(path, rows)
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "timestamp,state_marginal,state_viterbi,value_marginal,value_viterbi",
+        "2013-01-01T00:00:00+00:00,2,4,43.75,0.30000000000000004",
+        "2013-01-01T00:10:00+00:00,0,0,81.25,81.25",
+    ]
+    assert data_io.load_comparison_csv(path) == rows

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from chmmtrade import (
@@ -11,7 +13,8 @@ from chmmtrade import (
     forward,
     uniform_params,
 )
-from conftest import random_obs, random_params
+from chmmtrade import inference
+from conftest import random_obs, random_params, simplex_instances
 
 
 def test_forward_single_step_base_case(rng):
@@ -225,32 +228,96 @@ def _per_chain_viterbi_scores(params, obs):
     return log_delta, psi
 
 
-def test_viterbi_matches_per_chain_loop_with_zero_transitions(rng):
-    # Small integer weights give exact zeros (-inf scores) and many exact
-    # ties, so the first-max rule and -inf handling are both exercised.
-    # The loop is the reference: its additions run in the same order, so
-    # every score and argmax must agree bit for bit.
+def _zero_heavy_params(rng, n, m):
+    """Small integer weights: exact zeros (-inf scores) and many exact ties."""
+
     def rows(shape, axis):
         raw = rng.integers(0, 3, size=shape).astype(float)
         raw[(raw.sum(axis=axis, keepdims=True) == 0).repeat(shape[axis], axis=axis)] = 1.0
         return raw / raw.sum(axis=axis, keepdims=True)
 
+    return ChmmParams(
+        priors=rows((2, n), 1),
+        trans=rows((2, 2, n, n), 3),
+        emit=rows((2, n, m), 2),
+        coupling=rows((2, 2), 0),
+    )
+
+
+def _assert_viterbi_matches_per_chain_loop(p, obs):
+    # The loop is the reference: its additions run in the same order, so
+    # every score and argmax must agree bit for bit.
+    vt = coupled_viterbi(p, obs)
+    log_delta, psi = _per_chain_viterbi_scores(p, obs)
+    assert_array_equal(vt.log_delta, log_delta)
+    assert_array_equal(vt.psi, psi)
+    for c in range(2):
+        q = [int(np.argmax(log_delta[c, -1]))]
+        for t in range(obs.length - 1, 0, -1):
+            q.append(int(psi[c, t, q[-1], 0]))
+        assert_array_equal(vt.paths[c], q[::-1])
+
+
+def test_viterbi_matches_per_chain_loop_with_zero_transitions(rng):
+    # Exact ties exercise the first-max rule, exact zeros the -inf handling.
     for _ in range(60):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
-        p = ChmmParams(
-            priors=rows((2, n), 1),
-            trans=rows((2, 2, n, n), 3),
-            emit=rows((2, n, m), 2),
-            coupling=rows((2, 2), 0),
-        )
-        obs = random_obs(rng, m, int(rng.integers(1, 8)))
-        vt = coupled_viterbi(p, obs)
-        log_delta, psi = _per_chain_viterbi_scores(p, obs)
-        assert_array_equal(vt.log_delta, log_delta)
-        assert_array_equal(vt.psi, psi)
-        for c in range(2):
-            q = [int(np.argmax(log_delta[c, -1]))]
-            for t in range(obs.length - 1, 0, -1):
-                q.append(int(psi[c, t, q[-1], 0]))
-            assert_array_equal(vt.paths[c], q[::-1])
+        p = _zero_heavy_params(rng, n, m)
+        _assert_viterbi_matches_per_chain_loop(p, random_obs(rng, m, int(rng.integers(1, 8))))
+
+
+@pytest.mark.parametrize("n, block_scores", [(5, None), (2, None), (1, 6), (3, 2 * 27 * 4), (4, 1)])
+def test_viterbi_matches_per_chain_loop_across_psi_blocks(rng, monkeypatch, n, block_scores):
+    # Back-pointers are recovered in blocks of steps after the recursion;
+    # lengths on and around the block edges must decode exactly as the
+    # step-by-step reference.  A small score budget forces short blocks
+    # (down to one step) without long sequences.
+    if block_scores is not None:
+        monkeypatch.setattr(inference, "_PSI_BLOCK_SCORES", block_scores)
+    block = inference._psi_block_steps(n)
+    for t_len in (1, block, block + 1, 2 * block + 3):
+        m = int(rng.integers(1, 5))
+        p = _zero_heavy_params(rng, n, m)
+        _assert_viterbi_matches_per_chain_loop(p, random_obs(rng, m, t_len))
+
+
+def _three_operand_forward(params, obs, scale):
+    """The forward recursion with the coupling weights applied inside a
+    three-operand einsum at every step and a stacked emission lookup, as a
+    reference for ``_forward``: (alpha, scale_factors, bt, log_joint)."""
+    n, t_len = params.n_states, obs.length
+    bt = np.stack([params.emit[c][:, obs.bins[c]].T for c in range(2)], axis=1)
+    alpha = np.empty((2, t_len, n))
+    scales = np.ones(t_len)
+    for t in range(t_len):
+        if t == 0:
+            step = params.priors * bt[0]
+        else:
+            step = np.einsum("ac,acij,ai->cj", params.coupling, params.trans, alpha[:, t - 1]) * bt[t]
+        if scale:
+            s = step.sum()
+            if s > 0.0:
+                step = step / s
+                scales[t] = s
+        alpha[:, t] = step
+    with np.errstate(divide="ignore"):
+        log_pc = np.log(alpha[:, -1].sum(axis=1))
+        if scale:
+            log_pc = log_pc + float(np.log(scales).sum())
+    return alpha, scales if scale else None, bt, float(log_pc.sum())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(instance=simplex_instances(), scale=st.booleans())
+def test_forward_equals_three_operand_recursion(instance, scale):
+    params, obs = instance
+    trellis, bt = inference._forward(params, obs, scale)
+    alpha, scales, bt_ref, log_joint = _three_operand_forward(params, obs, scale)
+    assert_array_equal(trellis.alpha, alpha)
+    if scale:
+        assert_array_equal(trellis.scale_factors, scales)
+    else:
+        assert trellis.scale_factors is None
+    assert_array_equal(bt, bt_ref)
+    assert trellis.log_joint == log_joint

@@ -45,6 +45,56 @@ def test_out_of_range_entries_reported():
     assert any("outside [0, 1]" in msg for msg in validate_params(bad))
 
 
+def _with_entry(family, idx, value):
+    p = uniform_params(2, 2)
+    arrays = {f: np.array(getattr(p, f)) for f in ("priors", "trans", "emit", "coupling")}
+    arrays[family][idx] = value
+    return ChmmParams(**arrays)
+
+
+@pytest.mark.parametrize(
+    "params, expected",
+    [
+        # NaN fails every comparison: the range check reports it, the sum
+        # check (``> atol``) does not.
+        (_with_entry("emit", (0, 1, 0), np.nan), ["emit: entries outside [0, 1]"]),
+        (_with_entry("priors", (1, 0), np.nan), ["priors: entries outside [0, 1]"]),
+        (_with_entry("coupling", (1, 0), np.nan), ["coupling: entries outside [0, 1]"]),
+        # A row sum 2e-9 off is past SIMPLEX_ATOL (1e-9); 5e-10 off is inside it.
+        (
+            _with_entry("trans", (0, 1, 1, 1), 0.5 + 2e-9),
+            [f"transition matrix (1,2) row 1: sums to {np.float64(1.0000000020000002)!r}"],
+        ),
+        (
+            _with_entry("trans", (0, 1, 1, 1), 0.5 - 2e-9),
+            [f"transition matrix (1,2) row 1: sums to {np.float64(0.9999999980000001)!r}"],
+        ),
+        (_with_entry("trans", (0, 1, 1, 1), 0.5 + 5e-10), []),
+        # An entry just above 1 is out of range although its row sum is in tolerance.
+        (
+            ChmmParams(priors=[[1.0 + 1e-12, 0.0], [0.5, 0.5]], trans=np.full((2, 2, 2, 2), 0.5),
+                       emit=np.full((2, 2, 2), 0.5), coupling=np.full((2, 2), 0.5)),
+            ["priors: entries outside [0, 1]"],
+        ),
+        # A negative entry in a row that still sums to one, every entry <= 1.
+        (
+            ChmmParams(priors=np.full((2, 2), 0.5), trans=np.full((2, 2, 2, 2), 0.5),
+                       emit=[[[0.6, 0.6, -0.2], [0.2, 0.3, 0.5]], np.full((2, 3), 1 / 3)],
+                       coupling=np.full((2, 2), 0.5)),
+            ["emit: entries outside [0, 1]"],
+        ),
+        # -0.0 compares equal to 0.0 and is a valid probability.
+        (
+            ChmmParams(priors=[[1.0, -0.0], [0.5, 0.5]], trans=np.full((2, 2, 2, 2), 0.5),
+                       emit=np.full((2, 2, 2), 0.5), coupling=np.full((2, 2), 0.5)),
+            [],
+        ),
+    ],
+)
+def test_validate_params_messages_at_the_tolerance_edges(params, expected):
+    assert validate_params(params) == expected
+
+
 def test_params_are_immutable():
     p = uniform_params(2, 2)
     with pytest.raises(ValueError):

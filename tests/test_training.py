@@ -22,7 +22,7 @@ from chmmtrade import (
     validate_params,
 )
 from chmmtrade import training
-from conftest import random_obs, random_params
+from conftest import random_obs, random_params, simplex_instances
 
 FAMILIES = ("priors", "trans", "emit", "coupling")
 
@@ -265,31 +265,6 @@ def test_fit_config_validation():
         FitConfig(sweeps=0)
     with pytest.raises(ValueError):
         FitConfig(rel_tol=-1.0)
-
-
-@st.composite
-def simplex_instances(draw):
-    """Parameters from small integer weights, so exact zeros are common
-    (and every all-zero simplex falls back to uniform), N = 1 included."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 8))
-    t_len = draw(st.integers(1, 12))
-
-    def rows(shape, axis):
-        size = int(np.prod(shape))
-        raw = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)), dtype=float)
-        raw = raw.reshape(shape)
-        raw[(raw.sum(axis=axis, keepdims=True) == 0).repeat(shape[axis], axis=axis)] = 1.0
-        return raw / raw.sum(axis=axis, keepdims=True)
-
-    p = ChmmParams(
-        priors=rows((2, n), 1),
-        trans=rows((2, 2, n, n), 3),
-        emit=rows((2, n, m), 2),
-        coupling=rows((2, 2), 0),
-    )
-    bins = draw(st.lists(st.integers(0, m - 1), min_size=2 * t_len, max_size=2 * t_len))
-    return p, ObservationSequence(np.array(bins).reshape(2, t_len))
 
 
 def forward_mode_gradient(params, obs, scale):
