@@ -38,6 +38,7 @@ from .indicators import (
 from .strategy import (
     Signal,
     allocation_fraction,
+    crossing_side,
     generate_signal,
     next_state_marginal,
     next_state_viterbi,

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .indicators import CCI_DISCRETIZER, RSI_DISCRETIZER, Discretizer, atr, cci, discretize, rsi
 from .inference import coupled_viterbi, forward
 from .model import ChmmParams, ObservationSequence, jittered_params
 from .strategy import (
     allocation_fraction,
-    generate_signal,
+    crossing_side,
     next_state_marginal,
     next_state_viterbi,
     predict_observation,
@@ -219,13 +220,15 @@ def _indicator_series(cfg: BacktestConfig, bars) -> np.ndarray:
 
 
 def _decision_inputs(cfg: BacktestConfig, bars1, bars2, modeled: bool):
-    """Both indicator series, the traded series' ATR and the first decision bar.
+    """Indicator series, the traded series' ATR and the first decision bar.
 
-    A decision bar needs a finite ATR and a full window of finite
-    indicator values: ``sma_period + 1`` of the traded series for the
-    baseline, ``max(sma_period, lookback)`` of both series when the model
-    is refit.  Raises ValueError on misaligned series or when no bar
-    qualifies.
+    The filter series' indicator is computed only when the model is
+    refit; the baseline reads the traded series alone and gets None in
+    its place.  A decision bar needs a finite ATR and a full window of
+    finite indicator values: ``sma_period + 1`` of the traded series for
+    the baseline, ``max(sma_period, lookback)`` of both series when the
+    model is refit.  Raises ValueError on misaligned series or when no
+    bar qualifies.
     """
     if len(bars1) != len(bars2) or any(
         a.timestamp != b.timestamp for a, b in zip(bars1, bars2)
@@ -237,7 +240,7 @@ def _decision_inputs(cfg: BacktestConfig, bars1, bars2, modeled: bool):
         raise ValueError(f"insufficient data: need more than {min_bars - 1} bars, got {n_bars}")
 
     ind1 = _indicator_series(cfg, bars1)
-    ind2 = _indicator_series(cfg, bars2)
+    ind2 = _indicator_series(cfg, bars2) if modeled else None
     atr1 = atr(bars1, cfg.atr_period)
     hist = max(cfg.sma_period, cfg.lookback) if modeled else cfg.sma_period + 1
     for t in range(hist - 1, n_bars):
@@ -249,6 +252,22 @@ def _decision_inputs(cfg: BacktestConfig, bars1, bars2, modeled: bool):
         ):
             return ind1, ind2, atr1, t
     raise ValueError("insufficient data: no bar has a full history window")
+
+
+def _trigger_means(ind1: np.ndarray, sma_period: int) -> np.ndarray:
+    """Mean of every trailing ``sma_period`` window of the traded series,
+    indexed by the window's last bar; NaN where the window is not full or
+    holds a non-finite value, so no cross is read there.
+
+    Each row of the strided view is summed in the order a slice
+    ``.mean()`` takes, so every mean is bit-equal to the one
+    ``generate_signal`` takes from the same window.
+    """
+    windows = sliding_window_view(ind1, sma_period)
+    means = np.full(ind1.size, np.nan)
+    with np.errstate(invalid="ignore"):  # inf - inf, in a window masked anyway
+        means[sma_period - 1:] = np.where(np.isfinite(windows).all(axis=1), windows.mean(axis=1), np.nan)
+    return means
 
 
 def _init_params(cfg: BacktestConfig, t: int) -> ChmmParams:
@@ -297,6 +316,7 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
     n_bars = len(bars1)
     disc = cfg.discretizer
     windows = _fitted_windows(cfg, ind1, ind2, t0) if modeled else None
+    means = _trigger_means(ind1, cfg.sma_period)
 
     cash = cfg.notional
     open_trades: list[TradeRecord] = []
@@ -353,7 +373,9 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
         equity_ts.append(bar.timestamp)
         equity_vals.append(cash + unrealized)
 
-        # 4. Decide at the close.
+        # 4. Decide at the close: a cross from the trigger mean one point
+        #    back to the mean ending at the last point, which is this bar's
+        #    value for the baseline and the model's forecast otherwise.
         row = DiagnosticRow(timestamp=bar.timestamp)
         atr_now = float(atr1[t])
         size_fraction = 1.0
@@ -371,24 +393,18 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
             row.transition_prob = x_fraction
             if cfg.dynamic_allocation:
                 size_fraction = x_fraction
-            trigger_series = np.append(ind1[t - cfg.sma_period + 1: t + 1], value1)
+            prev = float(means[t])
+            curr = float(np.append(ind1[t - cfg.sma_period + 2: t + 1], value1).mean())
         else:
-            trigger_series = ind1[t - cfg.sma_period: t + 1]
+            prev, curr = float(means[t - 1]), float(means[t])
 
-        sig = generate_signal(
-            cfg.system,
-            trigger_series,
-            cfg.sma_period,
-            timestamp=bar.timestamp,
-            size_fraction=size_fraction,
-            open_sides={tr.side for tr in open_trades},
-        )
-        row.signal_side = sig.side
+        side = crossing_side(cfg.system, prev, curr, {tr.side for tr in open_trades})
+        row.signal_side = side
         diagnostics.append(row)
-        if sig.side != "none" and t + 1 < n_bars and atr_now > 0.0:
+        if side != "none" and t + 1 < n_bars and atr_now > 0.0:
             pending = (
-                sig.side,
-                sig.size_fraction,
+                side,
+                size_fraction,
                 cfg.stop_mult * atr_now,
                 cfg.target_mult * atr_now,
             )

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "OhlcBar",
@@ -157,17 +158,19 @@ def cci(bars, period: int) -> np.ndarray:
     """Commodity Channel Index of the typical price.
 
     CCI = (TP - SMA(TP)) / (0.015 * mean |TP - SMA(TP)|) over the trailing
-    window; a zero-deviation window reads 0.
+    window; a zero-deviation window reads 0.  The mean absolute deviation
+    of every window is taken at once from a strided view of the typical
+    prices, each window's sum in the same order as a per-window loop.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     if len(bars) <= period:
         raise ValueError(f"need more than {period} bars, got {len(bars)}")
     tp = np.array([(b.high + b.low + b.close) / 3.0 for b in bars], dtype=float)
+    means = _window_means(tp, period)[period - 1:]
+    dev = sliding_window_view(tp, period) - means[:, None]  # (windows, period)
+    mad = np.abs(dev, out=dev).mean(axis=1)
     out = np.full(len(bars), np.nan)
-    means = _window_means(tp, period)
-    for t in range(period - 1, len(bars)):
-        window = tp[t - period + 1: t + 1]
-        mad = np.abs(window - means[t]).mean()
-        out[t] = 0.0 if mad == 0.0 else (tp[t] - means[t]) / (0.015 * mad)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[period - 1:] = np.where(mad == 0.0, 0.0, (tp[period - 1:] - means) / (0.015 * mad))
     return out

@@ -191,15 +191,21 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
         best = np.argmax(scores.reshape(2, t1 - t0, n * n, n), axis=2)    # first max: lowest (i, j)
         np.divmod(best, n, out=(psi[:, t0:t1, :, 0], psi[:, t0:t1, :, 1]))
 
+    # Backtrack through the own-state pointers, a block of steps at a time
+    # read as Python lists, so no T-long list is held.
     paths = np.zeros((2, t_len), dtype=np.int64)
     log_best = np.empty(2)
     for c in range(2):
         q = int(np.argmax(log_delta[c, -1]))
         log_best[c] = log_delta[c, -1, q]
         paths[c, -1] = q
-        for t in range(t_len - 2, -1, -1):
-            q = int(psi[c, t + 1, q, 0])
-            paths[c, t] = q
+        for t1 in range(t_len, 1, -block):
+            t0 = max(1, t1 - block)
+            walk = []
+            for row in reversed(psi[c, t0:t1, :, 0].tolist()):
+                q = row[q]
+                walk.append(q)
+            paths[c, t0 - 1 : t1 - 1] = walk[::-1]
 
     for arr in (log_delta, psi, paths, log_best):
         arr.setflags(write=False)

@@ -138,12 +138,12 @@ def validate_params(params: ChmmParams) -> list[str]:
             rows = params.trans[cp, c].sum(axis=1)
             for i in np.nonzero(np.abs(rows - 1.0) > SIMPLEX_ATOL)[0]:
                 issues.append(
-                    f"transition matrix ({cp + 1},{c + 1}) row {i}: sums to {rows[i]!r}"
+                    f"transition matrix ({cp + 1},{c + 1}) row {i + 1}: sums to {rows[i]!r}"
                 )
     for c in range(N_CHAINS):
         rows = params.emit[c].sum(axis=1)
         for j in np.nonzero(np.abs(rows - 1.0) > SIMPLEX_ATOL)[0]:
-            issues.append(f"emission matrix chain {c + 1} row {j}: sums to {rows[j]!r}")
+            issues.append(f"emission matrix chain {c + 1} row {j + 1}: sums to {rows[j]!r}")
     cols = params.coupling.sum(axis=0)
     for c in np.nonzero(np.abs(cols - 1.0) > SIMPLEX_ATOL)[0]:
         issues.append(f"coupling column {c + 1}: sums to {cols[c]!r}")

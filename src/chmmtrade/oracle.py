@@ -1,9 +1,9 @@
 """Brute-force references and generators used for verification.
 
 Everything here recomputes model quantities by exhaustive enumeration,
-numerical differencing or forward-mode derivative propagation, sharing
-no recursion with the library's implementations, so tests can
-cross-check the two routes.
+numerical differencing, forward-mode derivative propagation or
+per-window loops, sharing no recursion with the library's
+implementations, so tests can cross-check the two routes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .indicators import Discretizer, OhlcBar, bin_value
+from .indicators import Discretizer, OhlcBar, _window_means, bin_value
 from .inference import ForwardTrellis, _emission_lookup, _forward
 from .model import ChmmParams, ObservationSequence, check_params
 
@@ -27,6 +27,7 @@ __all__ = [
     "brute_viterbi",
     "score_path",
     "fd_gradient",
+    "cci_loop",
     "synthetic_ohlc",
     "permutation_aligned_mae",
 ]
@@ -359,6 +360,19 @@ def permutation_aligned_mae(true_params: ChmmParams, fitted: ChmmParams) -> floa
                     err += np.abs(remapped - true_params.trans[cp, c]).sum()
             best = min(best, err / (4 * n * n))
     return float(best)
+
+
+def cci_loop(bars, period: int) -> np.ndarray:
+    """CCI with one mean absolute deviation per window, window by window;
+    the reference for ``indicators.cci``."""
+    tp = np.array([(b.high + b.low + b.close) / 3.0 for b in bars], dtype=float)
+    out = np.full(len(bars), np.nan)
+    means = _window_means(tp, period)
+    for t in range(period - 1, len(bars)):
+        window = tp[t - period + 1: t + 1]
+        mad = np.abs(window - means[t]).mean()
+        out[t] = 0.0 if mad == 0.0 else (tp[t] - means[t]) / (0.015 * mad)
+    return out
 
 
 def synthetic_ohlc(

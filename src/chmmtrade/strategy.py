@@ -25,6 +25,7 @@ __all__ = [
     "next_state_viterbi",
     "predict_observation",
     "allocation_fraction",
+    "crossing_side",
     "generate_signal",
     "RSI_LONG_LEVEL",
     "RSI_SHORT_LEVEL",
@@ -142,6 +143,31 @@ def _crossed_under(prev: float, curr: float, level: float) -> bool:
     return prev > level and curr <= level
 
 
+def crossing_side(kind: str, prev: float, curr: float, open_sides=()) -> str:
+    """Side entered when the smoothed indicator moves from ``prev`` to ``curr``.
+
+    Landing exactly on the level counts as crossed; a NaN mean never
+    crosses.  RSI: long over 20, short under 80.  CCI: long under 105,
+    short over -105, and a same-direction open position suppresses the
+    new signal.  Returns "long", "short" or "none".
+    """
+    if kind == "rsi":
+        if _crossed_over(prev, curr, RSI_LONG_LEVEL):
+            return "long"
+        if _crossed_under(prev, curr, RSI_SHORT_LEVEL):
+            return "short"
+        return "none"
+    if kind == "cci":
+        if _crossed_under(prev, curr, CCI_LONG_LEVEL):
+            side = "long"
+        elif _crossed_over(prev, curr, CCI_SHORT_LEVEL):
+            side = "short"
+        else:
+            return "none"
+        return "none" if side in open_sides else side
+    raise ValueError(f"kind must be 'rsi' or 'cci', got {kind!r}")
+
+
 def generate_signal(
     kind: str,
     series,
@@ -157,11 +183,9 @@ def generate_signal(
     ``series`` holds realized indicator values for past bars with the
     model's one-step forecast appended last (or realized values only in
     baseline mode).  A cross compares the trailing-window mean ending at
-    the final point against the mean one step earlier; landing exactly on
-    the level counts as crossed.  RSI: long over 20, short under 80.
-    CCI: long under 105, short over -105, and a same-direction open
-    position suppresses the new signal.  Too little history yields a
-    "none" signal.
+    the final point against the mean one step earlier, by the rule of
+    ``crossing_side``.  Too little history, or a non-finite value among
+    the last ``sma_period + 1``, yields a "none" signal.
     """
     if kind not in ("rsi", "cci"):
         raise ValueError(f"kind must be 'rsi' or 'cci', got {kind!r}")
@@ -171,24 +195,9 @@ def generate_signal(
         return none
     prev = float(values[-sma_period - 1: -1].mean())
     curr = float(values[-sma_period:].mean())
-
-    if kind == "rsi":
-        if _crossed_over(prev, curr, RSI_LONG_LEVEL):
-            side = "long"
-        elif _crossed_under(prev, curr, RSI_SHORT_LEVEL):
-            side = "short"
-        else:
-            return none
-    else:
-        if _crossed_under(prev, curr, CCI_LONG_LEVEL):
-            side = "long"
-        elif _crossed_over(prev, curr, CCI_SHORT_LEVEL):
-            side = "short"
-        else:
-            return none
-        if side in open_sides:
-            return none
-
+    side = crossing_side(kind, prev, curr, open_sides)
+    if side == "none":
+        return none
     return Signal(
         timestamp=timestamp,
         side=side,

@@ -2,11 +2,16 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from chmmtrade import ChmmParams, ObservationSequence, OhlcBar
 
 T0 = datetime(2013, 1, 1, tzinfo=timezone.utc)
+
+# Every property test draws the same fixed examples on every run.
+settings.register_profile("chmmtrade", max_examples=200, deadline=None, derandomize=True, database=None)
+settings.load_profile("chmmtrade")
 
 
 def random_params(rng, n, m, low=0.2):

@@ -7,11 +7,13 @@ from chmmtrade import (
     EquityCurve,
     atr,
     compare_predictors,
+    generate_signal,
     perf_stats,
     run_backtest,
     stats_from_ret_vol,
     synthetic_ohlc,
 )
+from chmmtrade import backtest
 from chmmtrade.cli import _default_sim_params
 from conftest import bars_from_closes
 
@@ -75,6 +77,47 @@ def test_insufficient_data_rejected():
     for run in (run_backtest, compare_predictors):
         with pytest.raises(ValueError, match="insufficient data: need more than 12 bars, got 5"):
             run(baseline_cfg(), bars, filler_bars(5))
+
+
+@pytest.mark.parametrize("predictor, n_series", [("baseline", 1), ("marginal", 2)])
+def test_filter_indicator_computed_only_when_modeled(monkeypatch, predictor, n_series):
+    bars1, bars2 = synthetic_ohlc(_default_sim_params(2, 8, 42), 40, seed=1)
+    seen = []
+    original = backtest._indicator_series
+
+    def counted(cfg, bars):
+        seen.append(bars)
+        return original(cfg, bars)
+
+    monkeypatch.setattr(backtest, "_indicator_series", counted)
+    run_backtest(BacktestConfig(system="cci", predictor=predictor, n_states=2), bars1, bars2)
+    assert seen == [bars1, bars2][:n_series]
+
+
+@pytest.mark.parametrize("system", ["rsi", "cci"])
+@pytest.mark.parametrize("predictor", ["baseline", "marginal"])
+def test_signals_equal_generate_signal_on_each_window(system, predictor):
+    # The bar loop reads crosses from trigger means taken once per run;
+    # each bar's side must be generate_signal's on that bar's window,
+    # given the positions open at its close.
+    bars1, bars2 = synthetic_ohlc(_default_sim_params(2, 8, 42), 300, seed=2)
+    cfg = BacktestConfig(system=system, predictor=predictor, n_states=2)
+    res = run_backtest(cfg, bars1, bars2)
+    ind1 = backtest._indicator_series(cfg, bars1)
+    k = cfg.sma_period
+    sides = []
+    for t, row in enumerate(res.diagnostics, start=len(bars1) - len(res.diagnostics)):
+        if predictor == "baseline":
+            window = ind1[t - k: t + 1]
+        else:
+            window = np.append(ind1[t - k + 1: t + 1], row.predicted_value)
+        open_sides = {
+            tr.side for tr in res.trades
+            if tr.entry_time <= row.timestamp and (tr.exit_reason == "end-of-data" or row.timestamp < tr.exit_time)
+        }
+        sides.append(generate_signal(system, window, k, open_sides=open_sides).side)
+    assert sides == [row.signal_side for row in res.diagnostics]
+    assert {"long", "short"} <= set(sides)
 
 
 def test_one_trade_fixture_hits_target_exactly():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from chmmtrade import (
     CCI_DISCRETIZER,
@@ -15,6 +17,7 @@ from chmmtrade import (
     sma,
     true_range,
 )
+from chmmtrade.oracle import cci_loop
 from conftest import T0, bars_from_closes
 
 
@@ -80,6 +83,33 @@ def test_cci_odd_symmetry(rng):
     a = cci(up, 4)
     b = cci(down, 4)
     assert_allclose(a[4:], -b[4:], atol=1e-9)
+
+
+@st.composite
+def ohlc_bars_with_period(draw):
+    """OHLC bars on a coarse price grid with a flat stretch, where every
+    window inside it has zero deviation, and a CCI period short, past the
+    8-element unrolled sum or past numpy's 128-element pairwise block."""
+    period = draw(st.one_of(st.integers(1, 8), st.integers(9, 128), st.integers(129, 140)))
+    n = draw(st.integers(period + 1, period + 40))
+    steps = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    closes = 100.0 + 0.25 * np.cumsum(steps)
+    flat_from = draw(st.integers(0, n - 1))
+    flat_len = draw(st.integers(0, n - flat_from))
+    closes[flat_from: flat_from + flat_len] = closes[flat_from]
+    wicks = draw(st.lists(st.sampled_from([0.0, 0.0, 0.125, 0.5]), min_size=2 * n, max_size=2 * n))
+    wicks[2 * flat_from: 2 * (flat_from + flat_len)] = [0.0] * (2 * flat_len)
+    bars = [
+        OhlcBar(b.timestamp, b.open, b.high + wicks[2 * i], b.low - wicks[2 * i + 1], b.close)
+        for i, b in enumerate(bars_from_closes(closes))
+    ]
+    return bars, period
+
+
+@given(case=ohlc_bars_with_period())
+def test_cci_equals_per_window_loop(case):
+    bars, period = case
+    assert_array_equal(cci(bars, period), cci_loop(bars, period))
 
 
 def test_true_range_gap_bar():

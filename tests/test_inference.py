@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -308,7 +308,6 @@ def _three_operand_forward(params, obs, scale):
     return alpha, scales if scale else None, bt, float(log_pc.sum())
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(instance=simplex_instances(), scale=st.booleans())
 def test_forward_equals_three_operand_recursion(instance, scale):
     params, obs = instance

@@ -26,7 +26,7 @@ def test_row_sum_violation_names_matrix_and_row():
     bad = ChmmParams(priors=p.priors, trans=trans, emit=p.emit, coupling=p.coupling)
     issues = validate_params(bad)
     assert len(issues) == 1
-    assert "(1,1)" in issues[0] and "row 1" in issues[0]
+    assert "(1,1)" in issues[0] and "row 2" in issues[0]
 
 
 def test_coupling_column_violation_named():
@@ -63,11 +63,11 @@ def _with_entry(family, idx, value):
         # A row sum 2e-9 off is past SIMPLEX_ATOL (1e-9); 5e-10 off is inside it.
         (
             _with_entry("trans", (0, 1, 1, 1), 0.5 + 2e-9),
-            [f"transition matrix (1,2) row 1: sums to {np.float64(1.0000000020000002)!r}"],
+            [f"transition matrix (1,2) row 2: sums to {np.float64(1.0000000020000002)!r}"],
         ),
         (
             _with_entry("trans", (0, 1, 1, 1), 0.5 - 2e-9),
-            [f"transition matrix (1,2) row 1: sums to {np.float64(0.9999999980000001)!r}"],
+            [f"transition matrix (1,2) row 2: sums to {np.float64(0.9999999980000001)!r}"],
         ),
         (_with_entry("trans", (0, 1, 1, 1), 0.5 + 5e-10), []),
         # An entry just above 1 is out of range although its row sum is in tolerance.

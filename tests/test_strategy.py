@@ -2,18 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chmmtrade import (
     ChmmParams,
     Discretizer,
     allocation_fraction,
     coupled_viterbi,
+    crossing_side,
     generate_signal,
     next_state_marginal,
     next_state_viterbi,
     predict_observation,
     uniform_params,
 )
+from chmmtrade.backtest import _trigger_means
 from conftest import random_obs, random_params
 
 
@@ -247,6 +251,8 @@ def test_cci_no_consecutive_same_direction_entries(rng):
 def test_generate_signal_rejects_unknown_kind():
     with pytest.raises(ValueError):
         generate_signal("macd", [1.0, 2.0], 1)
+    with pytest.raises(ValueError):
+        crossing_side("macd", 1.0, 2.0)
 
 
 def test_marginal_argmax_invariance_under_shared_shift(rng):
@@ -258,3 +264,45 @@ def test_marginal_argmax_invariance_under_shared_shift(rng):
         shifted_trans[cp, c] = (p.trans[cp, c] + 0.2) / (1.0 + 0.2 * 3)
     q = ChmmParams(priors=p.priors, trans=shifted_trans, emit=p.emit, coupling=p.coupling)
     assert next_state_marginal(q) == next_state_marginal(p)
+
+
+# Indicator readings near the RSI and CCI levels, exact level hits and
+# non-finite entries.
+_readings = st.one_of(
+    st.floats(-150.0, 150.0),
+    st.sampled_from([20.0, 80.0, 105.0, -105.0, np.nan, np.inf, -np.inf]),
+)
+
+
+@st.composite
+def trigger_cases(draw):
+    sma_period = draw(st.sampled_from([*range(1, 13), 131]))
+    n = draw(st.integers(sma_period + 1, sma_period + 30))
+    series = np.array(draw(st.lists(_readings, min_size=n, max_size=n)))
+    forecasts = draw(st.lists(st.floats(-150.0, 150.0), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["rsi", "cci"]))
+    open_sides = draw(st.sets(st.sampled_from(["long", "short"])))
+    return kind, series, sma_period, forecasts, open_sides
+
+
+@given(case=trigger_cases())
+def test_trigger_means_and_crossing_side_equal_generate_signal(case):
+    # The backtest reads each bar's cross from means taken once per run;
+    # on every bar they must give the side generate_signal gives on the
+    # realized window (baseline) and on the window ending on the forecast.
+    kind, series, k, forecasts, open_sides = case
+    means = _trigger_means(series, k)
+    for t in range(k - 1, series.size):
+        window = series[t - k + 1: t + 1]
+        if np.isfinite(window).all():
+            assert means[t] == window.mean()  # bit-equal to the slice mean
+        else:
+            assert np.isnan(means[t])
+        with_forecast = np.append(window, forecasts[t])
+        with np.errstate(invalid="ignore"):
+            curr = float(np.append(series[t - k + 2: t + 1], forecasts[t]).mean())
+        expected = generate_signal(kind, with_forecast, k, open_sides=open_sides).side
+        assert crossing_side(kind, float(means[t]), curr, open_sides) == expected
+        if t >= k:
+            expected = generate_signal(kind, series[t - k: t + 1], k, open_sides=open_sides).side
+            assert crossing_side(kind, float(means[t - 1]), float(means[t]), open_sides) == expected

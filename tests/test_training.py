@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -279,7 +279,6 @@ def forward_mode_gradient(params, obs, scale):
     return parts, log_scale
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(instance=simplex_instances(), scale=st.booleans())
 def test_adjoint_gradient_matches_forward_mode(instance, scale):
     params, obs = instance
