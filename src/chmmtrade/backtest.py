@@ -1,4 +1,5 @@
-"""Event-driven bar loop: refit, predict, signal, fill, bracket exits.
+"""Bar loop in two passes: a model pass refits and forecasts at every
+decision bar, then a trading pass signals, fills and bracket-exits.
 
 Decisions happen at bar closes using only data up to that close; entries
 fill at the next bar's open; exits fill at frozen stop/target levels
@@ -298,11 +299,29 @@ def _fitted_windows(cfg: BacktestConfig, ind1, ind2, t0: int, prev_params: ChmmP
         yield obs, result
 
 
-def _next_states(cfg: BacktestConfig, params: ChmmParams, obs: ObservationSequence, predictor: str):
-    """Most probable next state per chain from the named predictor."""
-    if predictor == "viterbi":
-        return next_state_viterbi(params, coupled_viterbi(params, obs), cfg.fidelity)
-    return next_state_marginal(params, cfg.fidelity)
+def _model_pass(cfg: BacktestConfig, bars1, ind1, ind2, t0: int, predictors, prev_params=None):
+    """Refit once per decision bar and read each named predictor off the fit.
+
+    Returns the fit records and, per predictor, one DiagnosticRow per bar
+    holding both chains' next states, both forecasts and the traded
+    chain's allocation fraction; its signal side is left to the caller.
+    """
+    disc = cfg.discretizer
+    fit_records: list[FitRecord] = []
+    readouts = {predictor: [] for predictor in predictors}
+    for t, (obs, result) in enumerate(_fitted_windows(cfg, ind1, ind2, t0, prev_params), start=t0):
+        params, stamp = result.params, bars1[t].timestamp
+        fit_records.append(FitRecord(window_end=stamp, sweeps_run=result.sweeps_run, trace=result.log_likelihoods))
+        for predictor, rows in readouts.items():
+            if predictor == "viterbi":
+                psi = next_state_viterbi(params, coupled_viterbi(params, obs), cfg.fidelity)
+            else:
+                psi = next_state_marginal(params, cfg.fidelity)
+            value1, value2 = (predict_observation(params, psi[c], c, disc) for c in (0, 1))
+            fraction = allocation_fraction(params, psi[0], 0, cfg.fidelity)
+            rows.append(DiagnosticRow(timestamp=stamp, predicted_value=value1, predicted_state=psi[0],
+                                      transition_prob=fraction, predicted_value2=value2, predicted_state2=psi[1]))
+    return fit_records, readouts
 
 
 def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None = None) -> BacktestResult:
@@ -314,20 +333,34 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
     modeled = cfg.predictor != "baseline"
     ind1, ind2, atr1, t0 = _decision_inputs(cfg, bars1, bars2, modeled)
     n_bars = len(bars1)
-    disc = cfg.discretizer
-    windows = _fitted_windows(cfg, ind1, ind2, t0) if modeled else None
     means = _trigger_means(ind1, cfg.sma_period)
+
+    # A cross runs from the trigger mean one point back to the mean ending
+    # at the last point, which is this bar's value for the baseline and
+    # the model's forecast otherwise.
+    if modeled:
+        fit_records, readouts = _model_pass(cfg, bars1, ind1, ind2, t0, (cfg.predictor,))
+        diagnostics = readouts[cfg.predictor]
+        prevs = means[t0:]
+        currs = [
+            float(np.append(ind1[t - cfg.sma_period + 2: t + 1], row.predicted_value).mean())
+            for t, row in enumerate(diagnostics, start=t0)
+        ]
+    else:
+        fit_records = []
+        diagnostics = [DiagnosticRow(timestamp=bar.timestamp) for bar in bars1[t0:]]
+        prevs, currs = means[t0 - 1: -1], means[t0:]
+    dynamic = modeled and cfg.dynamic_allocation
+    fractions = [row.transition_prob if dynamic else 1.0 for row in diagnostics]
 
     cash = cfg.notional
     open_trades: list[TradeRecord] = []
     trades: list[TradeRecord] = []
-    diagnostics: list[DiagnosticRow] = []
-    fit_records: list[FitRecord] = []
     equity_ts: list[datetime] = []
     equity_vals: list[float] = []
     pending = None  # (side, size_fraction, stop_dist, target_dist)
 
-    for t in range(t0, n_bars):
+    for t, row, prev, curr, size_fraction in zip(range(t0, n_bars), diagnostics, prevs, currs, fractions):
         bar = bars1[t]
 
         # 1. Fill the signal raised at the previous close at this bar's open.
@@ -373,34 +406,10 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
         equity_ts.append(bar.timestamp)
         equity_vals.append(cash + unrealized)
 
-        # 4. Decide at the close: a cross from the trigger mean one point
-        #    back to the mean ending at the last point, which is this bar's
-        #    value for the baseline and the model's forecast otherwise.
-        row = DiagnosticRow(timestamp=bar.timestamp)
+        # 4. Decide at the close.
         atr_now = float(atr1[t])
-        size_fraction = 1.0
-        if modeled:
-            obs, result = next(windows)
-            fit_records.append(
-                FitRecord(window_end=bar.timestamp, sweeps_run=result.sweeps_run, trace=result.log_likelihoods)
-            )
-            psi = _next_states(cfg, result.params, obs, cfg.predictor)
-            x_fraction = allocation_fraction(result.params, psi[0], 0, cfg.fidelity)
-            value1 = predict_observation(result.params, psi[0], 0, disc)
-            value2 = predict_observation(result.params, psi[1], 1, disc)
-            row.predicted_value, row.predicted_state = value1, psi[0]
-            row.predicted_value2, row.predicted_state2 = value2, psi[1]
-            row.transition_prob = x_fraction
-            if cfg.dynamic_allocation:
-                size_fraction = x_fraction
-            prev = float(means[t])
-            curr = float(np.append(ind1[t - cfg.sma_period + 2: t + 1], value1).mean())
-        else:
-            prev, curr = float(means[t - 1]), float(means[t])
-
         side = crossing_side(cfg.system, prev, curr, {tr.side for tr in open_trades})
         row.signal_side = side
-        diagnostics.append(row)
         if side != "none" and t + 1 < n_bars and atr_now > 0.0:
             pending = (
                 side,
@@ -453,25 +462,20 @@ def compare_predictors(
     both the marginal and the Viterbi predictor for the traded chain's
     next state and forecast value.  Agreement rates are the fraction of
     bars on which the two coincide; when they track each other closely
-    the cheaper marginal predictor can stand in for the decoder.
+    the cheaper marginal predictor can stand in for the decoder.  Raises
+    ValueError when ``initial_params`` is not of the config's model size.
     """
-    ind1, ind2, _, t0 = _decision_inputs(cfg, bars1, bars2, modeled=True)
-    disc = cfg.discretizer
-    rows: list[ComparisonRow] = []
-    windows = _fitted_windows(cfg, ind1, ind2, t0, initial_params)
-    for t, (obs, result) in enumerate(windows, start=t0):
-        fitted = result.params
-        psi_m = _next_states(cfg, fitted, obs, "marginal")
-        psi_v = _next_states(cfg, fitted, obs, "viterbi")
-        rows.append(
-            ComparisonRow(
-                timestamp=bars1[t].timestamp,
-                state_marginal=psi_m[0],
-                state_viterbi=psi_v[0],
-                value_marginal=predict_observation(fitted, psi_m[0], 0, disc),
-                value_viterbi=predict_observation(fitted, psi_v[0], 0, disc),
-            )
+    if initial_params is not None and (initial_params.n_states, initial_params.n_bins) != (cfg.n_states, cfg.n_bins):
+        raise ValueError(
+            f"initial parameters have {initial_params.n_states} states and {initial_params.n_bins} bins, "
+            f"but the config asks for {cfg.n_states} states and {cfg.n_bins} bins"
         )
+    ind1, ind2, _, t0 = _decision_inputs(cfg, bars1, bars2, modeled=True)
+    _, readouts = _model_pass(cfg, bars1, ind1, ind2, t0, ("marginal", "viterbi"), initial_params)
+    rows = [
+        ComparisonRow(m.timestamp, m.predicted_state, v.predicted_state, m.predicted_value, v.predicted_value)
+        for m, v in zip(readouts["marginal"], readouts["viterbi"])
+    ]
     n = len(rows)
     state_hits = sum(r.state_marginal == r.state_viterbi for r in rows)
     value_hits = sum(r.value_marginal == r.value_viterbi for r in rows)

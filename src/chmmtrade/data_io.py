@@ -139,6 +139,7 @@ def align(bars1, bars2) -> AlignedPair:
 # -- flat key-value config ------------------------------------------------
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
 
 _CONFIG_KEYS = {
     "system": str,
@@ -184,13 +185,10 @@ def backtest_config_from_mapping(mapping: dict) -> BacktestConfig:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
         kind = _CONFIG_KEYS[key]
-        if kind is bool:
-            word = str(raw).strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"config key {key!r}: expected a boolean, got {raw!r}")
-            parsed[key] = _BOOL_WORDS[word]
-        else:
-            parsed[key] = kind(raw)
+        try:
+            parsed[key] = _BOOL_WORDS[str(raw).strip().lower()] if kind is bool else kind(raw)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"config key {key!r}: expected {_KIND_NAMES[kind]}, got {raw!r}") from None
     fit_kwargs = {k: parsed.pop(k) for k in _FIT_KEYS if k in parsed}
     return BacktestConfig(fit=FitConfig(**fit_kwargs), **parsed)
 
@@ -254,21 +252,34 @@ def load_trades_csv(path) -> list[TradeRecord]:
     return trades
 
 
+EQUITY_HEADER = ["timestamp", "equity"]
+
+
 def write_equity_csv(path, equity: EquityCurve) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["timestamp", "equity"])
+        writer.writerow(EQUITY_HEADER)
         for ts, v in zip(equity.timestamps, equity.values):
             writer.writerow([ts.isoformat(), repr(float(v))])
 
 
 def load_equity_csv(path) -> EquityCurve:
+    """Read an equity file headed ``timestamp,equity``; errors name the line."""
     stamps, values = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            stamps.append(_parse_timestamp(row["timestamp"]))
-            values.append(float(row["equity"]))
+        reader = csv.reader(fh)
+        if [h.strip() for h in next(reader, [])] != EQUITY_HEADER:
+            raise ValueError(f"{path}: line 1: expected header {','.join(EQUITY_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+            try:
+                stamps.append(_parse_timestamp(row[0].strip()))
+                values.append(float(row[1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if not stamps:
         raise ValueError(f"{path}: no equity rows")
     return EquityCurve(timestamps=stamps, values=np.asarray(values))

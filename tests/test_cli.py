@@ -149,9 +149,11 @@ def test_compare_identity_transition_model_agrees_fully(tmp_path, capsys):
     decline = np.cumprod(np.full(120, 0.999))
     data_io.write_ohlc_csv(tmp_path / "a1.csv", bars_from_closes(decline))
     data_io.write_ohlc_csv(tmp_path / "a2.csv", bars_from_closes(1600.0 * decline))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"n_states = {n}\nn_bins = {m}\n")
     capsys.readouterr()
     code = run_cli(
-        "compare",
+        "compare", "--config", str(cfg_file),
         "--asset1", str(tmp_path / "a1.csv"), "--asset2", str(tmp_path / "a2.csv"),
         "--params", str(pfile), "--seed", "2",
         "--out", str(tmp_path / "cmp.csv"),
@@ -166,6 +168,23 @@ def test_compare_identity_transition_model_agrees_fully(tmp_path, capsys):
     assert rates["state_agreement"] == pytest.approx(1.0)
     assert rates["value_agreement"] == pytest.approx(1.0)
     assert (tmp_path / "cmp.csv").exists()
+
+
+@pytest.mark.parametrize("n_states, n_bins", [(3, 8), (5, 6)])
+def test_compare_rejects_params_of_another_model_size(tmp_path, sim_dir, capsys, n_states, n_bins):
+    pfile = tmp_path / "params.txt"
+    save_params(_default_sim_params(n_states, n_bins, seed=1), pfile)
+    capsys.readouterr()
+    code = run_cli(
+        "compare",
+        "--asset1", str(sim_dir / "asset1.csv"), "--asset2", str(sim_dir / "asset2.csv"),
+        "--params", str(pfile), "--seed", "3",
+    )
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: initial parameters have {n_states} states and {n_bins} bins, "
+        "but the config asks for 5 states and 8 bins"
+    ]
 
 
 def test_compare_generic_rates_are_probabilities(tmp_path, sim_dir, capsys):
@@ -195,6 +214,21 @@ def test_cli_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", "--bars", "10", "--out", str(tmp_path), "--bogus")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("time,value\n2013-01-01T00:00:00+00:00,1.0\n", "line 1: expected header timestamp,equity"),
+    ("timestamp,equity\n2013-01-01T00:00:00+00:00,1.0\n2013-01-01T00:10:00+00:00\n",
+     "line 3: expected 2 fields, got 1"),
+    ("timestamp,equity\n2013-01-01T00:00:00+00:00,1.0\n2013-01-01T00:10:00+00:00,lots\n",
+     "line 3: could not convert string to float: 'lots'"),
+], ids=["header", "short-row", "non-numeric"])
+def test_stats_rejects_malformed_equity_naming_the_line(tmp_path, capsys, text, message):
+    path = tmp_path / "equity.csv"
+    path.write_text(text)
+    capsys.readouterr()
+    assert run_cli("stats", "--equity", str(path)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
 
 
 def test_cli_backtest_misaligned_inputs_error(tmp_path, sim_dir, capsys):

@@ -170,6 +170,8 @@ def test_config_rejects_unknown_key(tmp_path):
 def test_config_rejects_bad_boolean(tmp_path):
     with pytest.raises(ValueError, match="boolean"):
         data_io.backtest_config_from_mapping({"dynamic_allocation": "maybe"})
+    with pytest.raises(ValueError, match="^config key 'lookback': expected an integer, got 'four'$"):
+        data_io.backtest_config_from_mapping({"lookback": "four"})
 
 
 def test_trades_round_trip(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -57,13 +57,21 @@ def test_forward_rejects_out_of_range_bins(rng):
         forward(p, obs)
 
 
-def test_forward_scaled_matches_linear(rng):
-    p = random_params(rng, 3, 3)
-    obs = random_obs(rng, 3, 4)
+def _seeded_instance():
+    rng = np.random.default_rng(20130610)
+    return random_params(rng, 3, 3), random_obs(rng, 3, 4)
+
+
+@given(instance=simplex_instances())
+@example(instance=_seeded_instance())
+def test_forward_scaled_matches_linear(instance):
+    # simplex_instances bring exact zeros, N = 1 and zero likelihood,
+    # where both versions must read -inf.
+    p, obs = instance
     lin = forward(p, obs)
     sc = forward(p, obs, scale=True)
     assert sc.scale_factors is not None
-    assert_allclose(sc.log_per_chain, lin.log_per_chain, rtol=1e-12)
+    assert_allclose(sc.log_per_chain, lin.log_per_chain, rtol=1e-12, atol=1e-13)  # a log can be 0
     assert_allclose(sc.per_chain_likelihood, lin.per_chain_likelihood, rtol=1e-12)
     # scaled alpha recovers raw alpha through the cumulative factors
     cum = np.cumprod(sc.scale_factors)
