@@ -8,9 +8,16 @@ unchanged keeps this test green without edits.  A change that alters
 output bytes on purpose re-records the constants (print ``_digests``
 from a run of this module) and says in CHANGES.md which outputs changed
 and why.
+
+A second case backtests a non-canonical rewrite of the same CSVs
+(shuffled rows, a duplicated row, ``Z`` stamps and one ``+01:00`` stamp),
+so the loader's parse, deduplication, sort and the alignment of equal
+instants written with different offsets are pinned as well.
 """
 
 import hashlib
+import random
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -124,3 +131,61 @@ GOLDEN = {
 
 def test_cli_outputs_match_golden_digests(tmp_path, capsys):
     assert _digests(tmp_path, capsys) == GOLDEN
+
+
+# One row per file is written at +01:00, and its outputs keep that offset.
+NONCANONICAL_OFFSET_ROWS = {"asset1.csv": 200, "asset2.csv": 120}
+NONCANONICAL_FLAGS = ("--predictor", "marginal", "--system", "rsi")
+
+
+def _rewrite_noncanonical(src, dst, offset_row: int, seed: int) -> None:
+    """The same bars as a user might hand them in: ``Z`` stamps, one stamp
+    at +01:00, one row duplicated, and every row in shuffled order."""
+    header, *rows = src.read_text().splitlines()
+    out = []
+    for i, row in enumerate(rows):
+        stamp, rest = row.split(",", 1)
+        ts = datetime.fromisoformat(stamp)
+        if i == offset_row:
+            stamp = ts.astimezone(timezone(timedelta(hours=1))).isoformat()
+        else:
+            stamp = ts.isoformat().replace("+00:00", "Z")
+        out.append(f"{stamp},{rest}")
+    out.append(out[offset_row - 50])  # an exact duplicate: the later copy wins
+    random.Random(seed).shuffle(out)
+    dst.write_text("\n".join([header, *out]) + "\n")
+
+
+def _noncanonical_digests(tmp_path, capsys) -> dict:
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--bars", "300", "--seed", "42", "--out", str(sim)]) == 0
+    capsys.readouterr()
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for seed, (name, row) in enumerate(NONCANONICAL_OFFSET_ROWS.items()):
+        _rewrite_noncanonical(sim / name, raw / name, row, seed)
+    out = {name: _sha((raw / name).read_bytes()) for name in NONCANONICAL_OFFSET_ROWS}
+    run_dir = tmp_path / "run"
+    assets = ("--asset1", str(raw / "asset1.csv"), "--asset2", str(raw / "asset2.csv"))
+    assert main(["backtest", *assets, "--seed", "42", "--out", str(run_dir), *NONCANONICAL_FLAGS]) == 0
+    out["stdout"] = _sha(capsys.readouterr().out.encode())
+    for name in BACKTEST_FILES:
+        out[name] = _sha((run_dir / name).read_bytes())
+    return out
+
+
+# stdout, trades.csv and stats.txt equal the canonical marginal-rsi run's.
+NONCANONICAL_GOLDEN = {
+    "asset1.csv": "bec942acee43e71c2212091c72605641fb66b57925b4e37b7a6999ccc64a6aab",
+    "asset2.csv": "b0238fe88e19b10652e32b3a2b7f6a91d393ad04f718dae0271127eebe98ff40",
+    "stdout": "4d7d3c0d1391e38cc49102594e4947a909e124523f3ebf33b8b5b9276009f2ba",
+    "trades.csv": "9cd373466ca26e30746b0de8e1e5dfa09e34b25f97a0307ac64df9ab25b38c59",
+    "equity.csv": "be00cd4087441137bd719e717d09c56e878942a7eecbb6dea8437cc7fc7f4f9b",
+    "stats.txt": "8adb215ed29249ffcbd9d86494a171d5497996d3a530ad40bc6103d12929881d",
+    "diagnostics.csv": "cb841f30e496f26f56f2c93b390a1b64d9c46c239347096eb308a28918748ea8",
+    "fits.jsonl": "91bd47b1812b8ddf97a10fc5ae58ee6d3d179cccee676b261bd1a71f0a44bcce",
+}
+
+
+def test_noncanonical_inputs_match_golden_digests(tmp_path, capsys):
+    assert _noncanonical_digests(tmp_path, capsys) == NONCANONICAL_GOLDEN
