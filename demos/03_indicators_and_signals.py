@@ -12,7 +12,7 @@ import numpy as np
 from chmmtrade import (
     CCI_DISCRETIZER,
     RSI_DISCRETIZER,
-    OhlcBar,
+    OhlcSeries,
     atr,
     bin_value,
     cci,
@@ -25,11 +25,11 @@ from chmmtrade import (
 from chmmtrade.cli import _default_sim_params
 
 bars, _ = synthetic_ohlc(_default_sim_params(4, 8, seed=5), 120, seed=5, amplitude=0.004)
-closes = np.array([b.close for b in bars])
+closes = bars.close
 
 r = rsi(closes, 4)
-a = atr(bars, 12)
-c = cci(bars, 4)
+a = atr(bars.high, bars.low, bars.close, 12)
+c = cci(bars.high, bars.low, bars.close, 4)
 print("last five bars:")
 for i in range(len(bars) - 5, len(bars)):
     print(f"  close={closes[i]:.5f}  rsi={r[i]:6.2f}  cci={c[i]:8.2f}  atr={a[i]:.5f}")
@@ -55,7 +55,9 @@ print("  ->", generate_signal("cci", [110.0, 95.0], 1).side)
 print("same cross while already long is suppressed:")
 print("  ->", generate_signal("cci", [110.0, 95.0], 1, open_sides={"long"}).side)
 
-flat = [OhlcBar(b.timestamp, 1.0, 1.0, 1.0, 1.0) for b in bars[:30]]
+ones = np.ones(30)
+flat = OhlcSeries(bars.timestamps[:30], ones, ones, ones, ones)
 print("\nflat market sanity: rsi=50, cci=0, atr=0 ->",
-      rsi([1.0] * 10, 4)[-1], cci(flat, 4)[-1], atr(flat, 12)[-1])
+      rsi([1.0] * 10, 4)[-1], cci(flat.high, flat.low, flat.close, 4)[-1],
+      atr(flat.high, flat.low, flat.close, 12)[-1])
 print("sma of a constant series is that constant:", sma([7.0] * 6, 4)[-1])

@@ -12,7 +12,7 @@ from chmmtrade.cli import _default_sim_params
 
 bars1, bars2 = synthetic_ohlc(_default_sim_params(5, 8, seed=11), 700, seed=11, amplitude=0.004)
 print(f"simulated {len(bars1)} ten-minute bars per asset "
-      f"({bars1[0].timestamp:%Y-%m-%d %H:%M} .. {bars1[-1].timestamp:%Y-%m-%d %H:%M})")
+      f"({bars1.timestamps[0]:%Y-%m-%d %H:%M} .. {bars1.timestamps[-1]:%Y-%m-%d %H:%M})")
 
 runs = [
     ("baseline", dict(predictor="baseline")),

@@ -26,7 +26,7 @@ from .indicators import (
     CCI_DISCRETIZER,
     RSI_DISCRETIZER,
     Discretizer,
-    OhlcBar,
+    OhlcSeries,
     atr,
     bin_value,
     cci,

@@ -17,7 +17,7 @@ from datetime import datetime
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .indicators import CCI_DISCRETIZER, RSI_DISCRETIZER, Discretizer, atr, cci, discretize, rsi
+from .indicators import CCI_DISCRETIZER, RSI_DISCRETIZER, Discretizer, OhlcSeries, atr, cci, discretize, rsi
 from .inference import coupled_viterbi, forward
 from .model import ChmmParams, ObservationSequence, jittered_params
 from .strategy import (
@@ -213,14 +213,13 @@ def _ret_vol(values: np.ndarray) -> tuple[float, float]:
     return total, vol
 
 
-def _indicator_series(cfg: BacktestConfig, bars) -> np.ndarray:
-    closes = [b.close for b in bars]
+def _indicator_series(cfg: BacktestConfig, bars: OhlcSeries) -> np.ndarray:
     if cfg.system == "rsi":
-        return rsi(closes, cfg.indicator_period)
-    return cci(bars, cfg.indicator_period)
+        return rsi(bars.close, cfg.indicator_period)
+    return cci(bars.high, bars.low, bars.close, cfg.indicator_period)
 
 
-def _decision_inputs(cfg: BacktestConfig, bars1, bars2, modeled: bool):
+def _decision_inputs(cfg: BacktestConfig, bars1: OhlcSeries, bars2: OhlcSeries, modeled: bool):
     """Indicator series, the traded series' ATR and the first decision bar.
 
     The filter series' indicator is computed only when the model is
@@ -231,9 +230,7 @@ def _decision_inputs(cfg: BacktestConfig, bars1, bars2, modeled: bool):
     model is refit.  Raises ValueError on misaligned series or when no
     bar qualifies.
     """
-    if len(bars1) != len(bars2) or any(
-        a.timestamp != b.timestamp for a, b in zip(bars1, bars2)
-    ):
+    if bars1.timestamps != bars2.timestamps:
         raise ValueError("series are misaligned: timestamps must match one-to-one")
     n_bars = len(bars1)
     min_bars = max(cfg.indicator_period, cfg.atr_period) + 1
@@ -242,7 +239,7 @@ def _decision_inputs(cfg: BacktestConfig, bars1, bars2, modeled: bool):
 
     ind1 = _indicator_series(cfg, bars1)
     ind2 = _indicator_series(cfg, bars2) if modeled else None
-    atr1 = atr(bars1, cfg.atr_period)
+    atr1 = atr(bars1.high, bars1.low, bars1.close, cfg.atr_period)
     hist = max(cfg.sma_period, cfg.lookback) if modeled else cfg.sma_period + 1
     for t in range(hist - 1, n_bars):
         window = slice(t - hist + 1, t + 1)
@@ -299,7 +296,7 @@ def _fitted_windows(cfg: BacktestConfig, ind1, ind2, t0: int, prev_params: ChmmP
         yield obs, result
 
 
-def _model_pass(cfg: BacktestConfig, bars1, ind1, ind2, t0: int, predictors, prev_params=None):
+def _model_pass(cfg: BacktestConfig, bars1: OhlcSeries, ind1, ind2, t0: int, predictors, prev_params=None):
     """Refit once per decision bar and read each named predictor off the fit.
 
     Returns the fit records and, per predictor, one DiagnosticRow per bar
@@ -310,7 +307,7 @@ def _model_pass(cfg: BacktestConfig, bars1, ind1, ind2, t0: int, predictors, pre
     fit_records: list[FitRecord] = []
     readouts = {predictor: [] for predictor in predictors}
     for t, (obs, result) in enumerate(_fitted_windows(cfg, ind1, ind2, t0, prev_params), start=t0):
-        params, stamp = result.params, bars1[t].timestamp
+        params, stamp = result.params, bars1.timestamps[t]
         fit_records.append(FitRecord(window_end=stamp, sweeps_run=result.sweeps_run, trace=result.log_likelihoods))
         for predictor, rows in readouts.items():
             if predictor == "viterbi":
@@ -324,7 +321,9 @@ def _model_pass(cfg: BacktestConfig, bars1, ind1, ind2, t0: int, predictors, pre
     return fit_records, readouts
 
 
-def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None = None) -> BacktestResult:
+def run_backtest(
+    cfg: BacktestConfig, bars1: OhlcSeries, bars2: OhlcSeries, baseline_ratio: float | None = None
+) -> BacktestResult:
     """Run the bar loop over two aligned OHLC series; see module docs.
 
     Deterministic for a fixed ``cfg.seed``.  Raises ValueError on
@@ -333,6 +332,7 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
     modeled = cfg.predictor != "baseline"
     ind1, ind2, atr1, t0 = _decision_inputs(cfg, bars1, bars2, modeled)
     n_bars = len(bars1)
+    stamps = bars1.timestamps[t0:]
     means = _trigger_means(ind1, cfg.sma_period)
 
     # A cross runs from the trigger mean one point back to the mean ending
@@ -348,34 +348,36 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
         ]
     else:
         fit_records = []
-        diagnostics = [DiagnosticRow(timestamp=bar.timestamp) for bar in bars1[t0:]]
+        diagnostics = [DiagnosticRow(timestamp=stamp) for stamp in stamps]
         prevs, currs = means[t0 - 1: -1], means[t0:]
     dynamic = modeled and cfg.dynamic_allocation
     fractions = [row.transition_prob if dynamic else 1.0 for row in diagnostics]
+    opens, highs, lows, closes, atrs = (
+        col[t0:].tolist() for col in (bars1.open, bars1.high, bars1.low, bars1.close, atr1)
+    )
 
     cash = cfg.notional
     open_trades: list[TradeRecord] = []
     trades: list[TradeRecord] = []
-    equity_ts: list[datetime] = []
     equity_vals: list[float] = []
     pending = None  # (side, size_fraction, stop_dist, target_dist)
 
-    for t, row, prev, curr, size_fraction in zip(range(t0, n_bars), diagnostics, prevs, currs, fractions):
-        bar = bars1[t]
-
+    for t, stamp, open_, high, low, close, atr_now, row, prev, curr, size_fraction in zip(
+        range(t0, n_bars), stamps, opens, highs, lows, closes, atrs, diagnostics, prevs, currs, fractions
+    ):
         # 1. Fill the signal raised at the previous close at this bar's open.
         if pending is not None:
             side, frac, stop_dist, target_dist = pending
             pending = None
             if frac > 0.0 and all(tr.side != side for tr in open_trades):
-                entry = bar.open
+                entry = open_
                 if side == "long":
                     stop, target = entry - stop_dist, entry + target_dist
                 else:
                     stop, target = entry + stop_dist, entry - target_dist
                 open_trades.append(
                     TradeRecord(
-                        entry_time=bar.timestamp,
+                        entry_time=stamp,
                         entry_price=entry,
                         side=side,
                         size=cfg.notional * frac,
@@ -388,12 +390,12 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
         #    sit inside the bar's range.
         still_open = []
         for tr in open_trades:
-            hit_stop = bar.low <= tr.stop_price if tr.side == "long" else bar.high >= tr.stop_price
-            hit_target = bar.high >= tr.target_price if tr.side == "long" else bar.low <= tr.target_price
+            hit_stop = low <= tr.stop_price if tr.side == "long" else high >= tr.stop_price
+            hit_target = high >= tr.target_price if tr.side == "long" else low <= tr.target_price
             if hit_stop:
-                tr.close(bar.timestamp, tr.stop_price, "stop")
+                tr.close(stamp, tr.stop_price, "stop")
             elif hit_target:
-                tr.close(bar.timestamp, tr.target_price, "target")
+                tr.close(stamp, tr.target_price, "target")
             if tr.exit_reason is None:
                 still_open.append(tr)
             else:
@@ -402,12 +404,10 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
         open_trades = still_open
 
         # 3. Mark to market at the close.
-        unrealized = sum(tr.direction * (bar.close - tr.entry_price) * tr.size for tr in open_trades)
-        equity_ts.append(bar.timestamp)
+        unrealized = sum(tr.direction * (close - tr.entry_price) * tr.size for tr in open_trades)
         equity_vals.append(cash + unrealized)
 
         # 4. Decide at the close.
-        atr_now = float(atr1[t])
         side = crossing_side(cfg.system, prev, curr, {tr.side for tr in open_trades})
         row.signal_side = side
         if side != "none" and t + 1 < n_bars and atr_now > 0.0:
@@ -419,13 +419,12 @@ def run_backtest(cfg: BacktestConfig, bars1, bars2, baseline_ratio: float | None
             )
 
     # 5. Force-close whatever is still open at the final close.
-    last = bars1[-1]
     for tr in open_trades:
-        tr.close(last.timestamp, last.close, "end-of-data")
+        tr.close(stamps[-1], closes[-1], "end-of-data")
         cash += tr.pnl
         trades.append(tr)
 
-    equity = EquityCurve(timestamps=equity_ts, values=np.asarray(equity_vals))
+    equity = EquityCurve(timestamps=stamps, values=np.asarray(equity_vals))
     total, vol = _ret_vol(equity.values)
     if vol > 0.0:
         stats = stats_from_ret_vol(total, vol, baseline_ratio)
@@ -454,7 +453,7 @@ class ComparisonResult:
 
 
 def compare_predictors(
-    cfg: BacktestConfig, bars1, bars2, initial_params: ChmmParams | None = None
+    cfg: BacktestConfig, bars1: OhlcSeries, bars2: OhlcSeries, initial_params: ChmmParams | None = None
 ) -> ComparisonResult:
     """Run both predictors over every decision bar and measure agreement.
 

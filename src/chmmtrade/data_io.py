@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -24,7 +25,7 @@ from .backtest import (
     PerfStats,
     TradeRecord,
 )
-from .indicators import OhlcBar
+from .indicators import OhlcSeries, _bad_rows, _row_problem
 from .training import FitConfig
 
 __all__ = [
@@ -60,8 +61,8 @@ OHLC_HEADER = ["timestamp", "open", "high", "low", "close"]
 class AlignedPair:
     """Two series trimmed to their common timestamps."""
 
-    bars1: list[OhlcBar]
-    bars2: list[OhlcBar]
+    bars1: OhlcSeries
+    bars2: OhlcSeries
     dropped: list[datetime]
 
 
@@ -72,14 +73,36 @@ def _parse_timestamp(text: str) -> datetime:
     return ts
 
 
-def load_ohlc_csv(path) -> list[OhlcBar]:
+# The equity, diagnostics and fit-log files of one run share one column of
+# stamps, so the column formatted last is kept for the next writer.
+_last_iso: tuple[list[datetime], list[str]] = ([], [])
+
+
+def _iso(stamps: list[datetime]) -> list[str]:
+    """ISO-8601 text of each stamp, reusing the last column formatted when
+    it holds the very same objects; identity, not equality, because one
+    instant written at another offset formats differently."""
+    global _last_iso
+    seen, texts = _last_iso
+    if len(seen) != len(stamps) or not all(map(operator.is_, seen, stamps)):
+        texts = [ts.isoformat() for ts in stamps]
+        _last_iso = (list(stamps), texts)
+    return texts
+
+
+def load_ohlc_csv(path) -> OhlcSeries:
     """Read, validate, sort and deduplicate an OHLC file.
 
     Expects the exact header ``timestamp,open,high,low,close`` with
     ISO-8601 UTC timestamps.  Duplicate timestamps keep the last record
-    in file order (with a logged warning); every bar must satisfy the
-    OHLC invariant.  Errors name the offending line.
+    in file order (with a logged warning); every row must be finite and
+    satisfy the OHLC invariant.  Errors name the offending line.  One
+    pass collects the stamps and the price fields, which are then
+    converted and checked as whole columns.
     """
+    stamps: list[datetime] = []
+    cells: list[str] = []  # open, high, low, close of every row, row after row
+    lines: list[int] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -88,52 +111,69 @@ def load_ohlc_csv(path) -> list[OhlcBar]:
             raise ValueError(f"{path}: empty file") from None
         if [h.strip() for h in header] != OHLC_HEADER:
             raise ValueError(f"{path}: line 1: expected header {','.join(OHLC_HEADER)}")
-        by_ts: dict[datetime, OhlcBar] = {}
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
             if len(row) != 5:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
                 raise ValueError(f"{path}: line {lineno}: expected 5 fields, got {len(row)}")
             try:
-                ts = _parse_timestamp(row[0].strip())
-                o, h, l, c = (float(v) for v in row[1:])
-                bar = OhlcBar(timestamp=ts, open=o, high=h, low=l, close=c)
+                stamps.append(_parse_timestamp(row[0].strip()))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if ts in by_ts:
-                log.warning("%s: line %d: duplicate timestamp %s, keeping later record", path, lineno, ts)
-            by_ts[ts] = bar
-    if not by_ts:
+            cells += row[1:]
+            lines.append(lineno)
+    if not stamps:
         raise ValueError(f"{path}: no data rows")
-    return [by_ts[ts] for ts in sorted(by_ts)]
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells)).reshape(-1, 4)
+    except ValueError:
+        for k, lineno in enumerate(lines):  # name the first row that does not parse
+            try:
+                [float(v) for v in cells[4 * k: 4 * k + 4]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        raise
+    bad = _bad_rows(*values.T)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{path}: line {lines[i]}: {_row_problem(stamps[i], *values[i].tolist())}")
+    last: dict[datetime, int] = {}
+    for i, ts in enumerate(stamps):
+        if ts in last:
+            log.warning("%s: line %d: duplicate timestamp %s, keeping later record", path, lines[i], ts)
+        last[ts] = i
+    keep = [last[ts] for ts in sorted(last)]
+    return OhlcSeries([stamps[i] for i in keep], *values[keep].T)
 
 
-def write_ohlc_csv(path, bars) -> None:
+def write_ohlc_csv(path, bars: OhlcSeries) -> None:
+    columns = (bars.open, bars.high, bars.low, bars.close)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(OHLC_HEADER)
-        for b in bars:
-            writer.writerow([b.timestamp.isoformat(), repr(float(b.open)), repr(float(b.high)), repr(float(b.low)), repr(float(b.close))])
+        writer.writerows(zip(_iso(bars.timestamps), *(map(repr, col.tolist()) for col in columns)))
 
 
-def align(bars1, bars2) -> AlignedPair:
+def align(bars1: OhlcSeries, bars2: OhlcSeries) -> AlignedPair:
     """Inner-join two series on timestamp; dropped stamps are reported.
 
     Bars missing on either side are dropped rather than filled, so no
-    synthetic prices ever reach the indicators.  Raises ValueError when
-    the intersection is empty.
+    synthetic prices ever reach the indicators.  Series whose timestamps
+    already match come back as they are.  Raises ValueError when the
+    intersection is empty.
     """
-    if not bars1 or not bars2:
+    if not len(bars1) or not len(bars2):
         raise ValueError("cannot align an empty series")
-    ts1 = {b.timestamp for b in bars1}
-    ts2 = {b.timestamp for b in bars2}
+    if bars1.timestamps == bars2.timestamps:
+        return AlignedPair(bars1=bars1, bars2=bars2, dropped=[])
+    ts1 = set(bars1.timestamps)
+    ts2 = set(bars2.timestamps)
     common = ts1 & ts2
     if not common:
         raise ValueError("no overlapping timestamps between the two series")
-    dropped = sorted(ts1 ^ ts2)
-    out1 = [b for b in bars1 if b.timestamp in common]
-    out2 = [b for b in bars2 if b.timestamp in common]
-    return AlignedPair(bars1=out1, bars2=out2, dropped=dropped)
+    keep1 = [i for i, ts in enumerate(bars1.timestamps) if ts in common]
+    keep2 = [i for i, ts in enumerate(bars2.timestamps) if ts in common]
+    return AlignedPair(bars1=bars1[keep1], bars2=bars2[keep2], dropped=sorted(ts1 ^ ts2))
 
 
 # -- flat key-value config ------------------------------------------------
@@ -209,6 +249,28 @@ def config_to_text(cfg: BacktestConfig) -> str:
 
 # -- result files ----------------------------------------------------------
 
+
+def _csv_records(path, header: list[str], parse) -> list:
+    """``parse(fields)`` of every data row of a CSV that must start with
+    ``header``; a wrong header, a row of another width or a ValueError from
+    ``parse`` names the path and line."""
+    records = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if [h.strip() for h in next(reader, [])] != header:
+            raise ValueError(f"{path}: line 1: expected header {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                records.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return records
+
+
 TRADES_HEADER = [
     "entry_time", "side", "size", "entry_price", "stop_price", "target_price",
     "exit_time", "exit_price", "exit_reason", "pnl",
@@ -230,59 +292,47 @@ def write_trades_csv(path, trades) -> None:
             ])
 
 
+def _trade(row: list[str]) -> TradeRecord:
+    entry_time, side, size, entry_price, stop_price, target_price, exit_time, exit_price, exit_reason, pnl = row
+    tr = TradeRecord(
+        entry_time=_parse_timestamp(entry_time),
+        entry_price=float(entry_price),
+        side=side,
+        size=float(size),
+        stop_price=float(stop_price),
+        target_price=float(target_price),
+    )
+    if exit_time:
+        tr.exit_time = _parse_timestamp(exit_time)
+        tr.exit_price = float(exit_price)
+        tr.exit_reason = exit_reason
+        tr.pnl = float(pnl)
+    return tr
+
+
 def load_trades_csv(path) -> list[TradeRecord]:
-    trades = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            tr = TradeRecord(
-                entry_time=_parse_timestamp(row["entry_time"]),
-                entry_price=float(row["entry_price"]),
-                side=row["side"],
-                size=float(row["size"]),
-                stop_price=float(row["stop_price"]),
-                target_price=float(row["target_price"]),
-            )
-            if row["exit_time"]:
-                tr.exit_time = _parse_timestamp(row["exit_time"])
-                tr.exit_price = float(row["exit_price"])
-                tr.exit_reason = row["exit_reason"]
-                tr.pnl = float(row["pnl"])
-            trades.append(tr)
-    return trades
+    """Read a trades file; a wrong header or a bad row names the line."""
+    return _csv_records(path, TRADES_HEADER, _trade)
 
 
 EQUITY_HEADER = ["timestamp", "equity"]
 
 
 def write_equity_csv(path, equity: EquityCurve) -> None:
+    values = np.asarray(equity.values, dtype=float).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EQUITY_HEADER)
-        for ts, v in zip(equity.timestamps, equity.values):
-            writer.writerow([ts.isoformat(), repr(float(v))])
+        writer.writerows(zip(_iso(equity.timestamps), map(repr, values)))
 
 
 def load_equity_csv(path) -> EquityCurve:
     """Read an equity file headed ``timestamp,equity``; errors name the line."""
-    stamps, values = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if [h.strip() for h in next(reader, [])] != EQUITY_HEADER:
-            raise ValueError(f"{path}: line 1: expected header {','.join(EQUITY_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                stamps.append(_parse_timestamp(row[0].strip()))
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    if not stamps:
+    rows = _csv_records(path, EQUITY_HEADER, lambda row: (_parse_timestamp(row[0].strip()), float(row[1])))
+    if not rows:
         raise ValueError(f"{path}: no equity rows")
-    return EquityCurve(timestamps=stamps, values=np.asarray(values))
+    stamps, values = zip(*rows)
+    return EquityCurve(timestamps=list(stamps), values=np.asarray(values))
 
 
 DIAG_HEADER = [
@@ -295,35 +345,31 @@ def write_diagnostics_csv(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DIAG_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.timestamp.isoformat(),
+        writer.writerows(
+            (
+                stamp,
                 repr(float(r.predicted_value)),
                 "" if r.predicted_state is None else r.predicted_state,
                 repr(float(r.transition_prob)),
                 repr(float(r.predicted_value2)),
                 "" if r.predicted_state2 is None else r.predicted_state2,
                 r.signal_side,
-            ])
+            )
+            for stamp, r in zip(_iso([r.timestamp for r in rows]), rows)
+        )
+
+
+def _diagnostic(row: list[str]) -> DiagnosticRow:
+    stamp, value, state, prob, value2, state2, side = row
+    return DiagnosticRow(
+        _parse_timestamp(stamp), float(value), int(state) if state else None, float(prob),
+        float(value2), int(state2) if state2 else None, side,
+    )
 
 
 def load_diagnostics_csv(path) -> list[DiagnosticRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(
-                DiagnosticRow(
-                    timestamp=_parse_timestamp(row["timestamp"]),
-                    predicted_value=float(row["predicted_value"]),
-                    predicted_state=int(row["predicted_state"]) if row["predicted_state"] else None,
-                    transition_prob=float(row["transition_prob"]),
-                    predicted_value2=float(row["predicted_value2"]),
-                    predicted_state2=int(row["predicted_state2"]) if row["predicted_state2"] else None,
-                    signal_side=row["signal_side"],
-                )
-            )
-    return rows
+    """Read a diagnostics file; a wrong header or a bad row names the line."""
+    return _csv_records(path, DIAG_HEADER, _diagnostic)
 
 
 def write_stats_txt(path, stats: PerfStats) -> None:
@@ -335,6 +381,7 @@ def write_stats_txt(path, stats: PerfStats) -> None:
 
 
 def load_stats_txt(path) -> PerfStats:
+    """Read a stats file; a missing key or a bad number names the key and the path."""
     with open(path, "r", encoding="utf-8") as fh:
         fields = {}
         for line in fh:
@@ -343,13 +390,19 @@ def load_stats_txt(path) -> PerfStats:
                 continue
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-    delta = fields.get("delta_ratio", "")
-    return PerfStats(
-        ret=float(fields["ret"]),
-        vol=float(fields["vol"]),
-        ratio=float(fields["ratio"]),
-        delta_ratio=float(delta) if delta else None,
-    )
+    numbers = {}
+    for key in ("ret", "vol", "ratio", "delta_ratio"):
+        text = fields.get(key)
+        if key == "delta_ratio" and not text:
+            numbers[key] = None
+            continue
+        if text is None:
+            raise ValueError(f"{path}: missing key {key!r}")
+        try:
+            numbers[key] = float(text)
+        except ValueError:
+            raise ValueError(f"{path}: key {key!r}: expected a number, got {text!r}") from None
+    return PerfStats(**numbers)
 
 
 def write_obs_csv(path, obs) -> None:
@@ -381,29 +434,34 @@ def load_obs_csv(path):
 def write_fit_log(path, records) -> None:
     """Per-fit diagnostics as line-delimited JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
+        for stamp, rec in zip(_iso([rec.window_end for rec in records]), records):
             fh.write(json.dumps({
-                "window_end": rec.window_end.isoformat(),
+                "window_end": stamp,
                 "sweeps_run": int(rec.sweeps_run),
                 "trace": [float(v) for v in rec.trace],
             }) + "\n")
 
 
 def load_fit_log(path) -> list[FitRecord]:
+    """Read a fit log; a line that is not a fit record names the path and line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            records.append(
-                FitRecord(
-                    window_end=_parse_timestamp(obj["window_end"]),
-                    sweeps_run=int(obj["sweeps_run"]),
-                    trace=[float(v) for v in obj["trace"]],
+            try:
+                obj = json.loads(line)
+                records.append(
+                    FitRecord(
+                        window_end=_parse_timestamp(obj["window_end"]),
+                        sweeps_run=int(obj["sweeps_run"]),
+                        trace=[float(v) for v in obj["trace"]],
+                    )
                 )
-            )
+            except (KeyError, TypeError, ValueError) as exc:
+                detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ValueError(f"{path}: line {lineno}: not a fit record: {detail}") from None
     return records
 
 
@@ -423,17 +481,7 @@ def write_comparison_csv(path, rows) -> None:
 
 
 def load_comparison_csv(path) -> list[ComparisonRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(
-                ComparisonRow(
-                    timestamp=_parse_timestamp(row["timestamp"]),
-                    state_marginal=int(row["state_marginal"]),
-                    state_viterbi=int(row["state_viterbi"]),
-                    value_marginal=float(row["value_marginal"]),
-                    value_viterbi=float(row["value_viterbi"]),
-                )
-            )
-    return rows
+    """Read a comparison file; a wrong header or a bad row names the line."""
+    return _csv_records(path, COMPARISON_HEADER, lambda r: ComparisonRow(
+        _parse_timestamp(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4])
+    ))

@@ -1,20 +1,20 @@
-"""Technical indicators and the bin discretizer feeding the model.
+"""OHLC series, technical indicators and the bin discretizer feeding the model.
 
-All series functions return arrays aligned to the input bars, padded
-with NaN over the warmup stretch where the window is not yet full.
+Indicators take price columns (for example ``OhlcSeries.close``) and
+return arrays aligned to the input bars, padded with NaN over the
+warmup stretch where the window is not yet full.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "OhlcBar",
+    "OhlcSeries",
     "Discretizer",
     "rsi",
     "cci",
@@ -28,24 +28,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OhlcBar:
-    """One price bar; the body must sit inside the high/low range."""
+def _bad_rows(open_, high, low, close) -> np.ndarray:
+    """Indices of the rows that are not finite or whose open/close body
+    leaves the high/low range; finite ends bound a valid body, and a NaN
+    fails every comparison."""
+    with np.errstate(invalid="ignore"):
+        ok = (
+            np.isfinite(low) & np.isfinite(high)
+            & (low <= np.minimum(open_, close)) & (np.maximum(open_, close) <= high)
+        )
+    return np.flatnonzero(~ok)
 
-    timestamp: datetime
-    open: float
-    high: float
-    low: float
-    close: float
 
-    def __post_init__(self):
-        body_hi = max(self.open, self.close)
-        body_lo = min(self.open, self.close)
-        if not (self.low <= body_lo <= body_hi <= self.high):
-            raise ValueError(
-                f"OHLC invariant violated at {self.timestamp}: "
-                f"o={self.open} h={self.high} l={self.low} c={self.close}"
-            )
+def _row_problem(timestamp, o: float, h: float, l: float, c: float) -> str:
+    kind = "OHLC invariant violated" if all(map(math.isfinite, (o, h, l, c))) else "non-finite OHLC value"
+    return f"{kind} at {timestamp}: o={o} h={h} l={l} c={c}"
+
+
+class OhlcSeries:
+    """Price bars as columns: a list of timestamps and four read-only
+    float64 arrays of the same length.  Every row must be finite with its
+    open/close body inside the high/low range.  Slicing (or indexing with
+    an integer array) returns a new series; rows are never objects.
+    """
+
+    __slots__ = ("timestamps", "open", "high", "low", "close")
+
+    def __init__(self, timestamps, open, high, low, close):
+        stamps = list(timestamps)
+        columns = [np.array(col, dtype=np.float64) for col in (open, high, low, close)]
+        if any(col.shape != (len(stamps),) for col in columns):
+            raise ValueError(f"expected four 1-D columns of {len(stamps)} values, one per timestamp")
+        bad = _bad_rows(*columns)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(_row_problem(stamps[i], *(float(col[i]) for col in columns)))
+        for col in columns:
+            col.flags.writeable = False
+        self.timestamps = stamps
+        self.open, self.high, self.low, self.close = columns
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, key) -> "OhlcSeries":
+        if isinstance(key, slice):
+            stamps = self.timestamps[key]
+        else:
+            key = np.asarray(key)
+            if key.ndim != 1 or (key.size and key.dtype.kind not in "iu"):
+                raise TypeError("index an OhlcSeries with a slice or a 1-D array of row numbers")
+            key = key.astype(np.intp, copy=False)
+            stamps = [self.timestamps[i] for i in key.tolist()]
+        return OhlcSeries(stamps, self.open[key], self.high[key], self.low[key], self.close[key])
 
 
 @dataclass(frozen=True)
@@ -128,13 +163,13 @@ def rsi(closes, period: int) -> np.ndarray:
     return out
 
 
-def true_range(bars) -> np.ndarray:
+def true_range(high, low, close) -> np.ndarray:
     """Per-bar true range; NaN at the first bar (no previous close)."""
-    highs = np.array([b.high for b in bars], dtype=float)
-    lows = np.array([b.low for b in bars], dtype=float)
-    closes = np.array([b.close for b in bars], dtype=float)
-    out = np.full(len(bars), np.nan)
-    if len(bars) > 1:
+    highs = np.asarray(high, dtype=float)
+    lows = np.asarray(low, dtype=float)
+    closes = np.asarray(close, dtype=float)
+    out = np.full(closes.size, np.nan)
+    if closes.size > 1:
         prev = closes[:-1]
         out[1:] = np.maximum.reduce(
             [highs[1:] - lows[1:], np.abs(highs[1:] - prev), np.abs(lows[1:] - prev)]
@@ -142,19 +177,19 @@ def true_range(bars) -> np.ndarray:
     return out
 
 
-def atr(bars, period: int) -> np.ndarray:
+def atr(high, low, close, period: int) -> np.ndarray:
     """Average True Range: simple mean of the trailing true ranges."""
     if period < 1:
         raise ValueError("period must be >= 1")
-    if len(bars) <= period:
-        raise ValueError(f"need more than {period} bars, got {len(bars)}")
-    tr = true_range(bars)
-    out = np.full(len(bars), np.nan)
+    tr = true_range(high, low, close)
+    if tr.size <= period:
+        raise ValueError(f"need more than {period} bars, got {tr.size}")
+    out = np.full(tr.size, np.nan)
     out[period:] = _window_means(tr[1:], period)[period - 1:]
     return out
 
 
-def cci(bars, period: int) -> np.ndarray:
+def cci(high, low, close, period: int) -> np.ndarray:
     """Commodity Channel Index of the typical price.
 
     CCI = (TP - SMA(TP)) / (0.015 * mean |TP - SMA(TP)|) over the trailing
@@ -164,13 +199,13 @@ def cci(bars, period: int) -> np.ndarray:
     """
     if period < 1:
         raise ValueError("period must be >= 1")
-    if len(bars) <= period:
-        raise ValueError(f"need more than {period} bars, got {len(bars)}")
-    tp = np.array([(b.high + b.low + b.close) / 3.0 for b in bars], dtype=float)
+    tp = (np.asarray(high, dtype=float) + np.asarray(low, dtype=float) + np.asarray(close, dtype=float)) / 3.0
+    if tp.size <= period:
+        raise ValueError(f"need more than {period} bars, got {tp.size}")
     means = _window_means(tp, period)[period - 1:]
     dev = sliding_window_view(tp, period) - means[:, None]  # (windows, period)
     mad = np.abs(dev, out=dev).mean(axis=1)
-    out = np.full(len(bars), np.nan)
+    out = np.full(tp.size, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         out[period - 1:] = np.where(mad == 0.0, 0.0, (tp[period - 1:] - means) / (0.015 * mad))
     return out

@@ -14,7 +14,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .indicators import Discretizer, OhlcBar, _window_means, bin_value
+from .indicators import Discretizer, OhlcSeries, _window_means
 from .inference import ForwardTrellis, _emission_lookup, _forward
 from .model import ChmmParams, ObservationSequence, check_params
 
@@ -362,13 +362,13 @@ def permutation_aligned_mae(true_params: ChmmParams, fitted: ChmmParams) -> floa
     return float(best)
 
 
-def cci_loop(bars, period: int) -> np.ndarray:
+def cci_loop(high, low, close, period: int) -> np.ndarray:
     """CCI with one mean absolute deviation per window, window by window;
     the reference for ``indicators.cci``."""
-    tp = np.array([(b.high + b.low + b.close) / 3.0 for b in bars], dtype=float)
-    out = np.full(len(bars), np.nan)
+    tp = np.array([(h + l + c) / 3.0 for h, l, c in zip(high, low, close)], dtype=float)
+    out = np.full(tp.size, np.nan)
     means = _window_means(tp, period)
-    for t in range(period - 1, len(bars)):
+    for t in range(period - 1, tp.size):
         window = tp[t - period + 1: t + 1]
         mad = np.abs(window - means[t]).mean()
         out[t] = 0.0 if mad == 0.0 else (tp[t] - means[t]) / (0.015 * mad)
@@ -385,7 +385,7 @@ def synthetic_ohlc(
     bar_minutes: int = 10,
     amplitude: float = 0.002,
     value_range: tuple[float, float] = (0.0, 100.0),
-) -> tuple[list[OhlcBar], list[OhlcBar]]:
+) -> tuple[OhlcSeries, OhlcSeries]:
     """Turn sampled observations into two aligned synthetic OHLC series.
 
     Each sampled bin maps to its midpoint in ``value_range``; the signed
@@ -400,26 +400,17 @@ def synthetic_ohlc(
     center = 0.5 * (value_range[0] + value_range[1])
     halfspan = 0.5 * (value_range[1] - value_range[0])
     t0 = start_time or datetime(2013, 1, 1, tzinfo=timezone.utc)
+    stamps = [t0 + timedelta(minutes=bar_minutes * t) for t in range(n_bars)]
 
-    series: list[list[OhlcBar]] = [[], []]
+    series = []
     for c in range(2):
-        price = start_prices[c]
-        for t in range(n_bars):
-            value = bin_value(disc, int(draw.observations.bins[c, t]))
-            ret = amplitude * (value - center) / halfspan
-            open_ = price
-            close = price * (1.0 + ret)
-            body_hi = max(open_, close)
-            body_lo = min(open_, close)
-            wick = rng.uniform(0.0, 0.25 * amplitude, size=2)
-            series[c].append(
-                OhlcBar(
-                    timestamp=t0 + timedelta(minutes=bar_minutes * t),
-                    open=open_,
-                    high=body_hi * (1.0 + wick[0]),
-                    low=body_lo * (1.0 - wick[1]),
-                    close=close,
-                )
-            )
-            price = close
+        values = disc.lb + (draw.observations.bins[c] + 0.5) * disc.width  # bin midpoints
+        ret = amplitude * (values - center) / halfspan
+        # Each close is the previous one times (1 + ret), multiplied in bar order.
+        prices = np.multiply.accumulate(np.concatenate(([start_prices[c]], 1.0 + ret)))
+        open_, close = prices[:-1], prices[1:]
+        wick = rng.uniform(0.0, 0.25 * amplitude, size=(n_bars, 2))
+        high = np.maximum(open_, close) * (1.0 + wick[:, 0])
+        low = np.minimum(open_, close) * (1.0 - wick[:, 1])
+        series.append(OhlcSeries(stamps, open_, high, low, close))
     return series[0], series[1]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from chmmtrade import ChmmParams, ObservationSequence, OhlcBar
+from chmmtrade import ChmmParams, ObservationSequence, OhlcSeries
 
 T0 = datetime(2013, 1, 1, tzinfo=timezone.utc)
 
@@ -60,22 +60,18 @@ def simplex_instances(draw):
 
 def bars_from_closes(closes, start_time=T0, bar_minutes=10):
     """Zero-wick bars: open = previous close, high/low = body ends."""
-    bars = []
-    prev = closes[0]
-    for i, c in enumerate(closes):
-        o = float(prev)
-        c = float(c)
-        bars.append(
-            OhlcBar(
-                timestamp=start_time + timedelta(minutes=bar_minutes * i),
-                open=o,
-                high=max(o, c),
-                low=min(o, c),
-                close=c,
-            )
-        )
-        prev = c
-    return bars
+    closes = np.asarray(closes, dtype=float)
+    opens = np.concatenate((closes[:1], closes[:-1]))
+    stamps = [start_time + timedelta(minutes=bar_minutes * i) for i in range(closes.size)]
+    return OhlcSeries(stamps, opens, np.maximum(opens, closes), np.minimum(opens, closes), closes)
+
+
+def replace_after(bars, cutoff_index, tail):
+    """``bars`` with every row after the cutoff taken from ``tail``, on
+    the original timestamps."""
+    head = bars[: cutoff_index + 1]
+    columns = ("open", "high", "low", "close")
+    return OhlcSeries(bars.timestamps, *(np.concatenate((getattr(head, f), getattr(tail, f))) for f in columns))
 
 
 @pytest.fixture

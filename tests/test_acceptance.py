@@ -32,7 +32,7 @@ from chmmtrade import (
 from chmmtrade.oracle import score_path
 from chmmtrade.cli import main
 from chmmtrade import data_io
-from conftest import bars_from_closes, random_obs, random_params
+from conftest import bars_from_closes, random_obs, random_params, replace_after
 
 # (name, ret, vol, ratio, delta) rows of the two published performance tables
 RSI_TABLE = [
@@ -194,7 +194,7 @@ def test_criterion_6_backtest_fixture():
 
     assert len(result.trades) == 1
     trade = result.trades[0]
-    signal_atr = atr(bars1, cfg.atr_period)[17]  # the engineered cross fires at bar 17
+    signal_atr = atr(bars1.high, bars1.low, bars1.close, cfg.atr_period)[17]  # the engineered cross fires at bar 17
     assert trade.side == "long"
     assert trade.exit_reason == "target"
     assert abs(trade.pnl - 6.0 * signal_atr * cfg.notional) < 1e-9
@@ -203,16 +203,12 @@ def test_criterion_6_backtest_fixture():
     # unrelated walk must not change any decision up to the cutoff
     cutoff = 20
     rng = np.random.default_rng(55)
-    closes = [bars1[cutoff].close]
+    closes = [bars1.close[cutoff]]
     for _ in range(len(bars1) - cutoff - 1):
         closes.append(closes[-1] * (1.0 + rng.normal(scale=0.02)))
-    tail = bars_from_closes(np.array(closes))[1:]
-    scrambled = list(bars1[: cutoff + 1]) + [
-        type(b)(orig.timestamp, b.open, b.high, b.low, b.close)
-        for b, orig in zip(tail, bars1[cutoff + 1:])
-    ]
+    scrambled = replace_after(bars1, cutoff, bars_from_closes(np.array(closes))[1:])
     result2 = run_backtest(cfg, scrambled, bars2)
-    cut_ts = bars1[cutoff].timestamp
+    cut_ts = bars1.timestamps[cutoff]
     sides1 = [(r.timestamp, r.signal_side) for r in result.diagnostics if r.timestamp <= cut_ts]
     sides2 = [(r.timestamp, r.signal_side) for r in result2.diagnostics if r.timestamp <= cut_ts]
     assert sides1 == sides2

@@ -1,10 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from chmmtrade import (
     BacktestConfig,
     EquityCurve,
+    OhlcSeries,
     atr,
     compare_predictors,
     generate_signal,
@@ -15,7 +20,7 @@ from chmmtrade import (
 )
 from chmmtrade import backtest
 from chmmtrade.cli import _default_sim_params
-from conftest import bars_from_closes
+from conftest import bars_from_closes, replace_after
 
 
 def fixture_closes():
@@ -69,7 +74,7 @@ def test_misaligned_series_rejected():
         with pytest.raises(ValueError, match="misaligned"):
             run(baseline_cfg(), bars, other)
         with pytest.raises(ValueError, match="misaligned"):
-            run(baseline_cfg(), bars, filler_bars(40)[1:] + filler_bars(1))
+            run(baseline_cfg(), bars, filler_bars(40)[[*range(1, 40), 0]])
 
 
 def test_insufficient_data_rejected():
@@ -130,7 +135,7 @@ def test_one_trade_fixture_hits_target_exactly():
     assert trade.exit_reason == "target"
     # the signal fires at bar 17; entry at bar 18's open, bracket from the
     # signal-time ATR
-    signal_atr = atr(bars1, 12)[17]
+    signal_atr = atr(bars1.high, bars1.low, bars1.close, 12)[17]
     assert trade.entry_price == pytest.approx(closes[17])
     assert abs(trade.pnl - 6.0 * signal_atr * 1_000_000.0) < 1e-9
     assert trade.exit_time > trade.entry_time
@@ -171,16 +176,10 @@ def test_backtest_is_bit_reproducible():
 def scramble_after(bars, cutoff_index, seed=99):
     """Replace everything after the cutoff with an unrelated random walk."""
     rng = np.random.default_rng(seed)
-    out = list(bars[: cutoff_index + 1])
-    closes = [bars[cutoff_index].close]
+    closes = [bars.close[cutoff_index]]
     for _ in range(len(bars) - cutoff_index - 1):
         closes.append(closes[-1] * (1.0 + rng.normal(scale=0.01)))
-    out.extend(bars_from_closes(np.array(closes))[1:])
-    # restore the original timestamps
-    rebuilt = []
-    for bar, orig in zip(out, bars):
-        rebuilt.append(type(bar)(orig.timestamp, bar.open, bar.high, bar.low, bar.close))
-    return rebuilt
+    return replace_after(bars, cutoff_index, bars_from_closes(np.array(closes))[1:])
 
 
 @pytest.mark.parametrize("predictor", ["baseline", "marginal"])
@@ -196,7 +195,7 @@ def test_no_look_ahead_under_future_scramble(predictor):
 
     by_ts_full = {r.timestamp: r for r in full.diagnostics}
     by_ts_part = {r.timestamp: r for r in part.diagnostics}
-    cut_ts = bars1[cutoff].timestamp
+    cut_ts = bars1.timestamps[cutoff]
     for ts, row in by_ts_full.items():
         if ts > cut_ts:
             continue
@@ -209,6 +208,77 @@ def test_no_look_ahead_under_future_scramble(predictor):
     full_entries = [(t.entry_time, t.side, t.entry_price, t.size) for t in full.trades if t.entry_time <= cut_ts]
     part_entries = [(t.entry_time, t.side, t.entry_price, t.size) for t in part.trades if t.entry_time <= cut_ts]
     assert full_entries == part_entries
+
+
+@lru_cache(maxsize=None)
+def _market(n_bars: int):
+    return synthetic_ohlc(_default_sim_params(2, 8, 42), n_bars, seed=3, amplitude=0.004)
+
+
+def _decisions_up_to(result, cut_ts):
+    """Everything a run has decided by ``cut_ts``: its diagnostics rows,
+    its equity marks and the trades it entered."""
+    diagnostics = [
+        (r.timestamp, r.signal_side, r.predicted_state, r.predicted_state2,
+         repr(r.predicted_value), repr(r.predicted_value2), repr(r.transition_prob))
+        for r in result.diagnostics if r.timestamp <= cut_ts
+    ]
+    equity = [(ts, v) for ts, v in zip(result.equity.timestamps, result.equity.values.tolist()) if ts <= cut_ts]
+    entries = [
+        (t.entry_time, t.side, t.entry_price, t.size, t.stop_price, t.target_price)
+        for t in result.trades if t.entry_time <= cut_ts
+    ]
+    return diagnostics, equity, entries
+
+
+def perturb_after(bars, cutoff_index, seed, scale):
+    """Replace every bar after the cutoff with a seeded random walk of
+    per-bar scale ``scale`` and random wicks, on the original timestamps."""
+    rng = np.random.default_rng(seed)
+    n = len(bars) - cutoff_index - 1
+    path = bars.close[cutoff_index] * np.exp(np.cumsum(rng.normal(scale=scale, size=n + 1)))
+    opens, closes = path[:-1], path[1:]
+    wicks = np.abs(rng.normal(scale=scale, size=(2, n)))
+    tail = OhlcSeries(
+        bars.timestamps[cutoff_index + 1:], opens,
+        np.maximum(opens, closes) * (1.0 + wicks[0]), np.minimum(opens, closes) * (1.0 - wicks[1]), closes,
+    )
+    return replace_after(bars, cutoff_index, tail)
+
+
+def _check_no_look_ahead(cfg, n_bars, cutoff, seed, scale):
+    bars1, bars2 = _market(n_bars)
+    full = run_backtest(cfg, bars1, bars2)
+    part = run_backtest(cfg, perturb_after(bars1, cutoff, seed, scale), perturb_after(bars2, cutoff, seed + 1, scale))
+    cut_ts = bars1.timestamps[cutoff]
+    assert _decisions_up_to(full, cut_ts) == _decisions_up_to(part, cut_ts)
+    # A trade entered at the next open was sized and bracketed at the cutoff
+    # close; only its entry price may move, and its bracket moves with it.
+    if cutoff + 1 < n_bars:
+        next_ts = bars1.timestamps[cutoff + 1]
+        entered = [[t for t in r.trades if t.entry_time == next_ts] for r in (full, part)]
+        sides = [[(t.side, t.size) for t in e] for e in entered]
+        assert sides[0] == sides[1]
+        for a, b in zip(*entered):
+            for level in ("stop_price", "target_price"):
+                gap_a, gap_b = getattr(a, level) - a.entry_price, getattr(b, level) - b.entry_price
+                assert gap_a == pytest.approx(gap_b, rel=1e-9)
+
+
+PERTURBATION = dict(seed=st.integers(0, 2**32 - 2), scale=st.sampled_from([0.001, 0.01, 0.1]))
+
+
+@pytest.mark.parametrize("system", ["rsi", "cci"])
+@given(cutoff=st.integers(0, 198), **PERTURBATION)
+def test_baseline_has_no_look_ahead(system, cutoff, seed, scale):
+    _check_no_look_ahead(BacktestConfig(system=system, predictor="baseline"), 200, cutoff, seed, scale)
+
+
+@settings(max_examples=12)
+@given(cutoff=st.integers(0, 38), **PERTURBATION)
+def test_marginal_has_no_look_ahead(cutoff, seed, scale):
+    cfg = BacktestConfig(system="rsi", predictor="marginal", n_states=2, seed=1)
+    _check_no_look_ahead(cfg, 40, cutoff, seed, scale)
 
 
 def test_dynamic_allocation_scales_size():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chmmtrade import ObservationSequence, data_io, load_params, sample_chmm, save_params
+from chmmtrade import ObservationSequence, OhlcSeries, data_io, load_params, sample_chmm, save_params
 from chmmtrade.cli import _default_sim_params, main
 from chmmtrade.model import ChmmParams
 
@@ -238,9 +238,9 @@ def test_cli_backtest_misaligned_inputs_error(tmp_path, sim_dir, capsys):
     bars = data_io.load_ohlc_csv(other / "asset1.csv")
     from datetime import timedelta
 
-    shifted = [
-        type(b)(b.timestamp + timedelta(days=400), b.open, b.high, b.low, b.close) for b in bars
-    ]
+    shifted = OhlcSeries(
+        [ts + timedelta(days=400) for ts in bars.timestamps], bars.open, bars.high, bars.low, bars.close
+    )
     data_io.write_ohlc_csv(other / "shifted.csv", shifted)
     code = run_cli(
         "backtest",

@@ -8,7 +8,7 @@ from chmmtrade import (
     CCI_DISCRETIZER,
     RSI_DISCRETIZER,
     Discretizer,
-    OhlcBar,
+    OhlcSeries,
     atr,
     bin_value,
     cci,
@@ -67,21 +67,22 @@ def test_sma_bounded_by_window_extremes(rng):
 
 def test_cci_constant_bars_guard():
     bars = bars_from_closes(np.full(8, 5.0))
-    assert cci(bars, 4)[-1] == 0.0
+    assert cci(bars.high, bars.low, bars.close, 4)[-1] == 0.0
 
 
 def test_cci_hand_value():
     # typical prices [1, 1, 1, 2]: SMA 1.25, MAD 0.375 -> CCI 133.33...
-    bars = [OhlcBar(b.timestamp, v, v, v, v) for b, v in zip(bars_from_closes(np.ones(5)), [1, 1, 1, 2, 2])]
-    assert cci(bars, 4)[3] == pytest.approx(0.75 / (0.015 * 0.375))
+    v = [1.0, 1.0, 1.0, 2.0, 2.0]
+    bars = OhlcSeries(bars_from_closes(np.ones(5)).timestamps, v, v, v, v)
+    assert cci(bars.high, bars.low, bars.close, 4)[3] == pytest.approx(0.75 / (0.015 * 0.375))
 
 
 def test_cci_odd_symmetry(rng):
     closes = 10.0 + np.cumsum(rng.normal(scale=0.1, size=30))
     up = bars_from_closes(closes)
     down = bars_from_closes(20.0 - closes)  # mirrored prices
-    a = cci(up, 4)
-    b = cci(down, 4)
+    a = cci(up.high, up.low, up.close, 4)
+    b = cci(down.high, down.low, down.close, 4)
     assert_allclose(a[4:], -b[4:], atol=1e-9)
 
 
@@ -99,37 +100,34 @@ def ohlc_bars_with_period(draw):
     closes[flat_from: flat_from + flat_len] = closes[flat_from]
     wicks = draw(st.lists(st.sampled_from([0.0, 0.0, 0.125, 0.5]), min_size=2 * n, max_size=2 * n))
     wicks[2 * flat_from: 2 * (flat_from + flat_len)] = [0.0] * (2 * flat_len)
-    bars = [
-        OhlcBar(b.timestamp, b.open, b.high + wicks[2 * i], b.low - wicks[2 * i + 1], b.close)
-        for i, b in enumerate(bars_from_closes(closes))
-    ]
+    b = bars_from_closes(closes)
+    bars = OhlcSeries(b.timestamps, b.open, b.high + wicks[0::2], b.low - np.array(wicks[1::2]), b.close)
     return bars, period
 
 
 @given(case=ohlc_bars_with_period())
 def test_cci_equals_per_window_loop(case):
     bars, period = case
-    assert_array_equal(cci(bars, period), cci_loop(bars, period))
+    columns = (bars.high, bars.low, bars.close)
+    assert_array_equal(cci(*columns, period), cci_loop(*columns, period))
 
 
 def test_true_range_gap_bar():
-    bars = [
-        OhlcBar(T0, 10.0, 10.0, 10.0, 10.0),
-        OhlcBar(T0.replace(minute=10), 11.0, 11.0, 11.0, 11.0),
-    ]
-    assert true_range(bars)[1] == pytest.approx(1.0)
+    v = [10.0, 11.0]
+    bars = OhlcSeries([T0, T0.replace(minute=10)], v, v, v, v)
+    assert true_range(bars.high, bars.low, bars.close)[1] == pytest.approx(1.0)
 
 
 def test_atr_constant_range():
     # every bar moves by the same amount, so ATR equals that move
     bars = bars_from_closes(np.cumsum(np.full(8, 0.5)) + 10.0)
-    assert atr(bars, 4)[-1] == pytest.approx(0.5)
+    assert atr(bars.high, bars.low, bars.close, 4)[-1] == pytest.approx(0.5)
 
 
 def test_atr_hand_mean():
     closes = np.array([10.0, 11.0, 13.0, 16.0, 20.0])  # true ranges 1, 2, 3, 4
-    bars = [OhlcBar(b.timestamp, c, c, c, c) for b, c in zip(bars_from_closes(closes), closes)]
-    out = atr(bars, 4)
+    bars = OhlcSeries(bars_from_closes(closes).timestamps, closes, closes, closes, closes)
+    out = atr(bars.high, bars.low, bars.close, 4)
     assert out[-1] == pytest.approx(2.5)
     assert np.isnan(out[3])
 
@@ -137,7 +135,7 @@ def test_atr_hand_mean():
 def test_atr_nonnegative(rng):
     closes = 10.0 + np.cumsum(rng.normal(scale=0.3, size=40))
     bars = bars_from_closes(closes)
-    out = atr(bars, 12)
+    out = atr(bars.high, bars.low, bars.close, 12)
     assert (out[12:] >= 0.0).all()
 
 
@@ -178,6 +176,29 @@ def test_discretize_of_bin_value_is_identity():
 
 def test_ohlc_bar_invariant():
     with pytest.raises(ValueError):
-        OhlcBar(T0, open=1.0, high=0.9, low=0.8, close=1.0)
+        OhlcSeries([T0], open=[1.0], high=[0.9], low=[0.8], close=[1.0])
     with pytest.raises(ValueError):
-        OhlcBar(T0, open=1.0, high=1.2, low=1.05, close=1.1)
+        OhlcSeries([T0], open=[1.0], high=[1.2], low=[1.05], close=[1.1])
+
+
+def test_ohlc_series_rejects_non_finite_rows_and_ragged_columns():
+    stamps = [T0, T0.replace(minute=10)]
+    with pytest.raises(ValueError, match="non-finite OHLC value"):
+        OhlcSeries(stamps, [1.0, np.inf], [1.0, np.inf], [1.0, np.inf], [1.0, np.inf])
+    with pytest.raises(ValueError, match="non-finite OHLC value"):
+        OhlcSeries(stamps, [1.0, np.nan], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="one per timestamp"):
+        OhlcSeries(stamps, [1.0], [1.0], [1.0], [1.0])
+
+
+def test_ohlc_series_columns_are_read_only_and_slices_are_series():
+    bars = bars_from_closes(np.array([1.0, 1.2, 0.9, 1.1]))
+    with pytest.raises(ValueError):
+        bars.close[0] = 2.0
+    tail = bars[1:]
+    assert len(tail) == 3 and tail.timestamps == bars.timestamps[1:]
+    picked = bars[[3, 0]]
+    assert picked.timestamps == [bars.timestamps[3], bars.timestamps[0]]
+    assert_array_equal(picked.close, [1.1, 1.0])
+    with pytest.raises(TypeError):
+        bars[0]

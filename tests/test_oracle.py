@@ -169,7 +169,7 @@ def test_synthetic_ohlc_is_valid_and_deterministic(rng):
     a1, a2 = synthetic_ohlc(p, 100, seed=5)
     b1, _ = synthetic_ohlc(p, 100, seed=5)
     assert len(a1) == len(a2) == 100
-    assert all(x.timestamp == y.timestamp for x, y in zip(a1, a2))
-    assert all(x.open == y.open and x.close == y.close for x, y in zip(a1, b1))
-    for bar in a1:
-        assert bar.low <= min(bar.open, bar.close) <= max(bar.open, bar.close) <= bar.high
+    assert a1.timestamps == a2.timestamps
+    assert a1.open.tolist() == b1.open.tolist() and a1.close.tolist() == b1.close.tolist()
+    for o, h, l, c in zip(a1.open, a1.high, a1.low, a1.close):
+        assert l <= min(o, c) <= max(o, c) <= h
