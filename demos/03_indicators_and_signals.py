@@ -16,8 +16,8 @@ from chmmtrade import (
     atr,
     bin_value,
     cci,
+    crossing_side,
     discretize,
-    generate_signal,
     rsi,
     sma,
     synthetic_ohlc,
@@ -45,15 +45,15 @@ print("\nsmoothed RSI with a forecast appended:")
 history = [14.0, 9.0, 16.0, 18.0]
 forecast = 43.75  # midpoint of a predicted bin
 series = history + [forecast]
-print("  previous window mean:", np.mean(history))
-print("  current window mean: ", np.mean(series[1:]))
-sig = generate_signal("rsi", series, 4, size_fraction=0.55)
-print(f"  -> signal: {sig.side} (sized {sig.size_fraction:.2f} of notional)")
+prev, curr = np.mean(history), np.mean(series[1:])
+print("  previous window mean:", prev)
+print("  current window mean: ", curr)
+print("  -> signal:", crossing_side("rsi", prev, curr))
 
 print("\nCCI rule fades strength: smoothed path 110 -> 95 crosses under 105:")
-print("  ->", generate_signal("cci", [110.0, 95.0], 1).side)
+print("  ->", crossing_side("cci", 110.0, 95.0))
 print("same cross while already long is suppressed:")
-print("  ->", generate_signal("cci", [110.0, 95.0], 1, open_sides={"long"}).side)
+print("  ->", crossing_side("cci", 110.0, 95.0, open_sides={"long"}))
 
 ones = np.ones(30)
 flat = OhlcSeries(bars.timestamps[:30], ones, ones, ones, ones)

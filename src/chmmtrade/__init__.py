@@ -36,10 +36,8 @@ from .indicators import (
     true_range,
 )
 from .strategy import (
-    Signal,
     allocation_fraction,
     crossing_side,
-    generate_signal,
     next_state_marginal,
     next_state_viterbi,
     predict_observation,

@@ -21,6 +21,7 @@ from .indicators import CCI_DISCRETIZER, RSI_DISCRETIZER, Discretizer, OhlcSerie
 from .inference import coupled_viterbi, forward
 from .model import ChmmParams, ObservationSequence, jittered_params
 from .strategy import (
+    FIDELITIES,
     allocation_fraction,
     crossing_side,
     next_state_marginal,
@@ -92,8 +93,8 @@ class BacktestConfig:
             raise ValueError("target multiple must exceed stop multiple")
         if self.notional <= 0:
             raise ValueError("notional must be positive")
-        if self.fidelity not in ("corrected", "literal"):
-            raise ValueError(f"fidelity must be 'corrected' or 'literal', got {self.fidelity!r}")
+        if self.fidelity not in FIDELITIES:
+            raise ValueError(f"fidelity must be one of {FIDELITIES}, got {self.fidelity!r}")
 
     @property
     def discretizer(self) -> Discretizer:
@@ -184,10 +185,12 @@ class BacktestResult:
 
 
 def stats_from_ret_vol(ret: float, vol: float, baseline_ratio: float | None = None) -> PerfStats:
-    """Ratio arithmetic on already-computed return and volatility figures."""
-    if vol == 0.0:
-        raise ValueError("zero volatility: ratio undefined")
-    ratio = ret / vol
+    """Ratio arithmetic on already-computed return and volatility figures.
+
+    Zero volatility (a flat equity curve) has no defined ratio: the ratio,
+    and the delta when a baseline is given, are NaN.
+    """
+    ratio = ret / vol if vol != 0.0 else float("nan")
     delta = None if baseline_ratio is None else ratio - baseline_ratio
     return PerfStats(ret=ret, vol=vol, ratio=ratio, delta_ratio=delta)
 
@@ -259,7 +262,7 @@ def _trigger_means(ind1: np.ndarray, sma_period: int) -> np.ndarray:
 
     Each row of the strided view is summed in the order a slice
     ``.mean()`` takes, so every mean is bit-equal to the one
-    ``generate_signal`` takes from the same window.
+    ``oracle.signal_side`` takes from the same window.
     """
     windows = sliding_window_view(ind1, sma_period)
     means = np.full(ind1.size, np.nan)
@@ -425,12 +428,7 @@ def run_backtest(
         trades.append(tr)
 
     equity = EquityCurve(timestamps=stamps, values=np.asarray(equity_vals))
-    total, vol = _ret_vol(equity.values)
-    if vol > 0.0:
-        stats = stats_from_ret_vol(total, vol, baseline_ratio)
-    else:
-        stats = PerfStats(ret=total, vol=0.0, ratio=float("nan"),
-                          delta_ratio=None if baseline_ratio is None else float("nan"))
+    stats = stats_from_ret_vol(*_ret_vol(equity.values), baseline_ratio)
     return BacktestResult(
         trades=trades, equity=equity, stats=stats, diagnostics=diagnostics, fit_records=fit_records
     )

@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io
-from .backtest import BacktestConfig, compare_predictors, perf_stats, run_backtest
+from .backtest import PREDICTORS, SYSTEM_DEFAULTS, BacktestConfig, compare_predictors, perf_stats, run_backtest
 from .model import ChmmParams, jittered_params, load_params, save_params
 from .oracle import synthetic_ohlc
+from .strategy import FIDELITIES
 from .training import DegenerateModelError, FitConfig, fit
 
 _CONFIG_FLAGS = ("system", "predictor", "fidelity", "seed")
@@ -148,14 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="flat key-value config file")
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-        p.add_argument("--system", choices=["rsi", "cci"], default=None)
-        p.add_argument("--predictor", choices=["baseline", "marginal", "viterbi"], default=None)
-        p.add_argument("--dynamic", action="store_true", help="scale position size by state probability")
-        p.add_argument("--fidelity", choices=["corrected", "literal"], default=None,
+        p.add_argument("--system", choices=list(SYSTEM_DEFAULTS), default=None)
+        p.add_argument("--fidelity", choices=FIDELITIES, default=None,
                        help="second-chain self-matrix variant for the predictors")
 
     p = sub.add_parser("backtest", help="run the trading pipeline over two OHLC CSVs")
     add_common(p)
+    p.add_argument("--predictor", choices=PREDICTORS, default=None)
+    p.add_argument("--dynamic", action="store_true", help="scale position size by state probability")
     p.add_argument("--asset1", required=True, help="traded instrument OHLC CSV")
     p.add_argument("--asset2", required=True, help="filter instrument OHLC CSV")
     p.add_argument("--out", required=True, help="output directory")

@@ -26,6 +26,7 @@ from .backtest import (
     TradeRecord,
 )
 from .indicators import OhlcSeries, _bad_rows, _row_problem
+from .model import ObservationSequence, _key_values
 from .training import FitConfig
 
 __all__ = [
@@ -90,6 +91,46 @@ def _iso(stamps: list[datetime]) -> list[str]:
     return texts
 
 
+def _csv_rows(path, header: list[str]):
+    """``(line number, fields)`` of every data row of a CSV that must start
+    with exactly ``header``; blank lines are skipped, and an empty file, a
+    wrong header or a row of another width raises ValueError naming the
+    path and line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file")
+        if [h.strip() for h in first] != header:
+            raise ValueError(f"{path}: line 1: expected header {','.join(header)}")
+        width = len(header)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+            yield lineno, row
+
+
+def _csv_records(path, header: list[str], parse) -> list:
+    """``parse(fields)`` of every data row of ``_csv_rows``; a ValueError
+    from ``parse`` names the path and line."""
+    records = []
+    for lineno, row in _csv_rows(path, header):
+        try:
+            records.append(parse(row))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return records
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def load_ohlc_csv(path) -> OhlcSeries:
     """Read, validate, sort and deduplicate an OHLC file.
 
@@ -103,25 +144,13 @@ def load_ohlc_csv(path) -> OhlcSeries:
     stamps: list[datetime] = []
     cells: list[str] = []  # open, high, low, close of every row, row after row
     lines: list[int] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in _csv_rows(path, OHLC_HEADER):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != OHLC_HEADER:
-            raise ValueError(f"{path}: line 1: expected header {','.join(OHLC_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                raise ValueError(f"{path}: line {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                stamps.append(_parse_timestamp(row[0].strip()))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            cells += row[1:]
-            lines.append(lineno)
+            stamps.append(_parse_timestamp(row[0].strip()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        cells += row[1:]
+        lines.append(lineno)
     if not stamps:
         raise ValueError(f"{path}: no data rows")
     try:
@@ -148,10 +177,7 @@ def load_ohlc_csv(path) -> OhlcSeries:
 
 def write_ohlc_csv(path, bars: OhlcSeries) -> None:
     columns = (bars.open, bars.high, bars.low, bars.close)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OHLC_HEADER)
-        writer.writerows(zip(_iso(bars.timestamps), *(map(repr, col.tolist()) for col in columns)))
+    _write_csv(path, OHLC_HEADER, zip(_iso(bars.timestamps), *(map(repr, col.tolist()) for col in columns)))
 
 
 def align(bars1: OhlcSeries, bars2: OhlcSeries) -> AlignedPair:
@@ -205,17 +231,8 @@ _FIT_KEYS = ("sweeps", "rel_tol", "warm_start")
 
 def load_config(path) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment."""
-    out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+        return _key_values(fh, path)
 
 
 def backtest_config_from_mapping(mapping: dict) -> BacktestConfig:
@@ -250,27 +267,6 @@ def config_to_text(cfg: BacktestConfig) -> str:
 # -- result files ----------------------------------------------------------
 
 
-def _csv_records(path, header: list[str], parse) -> list:
-    """``parse(fields)`` of every data row of a CSV that must start with
-    ``header``; a wrong header, a row of another width or a ValueError from
-    ``parse`` names the path and line."""
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if [h.strip() for h in next(reader, [])] != header:
-            raise ValueError(f"{path}: line 1: expected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                records.append(parse(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return records
-
-
 TRADES_HEADER = [
     "entry_time", "side", "size", "entry_price", "stop_price", "target_price",
     "exit_time", "exit_price", "exit_reason", "pnl",
@@ -278,18 +274,17 @@ TRADES_HEADER = [
 
 
 def write_trades_csv(path, trades) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRADES_HEADER)
-        for tr in trades:
-            writer.writerow([
-                tr.entry_time.isoformat(), tr.side, repr(float(tr.size)), repr(float(tr.entry_price)),
-                repr(float(tr.stop_price)), repr(float(tr.target_price)),
-                tr.exit_time.isoformat() if tr.exit_time else "",
-                repr(float(tr.exit_price)) if tr.exit_price is not None else "",
-                tr.exit_reason or "",
-                repr(float(tr.pnl)) if tr.pnl is not None else "",
-            ])
+    _write_csv(path, TRADES_HEADER, (
+        (
+            tr.entry_time.isoformat(), tr.side, repr(float(tr.size)), repr(float(tr.entry_price)),
+            repr(float(tr.stop_price)), repr(float(tr.target_price)),
+            tr.exit_time.isoformat() if tr.exit_time else "",
+            repr(float(tr.exit_price)) if tr.exit_price is not None else "",
+            tr.exit_reason or "",
+            repr(float(tr.pnl)) if tr.pnl is not None else "",
+        )
+        for tr in trades
+    ))
 
 
 def _trade(row: list[str]) -> TradeRecord:
@@ -320,10 +315,7 @@ EQUITY_HEADER = ["timestamp", "equity"]
 
 def write_equity_csv(path, equity: EquityCurve) -> None:
     values = np.asarray(equity.values, dtype=float).tolist()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EQUITY_HEADER)
-        writer.writerows(zip(_iso(equity.timestamps), map(repr, values)))
+    _write_csv(path, EQUITY_HEADER, zip(_iso(equity.timestamps), map(repr, values)))
 
 
 def load_equity_csv(path) -> EquityCurve:
@@ -342,21 +334,18 @@ DIAG_HEADER = [
 
 
 def write_diagnostics_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DIAG_HEADER)
-        writer.writerows(
-            (
-                stamp,
-                repr(float(r.predicted_value)),
-                "" if r.predicted_state is None else r.predicted_state,
-                repr(float(r.transition_prob)),
-                repr(float(r.predicted_value2)),
-                "" if r.predicted_state2 is None else r.predicted_state2,
-                r.signal_side,
-            )
-            for stamp, r in zip(_iso([r.timestamp for r in rows]), rows)
+    _write_csv(path, DIAG_HEADER, (
+        (
+            stamp,
+            repr(float(r.predicted_value)),
+            "" if r.predicted_state is None else r.predicted_state,
+            repr(float(r.transition_prob)),
+            repr(float(r.predicted_value2)),
+            "" if r.predicted_state2 is None else r.predicted_state2,
+            r.signal_side,
         )
+        for stamp, r in zip(_iso([r.timestamp for r in rows]), rows)
+    ))
 
 
 def _diagnostic(row: list[str]) -> DiagnosticRow:
@@ -383,13 +372,7 @@ def write_stats_txt(path, stats: PerfStats) -> None:
 def load_stats_txt(path) -> PerfStats:
     """Read a stats file; a missing key or a bad number names the key and the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        fields = {}
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+        fields = _key_values(fh, path)
     numbers = {}
     for key in ("ret", "vol", "ratio", "delta_ratio"):
         text = fields.get(key)
@@ -405,30 +388,30 @@ def load_stats_txt(path) -> PerfStats:
     return PerfStats(**numbers)
 
 
+OBS_HEADER = ["o1", "o2"]
+
+
 def write_obs_csv(path, obs) -> None:
     """Observation bins as two integer columns headed ``o1,o2``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["o1", "o2"])
-        for a, b in zip(obs.bins[0], obs.bins[1]):
-            writer.writerow([int(a), int(b)])
+    _write_csv(path, OBS_HEADER, ((int(a), int(b)) for a, b in zip(obs.bins[0], obs.bins[1])))
 
 
-def load_obs_csv(path):
-    from .model import ObservationSequence
+def _obs_bins(row: list[str]) -> tuple[int, int]:
+    try:
+        bins = int(row[0]), int(row[1])
+    except ValueError:
+        raise ValueError("expected integer columns o1,o2") from None
+    if min(bins) < 0:
+        raise ValueError(f"negative observation bin {min(bins)}")
+    return bins
 
-    o1, o2 = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                o1.append(int(row["o1"]))
-                o2.append(int(row["o2"]))
-            except (KeyError, TypeError, ValueError):
-                raise ValueError(f"{path}: line {lineno}: expected integer columns o1,o2") from None
-    if not o1:
+
+def load_obs_csv(path) -> ObservationSequence:
+    """Read an observation file headed ``o1,o2``; a bad row names the line."""
+    rows = _csv_records(path, OBS_HEADER, _obs_bins)
+    if not rows:
         raise ValueError(f"{path}: no observation rows")
-    return ObservationSequence.from_lists(o1, o2)
+    return ObservationSequence.from_lists(*zip(*rows))
 
 
 def write_fit_log(path, records) -> None:
@@ -470,14 +453,10 @@ COMPARISON_HEADER = ["timestamp", "state_marginal", "state_viterbi", "value_marg
 
 def write_comparison_csv(path, rows) -> None:
     """Per-bar predictor comparison rows, one line per decision bar."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPARISON_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.timestamp.isoformat(), r.state_marginal, r.state_viterbi,
-                repr(r.value_marginal), repr(r.value_viterbi),
-            ])
+    _write_csv(path, COMPARISON_HEADER, (
+        (r.timestamp.isoformat(), r.state_marginal, r.state_viterbi, repr(r.value_marginal), repr(r.value_viterbi))
+        for r in rows
+    ))
 
 
 def load_comparison_csv(path) -> list[ComparisonRow]:

@@ -257,29 +257,44 @@ def params_to_text(params: ChmmParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def params_from_text(text: str) -> ChmmParams:
+def _key_values(lines, source) -> dict[str, str]:
+    """The ``key = value`` lines of a text, later keys overriding earlier
+    ones; '#' starts a comment and blank lines are skipped.  A line without
+    '=' raises ValueError naming ``source`` and the line."""
     fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"parameter text line {lineno}: expected 'key = values'")
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"{source}: line {lineno}: expected 'key = value'")
         fields[key.strip()] = value.strip()
+    return fields
 
-    def need(key):
+
+def params_from_text(text: str) -> ChmmParams:
+    return _params_from_fields(_key_values(text.splitlines(), "parameter text"), "parameter text")
+
+
+def _params_from_fields(fields: dict[str, str], source) -> ChmmParams:
+    """Parameters from the parsed lines of a parameter text; errors name ``source``."""
+
+    def need(key, parse):
         if key not in fields:
-            raise ValueError(f"parameter text missing key {key!r}")
-        return fields[key]
+            raise ValueError(f"{source}: missing key {key!r}")
+        try:
+            return parse(fields[key])
+        except ValueError as exc:
+            raise ValueError(f"{source}: key {key!r}: {exc}") from None
 
-    n = int(need("n_states"))
-    m = int(need("n_bins"))
+    n = need("n_states", int)
+    m = need("n_bins", int)
 
     def vec(key, shape):
-        vals = np.array([float(v) for v in need(key).split()])
+        vals = need(key, lambda text: np.array([float(v) for v in text.split()]))
         if vals.size != int(np.prod(shape)):
-            raise ValueError(f"key {key!r}: expected {int(np.prod(shape))} values, got {vals.size}")
+            raise ValueError(f"{source}: key {key!r}: expected {int(np.prod(shape))} values, got {vals.size}")
         return vals.reshape(shape)
 
     priors = np.stack([vec("prior_1", (n,)), vec("prior_2", (n,))])
@@ -301,4 +316,4 @@ def save_params(params: ChmmParams, path) -> None:
 
 def load_params(path) -> ChmmParams:
     with open(path, "r", encoding="utf-8") as fh:
-        return params_from_text(fh.read())
+        return _params_from_fields(_key_values(fh, path), path)

@@ -17,6 +17,7 @@ import numpy as np
 from .indicators import Discretizer, OhlcSeries, _window_means
 from .inference import ForwardTrellis, _emission_lookup, _forward
 from .model import ChmmParams, ObservationSequence, check_params
+from .strategy import crossing_side
 
 __all__ = [
     "AlphaGradients",
@@ -28,6 +29,7 @@ __all__ = [
     "score_path",
     "fd_gradient",
     "cci_loop",
+    "signal_side",
     "synthetic_ohlc",
     "permutation_aligned_mae",
 ]
@@ -373,6 +375,26 @@ def cci_loop(high, low, close, period: int) -> np.ndarray:
         mad = np.abs(window - means[t]).mean()
         out[t] = 0.0 if mad == 0.0 else (tp[t] - means[t]) / (0.015 * mad)
     return out
+
+
+def signal_side(kind: str, series, sma_period: int, open_sides=()) -> str:
+    """Entry side read off one raw indicator window; the reference for the
+    backtest's trigger means and ``strategy.crossing_side``.
+
+    ``series`` holds realized indicator values with the model's forecast
+    appended last (or realized values only in baseline mode).  The cross
+    runs from the mean of the ``sma_period`` values one step back to the
+    mean of the last ``sma_period``.  Too little history, or a non-finite
+    value among the last ``sma_period + 1``, gives "none".
+    """
+    if kind not in ("rsi", "cci"):
+        raise ValueError(f"kind must be 'rsi' or 'cci', got {kind!r}")
+    values = np.asarray(series, dtype=float)
+    if values.size < sma_period + 1 or not np.isfinite(values[-sma_period - 1:]).all():
+        return "none"
+    prev = float(values[-sma_period - 1: -1].mean())
+    curr = float(values[-sma_period:].mean())
+    return crossing_side(kind, prev, curr, open_sides)
 
 
 def synthetic_ohlc(

@@ -10,9 +10,6 @@ behind the ``fidelity`` switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from datetime import datetime
-
 import numpy as np
 
 from .indicators import Discretizer, bin_value
@@ -20,13 +17,11 @@ from .inference import ViterbiTrellis
 from .model import ChmmParams
 
 __all__ = [
-    "Signal",
     "next_state_marginal",
     "next_state_viterbi",
     "predict_observation",
     "allocation_fraction",
     "crossing_side",
-    "generate_signal",
     "RSI_LONG_LEVEL",
     "RSI_SHORT_LEVEL",
     "CCI_LONG_LEVEL",
@@ -39,17 +34,6 @@ CCI_LONG_LEVEL = 105.0
 CCI_SHORT_LEVEL = -105.0
 
 FIDELITIES = ("corrected", "literal")
-
-
-@dataclass(frozen=True)
-class Signal:
-    """Entry decision for one bar; side "none" means stand aside."""
-
-    timestamp: datetime | None
-    side: str  # "long" | "short" | "none"
-    instrument: int = 0
-    size_fraction: float = 1.0
-    trigger_value: float = float("nan")
 
 
 def _check_fidelity(fidelity: str) -> None:
@@ -166,42 +150,3 @@ def crossing_side(kind: str, prev: float, curr: float, open_sides=()) -> str:
             return "none"
         return "none" if side in open_sides else side
     raise ValueError(f"kind must be 'rsi' or 'cci', got {kind!r}")
-
-
-def generate_signal(
-    kind: str,
-    series,
-    sma_period: int = 4,
-    *,
-    timestamp: datetime | None = None,
-    instrument: int = 0,
-    size_fraction: float = 1.0,
-    open_sides=(),
-) -> Signal:
-    """Entry signal from the smoothed indicator series.
-
-    ``series`` holds realized indicator values for past bars with the
-    model's one-step forecast appended last (or realized values only in
-    baseline mode).  A cross compares the trailing-window mean ending at
-    the final point against the mean one step earlier, by the rule of
-    ``crossing_side``.  Too little history, or a non-finite value among
-    the last ``sma_period + 1``, yields a "none" signal.
-    """
-    if kind not in ("rsi", "cci"):
-        raise ValueError(f"kind must be 'rsi' or 'cci', got {kind!r}")
-    values = np.asarray(series, dtype=float)
-    none = Signal(timestamp=timestamp, side="none", instrument=instrument, size_fraction=0.0)
-    if values.size < sma_period + 1 or not np.isfinite(values[-sma_period - 1:]).all():
-        return none
-    prev = float(values[-sma_period - 1: -1].mean())
-    curr = float(values[-sma_period:].mean())
-    side = crossing_side(kind, prev, curr, open_sides)
-    if side == "none":
-        return none
-    return Signal(
-        timestamp=timestamp,
-        side=side,
-        instrument=instrument,
-        size_fraction=size_fraction,
-        trigger_value=float(values[-1]),
-    )

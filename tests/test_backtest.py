@@ -12,7 +12,6 @@ from chmmtrade import (
     OhlcSeries,
     atr,
     compare_predictors,
-    generate_signal,
     perf_stats,
     run_backtest,
     stats_from_ret_vol,
@@ -20,6 +19,7 @@ from chmmtrade import (
 )
 from chmmtrade import backtest
 from chmmtrade.cli import _default_sim_params
+from chmmtrade.oracle import signal_side
 from conftest import bars_from_closes, replace_after
 
 
@@ -103,7 +103,7 @@ def test_filter_indicator_computed_only_when_modeled(monkeypatch, predictor, n_s
 @pytest.mark.parametrize("predictor", ["baseline", "marginal"])
 def test_signals_equal_generate_signal_on_each_window(system, predictor):
     # The bar loop reads crosses from trigger means taken once per run;
-    # each bar's side must be generate_signal's on that bar's window,
+    # each bar's side must be oracle.signal_side's on that bar's window,
     # given the positions open at its close.
     bars1, bars2 = synthetic_ohlc(_default_sim_params(2, 8, 42), 300, seed=2)
     cfg = BacktestConfig(system=system, predictor=predictor, n_states=2)
@@ -120,7 +120,7 @@ def test_signals_equal_generate_signal_on_each_window(system, predictor):
             tr.side for tr in res.trades
             if tr.entry_time <= row.timestamp and (tr.exit_reason == "end-of-data" or row.timestamp < tr.exit_time)
         }
-        sides.append(generate_signal(system, window, k, open_sides=open_sides).side)
+        sides.append(signal_side(system, window, k, open_sides=open_sides))
     assert sides == [row.signal_side for row in res.diagnostics]
     assert {"long", "short"} <= set(sides)
 
@@ -330,12 +330,16 @@ def test_stats_from_ret_vol_paper_rows():
     assert cci_dyn.ratio == pytest.approx(0.457, abs=1e-3)
 
 
-def test_stats_zero_volatility_raises():
-    with pytest.raises(ValueError, match="zero volatility"):
-        stats_from_ret_vol(1.0, 0.0)
+def test_stats_zero_volatility_gives_nan_ratio():
+    # A flat equity curve has no defined ratio: NaN, and a NaN delta
+    # when a baseline is given, by the same rule run_backtest reports.
+    stats = stats_from_ret_vol(1.0, 0.0)
+    assert (stats.ret, stats.vol, stats.delta_ratio) == (1.0, 0.0, None)
+    assert np.isnan(stats.ratio)
     flat = EquityCurve(timestamps=[], values=np.full(10, 100.0))
-    with pytest.raises(ValueError, match="zero volatility"):
-        perf_stats(flat, 0.0)
+    stats = perf_stats(flat, 0.0)
+    assert (stats.ret, stats.vol) == (0.0, 0.0)
+    assert np.isnan(stats.ratio) and np.isnan(stats.delta_ratio)
 
 
 def test_perf_stats_identity_and_horizon_scaling():

@@ -129,6 +129,26 @@ def test_stats_command(tmp_path, sim_dir, capsys):
     assert float(line.split("=")[1]) == pytest.approx(stats.ratio, abs=5e-7)
 
 
+def test_stats_of_a_zero_trade_backtest_is_nan(tmp_path, capsys):
+    # A flat market trades nothing, so equity.csv is flat: zero volatility
+    # reads as a NaN ratio in stats.txt and from the stats command alike.
+    from conftest import bars_from_closes
+
+    flat = bars_from_closes(np.full(60, 1.0))
+    for name in ("a1.csv", "a2.csv"):
+        data_io.write_ohlc_csv(tmp_path / name, flat)
+    out = tmp_path / "bt"
+    assert run_cli(
+        "backtest", "--asset1", str(tmp_path / "a1.csv"), "--asset2", str(tmp_path / "a2.csv"),
+        "--out", str(out), "--predictor", "baseline",
+    ) == 0
+    assert data_io.load_trades_csv(out / "trades.csv") == []
+    assert np.isnan(data_io.load_stats_txt(out / "stats.txt").ratio)
+    capsys.readouterr()
+    assert run_cli("stats", "--equity", str(out / "equity.csv")) == 0
+    assert capsys.readouterr().out.splitlines() == ["ret = 0", "vol = 0", "ratio = nan", "delta_ratio = nan"]
+
+
 def test_compare_identity_transition_model_agrees_fully(tmp_path, capsys):
     # Absorbing construction: one-hot priors, identity transitions, and
     # emissions pinned to the bin a steadily falling RSI lands in (bin 0).
@@ -214,6 +234,14 @@ def test_cli_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", "--bars", "10", "--out", str(tmp_path), "--bogus")
     assert exc.value.code == 2
+    # compare reads both predictors and sizes nothing, so it takes neither
+    # backtest-only flag
+    for flags in (("--predictor", "baseline"), ("--dynamic",)):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "--asset1", "a.csv", "--asset2", "b.csv", *flags)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, message", [

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from chmmtrade import BacktestConfig, EquityCurve, ObservationSequence, OhlcSeries, PerfStats, TradeRecord
+from chmmtrade import BacktestConfig, EquityCurve, ObservationSequence, OhlcSeries, PerfStats, TradeRecord, load_params
 from chmmtrade.backtest import ComparisonRow, DiagnosticRow, FitRecord
 from chmmtrade import data_io
 from conftest import T0, bars_from_closes
@@ -258,6 +258,8 @@ def test_stats_round_trip(tmp_path):
     data_io.write_stats_txt(path, stats)
     again = data_io.load_stats_txt(path)
     assert again == stats
+    noted = "".join(f"{line}  # note\n" for line in path.read_text(encoding="utf-8").splitlines())
+    assert data_io.load_stats_txt(write(tmp_path, "noted.txt", noted)) == stats
     data_io.write_stats_txt(path, PerfStats(ret=1.0, vol=2.0, ratio=0.5, delta_ratio=None))
     assert data_io.load_stats_txt(path).delta_ratio is None
 
@@ -312,7 +314,15 @@ def test_comparison_round_trip(tmp_path):
     (data_io.load_stats_txt, "ret = 1.0\nvol = 2.0\n", "missing key 'ratio'"),
     (data_io.load_fit_log, '{"window_end": "2013-01-01T00:00:00+00:00", "sweeps_run": 1, "trace": [-1.0]}\n'
      "not json\n", "line 2: not a fit record"),
-], ids=["trades", "diagnostics", "comparison", "stats", "fit-log"])
+    (data_io.load_obs_csv, "o1,o2\n1,2\n3\n", "line 3: expected 2 fields, got 1"),
+    (data_io.load_obs_csv, "o1,o2\n1,2\n\n0,-1\n", "line 4: negative observation bin -1"),
+    (data_io.load_stats_txt, "ret = 1.0\nvol 2.0\n", "line 2: expected 'key = value'"),
+    (data_io.load_config, "# run\nsystem = rsi\nlookback 4\n", "line 3: expected 'key = value'"),
+    (load_params, "n_states = 2\n", "missing key 'n_bins'"),
+    (load_params, "n_states = 1\nn_bins = 1\nprior_1 = 1.0 # one state\nprior_2 = one\n",
+     "key 'prior_2': could not convert string to float: 'one'"),
+], ids=["trades", "diagnostics", "comparison", "stats", "fit-log", "obs-width", "obs-negative",
+        "stats-no-equals", "config-no-equals", "params-missing-key", "params-bad-number"])
 def test_result_loaders_name_the_file_and_line(tmp_path, loader, text, message):
     path = write(tmp_path, "malformed.txt", text)
     with pytest.raises(ValueError) as info:

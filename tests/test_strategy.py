@@ -11,13 +11,13 @@ from chmmtrade import (
     allocation_fraction,
     coupled_viterbi,
     crossing_side,
-    generate_signal,
     next_state_marginal,
     next_state_viterbi,
     predict_observation,
     uniform_params,
 )
 from chmmtrade.backtest import _trigger_means
+from chmmtrade.oracle import signal_side
 from conftest import random_obs, random_params
 
 
@@ -192,42 +192,37 @@ def test_allocation_matches_triple_sum_and_normalizes(rng):
 
 def test_rsi_signal_crosses():
     # smoothed path 18 -> 25 crosses over 20: long
-    assert generate_signal("rsi", [18.0, 25.0], 1).side == "long"
+    assert signal_side("rsi", [18.0, 25.0], 1) == "long"
     # smoothed path 85 -> 70 crosses under 80: short
-    assert generate_signal("rsi", [85.0, 70.0], 1).side == "short"
+    assert signal_side("rsi", [85.0, 70.0], 1) == "short"
     # landing exactly on the level counts as crossed
-    assert generate_signal("rsi", [18.0, 20.0], 1).side == "long"
-    assert generate_signal("rsi", [25.0, 30.0], 1).side == "none"
+    assert signal_side("rsi", [18.0, 20.0], 1) == "long"
+    assert signal_side("rsi", [25.0, 30.0], 1) == "none"
 
 
 def test_cci_signal_crosses():
-    assert generate_signal("cci", [110.0, 95.0], 1).side == "long"
-    assert generate_signal("cci", [-120.0, -90.0], 1).side == "short"
-    assert generate_signal("cci", [90.0, 95.0], 1).side == "none"
+    assert signal_side("cci", [110.0, 95.0], 1) == "long"
+    assert signal_side("cci", [-120.0, -90.0], 1) == "short"
+    assert signal_side("cci", [90.0, 95.0], 1) == "none"
 
 
 def test_cci_same_direction_position_suppresses():
-    assert generate_signal("cci", [110.0, 95.0], 1, open_sides={"long"}).side == "none"
-    assert generate_signal("cci", [110.0, 95.0], 1, open_sides={"short"}).side == "long"
+    assert signal_side("cci", [110.0, 95.0], 1, open_sides={"long"}) == "none"
+    assert signal_side("cci", [110.0, 95.0], 1, open_sides={"short"}) == "long"
 
 
 def test_signal_insufficient_history_is_none():
-    sig = generate_signal("rsi", [15.0, 25.0, 30.0], 4)
-    assert sig.side == "none"
-    assert sig.size_fraction == 0.0
+    assert signal_side("rsi", [15.0, 25.0, 30.0], 4) == "none"
 
 
 def test_signal_windowed_sma_cross(rng):
     # four-period smoothing: previous window all realized, current window
     # ends on the forecast value
     series = [0.0, 0.0, 14.0, 33.0, 60.0]
-    sig = generate_signal("rsi", series, 4, size_fraction=0.4)
     prev = np.mean(series[:4])
     curr = np.mean(series[1:])
     assert prev < 20.0 <= curr
-    assert sig.side == "long"
-    assert sig.size_fraction == 0.4
-    assert sig.trigger_value == 60.0
+    assert signal_side("rsi", series, 4) == "long"
 
 
 def test_cci_no_consecutive_same_direction_entries(rng):
@@ -237,20 +232,18 @@ def test_cci_no_consecutive_same_direction_entries(rng):
     open_side = None
     last_entry = None
     for t in range(1, len(values)):
-        sig = generate_signal(
-            "cci", values[t - 1: t + 1], 1, open_sides={open_side} if open_side else set()
-        )
-        if sig.side != "none":
-            assert sig.side != last_entry or open_side is None
-            open_side = sig.side
-            last_entry = sig.side
+        side = signal_side("cci", values[t - 1: t + 1], 1, open_sides={open_side} if open_side else set())
+        if side != "none":
+            assert side != last_entry or open_side is None
+            open_side = side
+            last_entry = side
         elif rng.uniform() < 0.3:
             open_side = None  # position exits
 
 
 def test_generate_signal_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        generate_signal("macd", [1.0, 2.0], 1)
+        signal_side("macd", [1.0, 2.0], 1)
     with pytest.raises(ValueError):
         crossing_side("macd", 1.0, 2.0)
 
@@ -288,7 +281,7 @@ def trigger_cases(draw):
 @given(case=trigger_cases())
 def test_trigger_means_and_crossing_side_equal_generate_signal(case):
     # The backtest reads each bar's cross from means taken once per run;
-    # on every bar they must give the side generate_signal gives on the
+    # on every bar they must give the side oracle.signal_side gives on the
     # realized window (baseline) and on the window ending on the forecast.
     kind, series, k, forecasts, open_sides = case
     means = _trigger_means(series, k)
@@ -301,8 +294,8 @@ def test_trigger_means_and_crossing_side_equal_generate_signal(case):
         with_forecast = np.append(window, forecasts[t])
         with np.errstate(invalid="ignore"):
             curr = float(np.append(series[t - k + 2: t + 1], forecasts[t]).mean())
-        expected = generate_signal(kind, with_forecast, k, open_sides=open_sides).side
+        expected = signal_side(kind, with_forecast, k, open_sides=open_sides)
         assert crossing_side(kind, float(means[t]), curr, open_sides) == expected
         if t >= k:
-            expected = generate_signal(kind, series[t - k: t + 1], k, open_sides=open_sides).side
+            expected = signal_side(kind, series[t - k: t + 1], k, open_sides=open_sides)
             assert crossing_side(kind, float(means[t - 1]), float(means[t]), open_sides) == expected
