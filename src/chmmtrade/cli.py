@@ -24,10 +24,15 @@ from .strategy import FIDELITIES
 from .training import DegenerateModelError, FitConfig, fit
 
 _CONFIG_FLAGS = ("system", "predictor", "fidelity", "seed")
+# compare reads both predictors and sizes nothing.
+_BACKTEST_ONLY_KEYS = ("predictor", "dynamic_allocation")
 
 
-def _load_backtest_config(args) -> BacktestConfig:
+def _load_backtest_config(args, rejected=()) -> BacktestConfig:
     mapping = dict(data_io.load_config(args.config)) if args.config else {}
+    for key in rejected:
+        if key in mapping:
+            raise ValueError(f"{args.config}: config key {key!r} does not apply to {args.command}")
     for flag in _CONFIG_FLAGS:
         value = getattr(args, flag, None)
         if value is not None:
@@ -117,7 +122,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _load_backtest_config(args)
+    cfg = _load_backtest_config(args, rejected=_BACKTEST_ONLY_KEYS)
     pair = _aligned_pair(args)
     initial = load_params(args.params) if args.params else None
     result = compare_predictors(cfg, pair.bars1, pair.bars2, initial_params=initial)

@@ -9,6 +9,7 @@ implementations, so tests can cross-check the two routes.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 MAX_ENUM_PATHS = 4096
+# Steps per uniform draw in sample_chmm, so its temporaries stay small at any length.
+_SAMPLE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,15 @@ class SampledPaths:
     seed: object
 
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """Inverse-CDF tables along the last axis, with the arithmetic of
+    ``Generator.choice(n, p=row)``: a running sum, then division by its
+    last entry."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
 def sample_chmm(params: ChmmParams, length: int, seed=0) -> SampledPaths:
     """Sample hidden paths and observations.
 
@@ -53,29 +65,49 @@ def sample_chmm(params: ChmmParams, length: int, seed=0) -> SampledPaths:
     is drawn from the coupling-weighted blend of the two transition rows
     selected by both chains' previous states.  Observations are drawn
     from the emission row of the current state.
+
+    Every draw is an inverse-CDF lookup: a uniform double ``u`` picks the
+    first index whose cumulative probability exceeds it.  Step t reads
+    four doubles of the generator's ``random`` stream, in the order
+    chain-1 state, chain-2 state, chain-1 observation, chain-2
+    observation; they are drawn ``_SAMPLE_BLOCK`` steps at a time, which
+    reads the same stream as one ``random((length, 4))`` call.  The
+    samples therefore depend only on that stream, and they equal those of
+    four ``rng.choice(k, p=row)`` calls per step in that order.
     """
     check_params(params)
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)
-    n, m = params.n_states, params.n_bins
-    states = np.zeros((2, length), dtype=np.int64)
-    obs = np.zeros((2, length), dtype=np.int64)
+    n = params.n_states
+    theta, trans = params.coupling, params.trans
+    # blend[c, i, j] is chain c's next-state row after previous states (i, j).
+    blend = np.stack(
+        [theta[0, c] * trans[0, c][:, None, :] + theta[1, c] * trans[1, c][None, :, :] for c in range(2)]
+    )
+    next1, next2 = _choice_cdf(blend).tolist()
+    # A virtual start state n: from (n, n) each chain draws from its prior.
+    for table, prior in zip((next1, next2), _choice_cdf(params.priors).tolist()):
+        table.append([prior] * (n + 1))
+    emit_cdf = _choice_cdf(params.emit)
 
-    for c in range(2):
-        states[c, 0] = rng.choice(n, p=params.priors[c])
-    for c in range(2):
-        obs[c, 0] = rng.choice(m, p=params.emit[c, states[c, 0]])
-    for t in range(1, length):
-        prev = states[:, t - 1]
+    states = np.empty((2, length), dtype=np.int64)
+    obs = np.empty_like(states)
+    s1 = s2 = n
+    for start in range(0, length, _SAMPLE_BLOCK):
+        u = rng.random((min(_SAMPLE_BLOCK, length - start), 4))
+        path1, path2 = [], []
+        # A memoryview yields one float at a time; .tolist() would hold them all.
+        for a, b in zip(memoryview(u[:, 0]), memoryview(u[:, 1])):
+            s1, s2 = bisect_right(next1[s1][s2], a), bisect_right(next2[s1][s2], b)
+            path1.append(s1)
+            path2.append(s2)
+        block = slice(start, start + len(u))
+        states[:, block] = path1, path2
         for c in range(2):
-            row = (
-                params.coupling[0, c] * params.trans[0, c][prev[0]]
-                + params.coupling[1, c] * params.trans[1, c][prev[1]]
-            )
-            states[c, t] = rng.choice(n, p=row)
-        for c in range(2):
-            obs[c, t] = rng.choice(m, p=params.emit[c, states[c, t]])
+            for s in range(n):
+                at = states[c, block] == s
+                obs[c, block][at] = emit_cdf[c, s].searchsorted(u[at, 2 + c], side="right")
 
     states.setflags(write=False)
     return SampledPaths(

@@ -222,6 +222,38 @@ def test_compare_generic_rates_are_probabilities(tmp_path, sim_dir, capsys):
             assert 0.0 <= value <= 1.0
 
 
+@pytest.mark.parametrize("key, value", [("predictor", "baseline"), ("dynamic_allocation", "true")])
+def test_compare_rejects_backtest_only_config_keys(tmp_path, sim_dir, capsys, key, value):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"system = rsi\n{key} = {value}\n")
+    capsys.readouterr()
+    code = run_cli(
+        "compare", "--config", str(cfg_file),
+        "--asset1", str(sim_dir / "asset1.csv"), "--asset2", str(sim_dir / "asset2.csv"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg_file}: config key {key!r} does not apply to compare"
+    ]
+
+
+def test_compare_config_without_backtest_only_keys_changes_nothing(tmp_path, sim_dir, capsys):
+    # The config spells out defaults, so both runs must print and write the same.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("system = rsi\nn_states = 5\nn_bins = 8\nwarm_start = true\n")
+    outputs = []
+    for name, config in (("plain", ()), ("config", ("--config", str(cfg_file)))):
+        capsys.readouterr()
+        code = run_cli(
+            "compare", *config, "--seed", "3",
+            "--asset1", str(sim_dir / "asset1.csv"), "--asset2", str(sim_dir / "asset2.csv"),
+            "--out", str(tmp_path / f"{name}.csv"),
+        )
+        assert code == 0
+        outputs.append((capsys.readouterr().out, (tmp_path / f"{name}.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_error_paths(tmp_path, capsys):
     # missing file surfaces as a diagnostic and nonzero exit
     code = run_cli("stats", "--equity", str(tmp_path / "missing.csv"))

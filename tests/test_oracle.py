@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from chmmtrade import (
@@ -14,7 +16,52 @@ from chmmtrade import (
     synthetic_ohlc,
     uniform_params,
 )
-from conftest import random_obs, random_params
+from chmmtrade.cli import _default_sim_params
+from conftest import random_obs, random_params, simplex_instances
+
+
+def choice_loop_sample(params, length, seed):
+    """Reference sampler: one ``rng.choice`` per chain for the state, then
+    one per chain for the observation, at every step."""
+    rng = np.random.default_rng(seed)
+    n, m = params.n_states, params.n_bins
+    states = np.zeros((2, length), dtype=np.int64)
+    obs = np.zeros((2, length), dtype=np.int64)
+    for c in range(2):
+        states[c, 0] = rng.choice(n, p=params.priors[c])
+    for c in range(2):
+        obs[c, 0] = rng.choice(m, p=params.emit[c, states[c, 0]])
+    for t in range(1, length):
+        prev = states[:, t - 1]
+        for c in range(2):
+            row = (
+                params.coupling[0, c] * params.trans[0, c][prev[0]]
+                + params.coupling[1, c] * params.trans[1, c][prev[1]]
+            )
+            states[c, t] = rng.choice(n, p=row)
+        for c in range(2):
+            obs[c, t] = rng.choice(m, p=params.emit[c, states[c, t]])
+    return states, obs
+
+
+def assert_sample_equals_choice_loop(params, length, seed):
+    draw = sample_chmm(params, length, seed=seed)
+    states, obs = choice_loop_sample(params, length, seed)
+    assert_array_equal(draw.states, states)
+    assert_array_equal(draw.observations.bins, obs)
+    assert draw.states.dtype == draw.observations.bins.dtype == np.int64
+
+
+@given(instance=simplex_instances(), length=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_sampler_equals_choice_loop(instance, length, seed):
+    # Exact zeros, N = 1 and M = 1 included: a zero-probability index is
+    # never drawn by either route, and both read the same doubles.
+    assert_sample_equals_choice_loop(instance[0], length, seed)
+
+
+def test_sampler_equals_choice_loop_on_the_default_market():
+    # 5,000 steps span several of the sampler's uniform-draw blocks.
+    assert_sample_equals_choice_loop(_default_sim_params(5, 8, 42), 5_000, (42, 1))
 
 
 def one_hot_params():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -209,6 +209,39 @@ def test_reestimate_never_decreases_likelihood(rng):
         after = forward(q, obs).joint_likelihood
         assert after >= before * (1.0 - 1e-12)
         assert validate_params(q) == []
+
+
+def _likelihood_one_instance():
+    """M = 1, so the likelihood is 1 and log_joint reads 0.0; after the
+    update it reads -2.2e-16, one rounding of the renormalized rows."""
+    half = [0.5, 0.5]
+    return (
+        ChmmParams(
+            priors=[half, half],
+            trans=[[[half, half], [half, [0.0, 1.0]]], [[half, half], [[2 / 3, 1 / 3], half]]],
+            emit=np.ones((2, 2, 1)),
+            coupling=[half, half],
+        ),
+        ObservationSequence(np.zeros((2, 2), dtype=np.int64)),
+    )
+
+
+@given(instance=simplex_instances())
+@example(instance=_likelihood_one_instance())
+def test_reestimate_never_decreases_scaled_log_joint_with_exact_zeros(instance):
+    # Zero entries stay zero under the growth transform and zero-gradient
+    # rows freeze, yet the likelihood may still not fall (Baum-Eagon).
+    # The bound is relative to the likelihood, as in acceptance criterion
+    # 4: a log_joint of 0.0 leaves no room for rounding in a bound
+    # relative to the log.
+    p, obs = instance
+    before = forward(p, obs, scale=True).log_joint
+    if not math.isfinite(before):
+        return
+    q = reestimate(p, likelihood_gradient(p, obs, scale=True))
+    after = forward(q, obs, scale=True).log_joint
+    assert after >= before + math.log1p(-1e-12)
+    assert validate_params(q) == []
 
 
 def test_fit_noop_with_infinite_tolerance(rng):
