@@ -275,42 +275,34 @@ def _init_params(cfg: BacktestConfig, t: int) -> ChmmParams:
     return jittered_params(cfg.n_states, cfg.n_bins, seed=(cfg.seed, t, 101))
 
 
-def _fitted_windows(cfg: BacktestConfig, ind1, ind2, t0: int, prev_params: ChmmParams | None = None):
-    """Refit the model at every bar from ``t0`` on; yields ``(obs, FitResult)``.
-
-    A window holds the last ``lookback`` discretised values of both
-    series.  With warm starting on, its fit starts from the previous fit
-    (``prev_params`` for the first window) unless those parameters give
-    the window zero likelihood; otherwise from seeded jittered parameters.
-    """
-    disc = cfg.discretizer
-    for t in range(t0, len(ind1)):
-        lo = t - cfg.lookback + 1
-        obs = ObservationSequence.from_lists(
-            [discretize(disc, v) for v in ind1[lo: t + 1]],
-            [discretize(disc, v) for v in ind2[lo: t + 1]],
-        )
-        params0 = prev_params if cfg.fit.warm_start and prev_params is not None else _init_params(cfg, t)
-        if not np.isfinite(forward(params0, obs, scale=True).log_joint):
-            # Warm-started parameters zeroed a bin this window observes.
-            params0 = _init_params(cfg, t)
-        result = fit(params0, obs, cfg.fit)
-        prev_params = result.params
-        yield obs, result
-
-
 def _model_pass(cfg: BacktestConfig, bars1: OhlcSeries, ind1, ind2, t0: int, predictors, prev_params=None):
     """Refit once per decision bar and read each named predictor off the fit.
+
+    Both series are discretised once, from the first bar of the first
+    window on; the window of bar ``t`` holds the bins of its last
+    ``lookback`` bars.  With warm starting on, its fit starts from the
+    previous fit (``prev_params`` for the first window) unless those
+    parameters give the window zero likelihood; otherwise from seeded
+    jittered parameters.
 
     Returns the fit records and, per predictor, one DiagnosticRow per bar
     holding both chains' next states, both forecasts and the traded
     chain's allocation fraction; its signal side is left to the caller.
     """
     disc = cfg.discretizer
+    first = t0 - cfg.lookback + 1
+    bins = np.stack([discretize(disc, ind1[first:]), discretize(disc, ind2[first:])])
     fit_records: list[FitRecord] = []
     readouts = {predictor: [] for predictor in predictors}
-    for t, (obs, result) in enumerate(_fitted_windows(cfg, ind1, ind2, t0, prev_params), start=t0):
-        params, stamp = result.params, bars1.timestamps[t]
+    for t in range(t0, len(ind1)):
+        obs = ObservationSequence(bins[:, t - t0: t - first + 1])
+        params0 = prev_params if cfg.fit.warm_start and prev_params is not None else _init_params(cfg, t)
+        if not np.isfinite(forward(params0, obs, scale=True).log_joint):
+            # Warm-started parameters zeroed a bin this window observes.
+            params0 = _init_params(cfg, t)
+        result = fit(params0, obs, cfg.fit)
+        params = prev_params = result.params
+        stamp = bars1.timestamps[t]
         fit_records.append(FitRecord(window_end=stamp, sweeps_run=result.sweeps_run, trace=result.log_likelihoods))
         for predictor, rows in readouts.items():
             if predictor == "viterbi":
@@ -340,15 +332,17 @@ def run_backtest(
 
     # A cross runs from the trigger mean one point back to the mean ending
     # at the last point, which is this bar's value for the baseline and
-    # the model's forecast otherwise.
+    # the model's forecast otherwise.  The forecast means come from one
+    # (bars, sma_period) matrix, each row summed in the order a 1-D
+    # ``.mean()`` takes, as in _trigger_means.
     if modeled:
         fit_records, readouts = _model_pass(cfg, bars1, ind1, ind2, t0, (cfg.predictor,))
         diagnostics = readouts[cfg.predictor]
-        prevs = means[t0:]
-        currs = [
-            float(np.append(ind1[t - cfg.sma_period + 2: t + 1], row.predicted_value).mean())
-            for t, row in enumerate(diagnostics, start=t0)
-        ]
+        k = cfg.sma_period
+        windows = np.empty((n_bars - t0, k))
+        windows[:, :-1] = sliding_window_view(ind1, k - 1)[t0 - k + 2: n_bars - k + 2]
+        windows[:, -1] = [row.predicted_value for row in diagnostics]
+        prevs, currs = means[t0:], windows.mean(axis=1)
     else:
         fit_records = []
         diagnostics = [DiagnosticRow(timestamp=stamp) for stamp in stamps]
@@ -360,7 +354,8 @@ def run_backtest(
     )
 
     cash = cfg.notional
-    open_trades: list[TradeRecord] = []
+    # At most one position per side, in fill order.
+    open_trades: dict[str, TradeRecord] = {}
     trades: list[TradeRecord] = []
     equity_vals: list[float] = []
     pending = None  # (side, size_fraction, stop_dist, target_dist)
@@ -372,46 +367,37 @@ def run_backtest(
         if pending is not None:
             side, frac, stop_dist, target_dist = pending
             pending = None
-            if frac > 0.0 and all(tr.side != side for tr in open_trades):
-                entry = open_
-                if side == "long":
-                    stop, target = entry - stop_dist, entry + target_dist
-                else:
-                    stop, target = entry + stop_dist, entry - target_dist
-                open_trades.append(
-                    TradeRecord(
-                        entry_time=stamp,
-                        entry_price=entry,
-                        side=side,
-                        size=cfg.notional * frac,
-                        stop_price=stop,
-                        target_price=target,
-                    )
+            if frac > 0.0 and side not in open_trades:
+                direction = 1 if side == "long" else -1
+                open_trades[side] = TradeRecord(
+                    entry_time=stamp,
+                    entry_price=open_,
+                    side=side,
+                    size=cfg.notional * frac,
+                    stop_price=open_ - direction * stop_dist,
+                    target_price=open_ + direction * target_dist,
                 )
 
         # 2. Bracket exits; the stop is checked first when both levels
         #    sit inside the bar's range.
-        still_open = []
-        for tr in open_trades:
-            hit_stop = low <= tr.stop_price if tr.side == "long" else high >= tr.stop_price
-            hit_target = high >= tr.target_price if tr.side == "long" else low <= tr.target_price
+        for side, tr in list(open_trades.items()):
+            hit_stop = low <= tr.stop_price if side == "long" else high >= tr.stop_price
+            hit_target = high >= tr.target_price if side == "long" else low <= tr.target_price
             if hit_stop:
                 tr.close(stamp, tr.stop_price, "stop")
             elif hit_target:
                 tr.close(stamp, tr.target_price, "target")
-            if tr.exit_reason is None:
-                still_open.append(tr)
-            else:
+            if tr.exit_reason is not None:
                 cash += tr.pnl
                 trades.append(tr)
-        open_trades = still_open
+                del open_trades[side]
 
         # 3. Mark to market at the close.
-        unrealized = sum(tr.direction * (close - tr.entry_price) * tr.size for tr in open_trades)
+        unrealized = sum(tr.direction * (close - tr.entry_price) * tr.size for tr in open_trades.values())
         equity_vals.append(cash + unrealized)
 
         # 4. Decide at the close.
-        side = crossing_side(cfg.system, prev, curr, {tr.side for tr in open_trades})
+        side = crossing_side(cfg.system, prev, curr, open_trades)
         row.signal_side = side
         if side != "none" and t + 1 < n_bars and atr_now > 0.0:
             pending = (
@@ -422,7 +408,7 @@ def run_backtest(
             )
 
     # 5. Force-close whatever is still open at the final close.
-    for tr in open_trades:
+    for tr in open_trades.values():
         tr.close(stamps[-1], closes[-1], "end-of-data")
         cash += tr.pnl
         trades.append(tr)

@@ -24,8 +24,9 @@ from .strategy import FIDELITIES
 from .training import DegenerateModelError, FitConfig, fit
 
 _CONFIG_FLAGS = ("system", "predictor", "fidelity", "seed")
-# compare reads both predictors and sizes nothing.
-_BACKTEST_ONLY_KEYS = ("predictor", "dynamic_allocation")
+# compare reads both predictors, sizes nothing and reads only the traded
+# chain, which the fidelity switch leaves alone.
+_BACKTEST_ONLY_KEYS = ("predictor", "dynamic_allocation", "fidelity")
 
 
 def _load_backtest_config(args, rejected=()) -> BacktestConfig:
@@ -155,12 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key-value config file")
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--system", choices=list(SYSTEM_DEFAULTS), default=None)
-        p.add_argument("--fidelity", choices=FIDELITIES, default=None,
-                       help="second-chain self-matrix variant for the predictors")
 
     p = sub.add_parser("backtest", help="run the trading pipeline over two OHLC CSVs")
     add_common(p)
     p.add_argument("--predictor", choices=PREDICTORS, default=None)
+    p.add_argument("--fidelity", choices=FIDELITIES, default=None,
+                   help="second-chain self-matrix variant for the predictors")
     p.add_argument("--dynamic", action="store_true", help="scale position size by state probability")
     p.add_argument("--asset1", required=True, help="traded instrument OHLC CSV")
     p.add_argument("--asset2", required=True, help="filter instrument OHLC CSV")

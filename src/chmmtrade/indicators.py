@@ -102,12 +102,18 @@ class Discretizer:
         return (self.ub - self.lb) / self.m
 
 
-def discretize(d: Discretizer, x: float) -> int:
-    """Bin index of x, clamped to [0, m - 1]; x == ub maps to the top bin."""
-    if not math.isfinite(x):
-        raise ValueError(f"cannot discretize non-finite value {x!r}")
-    idx = int(math.floor((x - d.lb) / d.width))
-    return min(max(idx, 0), d.m - 1)
+def discretize(d: Discretizer, x: float | np.ndarray) -> int | np.ndarray:
+    """Bin index of x, clamped to [0, m - 1]; x == ub maps to the top bin.
+
+    A number gives an int, an array an int64 array of its shape.  Raises
+    ValueError naming the first non-finite value.
+    """
+    values = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"cannot discretize non-finite value {float(values[bad][0])!r}")
+    idx = np.clip(np.floor((values - d.lb) / d.width), 0, d.m - 1).astype(np.int64)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def bin_value(d: Discretizer, k: int) -> float:

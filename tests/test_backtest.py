@@ -99,14 +99,15 @@ def test_filter_indicator_computed_only_when_modeled(monkeypatch, predictor, n_s
     assert seen == [bars1, bars2][:n_series]
 
 
-@pytest.mark.parametrize("system", ["rsi", "cci"])
-@pytest.mark.parametrize("predictor", ["baseline", "marginal"])
-def test_signals_equal_generate_signal_on_each_window(system, predictor):
-    # The bar loop reads crosses from trigger means taken once per run;
-    # each bar's side must be oracle.signal_side's on that bar's window,
-    # given the positions open at its close.
+@pytest.mark.parametrize("system, sma_period", [("rsi", 4), ("cci", 4), ("cci", 1)], ids=["rsi", "cci", "cci-sma1"])
+@pytest.mark.parametrize("predictor", ["baseline", "marginal", "viterbi"])
+def test_signals_equal_generate_signal_on_each_window(system, sma_period, predictor):
+    # The bar loop reads crosses from trigger means and forecast means taken
+    # once per run; each bar's side must be oracle.signal_side's on that
+    # bar's window, given the positions open at its close.  A one-bar mean
+    # leaves the forecast alone in its window.
     bars1, bars2 = synthetic_ohlc(_default_sim_params(2, 8, 42), 300, seed=2)
-    cfg = BacktestConfig(system=system, predictor=predictor, n_states=2)
+    cfg = BacktestConfig(system=system, predictor=predictor, n_states=2, sma_period=sma_period)
     res = run_backtest(cfg, bars1, bars2)
     ind1 = backtest._indicator_series(cfg, bars1)
     k = cfg.sma_period

@@ -222,7 +222,9 @@ def test_compare_generic_rates_are_probabilities(tmp_path, sim_dir, capsys):
             assert 0.0 <= value <= 1.0
 
 
-@pytest.mark.parametrize("key, value", [("predictor", "baseline"), ("dynamic_allocation", "true")])
+@pytest.mark.parametrize("key, value", [
+    ("predictor", "baseline"), ("dynamic_allocation", "true"), ("fidelity", "literal"),
+])
 def test_compare_rejects_backtest_only_config_keys(tmp_path, sim_dir, capsys, key, value):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"system = rsi\n{key} = {value}\n")
@@ -266,9 +268,9 @@ def test_cli_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", "--bars", "10", "--out", str(tmp_path), "--bogus")
     assert exc.value.code == 2
-    # compare reads both predictors and sizes nothing, so it takes neither
-    # backtest-only flag
-    for flags in (("--predictor", "baseline"), ("--dynamic",)):
+    # compare reads both predictors, sizes nothing and reads only the
+    # traded chain, so it takes no backtest-only flag
+    for flags in (("--predictor", "baseline"), ("--dynamic",), ("--fidelity", "literal")):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             run_cli("compare", "--asset1", "a.csv", "--asset2", "b.csv", *flags)

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -172,6 +175,47 @@ def test_discretize_of_bin_value_is_identity():
     for d in (RSI_DISCRETIZER, CCI_DISCRETIZER, Discretizer(-3.0, 7.0, 5)):
         for k in range(d.m):
             assert discretize(d, bin_value(d, k)) == k
+
+
+def scalar_bin(d, x):
+    """The per-value rule: floor((x - lb) / width), clamped to [0, m - 1]."""
+    return min(max(int(math.floor((x - d.lb) / d.width)), 0), d.m - 1)
+
+
+@st.composite
+def discretizer_and_values(draw):
+    d = draw(st.one_of(
+        st.sampled_from([RSI_DISCRETIZER, CCI_DISCRETIZER]),
+        st.builds(lambda lb, span, m: Discretizer(lb, lb + span, m),
+                  st.floats(-1e3, 1e3), st.floats(1e-3, 1e4), st.integers(1, 16)),
+    ))
+    span = d.ub - d.lb
+    value = st.one_of(
+        st.sampled_from([d.lb, d.ub] + [d.lb + k * d.width for k in range(1, d.m)]),
+        st.floats(d.lb - span, d.ub + span),
+        st.floats(-1e300, 1e300),
+    )
+    return d, draw(st.lists(value, min_size=1, max_size=40))
+
+
+@given(discretizer_and_values())
+def test_discretize_array_equals_the_scalar_rule(case):
+    d, xs = case
+    expected = [scalar_bin(d, x) for x in xs]
+    bins = discretize(d, np.array(xs))
+    assert bins.dtype == np.int64 and bins.shape == (len(xs),)
+    assert bins.tolist() == expected
+    singles = [discretize(d, x) for x in xs]
+    assert all(type(k) is int for k in singles) and singles == expected
+
+
+@pytest.mark.parametrize("bad, later", [(np.nan, np.inf), (np.inf, np.nan), (-np.inf, np.nan)])
+def test_discretize_rejects_non_finite_naming_the_first(bad, later):
+    pattern = re.escape(f"non-finite value {float(bad)!r}") + "$"
+    with pytest.raises(ValueError, match=pattern):
+        discretize(RSI_DISCRETIZER, np.array([50.0, bad, 12.0, later]))
+    with pytest.raises(ValueError, match=pattern):
+        discretize(RSI_DISCRETIZER, np.float64(bad))
 
 
 def test_ohlc_bar_invariant():
