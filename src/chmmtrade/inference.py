@@ -2,14 +2,19 @@
 
 The forward pass propagates per-chain trellis mass where each step mixes
 contributions from both chains' previous steps through the coupling
-weights.  The decoder intentionally uses a different rule: per chain it
-maximizes over pairs of source states scored by the plain product of the
-two incoming transition rows, with no coupling weights, and only the
-chain's own source state carries trellis mass forward.
+weights.  Each step is linear in the stacked (2N) trellis vector, so the
+pass runs as a blocked scan (``_scan``): about 3 sqrt(T) Python-level
+steps instead of T, and the step loop itself up to
+``_SCAN_MIN_BLOCK + 1`` steps.  The decoder intentionally uses a
+different rule: per chain it maximizes over pairs of source states
+scored by the plain product of the two incoming transition rows, with no
+coupling weights, and only the chain's own source state carries trellis
+mass forward.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +59,22 @@ class ViterbiTrellis:
     best_prob: np.ndarray   # (2,)
 
 
+# Row index of each chain's emission matrix, shaped to broadcast against bins.T.
+_CHAINS = np.array([[0, 1]])
+
+
 def _emission_lookup(params: ChmmParams, obs: ObservationSequence) -> np.ndarray:
     """bt[t, c, j] = emission probability of chain c's symbol at step t."""
-    if int(obs.bins.max()) >= params.n_bins:
-        raise ValueError(
-            f"observation bin {int(obs.bins.max())} out of range for {params.n_bins} bins"
-        )
     # emit is (2, N, M); chain c reads its own symbol's column at each step.
     # Indexing with bins.T puts the step axis first, so each step's (2, N)
-    # block is contiguous for the per-step recursions.
-    return params.emit[[[0, 1]], :, obs.bins.T]  # (T, 2, N)
+    # block is contiguous for the per-step recursions.  Bins are never
+    # negative, so only a bin past the last can miss.
+    try:
+        return params.emit[_CHAINS, :, obs.bins.T]  # (T, 2, N)
+    except IndexError:
+        raise ValueError(
+            f"observation bin {int(obs.bins.max())} out of range for {params.n_bins} bins"
+        ) from None
 
 
 def forward(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -> ForwardTrellis:
@@ -81,7 +92,10 @@ def forward(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -
 
 def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     """Unvalidated forward recursion; returns the trellis and the emission
-    lookup ``bt`` it used, so the gradient's reverse sweep can reuse both."""
+    lookup ``bt`` it used, so the gradient's reverse sweep can reuse both.
+
+    The steps after the first run as one blocked scan (``_scan``); the
+    step loop it replaces is ``oracle.step_forward``."""
     n = params.n_states
     t_len = obs.length
     bt = _emission_lookup(params, obs)  # (T, 2, N)
@@ -90,37 +104,44 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     scales = np.ones(t_len) if scale else None
     w = params.coupling[:, :, None, None] * params.trans  # (a, c, i, j)
 
-    step = params.priors * bt[0]  # (2, N)
+    first = params.priors * bt[0]  # (2, N)
     if scale:
-        s = step.sum()
+        s = first.sum()
         if s > 0.0:
-            step = step / s
+            first = first / s
             scales[0] = s
-    alpha[:, 0] = step
+    alpha[:, 0] = first
+    later = bt[1:]
 
-    for t in range(1, t_len):
-        # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i],
-        # read from ``step``, which still holds alpha[:, t-1]; then the emissions.
-        step = np.einsum("acij,ai->cj", w, step)
-        step *= bt[t]
-        if scale:
-            s = step.sum()
-            if s > 0.0:
-                step /= s
-                scales[t] = s
-        alpha[:, t] = step
+    def step(x, src):
+        # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i]
+        # for every block at once, then the emissions: the step loop's arithmetic.
+        mass = np.einsum("acij,bai->bcj", w, x)
+        mass *= later[src]
+        return mass
 
+    def operator(ops, src):
+        w_flat = w.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # rows (a, i), columns (c, j)
+        ops = w_flat.T @ ops
+        ops *= later[src].reshape(-1, 2 * n, 1)
+        return ops
+
+    _scan(alpha.transpose(1, 0, 2), step, operator, scales)
+    return _trellis(alpha, scales), bt
+
+
+def _trellis(alpha: np.ndarray, scales: np.ndarray | None) -> ForwardTrellis:
+    """Likelihoods of a finished forward trellis; freezes both arrays."""
     tail = alpha[:, -1].sum(axis=1)  # (2,)
-    with np.errstate(divide="ignore"):
-        if scale:
+    with np.errstate(divide="ignore", over="ignore"):
+        if scales is not None:
             log_total = float(np.log(scales).sum())
             log_pc = np.log(tail) + log_total
         else:
             log_pc = np.log(tail)
-    log_joint = float(log_pc.sum())
-    with np.errstate(over="ignore"):
-        per_chain = np.exp(log_pc) if scale else tail
-        joint = float(np.exp(log_joint)) if scale else float(tail[0] * tail[1])
+        log_joint = float(log_pc.sum())
+        per_chain = np.exp(log_pc) if scales is not None else tail
+        joint = float(np.exp(log_joint)) if scales is not None else float(tail[0] * tail[1])
 
     alpha.setflags(write=False)
     if scales is not None:
@@ -132,7 +153,101 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
         log_per_chain=log_pc,
         log_joint=log_joint,
         scale_factors=scales,
-    ), bt
+    )
+
+
+# Fewest steps per block of the scan.  A sequence of up to this many steps
+# after the first is a single block, which is the step loop itself, so the
+# short refit windows keep its results bit for bit.
+_SCAN_MIN_BLOCK = 64
+
+
+def _next_start(op: np.ndarray, log_norm: np.ndarray, x: np.ndarray, keep_mass: bool) -> np.ndarray:
+    """One block's map applied to a stacked vector ``x`` (2N,):
+    ``op @ (exp(log_norm) * x)`` for columns ``op`` of total 1 (or 0) and
+    their log totals.  The weights are taken relative to the largest
+    ``log_norm + log x``, so no column under- or overflows on its own.
+    Without ``keep_mass`` the result is normalised to total 1."""
+    with np.errstate(divide="ignore"):
+        v = log_norm + np.log(x)
+    top = v.max()
+    if top == -np.inf:  # every path from x has died
+        return np.zeros_like(x)
+    y = op @ np.exp(v - top)
+    if keep_mass:
+        y *= np.exp(top)
+    else:
+        y /= y.sum()
+    return y
+
+
+def _scan(out: np.ndarray, step, operator, scales: np.ndarray | None = None) -> None:
+    """Fill ``out[1:]`` from ``out[0]`` by a linear recursion, in blocks.
+
+    ``out[t]`` is the stacked (2N) vector at position t, in the shape
+    ``step`` works in: (2, N) for the forward pass, a (2N, 1) column for
+    the adjoint.  The recursion is given twice:
+
+    - ``step(x, src)``: the next vectors of a batch ``x`` (k, ...) whose
+      members sit at the positions ``src`` (a slice of ``out[:-1]``, one
+      position per block), each exactly as the step loop computes it;
+    - ``operator(ops, src)``: the same linear map applied to the columns
+      of a batch of (2N, 2N) matrices, (k, 2N, 2N), in any rounding.
+
+    With ``scales`` (T,), every step is normalised by its total mass and
+    the total recorded, as in the scaled step loop; a step with zero mass
+    keeps its zeros and factor 1.
+
+    Steps 1..T-1 are split into blocks of L = max(_SCAN_MIN_BLOCK,
+    isqrt(T)).  Phase 1 maps the unit vectors through every block but
+    the last, all at once in L batched products, normalising each column
+    and keeping its log total.  Phase 2 chains the blocks' start vectors,
+    one product per block.  Phase 3 reruns ``step`` from all starts at
+    once for L steps and writes each result into ``out``: about
+    3 sqrt(T) Python-level steps instead of T.  Block 0 starts from
+    ``out[0]``, so a single block is the step loop bit for bit.
+    """
+    t_len = out.shape[0]
+    size = max(_SCAN_MIN_BLOCK, math.isqrt(t_len))
+    x = out[:1]  # the start of every block
+    ragged = t_len - 1  # steps in the last block
+    if ragged > size:
+        n_blocks = -(-ragged // size)
+        ragged -= size * (n_blocks - 1)
+        x = np.empty((n_blocks,) + out.shape[1:])
+        x[0] = out[0]
+        width = x[0].size  # 2N
+        ops = np.tile(np.eye(width), (n_blocks - 1, 1, 1))
+        log_norm = np.zeros((n_blocks - 1, width))
+        with np.errstate(divide="ignore"):
+            for l in range(size):
+                ops = operator(ops, slice(l, l + size * (n_blocks - 1), size))
+                total = ops.sum(axis=1)  # (k, 2N), one total per column
+                log_norm += np.log(total)  # -inf once a column has died
+                total[total == 0.0] = 1.0
+                ops /= total[:, None]
+        for k in range(1, n_blocks):
+            x[k].flat = _next_start(ops[k - 1], log_norm[k - 1], x[k - 1].ravel(), scales is None)
+    later = out[1:]
+    for l in range(min(size, t_len - 1)):
+        if l == ragged:  # the last block is done
+            x = x[:-1]
+        src = slice(l, t_len - 1, size)
+        x = step(x, src)
+        if scales is not None and len(x) == 1:
+            # Block 0 alone, as in every window of up to 65 steps: a number
+            # for the normaliser, not a (1, 1, 1) array, keeps the step
+            # loop's cost per call as well as its arithmetic.
+            s = x.sum()
+            if s > 0.0:
+                x /= s
+                scales[l + 1] = s
+        elif scales is not None:
+            total = x.sum(axis=(1, 2), keepdims=True)
+            total[total == 0.0] = 1.0  # a step with zero mass keeps its zeros and factor 1
+            x /= total
+            scales[1:][src] = total.ravel()
+        later[src] = x
 
 
 # Pair scores held at once while back-pointers are recovered (about 1 MB
@@ -158,6 +273,13 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
     decoding is deterministic across platforms.  The recursion keeps only
     the maximum; the maximizing pairs ``psi`` are recovered from the
     finished trellis in blocks of steps, with the same scores and ties.
+
+    Unlike the forward and adjoint sweeps, the recursion stays a loop over
+    steps.  A decoded path must score exactly ``log_best`` under
+    ``oracle.score_path``, which adds the terms in this order; the
+    rounding of a running sum depends on its size, so a blocked max-plus
+    scan, which adds a block's terms before the score that precedes the
+    block, cannot keep that equality.
     """
     check_params(params)
     n = params.n_states

@@ -2,7 +2,7 @@
 
 Everything here recomputes model quantities by exhaustive enumeration,
 numerical differencing, forward-mode derivative propagation or
-per-window loops, sharing no recursion with the library's
+per-step and per-window loops, sharing no recursion with the library's
 implementations, so tests can cross-check the two routes.
 """
 
@@ -16,15 +16,18 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .indicators import Discretizer, OhlcSeries, _window_means
-from .inference import ForwardTrellis, _emission_lookup, _forward
+from .inference import ForwardTrellis, _emission_lookup, _forward, _trellis
 from .model import ChmmParams, ObservationSequence, check_params
 from .strategy import crossing_side
+from .training import GradientSet, _gradient_set
 
 __all__ = [
     "AlphaGradients",
     "alpha_gradients",
     "SampledPaths",
     "sample_chmm",
+    "step_forward",
+    "step_adjoint",
     "brute_likelihood",
     "brute_viterbi",
     "score_path",
@@ -115,6 +118,58 @@ def sample_chmm(params: ChmmParams, length: int, seed=0) -> SampledPaths:
         observations=ObservationSequence(obs),
         seed=seed,
     )
+
+
+def step_forward(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -> ForwardTrellis:
+    """The coupled forward recursion one step at a time; the reference for
+    the blocked scan of ``inference.forward``, which equals it bit for bit
+    up to ``inference._SCAN_MIN_BLOCK + 1`` steps."""
+    check_params(params)
+    n = params.n_states
+    t_len = obs.length
+    bt = _emission_lookup(params, obs)  # (T, 2, N)
+
+    alpha = np.empty((2, t_len, n))
+    scales = np.ones(t_len) if scale else None
+    w = params.coupling[:, :, None, None] * params.trans  # (a, c, i, j)
+
+    step = params.priors * bt[0]  # (2, N)
+    if scale:
+        s = step.sum()
+        if s > 0.0:
+            step = step / s
+            scales[0] = s
+    alpha[:, 0] = step
+
+    for t in range(1, t_len):
+        # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i],
+        # read from ``step``, which still holds alpha[:, t-1]; then the emissions.
+        step = np.einsum("acij,ai->cj", w, step)
+        step *= bt[t]
+        if scale:
+            s = step.sum()
+            if s > 0.0:
+                step /= s
+                scales[t] = s
+        alpha[:, t] = step
+    return _trellis(alpha, scales)
+
+
+def step_adjoint(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis) -> GradientSet:
+    """The reverse (adjoint) sweep one step at a time over a forward
+    trellis of ``params`` on ``obs``; the reference for the blocked scan
+    of ``training``'s gradient pass.  No check for a zero likelihood."""
+    alpha = trellis.alpha
+    t_len, n = obs.length, params.n_states
+    bt = _emission_lookup(params, obs)
+    scales = trellis.scale_factors if trellis.scale_factors is not None else np.ones(t_len)
+    w = params.coupling[:, :, None, None] * params.trans
+    w_flat = w.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # rows (a, i), columns (c, j)
+    u = np.empty((t_len, 2, n))
+    u[-1] = alpha[:, -1].sum(axis=1)[::-1, None] / scales[-1]
+    for t in range(t_len - 1, 0, -1):
+        u[t - 1] = (w_flat @ (bt[t] * u[t]).ravel()).reshape(2, n) / scales[t - 1]
+    return _gradient_set(params, obs, trellis, bt, w, u)
 
 
 def _guard_size(params: ChmmParams, obs: ObservationSequence) -> None:

@@ -3,11 +3,12 @@
 The joint likelihood is the product of the two chains' trellis masses at
 the last step, each linear in the forward trellis.  One reverse sweep
 through the coupled recursion, seeded with the other chain's mass,
-carries the adjoint of every trellis entry back to the first step; the
-four gradient families are then sums over steps of trellis values times
-adjoints, in O(T N^2) work.  Re-estimation is the Baum-Eagon growth
-transform ``w <- w * dP/dw / normalizer`` applied per simplex row, which
-never decreases the likelihood.  The forward-mode derivative recursion
+carries the adjoint of every trellis entry back to the first step, as
+the forward pass's blocked scan read backwards; the four gradient
+families are then sums over steps of trellis values times adjoints.
+Re-estimation is the Baum-Eagon growth transform
+``w <- w * dP/dw / normalizer`` applied per simplex row, which never
+decreases the likelihood.  The forward-mode derivative recursion
 lives on in ``oracle.alpha_gradients`` as a cross-check.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import ForwardTrellis, _forward
+from .inference import _CHAINS, ForwardTrellis, _forward, _scan
 from .model import ChmmParams, ObservationSequence, check_params
 
 __all__ = [
@@ -61,8 +62,8 @@ def _checked_forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     """
     check_params(params)
     trellis, bt = _forward(params, obs, scale)
-    tail = trellis.alpha[:, -1].sum(axis=1)
-    if not (tail > 0.0).all():
+    if trellis.log_joint == -math.inf:  # a chain's final mass is 0
+        tail = trellis.alpha[:, -1].sum(axis=1)
         raise DegenerateModelError(f"zero likelihood: per-chain trellis mass {tail.tolist()}")
     return trellis, bt
 
@@ -74,35 +75,53 @@ def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     trellis entry before its scaling, i.e. the adjoint of alpha_t divided
     by that step's normalizer.  With a scaled trellis the result is the
     true gradient divided by the squared product of the normalizers,
-    which ``log_scale`` records and the growth transform ignores.
+    which ``log_scale`` records and the growth transform ignores.  The
+    sweep is the forward's blocked scan read backwards in t
+    (``inference._scan``); its step loop is ``oracle.step_adjoint``.
     """
     alpha = trellis.alpha                              # (2, T, N)
     t_len, n = obs.length, params.n_states
     scales = trellis.scale_factors if trellis.scale_factors is not None else np.ones(t_len)
-    theta = params.coupling[:, :, None, None]
-    w = theta * params.trans                           # (a, c, i, j)
+    w = params.coupling[:, :, None, None] * params.trans  # (a, c, i, j)
     w_flat = w.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # rows (a, i), columns (c, j)
+
+    # The scan runs from the last step to the first, on (2N, 1) columns:
+    # u[t-1] = w_flat @ (bt[t] * u[t]) / scales[t-1] for every block at once.
+    back_bt, back_div = bt[::-1].reshape(t_len, 2 * n, 1), scales[-2::-1, None, None]
+
+    def step(x, src):
+        prev = np.matmul(w_flat, back_bt[src] * x)
+        prev /= back_div[src]
+        return prev
 
     # dP/dalpha_T weighs each chain by the other chain's final mass.
     u = np.empty((t_len, 2, n))
     u[-1] = alpha[:, -1].sum(axis=1)[::-1, None] / scales[-1]
-    for t in range(t_len - 1, 0, -1):
-        u[t - 1] = (w_flat @ (bt[t] * u[t]).ravel()).reshape(2, n) / scales[t - 1]
+    _scan(u[::-1].reshape(t_len, 2 * n, 1), step, step)
+    return _gradient_set(params, obs, trellis, bt, w, u)
 
+
+def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis, bt, w, u) -> GradientSet:
+    """The four families as sums over steps of trellis entries times the
+    adjoints ``u`` (T, 2, N) of the reverse sweep; ``w`` holds the
+    coupling-weighted transitions (a, c, i, j)."""
+    alpha = trellis.alpha                              # (2, T, N)
+    t_len = obs.length
     bu = bt * u                                        # (T, 2, N)
     x = np.einsum("ati,tcj->acij", alpha[:, :-1], bu[1:])
-    mass = np.empty((t_len, 2, n))                     # what multiplies bt[t] in the forward step
+    mass = np.empty((t_len, 2, params.n_states))       # what multiplies bt[t] in the forward step
     mass[0] = params.priors
     mass[1:] = np.einsum("acij,ati->tcj", w, alpha[:, :-1])
     hot = np.zeros((t_len, 2, params.n_bins))
-    hot[np.arange(t_len)[:, None], [0, 1], obs.bins.T] = 1.0
+    hot[np.arange(t_len)[:, None], _CHAINS, obs.bins.T] = 1.0
     d_emit = np.einsum("tck,tcj->cjk", hot, mass * u)
+    scales = trellis.scale_factors
     return GradientSet(
         d_priors=bu[0],
-        d_trans=theta * x,
+        d_trans=params.coupling[:, :, None, None] * x,
         d_emit=d_emit,
         d_coupling=np.einsum("acij,acij->ac", params.trans, x),
-        log_scale=2.0 * float(np.log(scales).sum()),
+        log_scale=2.0 * float(np.log(scales).sum()) if scales is not None else 0.0,
     )
 
 

@@ -34,12 +34,13 @@ def random_obs(rng, m, t_len):
 
 
 @st.composite
-def simplex_instances(draw):
+def simplex_instances(draw, max_len=12):
     """Parameters from small integer weights, so exact zeros are common
-    (and every all-zero simplex falls back to uniform), N = 1 included."""
+    (and every all-zero simplex falls back to uniform), N = 1 included;
+    sequences of 1 to ``max_len`` steps."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 8))
-    t_len = draw(st.integers(1, 12))
+    t_len = draw(st.integers(1, max_len))
 
     def rows(shape, axis):
         size = int(np.prod(shape))

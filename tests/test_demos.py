@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the checkout's sources."""
+"""Every demo script runs to completion against the checkout's sources,
+with every warning an error, as pytest makes them for the tests."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=False,
     )
     assert done.returncode == 0, done.stderr
