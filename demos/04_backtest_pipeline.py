@@ -38,7 +38,7 @@ for name, n_trades, stats in rows:
 
 cfg = BacktestConfig(system="rsi", seed=3, n_states=3)
 cmp_result = compare_predictors(cfg, bars1, bars2)
-print(f"\npredictor agreement over {len(cmp_result.rows)} bars: "
+print(f"\npredictor agreement over {len(cmp_result)} bars: "
       f"states {cmp_result.state_agreement:.1%}, forecast values {cmp_result.value_agreement:.1%}")
 print("when the two predictors track this closely, the cheaper column-sum",
       "predictor can stand in for the decoder", sep="\n")

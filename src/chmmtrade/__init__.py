@@ -46,6 +46,7 @@ from .backtest import (
     BacktestConfig,
     BacktestResult,
     ComparisonResult,
+    Diagnostics,
     EquityCurve,
     PerfStats,
     TradeRecord,

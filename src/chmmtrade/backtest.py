@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,10 +36,9 @@ __all__ = [
     "TradeRecord",
     "EquityCurve",
     "PerfStats",
-    "DiagnosticRow",
+    "Diagnostics",
     "FitRecord",
     "BacktestResult",
-    "ComparisonRow",
     "ComparisonResult",
     "run_backtest",
     "compare_predictors",
@@ -89,10 +89,10 @@ class BacktestConfig:
         for name in ("lookback", "n_states", "n_bins", "indicator_period", "sma_period", "atr_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not self.target_mult > self.stop_mult:
-            raise ValueError("target multiple must exceed stop multiple")
-        if self.notional <= 0:
-            raise ValueError("notional must be positive")
+        if not 0.0 < self.stop_mult < self.target_mult < math.inf:
+            raise ValueError(f"need 0 < stop_mult < target_mult < inf, got {self.stop_mult!r} and {self.target_mult!r}")
+        if not 0.0 < self.notional < math.inf:
+            raise ValueError(f"notional must be positive and finite, got {self.notional!r}")
         if self.fidelity not in FIDELITIES:
             raise ValueError(f"fidelity must be one of {FIDELITIES}, got {self.fidelity!r}")
 
@@ -155,17 +155,23 @@ class PerfStats:
     delta_ratio: float | None = None
 
 
-@dataclass
-class DiagnosticRow:
-    """Per-bar model readout plus the signal decided at that bar's close."""
+@dataclass(eq=False)
+class Diagnostics:
+    """Per-decision-bar columns of one run, named and ordered after the
+    diagnostics file's header: both chains' forecasts and next states, the
+    traded chain's allocation fraction and the side signalled at each
+    bar's close.  The model columns are None for the baseline."""
 
-    timestamp: datetime
-    predicted_value: float = float("nan")
-    predicted_state: int | None = None
-    transition_prob: float = float("nan")
-    predicted_value2: float = float("nan")
-    predicted_state2: int | None = None
-    signal_side: str = "none"
+    timestamps: list[datetime]
+    predicted_value: np.ndarray | None = None
+    predicted_state: np.ndarray | None = None
+    transition_prob: np.ndarray | None = None
+    predicted_value2: np.ndarray | None = None
+    predicted_state2: np.ndarray | None = None
+    signal_side: list[str] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
 
 @dataclass
@@ -180,7 +186,7 @@ class BacktestResult:
     trades: list[TradeRecord]
     equity: EquityCurve
     stats: PerfStats
-    diagnostics: list[DiagnosticRow]
+    diagnostics: Diagnostics
     fit_records: list[FitRecord]
 
 
@@ -275,7 +281,7 @@ def _init_params(cfg: BacktestConfig, t: int) -> ChmmParams:
     return jittered_params(cfg.n_states, cfg.n_bins, seed=(cfg.seed, t, 101))
 
 
-def _model_pass(cfg: BacktestConfig, bars1: OhlcSeries, ind1, ind2, t0: int, predictors, prev_params=None):
+def _model_pass(cfg: BacktestConfig, stamps, ind1, ind2, t0: int, predictors, prev_params=None):
     """Refit once per decision bar and read each named predictor off the fit.
 
     Both series are discretised once, from the first bar of the first
@@ -283,36 +289,36 @@ def _model_pass(cfg: BacktestConfig, bars1: OhlcSeries, ind1, ind2, t0: int, pre
     ``lookback`` bars.  With warm starting on, its fit starts from the
     previous fit (``prev_params`` for the first window) unless those
     parameters give the window zero likelihood; otherwise from seeded
-    jittered parameters.
+    jittered parameters.  ``stamps`` are the decision bars' timestamps.
 
-    Returns the fit records and, per predictor, one DiagnosticRow per bar
-    holding both chains' next states, both forecasts and the traded
-    chain's allocation fraction; its signal side is left to the caller.
+    Returns the fit records and, per predictor, the Diagnostics columns
+    of both chains' next states, both forecasts and the traded chain's
+    allocation fraction; their signal sides are left to the caller.
     """
     disc = cfg.discretizer
     first = t0 - cfg.lookback + 1
     bins = np.stack([discretize(disc, ind1[first:]), discretize(disc, ind2[first:])])
     fit_records: list[FitRecord] = []
-    readouts = {predictor: [] for predictor in predictors}
-    for t in range(t0, len(ind1)):
-        obs = ObservationSequence(bins[:, t - t0: t - first + 1])
+    kinds = (float, int, float, float, int)  # the model columns' dtypes
+    readouts = {p: Diagnostics(stamps, *(np.empty(len(stamps), dtype=kind) for kind in kinds)) for p in predictors}
+    for i, t in enumerate(range(t0, len(ind1))):
+        obs = ObservationSequence(bins[:, i: i + cfg.lookback])
         params0 = prev_params if cfg.fit.warm_start and prev_params is not None else _init_params(cfg, t)
         if not np.isfinite(forward(params0, obs, scale=True).log_joint):
             # Warm-started parameters zeroed a bin this window observes.
             params0 = _init_params(cfg, t)
         result = fit(params0, obs, cfg.fit)
         params = prev_params = result.params
-        stamp = bars1.timestamps[t]
-        fit_records.append(FitRecord(window_end=stamp, sweeps_run=result.sweeps_run, trace=result.log_likelihoods))
-        for predictor, rows in readouts.items():
+        fit_records.append(FitRecord(window_end=stamps[i], sweeps_run=result.sweeps_run, trace=result.log_likelihoods))
+        for predictor, cols in readouts.items():
             if predictor == "viterbi":
                 psi = next_state_viterbi(params, coupled_viterbi(params, obs), cfg.fidelity)
             else:
                 psi = next_state_marginal(params, cfg.fidelity)
-            value1, value2 = (predict_observation(params, psi[c], c, disc) for c in (0, 1))
-            fraction = allocation_fraction(params, psi[0], 0, cfg.fidelity)
-            rows.append(DiagnosticRow(timestamp=stamp, predicted_value=value1, predicted_state=psi[0],
-                                      transition_prob=fraction, predicted_value2=value2, predicted_state2=psi[1]))
+            cols.predicted_state[i], cols.predicted_state2[i] = psi
+            cols.predicted_value[i] = predict_observation(params, psi[0], 0, disc)
+            cols.predicted_value2[i] = predict_observation(params, psi[1], 1, disc)
+            cols.transition_prob[i] = allocation_fraction(params, psi[0], 0, cfg.fidelity)
     return fit_records, readouts
 
 
@@ -336,19 +342,19 @@ def run_backtest(
     # (bars, sma_period) matrix, each row summed in the order a 1-D
     # ``.mean()`` takes, as in _trigger_means.
     if modeled:
-        fit_records, readouts = _model_pass(cfg, bars1, ind1, ind2, t0, (cfg.predictor,))
+        fit_records, readouts = _model_pass(cfg, stamps, ind1, ind2, t0, (cfg.predictor,))
         diagnostics = readouts[cfg.predictor]
         k = cfg.sma_period
         windows = np.empty((n_bars - t0, k))
         windows[:, :-1] = sliding_window_view(ind1, k - 1)[t0 - k + 2: n_bars - k + 2]
-        windows[:, -1] = [row.predicted_value for row in diagnostics]
+        windows[:, -1] = diagnostics.predicted_value
         prevs, currs = means[t0:], windows.mean(axis=1)
     else:
         fit_records = []
-        diagnostics = [DiagnosticRow(timestamp=stamp) for stamp in stamps]
+        diagnostics = Diagnostics(stamps)
         prevs, currs = means[t0 - 1: -1], means[t0:]
-    dynamic = modeled and cfg.dynamic_allocation
-    fractions = [row.transition_prob if dynamic else 1.0 for row in diagnostics]
+    fractions = diagnostics.transition_prob.tolist() if modeled and cfg.dynamic_allocation else repeat(1.0)
+    sides = diagnostics.signal_side
     opens, highs, lows, closes, atrs = (
         col[t0:].tolist() for col in (bars1.open, bars1.high, bars1.low, bars1.close, atr1)
     )
@@ -360,8 +366,8 @@ def run_backtest(
     equity_vals: list[float] = []
     pending = None  # (side, size_fraction, stop_dist, target_dist)
 
-    for t, stamp, open_, high, low, close, atr_now, row, prev, curr, size_fraction in zip(
-        range(t0, n_bars), stamps, opens, highs, lows, closes, atrs, diagnostics, prevs, currs, fractions
+    for t, stamp, open_, high, low, close, atr_now, prev, curr, size_fraction in zip(
+        range(t0, n_bars), stamps, opens, highs, lows, closes, atrs, prevs, currs, fractions
     ):
         # 1. Fill the signal raised at the previous close at this bar's open.
         if pending is not None:
@@ -370,12 +376,8 @@ def run_backtest(
             if frac > 0.0 and side not in open_trades:
                 direction = 1 if side == "long" else -1
                 open_trades[side] = TradeRecord(
-                    entry_time=stamp,
-                    entry_price=open_,
-                    side=side,
-                    size=cfg.notional * frac,
-                    stop_price=open_ - direction * stop_dist,
-                    target_price=open_ + direction * target_dist,
+                    entry_time=stamp, entry_price=open_, side=side, size=cfg.notional * frac,
+                    stop_price=open_ - direction * stop_dist, target_price=open_ + direction * target_dist,
                 )
 
         # 2. Bracket exits; the stop is checked first when both levels
@@ -398,14 +400,9 @@ def run_backtest(
 
         # 4. Decide at the close.
         side = crossing_side(cfg.system, prev, curr, open_trades)
-        row.signal_side = side
+        sides.append(side)
         if side != "none" and t + 1 < n_bars and atr_now > 0.0:
-            pending = (
-                side,
-                size_fraction,
-                cfg.stop_mult * atr_now,
-                cfg.target_mult * atr_now,
-            )
+            pending = (side, size_fraction, cfg.stop_mult * atr_now, cfg.target_mult * atr_now)
 
     # 5. Force-close whatever is still open at the final close.
     for tr in open_trades.values():
@@ -415,25 +412,30 @@ def run_backtest(
 
     equity = EquityCurve(timestamps=stamps, values=np.asarray(equity_vals))
     stats = stats_from_ret_vol(*_ret_vol(equity.values), baseline_ratio)
-    return BacktestResult(
-        trades=trades, equity=equity, stats=stats, diagnostics=diagnostics, fit_records=fit_records
-    )
+    return BacktestResult(trades=trades, equity=equity, stats=stats, diagnostics=diagnostics, fit_records=fit_records)
 
 
-@dataclass
-class ComparisonRow:
-    timestamp: datetime
-    state_marginal: int
-    state_viterbi: int
-    value_marginal: float
-    value_viterbi: float
-
-
-@dataclass
+@dataclass(eq=False)
 class ComparisonResult:
-    rows: list[ComparisonRow]
-    state_agreement: float
-    value_agreement: float
+    """Both predictors' next state and forecast for the traded chain, one
+    entry per decision bar, named after the comparison file's header."""
+
+    timestamps: list[datetime]
+    state_marginal: np.ndarray
+    state_viterbi: np.ndarray
+    value_marginal: np.ndarray
+    value_viterbi: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    @property
+    def state_agreement(self) -> float:
+        return np.count_nonzero(self.state_marginal == self.state_viterbi) / len(self)
+
+    @property
+    def value_agreement(self) -> float:
+        return np.count_nonzero(self.value_marginal == self.value_viterbi) / len(self)
 
 
 def compare_predictors(
@@ -454,14 +456,6 @@ def compare_predictors(
             f"but the config asks for {cfg.n_states} states and {cfg.n_bins} bins"
         )
     ind1, ind2, _, t0 = _decision_inputs(cfg, bars1, bars2, modeled=True)
-    _, readouts = _model_pass(cfg, bars1, ind1, ind2, t0, ("marginal", "viterbi"), initial_params)
-    rows = [
-        ComparisonRow(m.timestamp, m.predicted_state, v.predicted_state, m.predicted_value, v.predicted_value)
-        for m, v in zip(readouts["marginal"], readouts["viterbi"])
-    ]
-    n = len(rows)
-    state_hits = sum(r.state_marginal == r.state_viterbi for r in rows)
-    value_hits = sum(r.value_marginal == r.value_viterbi for r in rows)
-    return ComparisonResult(
-        rows=rows, state_agreement=state_hits / n, value_agreement=value_hits / n
-    )
+    _, readouts = _model_pass(cfg, bars1.timestamps[t0:], ind1, ind2, t0, ("marginal", "viterbi"), initial_params)
+    m, v = readouts["marginal"], readouts["viterbi"]
+    return ComparisonResult(m.timestamps, m.predicted_state, v.predicted_state, m.predicted_value, v.predicted_value)

@@ -63,14 +63,16 @@ def _cmd_backtest(args) -> int:
     data_io.write_stats_txt(out / "stats.txt", result.stats)
     data_io.write_diagnostics_csv(out / "diagnostics.csv", result.diagnostics)
     data_io.write_fit_log(out / "fits.jsonl", result.fit_records)
-    s = result.stats
     print(f"trades = {len(result.trades)}")
-    print(f"ret = {s.ret:.6g}")
-    print(f"vol = {s.vol:.6g}")
-    print(f"ratio = {s.ratio:.6g}")
-    if s.delta_ratio is not None:
-        print(f"delta_ratio = {s.delta_ratio:.6g}")
+    _print_stats(result.stats)
     return 0
+
+
+def _print_stats(stats) -> None:
+    """Every figure of ``stats`` to six significant digits; an absent delta is left out."""
+    for key, value in vars(stats).items():
+        if value is not None:
+            print(f"{key} = {value:.6g}")
 
 
 def _cmd_fit(args) -> int:
@@ -128,8 +130,8 @@ def _cmd_compare(args) -> int:
     initial = load_params(args.params) if args.params else None
     result = compare_predictors(cfg, pair.bars1, pair.bars2, initial_params=initial)
     if args.out:
-        data_io.write_comparison_csv(args.out, result.rows)
-    print(f"bars_compared = {len(result.rows)}")
+        data_io.write_comparison_csv(args.out, result)
+    print(f"bars_compared = {len(result)}")
     print(f"state_agreement = {result.state_agreement:.6f}")
     print(f"value_agreement = {result.value_agreement:.6f}")
     return 0
@@ -137,11 +139,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_stats(args) -> int:
     equity = data_io.load_equity_csv(args.equity)
-    stats = perf_stats(equity, baseline_ratio=args.baseline_ratio)
-    print(f"ret = {stats.ret:.6g}")
-    print(f"vol = {stats.vol:.6g}")
-    print(f"ratio = {stats.ratio:.6g}")
-    print(f"delta_ratio = {stats.delta_ratio:.6g}")
+    _print_stats(perf_stats(equity, baseline_ratio=args.baseline_ratio))
     return 0
 
 

@@ -13,13 +13,14 @@ import logging
 import operator
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 
 from .backtest import (
     BacktestConfig,
-    ComparisonRow,
-    DiagnosticRow,
+    ComparisonResult,
+    Diagnostics,
     EquityCurve,
     FitRecord,
     PerfStats,
@@ -333,40 +334,41 @@ DIAG_HEADER = [
 ]
 
 
-def write_diagnostics_csv(path, rows) -> None:
-    _write_csv(path, DIAG_HEADER, (
-        (
-            stamp,
-            repr(float(r.predicted_value)),
-            "" if r.predicted_state is None else r.predicted_state,
-            repr(float(r.transition_prob)),
-            repr(float(r.predicted_value2)),
-            "" if r.predicted_state2 is None else r.predicted_state2,
-            r.signal_side,
-        )
-        for stamp, r in zip(_iso([r.timestamp for r in rows]), rows)
-    ))
-
-
-def _diagnostic(row: list[str]) -> DiagnosticRow:
-    stamp, value, state, prob, value2, state2, side = row
-    return DiagnosticRow(
-        _parse_timestamp(stamp), float(value), int(state) if state else None, float(prob),
-        float(value2), int(state2) if state2 else None, side,
+def write_diagnostics_csv(path, diagnostics: Diagnostics) -> None:
+    """One line per decision bar; a baseline run, which has no model
+    columns, writes NaN forecasts and fractions and empty states."""
+    d = diagnostics
+    nan, blank = repeat("nan"), repeat("")
+    model = (nan, blank, nan, nan, blank) if d.predicted_value is None else (
+        map(repr, d.predicted_value.tolist()), d.predicted_state.tolist(), map(repr, d.transition_prob.tolist()),
+        map(repr, d.predicted_value2.tolist()), d.predicted_state2.tolist(),
     )
+    _write_csv(path, DIAG_HEADER, zip(_iso(d.timestamps), *model, d.signal_side))
 
 
-def load_diagnostics_csv(path) -> list[DiagnosticRow]:
-    """Read a diagnostics file; a wrong header or a bad row names the line."""
-    return _csv_records(path, DIAG_HEADER, _diagnostic)
+def load_diagnostics_csv(path) -> Diagnostics:
+    """Read a diagnostics file; a wrong header or a bad row names the line.
+    A file whose state cells are all empty is a baseline run's and loads
+    with the model columns None; one mixing empty and filled ones is refused."""
+    blank_states: set[bool] = set()
+
+    def parse(row: list[str]) -> tuple:
+        stamp, value, state, prob, value2, state2, side = row
+        blank_states.update((not state, not state2))
+        if len(blank_states) > 1:
+            raise ValueError("state cells are empty on some rows and filled on others")
+        state, state2 = (int(state), int(state2)) if state else (None, None)
+        return _parse_timestamp(stamp), float(value), state, float(prob), float(value2), state2, side
+
+    stamps, *model, sides = list(zip(*_csv_records(path, DIAG_HEADER, parse))) or [()] * 7
+    modeled = blank_states == {False}
+    return Diagnostics(list(stamps), *(map(np.array, model) if modeled else ()), signal_side=list(sides))
 
 
 def write_stats_txt(path, stats: PerfStats) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"ret = {float(stats.ret)!r}\n")
-        fh.write(f"vol = {float(stats.vol)!r}\n")
-        fh.write(f"ratio = {float(stats.ratio)!r}\n")
-        fh.write(f"delta_ratio = {'' if stats.delta_ratio is None else repr(float(stats.delta_ratio))}\n")
+        for key, value in vars(stats).items():
+            fh.write(f"{key} = {'' if value is None else repr(float(value))}\n")
 
 
 def load_stats_txt(path) -> PerfStats:
@@ -451,16 +453,19 @@ def load_fit_log(path) -> list[FitRecord]:
 COMPARISON_HEADER = ["timestamp", "state_marginal", "state_viterbi", "value_marginal", "value_viterbi"]
 
 
-def write_comparison_csv(path, rows) -> None:
-    """Per-bar predictor comparison rows, one line per decision bar."""
-    _write_csv(path, COMPARISON_HEADER, (
-        (r.timestamp.isoformat(), r.state_marginal, r.state_viterbi, repr(r.value_marginal), repr(r.value_viterbi))
-        for r in rows
+def write_comparison_csv(path, comparison: ComparisonResult) -> None:
+    """Per-bar predictor comparison, one line per decision bar."""
+    c = comparison
+    _write_csv(path, COMPARISON_HEADER, zip(
+        _iso(c.timestamps), c.state_marginal.tolist(), c.state_viterbi.tolist(),
+        map(repr, c.value_marginal.tolist()), map(repr, c.value_viterbi.tolist()),
     ))
 
 
-def load_comparison_csv(path) -> list[ComparisonRow]:
+def load_comparison_csv(path) -> ComparisonResult:
     """Read a comparison file; a wrong header or a bad row names the line."""
-    return _csv_records(path, COMPARISON_HEADER, lambda r: ComparisonRow(
+    records = _csv_records(path, COMPARISON_HEADER, lambda r: (
         _parse_timestamp(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4])
     ))
+    stamps, *columns = list(zip(*records)) or [()] * 5
+    return ComparisonResult(list(stamps), *map(np.array, columns, (int, int, float, float)))

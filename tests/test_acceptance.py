@@ -209,8 +209,10 @@ def test_criterion_6_backtest_fixture():
     scrambled = replace_after(bars1, cutoff, bars_from_closes(np.array(closes))[1:])
     result2 = run_backtest(cfg, scrambled, bars2)
     cut_ts = bars1.timestamps[cutoff]
-    sides1 = [(r.timestamp, r.signal_side) for r in result.diagnostics if r.timestamp <= cut_ts]
-    sides2 = [(r.timestamp, r.signal_side) for r in result2.diagnostics if r.timestamp <= cut_ts]
+    sides1 = [(ts, side) for ts, side in zip(result.diagnostics.timestamps, result.diagnostics.signal_side)
+              if ts <= cut_ts]
+    sides2 = [(ts, side) for ts, side in zip(result2.diagnostics.timestamps, result2.diagnostics.signal_side)
+              if ts <= cut_ts]
     assert sides1 == sides2
     assert [t.entry_time for t in result2.trades if t.entry_time <= cut_ts] == [
         t.entry_time for t in result.trades

@@ -1,3 +1,5 @@
+import math
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -55,6 +57,12 @@ def test_config_validation():
         BacktestConfig(system="macd")
     with pytest.raises(ValueError):
         BacktestConfig(stop_mult=6.0, target_mult=2.0)
+    for stop, target in ((0.0, 6.0), (-1.0, 6.0), (math.nan, 6.0), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(ValueError, match="need 0 < stop_mult < target_mult < inf"):
+            BacktestConfig(stop_mult=stop, target_mult=target)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="notional must be positive and finite"):
+            BacktestConfig(notional=bad)
     with pytest.raises(ValueError):
         BacktestConfig(lookback=0)
 
@@ -111,18 +119,20 @@ def test_signals_equal_generate_signal_on_each_window(system, sma_period, predic
     res = run_backtest(cfg, bars1, bars2)
     ind1 = backtest._indicator_series(cfg, bars1)
     k = cfg.sma_period
+    diag = res.diagnostics
     sides = []
-    for t, row in enumerate(res.diagnostics, start=len(bars1) - len(res.diagnostics)):
+    for i, stamp in enumerate(diag.timestamps):
+        t = len(bars1) - len(diag) + i
         if predictor == "baseline":
             window = ind1[t - k: t + 1]
         else:
-            window = np.append(ind1[t - k + 1: t + 1], row.predicted_value)
+            window = np.append(ind1[t - k + 1: t + 1], diag.predicted_value[i])
         open_sides = {
             tr.side for tr in res.trades
-            if tr.entry_time <= row.timestamp and (tr.exit_reason == "end-of-data" or row.timestamp < tr.exit_time)
+            if tr.entry_time <= stamp and (tr.exit_reason == "end-of-data" or stamp < tr.exit_time)
         }
         sides.append(signal_side(system, window, k, open_sides=open_sides))
-    assert sides == [row.signal_side for row in res.diagnostics]
+    assert sides == diag.signal_side
     assert {"long", "short"} <= set(sides)
 
 
@@ -171,7 +181,7 @@ def test_backtest_is_bit_reproducible():
     assert len(a.trades) == len(b.trades)
     for ta, tb in zip(a.trades, b.trades):
         assert (ta.entry_time, ta.entry_price, ta.pnl) == (tb.entry_time, tb.entry_price, tb.pnl)
-    assert [r.predicted_state for r in a.diagnostics] == [r.predicted_state for r in b.diagnostics]
+    assert_array_equal(a.diagnostics.predicted_state, b.diagnostics.predicted_state)
 
 
 def scramble_after(bars, cutoff_index, seed=99):
@@ -194,18 +204,16 @@ def test_no_look_ahead_under_future_scramble(predictor):
     scrambled2 = scramble_after(bars2, cutoff, seed=123)
     part = run_backtest(cfg, scrambled1, scrambled2)
 
-    by_ts_full = {r.timestamp: r for r in full.diagnostics}
-    by_ts_part = {r.timestamp: r for r in part.diagnostics}
     cut_ts = bars1.timestamps[cutoff]
-    for ts, row in by_ts_full.items():
-        if ts > cut_ts:
-            continue
-        other = by_ts_part[ts]
-        assert row.signal_side == other.signal_side
-        assert row.predicted_state == other.predicted_state
-        assert (np.isnan(row.predicted_value) and np.isnan(other.predicted_value)) or (
-            row.predicted_value == other.predicted_value
-        )
+    a, b = full.diagnostics, part.diagnostics
+    k = bisect_right(a.timestamps, cut_ts)
+    assert a.timestamps[:k] == b.timestamps[:k]
+    assert a.signal_side[:k] == b.signal_side[:k]
+    for name in ("predicted_state", "predicted_value"):
+        if predictor == "baseline":
+            assert getattr(a, name) is getattr(b, name) is None
+        else:
+            assert_array_equal(getattr(a, name)[:k], getattr(b, name)[:k])
     full_entries = [(t.entry_time, t.side, t.entry_price, t.size) for t in full.trades if t.entry_time <= cut_ts]
     part_entries = [(t.entry_time, t.side, t.entry_price, t.size) for t in part.trades if t.entry_time <= cut_ts]
     assert full_entries == part_entries
@@ -217,12 +225,13 @@ def _market(n_bars: int):
 
 
 def _decisions_up_to(result, cut_ts):
-    """Everything a run has decided by ``cut_ts``: its diagnostics rows,
+    """Everything a run has decided by ``cut_ts``: its diagnostics columns,
     its equity marks and the trades it entered."""
-    diagnostics = [
-        (r.timestamp, r.signal_side, r.predicted_state, r.predicted_state2,
-         repr(r.predicted_value), repr(r.predicted_value2), repr(r.transition_prob))
-        for r in result.diagnostics if r.timestamp <= cut_ts
+    d = result.diagnostics
+    k = bisect_right(d.timestamps, cut_ts)
+    diagnostics = [d.timestamps[:k], d.signal_side[:k]] + [
+        None if col is None else list(map(repr, col[:k].tolist()))
+        for col in (d.predicted_state, d.predicted_state2, d.predicted_value, d.predicted_value2, d.transition_prob)
     ]
     equity = [(ts, v) for ts, v in zip(result.equity.timestamps, result.equity.values.tolist()) if ts <= cut_ts]
     entries = [
@@ -309,16 +318,17 @@ def test_compare_rows_equal_backtest_diagnostics(system):
     params = _default_sim_params(3, 8, seed=5)
     bars1, bars2 = synthetic_ohlc(params, 200, seed=5, amplitude=0.005)
     cfg = BacktestConfig(system=system, n_states=3, seed=4)
-    rows = compare_predictors(cfg, bars1, bars2).rows
-    by_predictor = {
-        p: run_backtest(BacktestConfig(system=system, n_states=3, seed=4, predictor=p), bars1, bars2).diagnostics
+    cmp = compare_predictors(cfg, bars1, bars2)
+    m, v = (
+        run_backtest(BacktestConfig(system=system, n_states=3, seed=4, predictor=p), bars1, bars2).diagnostics
         for p in ("marginal", "viterbi")
-    }
-    assert len(rows) == len(by_predictor["marginal"]) == len(by_predictor["viterbi"]) > 100
-    for row, m, v in zip(rows, by_predictor["marginal"], by_predictor["viterbi"]):
-        assert row.timestamp == m.timestamp == v.timestamp
-        assert (row.state_marginal, row.value_marginal) == (m.predicted_state, m.predicted_value)
-        assert (row.state_viterbi, row.value_viterbi) == (v.predicted_state, v.predicted_value)
+    )
+    assert len(cmp) == len(m) == len(v) > 100
+    assert cmp.timestamps == m.timestamps == v.timestamps
+    assert_array_equal(cmp.state_marginal, m.predicted_state)
+    assert_array_equal(cmp.value_marginal, m.predicted_value)
+    assert_array_equal(cmp.state_viterbi, v.predicted_state)
+    assert_array_equal(cmp.value_viterbi, v.predicted_value)
 
 
 def test_stats_from_ret_vol_paper_rows():

@@ -74,7 +74,7 @@ def test_backtest_config_file_with_flag_overrides(tmp_path, sim_dir):
     )
     assert code == 0
     rows = data_io.load_diagnostics_csv(out / "diagnostics.csv")
-    assert any(r.predicted_state is not None for r in rows)  # not baseline
+    assert rows.predicted_state is not None  # not baseline
 
 
 def test_fit_command_round_trip(tmp_path):

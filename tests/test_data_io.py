@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from chmmtrade import BacktestConfig, EquityCurve, ObservationSequence, OhlcSeries, PerfStats, TradeRecord, load_params
-from chmmtrade.backtest import ComparisonRow, DiagnosticRow, FitRecord
+from chmmtrade.backtest import ComparisonResult, Diagnostics, FitRecord
 from chmmtrade import data_io
 from conftest import T0, bars_from_closes
 
@@ -236,20 +236,36 @@ def test_writers_keep_each_stamps_offset(tmp_path):
         assert path.read_text(encoding="utf-8").splitlines()[1:] == [f"{ts.isoformat()},{v}" for ts, v in zip(stamps, (1.0, 2.0))]
 
 
+MODEL_COLUMNS = ("predicted_value", "predicted_state", "transition_prob", "predicted_value2", "predicted_state2")
+
+
 def test_diagnostics_round_trip(tmp_path):
-    rows = [
-        DiagnosticRow(timestamp=T0, predicted_value=43.75, predicted_state=2,
-                      transition_prob=0.41, predicted_value2=81.25, predicted_state2=4,
-                      signal_side="long"),
-        DiagnosticRow(timestamp=T0.replace(minute=10)),  # baseline row: all NaN/None
-    ]
+    stamps = [T0, T0.replace(minute=10)]
+    model = Diagnostics(stamps, np.array([43.75, 0.1 + 0.2]), np.array([2, 0]), np.array([0.41, 1.0]),
+                        np.array([81.25, 6.25]), np.array([4, 1]), ["long", "none"])
+    baseline = Diagnostics(stamps, signal_side=["none", "short"])  # no model columns
+    header = "timestamp,predicted_value,predicted_state,transition_prob,predicted_value2,predicted_state2,signal_side"
     path = tmp_path / "diag.csv"
-    data_io.write_diagnostics_csv(path, rows)
+    data_io.write_diagnostics_csv(path, model)
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        header,
+        "2013-01-01T00:00:00+00:00,43.75,2,0.41,81.25,4,long",
+        "2013-01-01T00:10:00+00:00,0.30000000000000004,0,1.0,6.25,1,none",
+    ]
     again = data_io.load_diagnostics_csv(path)
-    assert again[0].predicted_state == 2
-    assert again[0].signal_side == "long"
-    assert again[1].predicted_state is None
-    assert np.isnan(again[1].predicted_value)
+    assert (again.timestamps, again.signal_side) == (stamps, model.signal_side)
+    for name in MODEL_COLUMNS:
+        assert_array_equal(getattr(again, name), getattr(model, name))
+        assert getattr(again, name).dtype == getattr(model, name).dtype
+    data_io.write_diagnostics_csv(path, baseline)
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        header,
+        "2013-01-01T00:00:00+00:00,nan,,nan,nan,,none",
+        "2013-01-01T00:10:00+00:00,nan,,nan,nan,,short",
+    ]
+    again = data_io.load_diagnostics_csv(path)
+    assert (again.timestamps, again.signal_side) == (stamps, baseline.signal_side)
+    assert all(getattr(again, name) is None for name in MODEL_COLUMNS)
 
 
 def test_stats_round_trip(tmp_path):
@@ -288,20 +304,23 @@ def test_fit_log_round_trip(tmp_path):
 
 
 def test_comparison_round_trip(tmp_path):
-    rows = [
-        ComparisonRow(timestamp=T0, state_marginal=2, state_viterbi=4,
-                      value_marginal=43.75, value_viterbi=0.1 + 0.2),
-        ComparisonRow(timestamp=T0.replace(minute=10), state_marginal=0, state_viterbi=0,
-                      value_marginal=81.25, value_viterbi=81.25),
-    ]
+    comparison = ComparisonResult(
+        [T0, T0.replace(minute=10)], state_marginal=np.array([2, 0]), state_viterbi=np.array([4, 0]),
+        value_marginal=np.array([43.75, 81.25]), value_viterbi=np.array([0.1 + 0.2, 81.25]),
+    )
     path = tmp_path / "compare.csv"
-    data_io.write_comparison_csv(path, rows)
+    data_io.write_comparison_csv(path, comparison)
     assert path.read_text(encoding="utf-8").splitlines() == [
         "timestamp,state_marginal,state_viterbi,value_marginal,value_viterbi",
         "2013-01-01T00:00:00+00:00,2,4,43.75,0.30000000000000004",
         "2013-01-01T00:10:00+00:00,0,0,81.25,81.25",
     ]
-    assert data_io.load_comparison_csv(path) == rows
+    again = data_io.load_comparison_csv(path)
+    assert again.timestamps == comparison.timestamps
+    for name in ("state_marginal", "state_viterbi", "value_marginal", "value_viterbi"):
+        assert_array_equal(getattr(again, name), getattr(comparison, name))
+        assert getattr(again, name).dtype == getattr(comparison, name).dtype
+    assert (again.state_agreement, again.value_agreement) == (0.5, 0.5)
 
 
 @pytest.mark.parametrize("loader, text, message", [
@@ -309,6 +328,9 @@ def test_comparison_round_trip(tmp_path):
      "line 1: expected header entry_time,side,size,"),
     (data_io.load_diagnostics_csv, "timestamp,predicted_value\n2013-01-01T00:00:00+00:00,1.0\n",
      "line 1: expected header timestamp,predicted_value,predicted_state,"),
+    (data_io.load_diagnostics_csv, "timestamp,predicted_value,predicted_state,transition_prob,predicted_value2,"
+     "predicted_state2,signal_side\n2013-01-01T00:00:00+00:00,43.75,2,0.41,81.25,4,long\n"
+     "2013-01-01T00:10:00+00:00,nan,,nan,nan,,none\n", "line 3: state cells are empty on some rows and filled"),
     (data_io.load_comparison_csv, "timestamp,state_marginal,state_viterbi,value_marginal,value_viterbi\n"
      "2013-01-01T00:00:00+00:00,2,4,43.75\n", "line 2: expected 5 fields, got 4"),
     (data_io.load_stats_txt, "ret = 1.0\nvol = 2.0\n", "missing key 'ratio'"),
@@ -321,7 +343,7 @@ def test_comparison_round_trip(tmp_path):
     (load_params, "n_states = 2\n", "missing key 'n_bins'"),
     (load_params, "n_states = 1\nn_bins = 1\nprior_1 = 1.0 # one state\nprior_2 = one\n",
      "key 'prior_2': could not convert string to float: 'one'"),
-], ids=["trades", "diagnostics", "comparison", "stats", "fit-log", "obs-width", "obs-negative",
+], ids=["trades", "diagnostics", "diagnostics-mixed-states", "comparison", "stats", "fit-log", "obs-width", "obs-negative",
         "stats-no-equals", "config-no-equals", "params-missing-key", "params-bad-number"])
 def test_result_loaders_name_the_file_and_line(tmp_path, loader, text, message):
     path = write(tmp_path, "malformed.txt", text)
