@@ -22,7 +22,7 @@ from .indicators import CCI_DISCRETIZER, RSI_DISCRETIZER, Discretizer, OhlcSerie
 from .inference import coupled_viterbi, forward
 from .model import ChmmParams, ObservationSequence, jittered_params
 from .strategy import (
-    FIDELITIES,
+    _check_fidelity,
     allocation_fraction,
     crossing_side,
     next_state_marginal,
@@ -93,8 +93,7 @@ class BacktestConfig:
             raise ValueError(f"need 0 < stop_mult < target_mult < inf, got {self.stop_mult!r} and {self.target_mult!r}")
         if not 0.0 < self.notional < math.inf:
             raise ValueError(f"notional must be positive and finite, got {self.notional!r}")
-        if self.fidelity not in FIDELITIES:
-            raise ValueError(f"fidelity must be one of {FIDELITIES}, got {self.fidelity!r}")
+        _check_fidelity(self.fidelity)
 
     @property
     def discretizer(self) -> Discretizer:
@@ -201,25 +200,22 @@ def stats_from_ret_vol(ret: float, vol: float, baseline_ratio: float | None = No
     return PerfStats(ret=ret, vol=vol, ratio=ratio, delta_ratio=delta)
 
 
-def perf_stats(equity: EquityCurve, baseline_ratio: float) -> PerfStats:
+def perf_stats(equity: EquityCurve, baseline_ratio: float | None) -> PerfStats:
     """Total return, horizon-scaled volatility and their ratio.
 
     Volatility is the standard deviation of per-bar percent returns
     scaled by the square root of the bar count, matching the horizon of
-    the total return; the risk-free rate is taken as zero.
+    the total return; the risk-free rate is taken as zero.  A one-point
+    curve is flat (return and volatility 0, ratio NaN); an empty one
+    raises ValueError.
     """
     values = np.asarray(equity.values, dtype=float)
-    if values.size < 2:
-        raise ValueError("need at least two equity points")
-    return stats_from_ret_vol(*_ret_vol(values), baseline_ratio)
-
-
-def _ret_vol(values: np.ndarray) -> tuple[float, float]:
-    """Total percent return and horizon-scaled percent volatility."""
+    if not values.size:
+        raise ValueError("empty equity curve")
     rets = np.diff(values) / values[:-1]
     total = (values[-1] / values[0] - 1.0) * 100.0
     vol = float(rets.std() * math.sqrt(rets.size) * 100.0) if rets.size else 0.0
-    return total, vol
+    return stats_from_ret_vol(total, vol, baseline_ratio)
 
 
 def _indicator_series(cfg: BacktestConfig, bars: OhlcSeries) -> np.ndarray:
@@ -411,7 +407,7 @@ def run_backtest(
         trades.append(tr)
 
     equity = EquityCurve(timestamps=stamps, values=np.asarray(equity_vals))
-    stats = stats_from_ret_vol(*_ret_vol(equity.values), baseline_ratio)
+    stats = perf_stats(equity, baseline_ratio)
     return BacktestResult(trades=trades, equity=equity, stats=stats, diagnostics=diagnostics, fit_records=fit_records)
 
 

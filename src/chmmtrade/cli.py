@@ -174,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", default=None)
     p.add_argument("--n-states", type=int, default=5)
     p.add_argument("--n-bins", type=int, default=8)
-    p.add_argument("--sweeps", type=int, default=3)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
+    p.add_argument("--sweeps", type=int, default=FitConfig.sweeps)
+    p.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fit)
 

@@ -11,9 +11,10 @@ import csv
 import json
 import logging
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import repeat
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -208,26 +209,22 @@ def align(bars1: OhlcSeries, bars2: OhlcSeries) -> AlignedPair:
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
 
-_CONFIG_KEYS = {
-    "system": str,
-    "lookback": int,
-    "n_states": int,
-    "n_bins": int,
-    "indicator_period": int,
-    "sma_period": int,
-    "atr_period": int,
-    "stop_mult": float,
-    "target_mult": float,
-    "dynamic_allocation": bool,
-    "predictor": str,
-    "notional": float,
-    "fidelity": str,
-    "seed": int,
-    "sweeps": int,
-    "rel_tol": float,
-    "warm_start": bool,
-}
-_FIT_KEYS = ("sweeps", "rel_tol", "warm_start")
+
+def _field_kinds(cls) -> dict[str, type]:
+    """Field name -> value kind of a config dataclass, in field order; an
+    optional field's kind is its non-None type."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: next((k for k in get_args(hints[f.name]) if k is not type(None)), hints[f.name])
+        for f in fields(cls)
+    }
+
+
+# The config file's keys, in file order: every BacktestConfig field but the
+# embedded FitConfig, then that FitConfig's own fields.
+_FIT_KINDS = _field_kinds(FitConfig)
+_CONFIG_KINDS = {key: kind for key, kind in _field_kinds(BacktestConfig).items() if kind is not FitConfig}
+_CONFIG_KINDS.update(_FIT_KINDS)
 
 
 def load_config(path) -> dict[str, str]:
@@ -237,24 +234,28 @@ def load_config(path) -> dict[str, str]:
 
 
 def backtest_config_from_mapping(mapping: dict) -> BacktestConfig:
-    """Build a BacktestConfig (and its embedded FitConfig) from raw strings."""
+    """Build a BacktestConfig (and its embedded FitConfig) from raw strings.
+
+    A key is a field of either dataclass and its text is read as that
+    field's kind; an unknown key or an unreadable value raises ValueError.
+    """
     parsed: dict = {}
     for key, raw in mapping.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_KINDS:
             raise ValueError(f"unknown config key {key!r}")
-        kind = _CONFIG_KEYS[key]
+        kind = _CONFIG_KINDS[key]
         try:
             parsed[key] = _BOOL_WORDS[str(raw).strip().lower()] if kind is bool else kind(raw)
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"config key {key!r}: expected {_KIND_NAMES[kind]}, got {raw!r}") from None
-    fit_kwargs = {k: parsed.pop(k) for k in _FIT_KEYS if k in parsed}
+    fit_kwargs = {k: parsed.pop(k) for k in _FIT_KINDS if k in parsed}
     return BacktestConfig(fit=FitConfig(**fit_kwargs), **parsed)
 
 
 def config_to_text(cfg: BacktestConfig) -> str:
     lines = []
-    for key, kind in _CONFIG_KEYS.items():
-        value = getattr(cfg.fit if key in _FIT_KEYS else cfg, key)
+    for key, kind in _CONFIG_KINDS.items():
+        value = getattr(cfg.fit if key in _FIT_KINDS else cfg, key)
         if kind is bool:
             text = str(value).lower()
         elif kind is float:

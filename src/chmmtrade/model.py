@@ -10,6 +10,7 @@ indicator range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -112,51 +113,18 @@ class ObservationSequence:
 def validate_params(params: ChmmParams) -> list[str]:
     """Check every simplex and range constraint; return violation messages.
 
-    An empty list means the parameters are valid.  Chains, rows and
-    columns are reported 1-based to match the serialized text format.
+    All entries and all simplex sums (prior rows, transition rows,
+    emission rows, coupling columns) are reduced at once; an empty list
+    means every entry lies in [0, 1] and every sum is within
+    ``SIMPLEX_ATOL`` of one.  Otherwise the messages come from those same
+    arrays: first each family with an entry outside [0, 1] (NaN
+    included), then each sum off by more than the tolerance, in the
+    order above.  A NaN sum fails no comparison, so NaN is reported by
+    the range check alone.  Chains, rows and columns are 1-based to match
+    the serialized text format.
     """
-    if _all_within_bounds(params):
-        return []
-    issues: list[str] = []
-
-    for name, arr in (
-        ("priors", params.priors),
-        ("trans", params.trans),
-        ("emit", params.emit),
-        ("coupling", params.coupling),
-    ):
-        ok = (arr >= 0.0) & (arr <= 1.0)
-        if not ok.all():
-            issues.append(f"{name}: entries outside [0, 1]")
-
-    for c in range(N_CHAINS):
-        s = params.priors[c].sum()
-        if abs(s - 1.0) > SIMPLEX_ATOL:
-            issues.append(f"prior chain {c + 1}: sums to {s!r}")
-    for cp in range(N_CHAINS):
-        for c in range(N_CHAINS):
-            rows = params.trans[cp, c].sum(axis=1)
-            for i in np.nonzero(np.abs(rows - 1.0) > SIMPLEX_ATOL)[0]:
-                issues.append(
-                    f"transition matrix ({cp + 1},{c + 1}) row {i + 1}: sums to {rows[i]!r}"
-                )
-    for c in range(N_CHAINS):
-        rows = params.emit[c].sum(axis=1)
-        for j in np.nonzero(np.abs(rows - 1.0) > SIMPLEX_ATOL)[0]:
-            issues.append(f"emission matrix chain {c + 1} row {j + 1}: sums to {rows[j]!r}")
-    cols = params.coupling.sum(axis=0)
-    for c in np.nonzero(np.abs(cols - 1.0) > SIMPLEX_ATOL)[0]:
-        issues.append(f"coupling column {c + 1}: sums to {cols[c]!r}")
-    return issues
-
-
-def _all_within_bounds(params: ChmmParams) -> bool:
-    """Every check of ``validate_params`` at once, over all four families;
-    True only when none of them would report.  NaN fails each comparison,
-    so it falls through to the message builder."""
-    entries = np.concatenate(
-        [params.priors.ravel(), params.trans.ravel(), params.emit.ravel(), params.coupling.ravel()]
-    )
+    families = {"priors": params.priors, "trans": params.trans, "emit": params.emit, "coupling": params.coupling}
+    entries = np.concatenate([arr.ravel() for arr in families.values()])
     sums = np.concatenate(
         [
             params.priors.sum(axis=1),
@@ -165,11 +133,22 @@ def _all_within_bounds(params: ChmmParams) -> bool:
             params.coupling.sum(axis=0),
         ]
     )
-    return bool(
-        entries.min() >= 0.0
-        and entries.max() <= 1.0
-        and (np.abs(sums - 1.0) <= SIMPLEX_ATOL).all()
+    off = np.abs(sums - 1.0) > SIMPLEX_ATOL
+    if entries.min() >= 0.0 and entries.max() <= 1.0 and not off.any():
+        return []
+
+    ends = np.cumsum([arr.size for arr in families.values()])
+    outside = np.split(~((entries >= 0.0) & (entries <= 1.0)), ends[:-1])
+    issues = [f"{name}: entries outside [0, 1]" for name, bad in zip(families, outside) if bad.any()]
+    chains, states = range(1, N_CHAINS + 1), range(1, params.n_states + 1)
+    labels = (
+        [f"prior chain {c}" for c in chains]
+        + [f"transition matrix ({cp},{c}) row {i}" for cp, c, i in product(chains, chains, states)]
+        + [f"emission matrix chain {c} row {j}" for c, j in product(chains, states)]
+        + [f"coupling column {c}" for c in chains]
     )
+    issues += [f"{labels[k]}: sums to {sums[k]!r}" for k in np.flatnonzero(off)]
+    return issues
 
 
 def check_params(params: ChmmParams) -> None:
@@ -219,17 +198,17 @@ def jittered_params(n_states: int, n_bins: int, seed=0, jitter: float = 0.05) ->
     so training always starts from a jittered point.
     """
     rng = np.random.default_rng(seed)
-    base = uniform_params(n_states, n_bins)
+    n, m = int(n_states), int(n_bins)
 
-    def jig(arr, axis):
-        noisy = arr * rng.uniform(1.0 - jitter, 1.0 + jitter, size=arr.shape)
+    def jig(shape, value, axis):
+        noisy = np.full(shape, value) * rng.uniform(1.0 - jitter, 1.0 + jitter, size=shape)
         return noisy / noisy.sum(axis=axis, keepdims=True)
 
     return ChmmParams(
-        priors=jig(np.array(base.priors), axis=1),
-        trans=jig(np.array(base.trans), axis=3),
-        emit=jig(np.array(base.emit), axis=2),
-        coupling=jig(np.array(base.coupling), axis=0),
+        priors=jig((N_CHAINS, n), 1.0 / n, axis=1),
+        trans=jig((N_CHAINS, N_CHAINS, n, n), 1.0 / n, axis=3),
+        emit=jig((N_CHAINS, n, m), 1.0 / m, axis=2),
+        coupling=jig((N_CHAINS, N_CHAINS), 0.5, axis=0),
     )
 
 

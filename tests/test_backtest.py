@@ -361,5 +361,10 @@ def test_perf_stats_identity_and_horizon_scaling():
     rets = np.diff(values) / values[:-1]
     assert stats.vol == pytest.approx(rets.std() * np.sqrt(rets.size) * 100.0)
     assert stats.ratio * stats.vol == pytest.approx(stats.ret, abs=1e-9)
-    with pytest.raises(ValueError, match="two equity points"):
-        perf_stats(EquityCurve(timestamps=[], values=np.array([1.0])), 0.0)
+    # One point is a flat curve, as a backtest of a single decision bar
+    # reports it; no point at all has no return to speak of.
+    flat = perf_stats(EquityCurve(timestamps=[], values=np.array([1.0])), 0.0)
+    assert (flat.ret, flat.vol) == (0.0, 0.0)
+    assert np.isnan(flat.ratio) and np.isnan(flat.delta_ratio)
+    with pytest.raises(ValueError, match="empty equity curve"):
+        perf_stats(EquityCurve(timestamps=[], values=np.array([])), 0.0)

@@ -4,6 +4,7 @@ import pytest
 from chmmtrade import ObservationSequence, OhlcSeries, data_io, load_params, sample_chmm, save_params
 from chmmtrade.cli import _default_sim_params, main
 from chmmtrade.model import ChmmParams
+from test_golden import BACKTESTS
 
 
 def run_cli(*argv):
@@ -147,6 +148,44 @@ def test_stats_of_a_zero_trade_backtest_is_nan(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("stats", "--equity", str(out / "equity.csv")) == 0
     assert capsys.readouterr().out.splitlines() == ["ret = 0", "vol = 0", "ratio = nan", "delta_ratio = nan"]
+
+
+@pytest.mark.parametrize("predictor", ["baseline", "viterbi"])
+def test_stats_of_a_one_decision_bar_backtest(tmp_path, capsys, predictor):
+    # 13 bars leave one decision bar, so equity.csv holds a single point;
+    # the stats command reads it as the flat curve the backtest reported.
+    sim, out = tmp_path / "sim", tmp_path / "bt"
+    assert run_cli("simulate", "--bars", "13", "--seed", "1", "--out", str(sim)) == 0
+    capsys.readouterr()
+    assert run_cli(
+        "backtest", "--asset1", str(sim / "asset1.csv"), "--asset2", str(sim / "asset2.csv"),
+        "--out", str(out), "--predictor", predictor,
+    ) == 0
+    reported = capsys.readouterr().out.splitlines()[1:]
+    assert len(data_io.load_equity_csv(out / "equity.csv").values) == 1
+    assert run_cli("stats", "--equity", str(out / "equity.csv")) == 0
+    assert capsys.readouterr().out.splitlines() == [*reported, "delta_ratio = nan"]
+    assert reported == ["ret = 0", "vol = 0", "ratio = nan"]
+
+
+@pytest.fixture(scope="module")
+def golden_sim(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden-sim")
+    assert run_cli("simulate", "--bars", "300", "--seed", "42", "--out", str(out)) == 0
+    return out
+
+
+@pytest.mark.parametrize("run", list(BACKTESTS))
+def test_stats_command_reproduces_the_golden_backtests(tmp_path, golden_sim, capsys, run):
+    # One statistics route: the figures a backtest prints are the ones the
+    # stats command computes from that run's own equity.csv.
+    assets = ("--asset1", str(golden_sim / "asset1.csv"), "--asset2", str(golden_sim / "asset2.csv"))
+    capsys.readouterr()
+    assert run_cli("backtest", *assets, "--seed", "42", "--out", str(tmp_path), *BACKTESTS[run]) == 0
+    reported = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(" = ")[0] for line in reported] == ["ret", "vol", "ratio"]
+    assert run_cli("stats", "--equity", str(tmp_path / "equity.csv")) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == reported
 
 
 def test_compare_identity_transition_model_agrees_fully(tmp_path, capsys):

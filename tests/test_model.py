@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from chmmtrade import (
@@ -12,7 +14,8 @@ from chmmtrade import (
     uniform_params,
     validate_params,
 )
-from conftest import random_params
+from chmmtrade.model import N_CHAINS, SIMPLEX_ATOL
+from conftest import random_params, simplex_instances
 
 
 def test_uniform_params_pass_validation():
@@ -95,6 +98,69 @@ def test_validate_params_messages_at_the_tolerance_edges(params, expected):
     assert validate_params(params) == expected
 
 
+FAMILIES = ("priors", "trans", "emit", "coupling")
+
+
+def _messages_family_by_family(params):
+    """Reference for ``validate_params``: the message builder as it was when
+    each family was reduced on its own, one simplex at a time."""
+    issues = []
+    for name in FAMILIES:
+        arr = getattr(params, name)
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():
+            issues.append(f"{name}: entries outside [0, 1]")
+    for c in range(N_CHAINS):
+        s = params.priors[c].sum()
+        if abs(s - 1.0) > SIMPLEX_ATOL:
+            issues.append(f"prior chain {c + 1}: sums to {s!r}")
+    for cp in range(N_CHAINS):
+        for c in range(N_CHAINS):
+            rows = params.trans[cp, c].sum(axis=1)
+            for i in np.nonzero(np.abs(rows - 1.0) > SIMPLEX_ATOL)[0]:
+                issues.append(f"transition matrix ({cp + 1},{c + 1}) row {i + 1}: sums to {rows[i]!r}")
+    for c in range(N_CHAINS):
+        rows = params.emit[c].sum(axis=1)
+        for j in np.nonzero(np.abs(rows - 1.0) > SIMPLEX_ATOL)[0]:
+            issues.append(f"emission matrix chain {c + 1} row {j + 1}: sums to {rows[j]!r}")
+    cols = params.coupling.sum(axis=0)
+    for c in np.nonzero(np.abs(cols - 1.0) > SIMPLEX_ATOL)[0]:
+        issues.append(f"coupling column {c + 1}: sums to {cols[c]!r}")
+    return issues
+
+
+@st.composite
+def perturbed_params(draw):
+    """``simplex_instances`` parameters with up to four entries replaced by
+    NaN, +-inf, a negative number or one above 1, or moved by k * SIMPLEX_ATOL
+    with |k| near 1, which shifts that entry's row (or column) sum by about
+    as much and lands on either side of the tolerance."""
+    params, _ = draw(simplex_instances(max_len=1))
+    arrays = {name: np.array(getattr(params, name)) for name in FAMILIES}
+    for _ in range(draw(st.integers(0, 4))):
+        arr = arrays[draw(st.sampled_from(FAMILIES))]
+        idx = draw(st.integers(0, arr.size - 1))
+        # "shift" twice: the tolerance edge gets a third of the draws.
+        kind = draw(st.sampled_from(["nan", "inf", "-inf", "negative", "above one", "shift", "shift"]))
+        if kind == "shift":
+            k = draw(st.floats(0.9, 1.1)) * draw(st.sampled_from([-1.0, 1.0]))
+            arr.flat[idx] += k * SIMPLEX_ATOL
+        elif kind == "negative":
+            arr.flat[idx] = -draw(st.floats(1e-300, 1.0))
+        elif kind == "above one":
+            arr.flat[idx] = 1.0 + draw(st.floats(1e-15, 1.0))
+        else:
+            arr.flat[idx] = float(kind)
+    return ChmmParams(**arrays)
+
+
+@given(perturbed_params())
+def test_validate_params_matches_the_family_by_family_messages(params):
+    # +inf and -inf in one simplex sum to NaN, which numpy warns about in
+    # both versions alike; the messages are what is compared here.
+    with np.errstate(invalid="ignore"):
+        assert validate_params(params) == _messages_family_by_family(params)
+
+
 def test_params_are_immutable():
     p = uniform_params(2, 2)
     with pytest.raises(ValueError):
@@ -160,6 +226,23 @@ def test_jittered_params_valid_and_seeded():
     assert not np.array_equal(a.trans, c.trans)
     # jitter keeps entries within 5% of uniform before renormalization
     assert np.abs(a.trans - 0.2).max() < 0.05
+
+
+@pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (2, 3, 1), (5, 8, 42), (3, 4, (7, 2, 101)), (4, 2, 9)])
+def test_jittered_params_equal_jittered_uniform_params(n, m, seed):
+    # The same draws, in the same order, applied to a copy of uniform_params.
+    rng = np.random.default_rng(seed)
+    base = uniform_params(n, m)
+
+    def jig(arr, axis):
+        noisy = arr * rng.uniform(1.0 - 0.05, 1.0 + 0.05, size=arr.shape)
+        return noisy / noisy.sum(axis=axis, keepdims=True)
+
+    expected = (jig(np.array(base.priors), 1), jig(np.array(base.trans), 3),
+                jig(np.array(base.emit), 2), jig(np.array(base.coupling), 0))
+    got = jittered_params(n, m, seed=seed)
+    for name, want in zip(FAMILIES, expected):
+        assert getattr(got, name).tobytes() == want.tobytes()
 
 
 def test_observation_sequence_validation():
