@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import operator
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import chain, islice
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -93,25 +94,40 @@ def _iso(stamps: list[datetime]) -> list[str]:
     return texts
 
 
+def _header_reader(fh, path, header: list[str]):
+    """A ``csv`` reader over ``fh`` past its first record, which must be
+    exactly ``header``; an empty file or a wrong header raises ValueError
+    naming the path."""
+    reader = csv.reader(fh)
+    first = next(reader, None)
+    if first is None:
+        raise ValueError(f"{path}: empty file")
+    if [h.strip() for h in first] != header:
+        raise ValueError(f"{path}: line 1: expected header {','.join(header)}")
+    return reader
+
+
+def _is_data_row(row: list[str], width: int, path, lineno: int) -> bool:
+    """Whether a ``csv`` record is a data row of ``width`` fields; a blank
+    line is not, and a row of another width raises ValueError naming the
+    path and line."""
+    if len(row) == width:
+        return True
+    if not row or (len(row) == 1 and not row[0].strip()):
+        return False
+    raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+
+
 def _csv_rows(path, header: list[str]):
     """``(line number, fields)`` of every data row of a CSV that must start
     with exactly ``header``; blank lines are skipped, and an empty file, a
     wrong header or a row of another width raises ValueError naming the
     path and line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise ValueError(f"{path}: empty file")
-        if [h.strip() for h in first] != header:
-            raise ValueError(f"{path}: line 1: expected header {','.join(header)}")
-        width = len(header)
+        reader = _header_reader(fh, path, header)
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
-            yield lineno, row
+            if _is_data_row(row, len(header), path, lineno):
+                yield lineno, row
 
 
 def _csv_records(path, header: list[str], parse) -> list:
@@ -126,11 +142,76 @@ def _csv_records(path, header: list[str], parse) -> list:
     return records
 
 
-def _write_csv(path, header: list[str], rows) -> None:
+def _write_csv(path, header: list[str], fmt: str, *columns) -> None:
+    """Write the header line, then ``fmt.format`` of each row of
+    ``columns``; ``fmt`` ends its line in ``\\r\\n``.  No field written
+    here holds a comma, a quote or a line break, so none needs quoting and
+    the bytes are those ``csv.writer`` would write."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(fmt.format, *columns))
+
+
+# Lines per block of an OHLC file; the tests patch it down to put rows at
+# block boundaries.
+_BLOCK_LINES = 4096
+# Characters that send a block to the csv row route: the quote, NUL, and
+# \x1c-\x1f, which numpy's number parser strips as white space and
+# ``float`` does not.
+_ROW_ROUTE_CHARS = '"\0\x1c\x1d\x1e\x1f'
+
+
+def _line_blocks(fh):
+    """Lists of up to ``_BLOCK_LINES`` lines of ``fh``.  A decode error is
+    raised after the block of the lines decoded before it, so an error in
+    those lines comes first, as it does for a reader taking one line at a
+    time."""
+    block = []
+    try:
+        for line in fh:
+            block.append(line)
+            if len(block) == _BLOCK_LINES:
+                yield block
+                block = []
+    except UnicodeDecodeError:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _plain_block(block: list[str]):
+    """``(stamps, prices)`` of a block of plain OHLC lines, else None.
+
+    Plain lines are ASCII, hold none of ``_ROW_ROUTE_CHARS``, fit the csv
+    field size limit and have exactly five comma-separated fields: an
+    ISO-8601 stamp that ``fromisoformat`` reads as it is, then four prices
+    that numpy's parser reads (one ``loadtxt`` call for the block; on such
+    text it and ``float`` agree bit for bit).  The comma count caps the
+    total width and ``loadtxt`` refuses a line short of five fields, so
+    every line has exactly five.  A blank line, which ``loadtxt`` skips,
+    has no stamp; the row count check keeps prices and stamps aligned
+    all the same.  A naive stamp is read as UTC.
+    """
+    text = "".join(block)
+    if (
+        not text.isascii()
+        or any(map(text.__contains__, _ROW_ROUTE_CHARS))
+        or text.count(",") != 4 * len(block)
+        or max(map(len, block)) > csv.field_size_limit()
+    ):
+        return None
+    try:
+        prices = np.loadtxt(block, dtype=np.float64, delimiter=",", comments=None, usecols=(1, 2, 3, 4), ndmin=2)
+        stamps = list(map(datetime.fromisoformat, [line.partition(",")[0] for line in block]))
+    except ValueError:
+        return None
+    if len(prices) != len(block):
+        return None
+    if None in map(operator.attrgetter("tzinfo"), stamps):
+        stamps = [ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts for ts in stamps]
+    return stamps, prices
 
 
 def load_ohlc_csv(path) -> OhlcSeries:
@@ -139,32 +220,63 @@ def load_ohlc_csv(path) -> OhlcSeries:
     Expects the exact header ``timestamp,open,high,low,close`` with
     ISO-8601 UTC timestamps.  Duplicate timestamps keep the last record
     in file order (with a logged warning); every row must be finite and
-    satisfy the OHLC invariant.  Errors name the offending line.  One
-    pass collects the stamps and the price fields, which are then
-    converted and checked as whole columns.
+    satisfy the OHLC invariant.  Errors name the offending line, counting
+    lines as the ``csv`` reader counts records.
+
+    The file is read ``_BLOCK_LINES`` lines at a time (``_line_blocks``).
+    A block of plain lines is parsed whole by ``_plain_block``.  Any other
+    block (quotes, blank lines, a row of another width, a cell numpy or
+    ``fromisoformat`` refuses) goes through the ``csv`` reader row by row,
+    reading past the block's end only to finish a quoted record.  A stamp,
+    width or decode error is raised where it is met, an unreadable price
+    once every row is read (so a later stamp or width error comes first),
+    then the first row that is not finite or breaks the invariant.  Stamps that are not strictly
+    increasing are sorted and deduplicated.  Results, errors and warnings
+    equal those of the row-by-row ``oracle.load_ohlc_rows``.
     """
     stamps: list[datetime] = []
-    cells: list[str] = []  # open, high, low, close of every row, row after row
-    lines: list[int] = []
-    for lineno, row in _csv_rows(path, OHLC_HEADER):
-        try:
-            stamps.append(_parse_timestamp(row[0].strip()))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        cells += row[1:]
-        lines.append(lineno)
+    prices: list[np.ndarray] = []  # (rows, 4) open, high, low, close of each block
+    numbers: list = []  # the line number of each block's rows
+    price_error = None  # the first unreadable price
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        _header_reader(fh, path, OHLC_HEADER)
+        lineno = 2
+        for block in _line_blocks(fh):
+            plain = _plain_block(block)
+            if plain is not None:
+                stamps += plain[0]
+                prices.append(plain[1])
+                numbers.append(range(lineno, lineno + len(block)))
+                lineno += len(block)
+                continue
+            rows, row_lines = [], []
+            reader = csv.reader(chain(block, fh))
+            for row in reader:
+                if _is_data_row(row, len(OHLC_HEADER), path, lineno):
+                    try:
+                        stamps.append(_parse_timestamp(row[0].strip()))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                    try:
+                        rows.append([float(v) for v in row[1:]])
+                    except ValueError as exc:
+                        price_error = price_error or f"{path}: line {lineno}: {exc}"
+                        rows.append([math.nan] * 4)
+                    row_lines.append(lineno)
+                lineno += 1
+                if reader.line_num >= len(block):
+                    break
+            prices.append(np.array(rows, dtype=np.float64).reshape(-1, 4))
+            numbers.append(row_lines)
     if not stamps:
         raise ValueError(f"{path}: no data rows")
-    try:
-        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells)).reshape(-1, 4)
-    except ValueError:
-        for k, lineno in enumerate(lines):  # name the first row that does not parse
-            try:
-                [float(v) for v in cells[4 * k: 4 * k + 4]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        raise
+    if price_error:
+        raise ValueError(price_error)
+    values = np.concatenate(prices)
     bad = _bad_rows(*values.T)
+    if not bad.size and all(map(operator.lt, stamps, islice(stamps, 1, None))):
+        return OhlcSeries(stamps, *values.T)
+    lines = list(chain.from_iterable(numbers))
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"{path}: line {lines[i]}: {_row_problem(stamps[i], *values[i].tolist())}")
@@ -179,7 +291,9 @@ def load_ohlc_csv(path) -> OhlcSeries:
 
 def write_ohlc_csv(path, bars: OhlcSeries) -> None:
     columns = (bars.open, bars.high, bars.low, bars.close)
-    _write_csv(path, OHLC_HEADER, zip(_iso(bars.timestamps), *(map(repr, col.tolist()) for col in columns)))
+    _write_csv(
+        path, OHLC_HEADER, "{},{!r},{!r},{!r},{!r}\r\n", _iso(bars.timestamps), *(col.tolist() for col in columns)
+    )
 
 
 def align(bars1: OhlcSeries, bars2: OhlcSeries) -> AlignedPair:
@@ -276,15 +390,16 @@ TRADES_HEADER = [
 
 
 def write_trades_csv(path, trades) -> None:
-    _write_csv(path, TRADES_HEADER, (
-        (
+    """One line per trade; an open trade's exit fields are empty."""
+    _write_csv(path, TRADES_HEADER, "{}\r\n", (
+        ",".join((
             tr.entry_time.isoformat(), tr.side, repr(float(tr.size)), repr(float(tr.entry_price)),
             repr(float(tr.stop_price)), repr(float(tr.target_price)),
             tr.exit_time.isoformat() if tr.exit_time else "",
             repr(float(tr.exit_price)) if tr.exit_price is not None else "",
             tr.exit_reason or "",
             repr(float(tr.pnl)) if tr.pnl is not None else "",
-        )
+        ))
         for tr in trades
     ))
 
@@ -317,7 +432,7 @@ EQUITY_HEADER = ["timestamp", "equity"]
 
 def write_equity_csv(path, equity: EquityCurve) -> None:
     values = np.asarray(equity.values, dtype=float).tolist()
-    _write_csv(path, EQUITY_HEADER, zip(_iso(equity.timestamps), map(repr, values)))
+    _write_csv(path, EQUITY_HEADER, "{},{!r}\r\n", _iso(equity.timestamps), values)
 
 
 def load_equity_csv(path) -> EquityCurve:
@@ -339,12 +454,14 @@ def write_diagnostics_csv(path, diagnostics: Diagnostics) -> None:
     """One line per decision bar; a baseline run, which has no model
     columns, writes NaN forecasts and fractions and empty states."""
     d = diagnostics
-    nan, blank = repeat("nan"), repeat("")
-    model = (nan, blank, nan, nan, blank) if d.predicted_value is None else (
-        map(repr, d.predicted_value.tolist()), d.predicted_state.tolist(), map(repr, d.transition_prob.tolist()),
-        map(repr, d.predicted_value2.tolist()), d.predicted_state2.tolist(),
+    if d.predicted_value is None:
+        _write_csv(path, DIAG_HEADER, "{},nan,,nan,nan,,{}\r\n", _iso(d.timestamps), d.signal_side)
+        return
+    _write_csv(
+        path, DIAG_HEADER, "{},{!r},{},{!r},{!r},{},{}\r\n", _iso(d.timestamps),
+        d.predicted_value.tolist(), d.predicted_state.tolist(), d.transition_prob.tolist(),
+        d.predicted_value2.tolist(), d.predicted_state2.tolist(), d.signal_side,
     )
-    _write_csv(path, DIAG_HEADER, zip(_iso(d.timestamps), *model, d.signal_side))
 
 
 def load_diagnostics_csv(path) -> Diagnostics:
@@ -396,7 +513,7 @@ OBS_HEADER = ["o1", "o2"]
 
 def write_obs_csv(path, obs) -> None:
     """Observation bins as two integer columns headed ``o1,o2``."""
-    _write_csv(path, OBS_HEADER, ((int(a), int(b)) for a, b in zip(obs.bins[0], obs.bins[1])))
+    _write_csv(path, OBS_HEADER, "{},{}\r\n", *obs.bins.tolist())
 
 
 def _obs_bins(row: list[str]) -> tuple[int, int]:
@@ -457,10 +574,10 @@ COMPARISON_HEADER = ["timestamp", "state_marginal", "state_viterbi", "value_marg
 def write_comparison_csv(path, comparison: ComparisonResult) -> None:
     """Per-bar predictor comparison, one line per decision bar."""
     c = comparison
-    _write_csv(path, COMPARISON_HEADER, zip(
-        _iso(c.timestamps), c.state_marginal.tolist(), c.state_viterbi.tolist(),
-        map(repr, c.value_marginal.tolist()), map(repr, c.value_viterbi.tolist()),
-    ))
+    _write_csv(
+        path, COMPARISON_HEADER, "{},{},{},{!r},{!r}\r\n", _iso(c.timestamps),
+        c.state_marginal.tolist(), c.state_viterbi.tolist(), c.value_marginal.tolist(), c.value_viterbi.tolist(),
+    )
 
 
 def load_comparison_csv(path) -> ComparisonResult:

@@ -9,6 +9,7 @@ indicator range.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 
@@ -125,16 +126,20 @@ def validate_params(params: ChmmParams) -> list[str]:
     """
     families = {"priors": params.priors, "trans": params.trans, "emit": params.emit, "coupling": params.coupling}
     entries = np.concatenate([arr.ravel() for arr in families.values()])
-    sums = np.concatenate(
-        [
-            params.priors.sum(axis=1),
-            params.trans.sum(axis=3).ravel(),
-            params.emit.sum(axis=2).ravel(),
-            params.coupling.sum(axis=0),
-        ]
-    )
+    in_range = entries.min() >= 0.0 and entries.max() <= 1.0
+    # Entries in [0, 1] sum without warnings; out of range, +inf and -inf
+    # in one simplex sum to NaN, which the range message already covers.
+    with nullcontext() if in_range else np.errstate(invalid="ignore"):
+        sums = np.concatenate(
+            [
+                params.priors.sum(axis=1),
+                params.trans.sum(axis=3).ravel(),
+                params.emit.sum(axis=2).ravel(),
+                params.coupling.sum(axis=0),
+            ]
+        )
     off = np.abs(sums - 1.0) > SIMPLEX_ATOL
-    if entries.min() >= 0.0 and entries.max() <= 1.0 and not off.any():
+    if in_range and not off.any():
         return []
 
     ends = np.cumsum([arr.size for arr in families.values()])

@@ -3,19 +3,23 @@
 Everything here recomputes model quantities by exhaustive enumeration,
 numerical differencing, forward-mode derivative propagation or
 per-step and per-window loops, sharing no recursion with the library's
-implementations, so tests can cross-check the two routes.
+implementations, so tests can cross-check the two routes.  The OHLC
+reader here takes a file one ``csv`` row at a time, the reference for
+the library's block reader.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .indicators import Discretizer, OhlcSeries, _window_means
+from .data_io import OHLC_HEADER, _csv_rows, _parse_timestamp
+from .indicators import Discretizer, OhlcSeries, _bad_rows, _row_problem, _window_means
 from .inference import ForwardTrellis, _emission_lookup, _forward, _trellis
 from .model import ChmmParams, ObservationSequence, check_params
 from .strategy import crossing_side
@@ -33,10 +37,13 @@ __all__ = [
     "score_path",
     "fd_gradient",
     "cci_loop",
+    "load_ohlc_rows",
     "signal_side",
     "synthetic_ohlc",
     "permutation_aligned_mae",
 ]
+
+log = logging.getLogger(__name__)
 
 MAX_ENUM_PATHS = 4096
 # Steps per uniform draw in sample_chmm, so its temporaries stay small at any length.
@@ -462,6 +469,52 @@ def cci_loop(high, low, close, period: int) -> np.ndarray:
         mad = np.abs(window - means[t]).mean()
         out[t] = 0.0 if mad == 0.0 else (tp[t] - means[t]) / (0.015 * mad)
     return out
+
+
+def load_ohlc_rows(path) -> OhlcSeries:
+    """Read, validate, sort and deduplicate an OHLC file one ``csv`` row at
+    a time; the reference for ``data_io.load_ohlc_csv``, which reads
+    blocks of rows.
+
+    Expects the exact header ``timestamp,open,high,low,close`` with
+    ISO-8601 UTC timestamps.  Duplicate timestamps keep the last record
+    in file order (with a logged warning); every row must be finite and
+    satisfy the OHLC invariant.  Errors name the offending line.  One
+    pass collects the stamps and the price fields, which are then
+    converted and checked as whole columns.
+    """
+    stamps: list[datetime] = []
+    cells: list[str] = []  # open, high, low, close of every row, row after row
+    lines: list[int] = []
+    for lineno, row in _csv_rows(path, OHLC_HEADER):
+        try:
+            stamps.append(_parse_timestamp(row[0].strip()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        cells += row[1:]
+        lines.append(lineno)
+    if not stamps:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells)).reshape(-1, 4)
+    except ValueError:
+        for k, lineno in enumerate(lines):  # name the first row that does not parse
+            try:
+                [float(v) for v in cells[4 * k: 4 * k + 4]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        raise
+    bad = _bad_rows(*values.T)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{path}: line {lines[i]}: {_row_problem(stamps[i], *values[i].tolist())}")
+    last: dict[datetime, int] = {}
+    for i, ts in enumerate(stamps):
+        if ts in last:
+            log.warning("%s: line %d: duplicate timestamp %s, keeping later record", path, lines[i], ts)
+        last[ts] = i
+    keep = [last[ts] for ts in sorted(last)]
+    return OhlcSeries([stamps[i] for i in keep], *values[keep].T)
 
 
 def signal_side(kind: str, series, sma_period: int, open_sides=()) -> str:

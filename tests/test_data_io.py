@@ -1,4 +1,8 @@
+import csv
+import io
+import itertools
 import logging
+import math
 import tempfile
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
@@ -6,13 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from chmmtrade import BacktestConfig, EquityCurve, ObservationSequence, OhlcSeries, PerfStats, TradeRecord, load_params
 from chmmtrade.backtest import ComparisonResult, Diagnostics, FitRecord
-from chmmtrade import data_io
+from chmmtrade import data_io, oracle
 from conftest import T0, bars_from_closes
 
 
@@ -354,14 +358,18 @@ def test_result_loaders_name_the_file_and_line(tmp_path, loader, text, message):
 
 # -- properties of the columnar OHLC path ------------------------------------
 
-OFFSETS = {"Z": timezone.utc, "+01:00": timezone(timedelta(hours=1)), "naive": None}
+# Stamp styles and their offsets; a naive stamp is read as UTC.
+OFFSETS = {
+    "Z": timezone.utc, "+00:00": timezone.utc, "+01:00": timezone(timedelta(hours=1)),
+    "-05:30": timezone(-timedelta(hours=5, minutes=30)), "naive": None, "naive space": None,
+}
 
 
 def _stamp_text(instant: datetime, style: str) -> str:
-    if style == "naive":
-        return instant.replace(tzinfo=None).isoformat()
+    if OFFSETS[style] is None:
+        return instant.replace(tzinfo=None).isoformat(sep=" " if style == "naive space" else "T")
     text = instant.astimezone(OFFSETS[style]).isoformat()
-    return text.replace("+00:00", "Z")
+    return text.replace("+00:00", "Z") if style == "Z" else text
 
 
 @st.composite
@@ -376,7 +384,7 @@ def ohlc_values(draw):
 @st.composite
 def ohlc_records(draw):
     """Rows in file order: instants from a small pool, so duplicates are
-    common, each written Z, +01:00 or naive."""
+    common, each written in one of the OFFSETS styles."""
     n = draw(st.integers(1, 25))
     return [
         (T0 + timedelta(minutes=10 * draw(st.integers(0, 12))),
@@ -394,11 +402,12 @@ def _scratch_dir():
 
 @contextmanager
 def _duplicate_warnings():
-    """Collect the loader's duplicate-timestamp warnings."""
+    """Collect the duplicate-timestamp warnings of the loaders in data_io
+    and oracle."""
     seen = []
     handler = logging.Handler(logging.WARNING)
     handler.emit = lambda record: seen.append(record.getMessage())
-    logger = logging.getLogger("chmmtrade.data_io")
+    logger = logging.getLogger("chmmtrade")
     logger.addHandler(handler)
     try:
         yield seen
@@ -471,3 +480,297 @@ def test_align_of_shuffled_or_trimmed_pairs_is_idempotent(bars, data):
     again = data_io.align(pair.bars1, pair.bars2)
     assert again.dropped == []
     assert _same_series(again.bars1, pair.bars1) and _same_series(again.bars2, pair.bars2)
+
+
+# -- the block reader against the row-by-row reference -----------------------
+
+DIGITS_AR = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+def _with_underscore(text: str, at: int) -> str:
+    """``text`` with an underscore between two of its adjacent digits, which
+    ``float`` reads as the same number; unchanged without such a pair."""
+    pairs = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+    if not pairs:
+        return text
+    i = pairs[at % len(pairs)]
+    return text[:i] + "_" + text[i:]
+
+
+def _price_text(value: float, form: str, at: int) -> str:
+    text = repr(value)
+    return {
+        "repr": text,
+        "exp": f"{value:.16e}",
+        "digits": f"{value:.25f}",
+        "spaces": f" {text} ",
+        "unicode spaces": f"\xa0{text}\u2003",
+        "underscore": _with_underscore(text, at),
+        "arabic digits": text.translate(DIGITS_AR),
+        "quoted": f'"{text}"',
+        "quoted newline": f'"{text}\n"',
+        "nan": "nan",
+        "inf": "inf",
+        "-inf": "-inf",
+        "word": "oops",
+        "empty": "",
+        "file separator": text + "\x1c",
+    }[form]
+
+
+def _stamp_text_form(text: str, form: str) -> str:
+    return {
+        "spaces": f" {text} ",
+        "quoted": f'"{text}"',
+        "bad date": "2013-02-30T00:00:00",
+        "word": "yesterday",
+    }[form]
+
+
+# Irregular rows and cells: kinds the csv row route reads or refuses.
+ROW_KINDS = ("blank", "spaces only", "four fields", "six fields", "swap high low")
+STAMP_FORMS = ("spaces", "quoted", "bad date", "word")
+PRICE_FORMS = (
+    "spaces", "unicode spaces", "underscore", "arabic digits", "quoted", "quoted newline",
+    "nan", "inf", "-inf", "word", "empty", "file separator",
+)
+
+
+@st.composite
+def ohlc_texts(draw):
+    """An OHLC file's text: rows on a small pool of instants (so duplicates
+    and out-of-order stamps are common) at mixed offsets, prices written
+    as repr or as long decimals, lines ended by LF, CRLF or CR.  Up to a
+    third of the rows, a share drawn per file, hold one irregular row kind
+    or cell form."""
+    dirt = draw(st.integers(0, 3))
+    lines = ["timestamp,open,high,low,close"]
+    for _ in range(draw(st.integers(0, 12))):
+        instant = T0 + timedelta(minutes=10 * draw(st.integers(0, 8)))
+        o, h, l, c = draw(ohlc_values())
+        cells = [_stamp_text(instant, draw(st.sampled_from(sorted(OFFSETS))))]
+        cells += [_price_text(v, draw(st.sampled_from(["repr", "repr", "exp", "digits"])), 0) for v in (o, h, l, c)]
+        if draw(st.integers(0, 9)) < dirt:
+            kind = draw(st.sampled_from(ROW_KINDS + STAMP_FORMS + PRICE_FORMS))
+            if kind in STAMP_FORMS:
+                cells[0] = _stamp_text_form(cells[0], kind)
+            elif kind in PRICE_FORMS:
+                k = draw(st.integers(1, 4))
+                cells[k] = _price_text((o, h, l, c)[k - 1], kind, draw(st.integers(0, 20)))
+            elif kind == "four fields":
+                cells.pop()
+            elif kind == "six fields":
+                cells.append(cells[-1])
+            elif kind == "swap high low":
+                cells[2], cells[3] = cells[3], cells[2]
+            else:
+                cells = ["" if kind == "blank" else "   "]
+        lines.append(",".join(cells))
+    ends = draw(st.one_of(
+        st.sampled_from(["\n", "\r\n", "\r"]).map(lambda end: [end] * len(lines)),
+        st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)),
+    ))
+    if not draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(map(str.__add__, lines, ends))
+
+
+def _load_outcome(loader, path):
+    """What a loader makes of a file: the series' stamps with their offsets
+    and the bytes of each column, or the error's type and text; and the
+    duplicate warnings either way."""
+    with _duplicate_warnings() as warned:
+        try:
+            bars = loader(path)
+        except Exception as exc:  # noqa: BLE001 - the error itself is compared
+            result = (type(exc), str(exc))
+        else:
+            result = (
+                [(ts, ts.utcoffset()) for ts in bars.timestamps],
+                [getattr(bars, f).tobytes() for f in ("open", "high", "low", "close")],
+            )
+    return result, warned
+
+
+@settings(max_examples=600)
+@given(text=ohlc_texts(), block=st.integers(1, 3))
+def test_block_reader_equals_the_row_reader(text, block):
+    with _scratch_dir() as d:
+        path = d / "ohlc.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _load_outcome(oracle.load_ohlc_rows, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_io, "_BLOCK_LINES", block)
+            assert _load_outcome(data_io.load_ohlc_csv, path) == expected
+        assert _load_outcome(data_io.load_ohlc_csv, path) == expected
+
+
+def test_block_reader_loads_rows_of_every_route(tmp_path):
+    # Plain rows (naive and offset stamps), a quoted price spanning two
+    # lines, a price numpy refuses and float reads, and a blank line, at
+    # every block size from one line up.
+    rows = [
+        "2013-01-01T00:00:00+00:00,1.0,1.2,0.9,1.1",
+        "2013-01-01 00:10:00,1.1,1.3,1.0,1.2",
+        '2013-01-01T00:20:00+00:00,"1.2\n",1_400,1.1,1.3',
+        "2013-01-01T01:30:00+01:00,١.٢,1.4,1.1,1.3",
+        "",
+        "2012-12-31T19:10:00-05:30,1.2,1.4,1.1,1.3",
+    ]
+    path = write(tmp_path, "routes.csv", "timestamp,open,high,low,close\r\n" + "\r\n".join(rows) + "\r\n")
+    bars = data_io.load_ohlc_csv(path)
+    assert [ts.utcoffset() for ts in bars.timestamps] == [timedelta(hours=h) for h in (0, 0, 0, 1, -5.5)]
+    assert (bars.open[3], bars.high[2], len(bars)) == (1.2, 1400.0, 5)
+    for block in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_io, "_BLOCK_LINES", block)
+            assert _load_outcome(data_io.load_ohlc_csv, path) == _load_outcome(oracle.load_ohlc_rows, path)
+    # One line a block: the row route reads the quoted record's second line
+    # and hands the next line back to the block reader.
+    plain, parse = [], data_io._plain_block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_io, "_BLOCK_LINES", 1)
+        mp.setattr(data_io, "_plain_block", lambda block: plain.append(parse(block) is not None) or parse(block))
+        data_io.load_ohlc_csv(path)
+    assert plain == [True, True, False, False, False, True]
+
+
+@pytest.mark.parametrize("bad_row", [None, "yesterday,1.0,1.2,0.9,1.1", "2013-01-01T00:20:00+00:00,1.0"])
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_block_reader_meets_a_decode_error_where_the_row_reader_does(tmp_path, bad_row, block):
+    # The byte that is not UTF-8 sits past the first 8 KiB the text layer
+    # decodes, so the rows before it are read first: a bad row among them
+    # is reported before the decode error.
+    rows = [f"{(T0 + timedelta(minutes=10 * i)).isoformat()},1.0,1.2,0.9,1.1" for i in range(400)]
+    if bad_row is not None:
+        rows[2] = bad_row
+    path = tmp_path / "undecodable.csv"
+    path.write_bytes(("timestamp,open,high,low,close\n" + "\n".join(rows) + "\n").encode() + b"\xff,1,1,1,1\n")
+    expected = _load_outcome(oracle.load_ohlc_rows, path)
+    assert expected[0][0] is (UnicodeDecodeError if bad_row is None else ValueError)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_io, "_BLOCK_LINES", block)
+        assert _load_outcome(data_io.load_ohlc_csv, path) == expected
+
+
+# -- the streamed writers against csv.writer -----------------------------------
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The bytes csv.writer writes for a header and rows: the reference
+    for every CSV writer, which streams its lines without csv."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+def _iso_column(stamps):
+    return [ts.isoformat() for ts in stamps]
+
+
+def _reference_rows(name, value):
+    """The rows each writer handed csv.writer before it streamed its own
+    lines."""
+    if name == "ohlc":
+        columns = (value.open, value.high, value.low, value.close)
+        return zip(_iso_column(value.timestamps), *(map(repr, col.tolist()) for col in columns))
+    if name == "equity":
+        return zip(_iso_column(value.timestamps), map(repr, np.asarray(value.values, dtype=float).tolist()))
+    if name == "diagnostics":
+        d = value
+        nan, blank = itertools.repeat("nan"), itertools.repeat("")
+        model = (nan, blank, nan, nan, blank) if d.predicted_value is None else (
+            map(repr, d.predicted_value.tolist()), d.predicted_state.tolist(), map(repr, d.transition_prob.tolist()),
+            map(repr, d.predicted_value2.tolist()), d.predicted_state2.tolist(),
+        )
+        return zip(_iso_column(d.timestamps), *model, d.signal_side)
+    if name == "trades":
+        return [(
+            tr.entry_time.isoformat(), tr.side, repr(float(tr.size)), repr(float(tr.entry_price)),
+            repr(float(tr.stop_price)), repr(float(tr.target_price)),
+            tr.exit_time.isoformat() if tr.exit_time else "",
+            repr(float(tr.exit_price)) if tr.exit_price is not None else "",
+            tr.exit_reason or "",
+            repr(float(tr.pnl)) if tr.pnl is not None else "",
+        ) for tr in value]
+    if name == "comparison":
+        c = value
+        return zip(_iso_column(c.timestamps), c.state_marginal.tolist(), c.state_viterbi.tolist(),
+                   map(repr, c.value_marginal.tolist()), map(repr, c.value_viterbi.tolist()))
+    assert name == "obs"
+    return ((int(a), int(b)) for a, b in zip(value.bins[0], value.bins[1]))
+
+
+WRITERS = {
+    "ohlc": (data_io.write_ohlc_csv, data_io.OHLC_HEADER),
+    "equity": (data_io.write_equity_csv, data_io.EQUITY_HEADER),
+    "diagnostics": (data_io.write_diagnostics_csv, data_io.DIAG_HEADER),
+    "trades": (data_io.write_trades_csv, data_io.TRADES_HEADER),
+    "comparison": (data_io.write_comparison_csv, data_io.COMPARISON_HEADER),
+    "obs": (data_io.write_obs_csv, data_io.OBS_HEADER),
+}
+
+# Any float64, the edges spelled out: signed zeros, NaN, infinities, subnormals.
+ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308]),
+    st.floats(),
+)
+
+
+@st.composite
+def mixed_stamps(draw, n):
+    """``n`` stamps at offsets of whole hours, half hours and seconds."""
+    offsets = [timedelta(0), timedelta(hours=1), -timedelta(hours=5, minutes=30), timedelta(seconds=17)]
+    return [
+        (T0 + timedelta(microseconds=draw(st.integers(0, 10**12)))).astimezone(timezone(draw(st.sampled_from(offsets))))
+        for _ in range(n)
+    ]
+
+
+@st.composite
+def trade_records(draw):
+    """A long or short trade with a valid bracket, open or closed."""
+    side = draw(st.sampled_from(["long", "short"]))
+    low, mid, high = sorted(draw(st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3, unique=True)))
+    stop, target = (low, high) if side == "long" else (high, low)
+    tr = TradeRecord(entry_time=draw(mixed_stamps(1))[0], entry_price=mid, side=side,
+                     size=draw(st.floats(1.0, 1e7)), stop_price=stop, target_price=target)
+    if draw(st.booleans()):
+        tr.close(draw(mixed_stamps(1))[0], draw(ANY_FLOAT), draw(st.sampled_from(["stop", "target", "end"])))
+    return tr
+
+
+@st.composite
+def writer_inputs(draw):
+    """A writer's name and a value for it with zero to four rows (at least
+    one for observations, which cannot be empty)."""
+    name = draw(st.sampled_from(sorted(WRITERS)))
+    n = draw(st.integers(1 if name == "obs" else 0, 4))
+    stamps = draw(mixed_stamps(n))
+    floats = lambda: np.array(draw(st.lists(ANY_FLOAT, min_size=n, max_size=n)), dtype=float)  # noqa: E731
+    ints = lambda: np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=np.int64)  # noqa: E731
+    if name == "ohlc":
+        rows = draw(st.lists(ohlc_values(), min_size=n, max_size=n))
+        return name, OhlcSeries(stamps, *(zip(*rows) if rows else [()] * 4))
+    if name == "equity":
+        return name, EquityCurve(timestamps=stamps, values=floats())
+    if name == "diagnostics":
+        sides = draw(st.lists(st.sampled_from(["long", "short", "none"]), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            return name, Diagnostics(stamps, signal_side=sides)
+        return name, Diagnostics(stamps, floats(), ints(), floats(), floats(), ints(), sides)
+    if name == "trades":
+        return name, draw(st.lists(trade_records(), min_size=n, max_size=n))
+    if name == "comparison":
+        return name, ComparisonResult(stamps, ints(), ints(), floats(), floats())
+    return name, ObservationSequence(np.stack([ints(), ints()]))
+
+
+@given(case=writer_inputs())
+def test_writers_write_the_bytes_of_csv_writer(case):
+    # Pins the claim that no written field needs quoting: a field that did
+    # would come out quoted from csv.writer and bare from the writer.
+    name, value = case
+    write_csv, header = WRITERS[name]
+    with _scratch_dir() as d:
+        write_csv(d / "out.csv", value)
+        assert (d / "out.csv").read_bytes() == _csv_writer_bytes(header, _reference_rows(name, value))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +16,7 @@ from chmmtrade import (
     uniform_params,
     validate_params,
 )
-from chmmtrade.model import N_CHAINS, SIMPLEX_ATOL
+from chmmtrade.model import N_CHAINS, SIMPLEX_ATOL, check_params
 from conftest import random_params, simplex_instances
 
 
@@ -156,9 +158,21 @@ def perturbed_params(draw):
 @given(perturbed_params())
 def test_validate_params_matches_the_family_by_family_messages(params):
     # +inf and -inf in one simplex sum to NaN, which numpy warns about in
-    # both versions alike; the messages are what is compared here.
+    # the reference; validate_params itself must not warn (warnings are errors here).
     with np.errstate(invalid="ignore"):
-        assert validate_params(params) == _messages_family_by_family(params)
+        expected = _messages_family_by_family(params)
+    assert validate_params(params) == expected
+
+
+def test_check_params_reports_opposite_infinities_without_a_warning():
+    # +inf and -inf in one prior row sum to NaN: the caller gets the
+    # ValueError listing the violations, not numpy's invalid-value warning.
+    params = _with_entry("priors", (0, slice(None)), [np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            check_params(params)
+    assert str(info.value) == "invalid parameters: priors: entries outside [0, 1]"
 
 
 def test_params_are_immutable():
