@@ -27,6 +27,7 @@ from .indicators import (
     RSI_DISCRETIZER,
     Discretizer,
     OhlcSeries,
+    Stamps,
     atr,
     bin_value,
     cci,

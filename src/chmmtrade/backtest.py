@@ -11,6 +11,7 @@ are recorded for diagnostics.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import repeat
@@ -142,7 +143,7 @@ class TradeRecord:
 
 @dataclass
 class EquityCurve:
-    timestamps: list[datetime]
+    timestamps: Sequence[datetime]
     values: np.ndarray
 
 
@@ -161,7 +162,7 @@ class Diagnostics:
     traded chain's allocation fraction and the side signalled at each
     bar's close.  The model columns are None for the baseline."""
 
-    timestamps: list[datetime]
+    timestamps: Sequence[datetime]
     predicted_value: np.ndarray | None = None
     predicted_state: np.ndarray | None = None
     transition_prob: np.ndarray | None = None
@@ -416,7 +417,7 @@ class ComparisonResult:
     """Both predictors' next state and forecast for the traded chain, one
     entry per decision bar, named after the comparison file's header."""
 
-    timestamps: list[datetime]
+    timestamps: Sequence[datetime]
     state_marginal: np.ndarray
     state_viterbi: np.ndarray
     value_marginal: np.ndarray

@@ -3,6 +3,11 @@
 All files are plain delimited text with fixed column orders; every
 writer here has a matching loader so outputs round-trip.  Numbers are
 written with ``repr`` so float64 values survive a round trip bit-stably.
+Every reader accepts a leading UTF-8 byte order mark.  Stamps are
+written as ``datetime.isoformat`` text; a ``Stamps`` column (a loaded or
+simulated series, and the per-bar results sliced from it) supplies that
+text itself, kept from the file or formatted once, so no writer formats
+such a column again.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import json
 import logging
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import chain, islice
@@ -28,7 +34,7 @@ from .backtest import (
     PerfStats,
     TradeRecord,
 )
-from .indicators import OhlcSeries, _bad_rows, _row_problem
+from .indicators import OhlcSeries, Stamps, _bad_rows, _canonical, _row_problem
 from .model import ObservationSequence, _key_values
 from .training import FitConfig
 
@@ -77,21 +83,10 @@ def _parse_timestamp(text: str) -> datetime:
     return ts
 
 
-# The equity, diagnostics and fit-log files of one run share one column of
-# stamps, so the column formatted last is kept for the next writer.
-_last_iso: tuple[list[datetime], list[str]] = ([], [])
-
-
-def _iso(stamps: list[datetime]) -> list[str]:
-    """ISO-8601 text of each stamp, reusing the last column formatted when
-    it holds the very same objects; identity, not equality, because one
-    instant written at another offset formats differently."""
-    global _last_iso
-    seen, texts = _last_iso
-    if len(seen) != len(stamps) or not all(map(operator.is_, seen, stamps)):
-        texts = [ts.isoformat() for ts in stamps]
-        _last_iso = (list(stamps), texts)
-    return texts
+def _iso(stamps) -> Sequence[str]:
+    """The ISO-8601 text of each stamp: a ``Stamps`` column's own text,
+    else formatted here."""
+    return stamps.isoformat() if isinstance(stamps, Stamps) else [ts.isoformat() for ts in stamps]
 
 
 def _header_reader(fh, path, header: list[str]):
@@ -123,7 +118,7 @@ def _csv_rows(path, header: list[str]):
     with exactly ``header``; blank lines are skipped, and an empty file, a
     wrong header or a row of another width raises ValueError naming the
     path and line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = _header_reader(fh, path, header)
         for lineno, row in enumerate(reader, start=2):
             if _is_data_row(row, len(header), path, lineno):
@@ -182,7 +177,9 @@ def _line_blocks(fh):
 
 
 def _plain_block(block: list[str]):
-    """``(stamps, prices)`` of a block of plain OHLC lines, else None.
+    """``(stamps, texts, prices)`` of a block of plain OHLC lines, else
+    None; ``texts`` is the stamps' text as written when ``_canonical``
+    shows it is their ``isoformat`` text, else None.
 
     Plain lines are ASCII, hold none of ``_ROW_ROUTE_CHARS``, fit the csv
     field size limit and have exactly five comma-separated fields: an
@@ -204,14 +201,16 @@ def _plain_block(block: list[str]):
         return None
     try:
         prices = np.loadtxt(block, dtype=np.float64, delimiter=",", comments=None, usecols=(1, 2, 3, 4), ndmin=2)
-        stamps = list(map(datetime.fromisoformat, [line.partition(",")[0] for line in block]))
+        texts = [line.partition(",")[0] for line in block]
+        stamps = list(map(datetime.fromisoformat, texts))
     except ValueError:
         return None
     if len(prices) != len(block):
         return None
     if None in map(operator.attrgetter("tzinfo"), stamps):
         stamps = [ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts for ts in stamps]
-    return stamps, prices
+        return stamps, None, prices
+    return stamps, texts if _canonical(texts) else None, prices
 
 
 def load_ohlc_csv(path) -> OhlcSeries:
@@ -230,26 +229,34 @@ def load_ohlc_csv(path) -> OhlcSeries:
     reading past the block's end only to finish a quoted record.  A stamp,
     width or decode error is raised where it is met, an unreadable price
     once every row is read (so a later stamp or width error comes first),
-    then the first row that is not finite or breaks the invariant.  Stamps that are not strictly
-    increasing are sorted and deduplicated.  Results, errors and warnings
-    equal those of the row-by-row ``oracle.load_ohlc_rows``.
+    then the first row that is not finite or breaks the invariant.  Stamps
+    that are not strictly increasing are sorted and deduplicated.  Results,
+    errors and warnings equal those of the row-by-row
+    ``oracle.load_ohlc_rows``.  When every block is plain and its stamps
+    are canonical (``indicators._canonical``), the series' ``Stamps``
+    column keeps their text, so the writers need not format them again.
     """
     stamps: list[datetime] = []
+    texts: list[str] | None = []  # the stamps' text while every block has kept it
     prices: list[np.ndarray] = []  # (rows, 4) open, high, low, close of each block
     numbers: list = []  # the line number of each block's rows
     price_error = None  # the first unreadable price
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         _header_reader(fh, path, OHLC_HEADER)
         lineno = 2
         for block in _line_blocks(fh):
             plain = _plain_block(block)
             if plain is not None:
                 stamps += plain[0]
-                prices.append(plain[1])
+                if texts is not None and plain[1] is not None:
+                    texts += plain[1]
+                else:
+                    texts = None
+                prices.append(plain[2])
                 numbers.append(range(lineno, lineno + len(block)))
                 lineno += len(block)
                 continue
-            rows, row_lines = [], []
+            rows, row_lines, texts = [], [], None
             reader = csv.reader(chain(block, fh))
             for row in reader:
                 if _is_data_row(row, len(OHLC_HEADER), path, lineno):
@@ -273,9 +280,10 @@ def load_ohlc_csv(path) -> OhlcSeries:
     if price_error:
         raise ValueError(price_error)
     values = np.concatenate(prices)
+    column = Stamps._with_texts(stamps, texts)
     bad = _bad_rows(*values.T)
     if not bad.size and all(map(operator.lt, stamps, islice(stamps, 1, None))):
-        return OhlcSeries(stamps, *values.T)
+        return OhlcSeries(column, *values.T)
     lines = list(chain.from_iterable(numbers))
     if bad.size:
         i = int(bad[0])
@@ -286,7 +294,7 @@ def load_ohlc_csv(path) -> OhlcSeries:
             log.warning("%s: line %d: duplicate timestamp %s, keeping later record", path, lines[i], ts)
         last[ts] = i
     keep = [last[ts] for ts in sorted(last)]
-    return OhlcSeries([stamps[i] for i in keep], *values[keep].T)
+    return OhlcSeries(column.take(keep), *values[keep].T)
 
 
 def write_ohlc_csv(path, bars: OhlcSeries) -> None:
@@ -343,7 +351,7 @@ _CONFIG_KINDS.update(_FIT_KINDS)
 
 def load_config(path) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return _key_values(fh, path)
 
 
@@ -491,7 +499,7 @@ def write_stats_txt(path, stats: PerfStats) -> None:
 
 def load_stats_txt(path) -> PerfStats:
     """Read a stats file; a missing key or a bad number names the key and the path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         fields = _key_values(fh, path)
     numbers = {}
     for key in ("ret", "vol", "ratio", "delta_ratio"):
@@ -537,9 +545,9 @@ def load_obs_csv(path) -> ObservationSequence:
 def write_fit_log(path, records) -> None:
     """Per-fit diagnostics as line-delimited JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        for stamp, rec in zip(_iso([rec.window_end for rec in records]), records):
+        for rec in records:
             fh.write(json.dumps({
-                "window_end": stamp,
+                "window_end": rec.window_end.isoformat(),
                 "sweeps_run": int(rec.sweeps_run),
                 "trace": [float(v) for v in rec.trace],
             }) + "\n")
@@ -548,7 +556,7 @@ def write_fit_log(path, records) -> None:
 def load_fit_log(path) -> list[FitRecord]:
     """Read a fit log; a line that is not a fit record names the path and line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -8,12 +8,15 @@ warmup stretch where the window is not yet full.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from datetime import datetime
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
+    "Stamps",
     "OhlcSeries",
     "Discretizer",
     "rsi",
@@ -45,17 +48,147 @@ def _row_problem(timestamp, o: float, h: float, l: float, c: float) -> str:
     return f"{kind} at {timestamp}: o={o} h={h} l={l} c={c}"
 
 
+# The date-time part every canonical stamp starts with: "0" marks a digit.
+_LAYOUT = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
+_LAYOUT_DIGITS = _LAYOUT == ord("0")
+
+
+def _canonical(texts: list[str]) -> bool:
+    """Whether each of ``texts`` (at least one), all of which ``datetime.fromisoformat``
+    has read, is exactly what ``isoformat`` writes for the stamp read.
+
+    The texts must be ASCII and start with the fixed layout
+    ``YYYY-MM-DDTHH:MM:SS``, checked over the bytes of all texts of one
+    length at once (``fromisoformat`` has checked the ranges; an hour of
+    24 is refused too, in case an interpreter reads one).  What follows
+    the layout (the
+    offset, with any fraction before it) is checked once per distinct
+    suffix, by a round trip: ``fromisoformat`` reads ``Z``, ``+00:60``,
+    ``-00:00``, compact offsets and short fractions, and writes each of
+    them otherwise.  A naive stamp is not canonical, since it is read as
+    UTC.
+    """
+    width = len(texts[0])
+    joined = "".join(texts)
+    if len(joined) != width * len(texts):  # texts of several lengths: check each length apart
+        widths = set(map(len, texts))
+        return all(_canonical([text for text in texts if len(text) == w]) for w in widths)
+    if width < _LAYOUT.size or not joined.isascii():
+        return False
+    rows = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(texts), width)
+    head = rows[:, : _LAYOUT.size]
+    if not (
+        ((head[:, _LAYOUT_DIGITS] - ord("0")) <= 9).all()  # uint8: bytes below "0" wrap past 9
+        and (head[:, ~_LAYOUT_DIGITS] == _LAYOUT[~_LAYOUT_DIGITS]).all()
+        and ((head[:, 11] - ord("0")) * 10 + (head[:, 12] - ord("0")) < 24).all()
+    ):
+        return False
+    tails = rows[:, _LAYOUT.size:]
+    if (tails == tails[0]).all():
+        suffixes = [texts[0][_LAYOUT.size:]]
+    else:
+        suffixes = [row.tobytes().decode("ascii") for row in np.unique(tails, axis=0)]
+    for suffix in suffixes:
+        text = "2000-01-01T00:00:00" + suffix
+        try:
+            ts = datetime.fromisoformat(text)
+        except ValueError:
+            return False
+        if ts.tzinfo is None or ts.isoformat() != text:
+            return False
+    return True
+
+
+class Stamps(Sequence):
+    """A read-only column of aware timestamps that also holds each one's
+    ISO-8601 text, for the writers.
+
+    It stands in for ``list[datetime]``: it compares equal to a list of
+    the same stamps (either way round), and indexing, slicing, iteration,
+    ``len`` and ``bisect`` act as on a list; it is unhashable and has no
+    mutators.  A slice, or ``take`` of row numbers, is a new ``Stamps``.
+    The text is the input file's own when ``data_io.load_ohlc_csv`` could
+    show that it reads exactly as ``isoformat`` writes (``_canonical``);
+    otherwise ``isoformat()`` formats it once, on first use.  A part taken
+    before then formats through the column it was taken from, so parts of
+    one column share one formatting.
+    """
+
+    __slots__ = ("_items", "_texts", "_source")
+    __hash__ = None
+
+    def __init__(self, stamps):
+        self._items = list(stamps)
+        self._texts: tuple[str, ...] | None = None
+        self._source = None  # (column, rows) to take the text from, while it is unformatted
+
+    @classmethod
+    def _with_texts(cls, stamps: list, texts) -> "Stamps":
+        """A column of ``stamps`` whose text is known to be ``texts``
+        (None: not known)."""
+        column = cls(stamps)
+        column._texts = None if texts is None else tuple(texts)
+        return column
+
+    def _part(self, rows) -> "Stamps":
+        """The stamps at ``rows`` (a slice or row numbers), with their text."""
+        if isinstance(rows, slice):
+            part = Stamps._with_texts(self._items[rows], None if self._texts is None else self._texts[rows])
+        else:
+            texts = None if self._texts is None else map(self._texts.__getitem__, rows)
+            part = Stamps._with_texts(list(map(self._items.__getitem__, rows)), texts)
+        if part._texts is None:
+            part._source = (self, rows)
+        return part
+
+    def take(self, rows) -> "Stamps":
+        """The stamps at the given row numbers, in that order."""
+        return self._part(list(rows))
+
+    def isoformat(self) -> tuple[str, ...]:
+        """The ISO-8601 text of every stamp, as ``datetime.isoformat`` writes it."""
+        if self._texts is None:
+            if self._source is None:
+                self._texts = tuple(ts.isoformat() for ts in self._items)
+            else:
+                column, rows = self._source
+                texts = column.isoformat()
+                self._texts = texts[rows] if isinstance(rows, slice) else tuple(map(texts.__getitem__, rows))
+                self._source = None
+        return self._texts
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __getitem__(self, key):
+        return self._part(key) if isinstance(key, slice) else self._items[key]
+
+    def __eq__(self, other):
+        if isinstance(other, Stamps):
+            return self._items == other._items
+        if isinstance(other, list):
+            return self._items == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Stamps({self._items!r})"
+
+
 class OhlcSeries:
-    """Price bars as columns: a list of timestamps and four read-only
-    float64 arrays of the same length.  Every row must be finite with its
-    open/close body inside the high/low range.  Slicing (or indexing with
-    an integer array) returns a new series; rows are never objects.
+    """Price bars as columns: a ``Stamps`` column of timestamps and four
+    read-only float64 arrays of the same length.  Every row must be finite
+    with its open/close body inside the high/low range.  Slicing (or
+    indexing with an integer array) returns a new series; rows are never
+    objects.  Series built from one ``Stamps`` object share it.
     """
 
     __slots__ = ("timestamps", "open", "high", "low", "close")
 
     def __init__(self, timestamps, open, high, low, close):
-        stamps = list(timestamps)
+        stamps = timestamps if isinstance(timestamps, Stamps) else Stamps(timestamps)
         columns = [np.array(col, dtype=np.float64) for col in (open, high, low, close)]
         if any(col.shape != (len(stamps),) for col in columns):
             raise ValueError(f"expected four 1-D columns of {len(stamps)} values, one per timestamp")
@@ -79,7 +212,7 @@ class OhlcSeries:
             if key.ndim != 1 or (key.size and key.dtype.kind not in "iu"):
                 raise TypeError("index an OhlcSeries with a slice or a 1-D array of row numbers")
             key = key.astype(np.intp, copy=False)
-            stamps = [self.timestamps[i] for i in key.tolist()]
+            stamps = self.timestamps.take(key.tolist())
         return OhlcSeries(stamps, self.open[key], self.high[key], self.low[key], self.close[key])
 
 

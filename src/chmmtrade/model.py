@@ -299,5 +299,5 @@ def save_params(params: ChmmParams, path) -> None:
 
 
 def load_params(path) -> ChmmParams:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return _params_from_fields(_key_values(fh, path), path)

@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .data_io import OHLC_HEADER, _csv_rows, _parse_timestamp
-from .indicators import Discretizer, OhlcSeries, _bad_rows, _row_problem, _window_means
+from .indicators import Discretizer, OhlcSeries, Stamps, _bad_rows, _row_problem, _window_means
 from .inference import ForwardTrellis, _emission_lookup, _forward, _trellis
 from .model import ChmmParams, ObservationSequence, check_params
 from .strategy import crossing_side
@@ -562,7 +562,8 @@ def synthetic_ohlc(
     center = 0.5 * (value_range[0] + value_range[1])
     halfspan = 0.5 * (value_range[1] - value_range[0])
     t0 = start_time or datetime(2013, 1, 1, tzinfo=timezone.utc)
-    stamps = [t0 + timedelta(minutes=bar_minutes * t) for t in range(n_bars)]
+    # One column for both series, so writing both formats each stamp once.
+    stamps = Stamps(t0 + timedelta(minutes=bar_minutes * t) for t in range(n_bars))
 
     series = []
     for c in range(2):

@@ -4,7 +4,7 @@ import pytest
 from chmmtrade import ObservationSequence, OhlcSeries, data_io, load_params, sample_chmm, save_params
 from chmmtrade.cli import _default_sim_params, main
 from chmmtrade.model import ChmmParams
-from test_golden import BACKTESTS
+from test_golden import BACKTEST_FILES, BACKTESTS
 
 
 def run_cli(*argv):
@@ -362,3 +362,23 @@ def test_fit_widens_bins_to_cover_observations(tmp_path):
                    "--n-states", "2", "--n-bins", "4", "--sweeps", "1")
     assert code == 0
     assert load_params(out_file).n_bins == 10
+
+
+def test_backtest_of_inputs_that_start_with_a_bom_is_byte_identical(tmp_path, sim_dir, capsys):
+    # Spreadsheet tools start a UTF-8 file with a byte order mark; the
+    # price files and the config file may each carry one.
+    config = tmp_path / "run.cfg"
+    config.write_text("n_states = 3\nsweeps = 2\nsystem = cci\n", encoding="utf-8")
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for path in (sim_dir / "asset1.csv", sim_dir / "asset2.csv", config):
+        (bom / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    outputs = {}
+    for name, inputs in (("plain", (sim_dir / "asset1.csv", sim_dir / "asset2.csv", config)),
+                         ("bom", (bom / "asset1.csv", bom / "asset2.csv", bom / "run.cfg"))):
+        asset1, asset2, cfg = map(str, inputs)
+        out = tmp_path / name
+        assert run_cli("backtest", "--config", cfg, "--asset1", asset1, "--asset2", asset2, "--out", str(out),
+                       "--seed", "3", "--predictor", "marginal") == 0
+        outputs[name] = [capsys.readouterr().out] + [(out / f).read_bytes() for f in BACKTEST_FILES]
+    assert outputs["bom"] == outputs["plain"]

@@ -3,20 +3,27 @@ import io
 import itertools
 import logging
 import math
+import pickle
+import sys
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from chmmtrade import BacktestConfig, EquityCurve, ObservationSequence, OhlcSeries, PerfStats, TradeRecord, load_params
+from chmmtrade import (
+    BacktestConfig, EquityCurve, ObservationSequence, OhlcSeries, PerfStats, TradeRecord, compare_predictors,
+    load_params, run_backtest, save_params,
+)
 from chmmtrade.backtest import ComparisonResult, Diagnostics, FitRecord
-from chmmtrade import data_io, oracle
+from chmmtrade.indicators import _canonical
+from chmmtrade import cli, data_io, oracle
 from conftest import T0, bars_from_closes
 
 
@@ -774,3 +781,192 @@ def test_writers_write_the_bytes_of_csv_writer(case):
     with _scratch_dir() as d:
         write_csv(d / "out.csv", value)
         assert (d / "out.csv").read_bytes() == _csv_writer_bytes(header, _reference_rows(name, value))
+
+
+# -- stamp text carried from the file ---------------------------------------------
+
+# Stamp forms beyond the OFFSETS styles: ones fromisoformat reads but
+# isoformat writes otherwise, and ones it writes as they are.
+ODD_STAMPS = {
+    "+00:60": lambda t: t.astimezone(timezone(timedelta(hours=1))).isoformat().replace("+01:00", "+00:60"),
+    "-00:00": lambda t: t.isoformat().replace("+00:00", "-00:00"),
+    "+05:30:15": lambda t: t.astimezone(timezone(timedelta(hours=5, minutes=30, seconds=15))).isoformat(),
+    "space": lambda t: t.isoformat(sep=" "),
+    "x": lambda t: t.isoformat(sep="x"),
+    ".000000": lambda t: t.isoformat(timespec="microseconds"),
+    ".5": lambda t: t.isoformat()[:19] + ".5" + t.isoformat()[19:],
+    "3-digit": lambda t: (t + timedelta(milliseconds=250)).isoformat(timespec="milliseconds"),
+    ".123456": lambda t: (t + timedelta(microseconds=123456)).isoformat(),
+}
+
+
+def _reads_as_written(text: str) -> bool:
+    """Whether isoformat writes the stamp fromisoformat reads in ``text``
+    exactly as ``text``; a naive stamp does not count, as the loaders read
+    it as UTC."""
+    try:
+        ts = datetime.fromisoformat(text)
+    except ValueError:
+        return False
+    return ts.tzinfo is not None and ts.isoformat() == text
+
+
+# The styles above that isoformat writes as they are.
+AS_WRITTEN = ["+00:00", "+01:00", "-05:30", "+05:30:15", ".123456"]
+
+
+@st.composite
+def stamp_texts(draw, styles=tuple(sorted(OFFSETS) + sorted(ODD_STAMPS))):
+    instant = T0 + timedelta(minutes=10 * draw(st.integers(0, 8)))
+    style = draw(st.sampled_from(styles))
+    return ODD_STAMPS[style](instant) if style in ODD_STAMPS else _stamp_text(instant, style)
+
+
+@settings(max_examples=300)
+@given(
+    texts=st.one_of(
+        st.lists(stamp_texts(), min_size=1, max_size=10),
+        st.lists(stamp_texts(AS_WRITTEN), min_size=1, max_size=10),
+    ),
+    block=st.sampled_from([1, 2, 3, None]),
+)
+def test_loaded_stamps_carry_their_isoformat_text(texts, block):
+    # The file's stamp text is kept exactly when every stamp reads as
+    # written; whichever text a column holds, the files written from it
+    # are those of a column formatted afresh.
+    rows = [f"{text},1.0,1.2,0.9,1.1" for text in texts]
+    with _scratch_dir() as d, pytest.MonkeyPatch.context() as mp:
+        path = write(d, "stamps.csv", "timestamp,open,high,low,close\n" + "\n".join(rows) + "\n")
+        if block is not None:
+            mp.setattr(data_io, "_BLOCK_LINES", block)
+        expected = _load_outcome(oracle.load_ohlc_rows, path)
+        assert _load_outcome(data_io.load_ohlc_csv, path) == expected
+        if isinstance(expected[0][0], type):  # an error: stamps this interpreter does not read
+            return
+        with _duplicate_warnings():
+            bars = data_io.load_ohlc_csv(path)
+        carried = bars.timestamps._texts
+        event("text carried" if carried is not None else "text formatted")
+        assert (carried is not None) == all(map(_reads_as_written, texts))
+        if carried is not None:
+            assert list(carried) == [ts.isoformat() for ts in bars.timestamps]
+        fresh = OhlcSeries(list(bars.timestamps), bars.open, bars.high, bars.low, bars.close)
+        for name, value, again in (
+            ("ohlc.csv", bars, fresh),
+            ("equity.csv", EquityCurve(bars.timestamps[1:], bars.close[1:]), EquityCurve(list(bars.timestamps)[1:], bars.close[1:])),
+        ):
+            write_csv = data_io.write_ohlc_csv if name == "ohlc.csv" else data_io.write_equity_csv
+            write_csv(d / name, value)
+            write_csv(d / f"fresh-{name}", again)
+            assert (d / name).read_bytes() == (d / f"fresh-{name}").read_bytes()
+
+
+def test_canonical_rule_refuses_what_isoformat_writes_otherwise():
+    canonical = [
+        "2013-01-01T00:00:00+00:00", "2013-12-31T23:59:59-05:30", "2013-01-01T00:00:00+05:30:15",
+        "2013-01-01T00:00:00.123456+01:00", "2013-01-01T00:00:00+23:59:59.999999",
+    ]
+    for text in canonical:
+        assert _canonical([text]) and _reads_as_written(text), text
+    assert _canonical(canonical)  # several lengths and suffixes in one block
+    for text in (
+        "2013-01-01T00:00:00+00:60", "2013-01-01T00:00:00-00:00", "2013-01-01x00:00:00+00:00",
+        "2013-01-01 00:00:00+00:00", "2013-01-01T00:00:00.000000+00:00", "2013-01-01T00:00:00",
+        "2013-01-01T00:00:00 +00:00",
+    ):
+        assert not _canonical([text]) and not _canonical(canonical + [text]), text
+    for text in ("2013-01-01T00:00:00.5+00:00", "2013-01-01T00:00:00.250+00:00", "2013-01-01T00:00:00Z"):
+        if sys.version_info >= (3, 11):  # 3.10 reads none of these
+            assert not _canonical([text]), text
+
+
+class CountingStamp(datetime):
+    """A datetime that counts its ``isoformat`` calls by the text written;
+    arithmetic with a timedelta keeps the class."""
+
+    formatted: Counter = Counter()
+
+    def isoformat(self, *args, **kwargs):
+        text = super().isoformat(*args, **kwargs)
+        CountingStamp.formatted[text] += 1
+        return text
+
+
+def _counting_start():
+    CountingStamp.formatted.clear()
+    return CountingStamp(2013, 1, 1, tzinfo=timezone.utc)
+
+
+def test_backtest_writers_format_each_stamp_at_most_once(tmp_path):
+    # Two series built apart on equal stamps, as a caller would hand them
+    # in: the backtest's and the comparison's columns are both slices of
+    # the first series' column, so one formatting serves all three files.
+    params = cli._default_sim_params(3, 8, 5)
+    sim = oracle.synthetic_ohlc(params, 120, seed=5, amplitude=0.005, start_time=_counting_start())
+    bars1, bars2 = (OhlcSeries(list(b.timestamps), b.open, b.high, b.low, b.close) for b in sim)
+    assert type(bars1.timestamps[0]) is CountingStamp
+    cfg = BacktestConfig(system="rsi", predictor="viterbi", n_states=3, seed=4)
+    result = run_backtest(cfg, bars1, bars2)
+    comparison = compare_predictors(cfg, bars1, bars2)
+    assert CountingStamp.formatted == Counter()
+    data_io.write_equity_csv(tmp_path / "equity.csv", result.equity)
+    data_io.write_diagnostics_csv(tmp_path / "diagnostics.csv", result.diagnostics)
+    data_io.write_comparison_csv(tmp_path / "comparison.csv", comparison)
+    written = [line.split(",")[0] for line in (tmp_path / "equity.csv").read_text().splitlines()[1:]]
+    assert len(written) == len(comparison) > 50
+    assert set(written) <= set(CountingStamp.formatted)
+    assert max(CountingStamp.formatted.values()) == 1
+
+
+def test_simulate_formats_each_stamp_once_for_both_files(tmp_path, monkeypatch):
+    synthetic_ohlc = oracle.synthetic_ohlc
+    monkeypatch.setattr(cli, "synthetic_ohlc", lambda *a, **k: synthetic_ohlc(*a, **k, start_time=_counting_start()))
+    assert cli.main(["simulate", "--bars", "60", "--seed", "3", "--out", str(tmp_path / "sim")]) == 0
+    assert len(CountingStamp.formatted) == 60 and set(CountingStamp.formatted.values()) == {1}
+    monkeypatch.undo()
+    assert cli.main(["simulate", "--bars", "60", "--seed", "3", "--out", str(tmp_path / "plain")]) == 0
+    for name in ("asset1.csv", "asset2.csv"):
+        assert (tmp_path / "sim" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+# -- a byte order mark ahead of any input ------------------------------------------
+
+def _bom_copy(path: Path) -> Path:
+    """A copy of ``path`` that starts with the UTF-8 byte order mark, as
+    spreadsheet tools write one."""
+    copy = path.with_name("bom-" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+def test_every_loader_reads_a_file_that_starts_with_a_bom(tmp_path):
+    stamps = [T0, T0.replace(minute=10)]
+    trade = TradeRecord(entry_time=T0, entry_price=1.0, side="long", size=5.0, stop_price=0.99, target_price=1.03)
+    trade.close(T0.replace(minute=10), 1.03, "target")
+    files = {name: tmp_path / name for name in (
+        "ohlc.csv", "run.cfg", "params.txt", "stats.txt", "fits.jsonl", "trades.csv", "equity.csv",
+        "diagnostics.csv", "obs.csv", "comparison.csv",
+    )}
+    files["ohlc.csv"].write_text(OHLC_TEXT, encoding="utf-8")
+    files["run.cfg"].write_text("# a comment\n" + data_io.config_to_text(BacktestConfig()), encoding="utf-8")
+    save_params(cli._default_sim_params(3, 8, 1), files["params.txt"])
+    data_io.write_stats_txt(files["stats.txt"], PerfStats(ret=1.5, vol=2.0, ratio=0.75, delta_ratio=None))
+    data_io.write_fit_log(files["fits.jsonl"], [FitRecord(window_end=T0, sweeps_run=2, trace=[-3.5, -3.25])])
+    data_io.write_trades_csv(files["trades.csv"], [trade])
+    data_io.write_equity_csv(files["equity.csv"], EquityCurve(timestamps=stamps, values=np.array([1.0, 2.5])))
+    data_io.write_diagnostics_csv(files["diagnostics.csv"], Diagnostics(stamps, signal_side=["long", "none"]))
+    data_io.write_obs_csv(files["obs.csv"], ObservationSequence(np.array([[0, 3], [2, 1]])))
+    data_io.write_comparison_csv(
+        files["comparison.csv"], ComparisonResult(stamps, np.array([1, 2]), np.array([1, 0]), np.array([0.5, 1.5]), np.array([0.5, 2.5]))
+    )
+    loaders = [
+        (data_io.load_ohlc_csv, "ohlc.csv"), (oracle.load_ohlc_rows, "ohlc.csv"), (data_io.load_config, "run.cfg"),
+        (load_params, "params.txt"), (data_io.load_stats_txt, "stats.txt"), (data_io.load_fit_log, "fits.jsonl"),
+        (data_io.load_trades_csv, "trades.csv"), (data_io.load_equity_csv, "equity.csv"),
+        (data_io.load_diagnostics_csv, "diagnostics.csv"), (data_io.load_obs_csv, "obs.csv"),
+        (data_io.load_comparison_csv, "comparison.csv"),
+    ]
+    for loader, name in loaders:
+        # pickle compares every field, arrays and the stamps' carried text included
+        assert pickle.dumps(loader(_bom_copy(files[name]))) == pickle.dumps(loader(files[name])), loader.__name__
+    assert data_io.load_ohlc_csv(_bom_copy(files["ohlc.csv"])).timestamps._texts is not None

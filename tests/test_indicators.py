@@ -1,5 +1,7 @@
 import math
 import re
+from bisect import bisect_left, bisect_right
+from datetime import timedelta, timezone
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from chmmtrade import (
     RSI_DISCRETIZER,
     Discretizer,
     OhlcSeries,
+    Stamps,
     atr,
     bin_value,
     cci,
@@ -246,3 +249,56 @@ def test_ohlc_series_columns_are_read_only_and_slices_are_series():
     assert_array_equal(picked.close, [1.1, 1.0])
     with pytest.raises(TypeError):
         bars[0]
+
+
+# -- the Stamps column stands in for a list of datetimes ----------------------
+
+def test_stamps_compare_slice_index_and_bisect_as_the_list():
+    stamps = list(bars_from_closes(np.ones(6)).timestamps)
+    column = Stamps(stamps)
+    assert column == stamps and stamps == column and column == Stamps(stamps)
+    assert not (column != stamps) and not (stamps != column)
+    assert column != stamps[1:] and stamps[1:] != column and column != tuple(stamps)
+    assert column[1:4] == stamps[1:4] and stamps[::2] == column[::2] and isinstance(column[1:4], Stamps)
+    assert column[-1] is stamps[-1] and column[2] is stamps[2]
+    assert column.take([4, 0, 4]) == [stamps[4], stamps[0], stamps[4]]
+    assert list(column) == stamps and len(column) == 6 and list(reversed(column)) == stamps[::-1]
+    assert stamps[3] in column and column.index(stamps[3]) == 3
+    for probe in (stamps[0] - timedelta(minutes=1), stamps[2], stamps[2] + timedelta(minutes=1), stamps[-1]):
+        assert bisect_left(column, probe) == bisect_left(stamps, probe)
+        assert bisect_right(column[1:], probe) == bisect_right(stamps[1:], probe)
+    with pytest.raises(IndexError):
+        column[6]
+    with pytest.raises(TypeError):
+        column[1.0]
+
+
+def test_stamps_refuse_every_mutator():
+    column = Stamps(bars_from_closes(np.ones(3)).timestamps)
+    with pytest.raises(TypeError):
+        hash(column)
+    with pytest.raises(TypeError):
+        column[0] = T0
+    with pytest.raises(TypeError):
+        column[0:1] = [T0]
+    with pytest.raises(TypeError):
+        del column[0]
+    with pytest.raises(TypeError):
+        column += [T0]
+    with pytest.raises(TypeError):
+        column *= 2
+    for name in ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"):
+        assert not hasattr(column, name), name
+    with pytest.raises(AttributeError):
+        column.extra = 1
+
+
+def test_parts_of_a_column_carry_its_text():
+    stamps = [T0.astimezone(timezone(timedelta(hours=h))) + timedelta(minutes=m) for h, m in ((0, 0), (1, 10), (-5, 20))]
+    column = Stamps(stamps)
+    part, picked = column[1:], column.take([2, 0])
+    assert picked.isoformat() == tuple(ts.isoformat() for ts in (stamps[2], stamps[0]))
+    assert column.isoformat() == tuple(ts.isoformat() for ts in stamps)
+    assert part.isoformat() == column.isoformat()[1:]
+    assert column[1:][1:].isoformat() == (stamps[2].isoformat(),)
+    assert Stamps([]).isoformat() == ()
