@@ -445,8 +445,12 @@ def compare_predictors(
     next state and forecast value.  Agreement rates are the fraction of
     bars on which the two coincide; when they track each other closely
     the cheaper marginal predictor can stand in for the decoder.  Raises
-    ValueError when ``initial_params`` is not of the config's model size.
+    ValueError when ``initial_params`` is given but the config turns warm
+    starting off, since no fit would start from them, or when they are
+    not of the config's model size.
     """
+    if initial_params is not None and not cfg.fit.warm_start:
+        raise ValueError("initial parameters start only warm-started fits, but the config sets warm_start = false")
     if initial_params is not None and (initial_params.n_states, initial_params.n_bins) != (cfg.n_states, cfg.n_bins):
         raise ValueError(
             f"initial parameters have {initial_params.n_states} states and {initial_params.n_bins} bins, "

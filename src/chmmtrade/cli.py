@@ -18,6 +18,7 @@ import numpy as np
 
 from . import data_io
 from .backtest import PREDICTORS, SYSTEM_DEFAULTS, BacktestConfig, compare_predictors, perf_stats, run_backtest
+from .indicators import OhlcSeries
 from .model import ChmmParams, jittered_params, load_params, save_params
 from .oracle import synthetic_ohlc
 from .strategy import FIDELITIES
@@ -43,19 +44,21 @@ def _load_backtest_config(args, rejected=()) -> BacktestConfig:
     return data_io.backtest_config_from_mapping(mapping)
 
 
-def _aligned_pair(args):
-    bars1 = data_io.load_ohlc_csv(args.asset1)
-    bars2 = data_io.load_ohlc_csv(args.asset2)
-    pair = data_io.align(bars1, bars2)
+def _aligned_pair(args) -> tuple[OhlcSeries, OhlcSeries]:
+    """The traded and the filter series on their common timestamps.  The
+    filter series takes the traded series' ``Stamps`` column, which equals
+    its own after ``align``: only the traded one is read or written."""
+    pair = data_io.align(data_io.load_ohlc_csv(args.asset1), data_io.load_ohlc_csv(args.asset2))
     if pair.dropped:
         print(f"dropped {len(pair.dropped)} unmatched bars during alignment", file=sys.stderr)
-    return pair
+    bars1, bars2 = pair.bars1, pair.bars2
+    return bars1, OhlcSeries(bars1.timestamps, bars2.open, bars2.high, bars2.low, bars2.close)
 
 
 def _cmd_backtest(args) -> int:
     cfg = _load_backtest_config(args)
-    pair = _aligned_pair(args)
-    result = run_backtest(cfg, pair.bars1, pair.bars2, baseline_ratio=args.baseline_ratio)
+    bars1, bars2 = _aligned_pair(args)
+    result = run_backtest(cfg, bars1, bars2, baseline_ratio=args.baseline_ratio)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_io.write_trades_csv(out / "trades.csv", result.trades)
@@ -126,9 +129,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _load_backtest_config(args, rejected=_BACKTEST_ONLY_KEYS)
-    pair = _aligned_pair(args)
+    bars1, bars2 = _aligned_pair(args)
     initial = load_params(args.params) if args.params else None
-    result = compare_predictors(cfg, pair.bars1, pair.bars2, initial_params=initial)
+    result = compare_predictors(cfg, bars1, bars2, initial_params=initial)
     if args.out:
         data_io.write_comparison_csv(args.out, result)
     print(f"bars_compared = {len(result)}")

@@ -3,7 +3,9 @@
 All files are plain delimited text with fixed column orders; every
 writer here has a matching loader so outputs round-trip.  Numbers are
 written with ``repr`` so float64 values survive a round trip bit-stably.
-Every reader accepts a leading UTF-8 byte order mark.  Stamps are
+Every reader accepts a leading UTF-8 byte order mark.  The OHLC reader
+parses a file of plain lines in blocks and any other file one ``csv``
+row at a time.  Stamps are
 written as ``datetime.isoformat`` text; a ``Stamps`` column (a loaded or
 simulated series, and the per-bar results sliced from it) supplies that
 text itself, kept from the file or formatted once, so no writer formats
@@ -15,12 +17,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import islice
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -102,17 +103,6 @@ def _header_reader(fh, path, header: list[str]):
     return reader
 
 
-def _is_data_row(row: list[str], width: int, path, lineno: int) -> bool:
-    """Whether a ``csv`` record is a data row of ``width`` fields; a blank
-    line is not, and a row of another width raises ValueError naming the
-    path and line."""
-    if len(row) == width:
-        return True
-    if not row or (len(row) == 1 and not row[0].strip()):
-        return False
-    raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
-
-
 def _csv_rows(path, header: list[str]):
     """``(line number, fields)`` of every data row of a CSV that must start
     with exactly ``header``; blank lines are skipped, and an empty file, a
@@ -120,9 +110,13 @@ def _csv_rows(path, header: list[str]):
     path and line."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = _header_reader(fh, path, header)
+        width = len(header)
         for lineno, row in enumerate(reader, start=2):
-            if _is_data_row(row, len(header), path, lineno):
-                yield lineno, row
+            if len(row) != width:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+            yield lineno, row
 
 
 def _csv_records(path, header: list[str], parse) -> list:
@@ -150,30 +144,10 @@ def _write_csv(path, header: list[str], fmt: str, *columns) -> None:
 # Lines per block of an OHLC file; the tests patch it down to put rows at
 # block boundaries.
 _BLOCK_LINES = 4096
-# Characters that send a block to the csv row route: the quote, NUL, and
+# Characters that send a file to the row route: the quote, NUL, and
 # \x1c-\x1f, which numpy's number parser strips as white space and
 # ``float`` does not.
 _ROW_ROUTE_CHARS = '"\0\x1c\x1d\x1e\x1f'
-
-
-def _line_blocks(fh):
-    """Lists of up to ``_BLOCK_LINES`` lines of ``fh``.  A decode error is
-    raised after the block of the lines decoded before it, so an error in
-    those lines comes first, as it does for a reader taking one line at a
-    time."""
-    block = []
-    try:
-        for line in fh:
-            block.append(line)
-            if len(block) == _BLOCK_LINES:
-                yield block
-                block = []
-    except UnicodeDecodeError:
-        if block:
-            yield block
-        raise
-    if block:
-        yield block
 
 
 def _plain_block(block: list[str]):
@@ -188,8 +162,8 @@ def _plain_block(block: list[str]):
     text it and ``float`` agree bit for bit).  The comma count caps the
     total width and ``loadtxt`` refuses a line short of five fields, so
     every line has exactly five.  A blank line, which ``loadtxt`` skips,
-    has no stamp; the row count check keeps prices and stamps aligned
-    all the same.  A naive stamp is read as UTC.
+    makes the block not plain: its row count falls short of its line
+    count.  A naive stamp is read as UTC.
     """
     text = "".join(block)
     if (
@@ -213,78 +187,42 @@ def _plain_block(block: list[str]):
     return stamps, texts if _canonical(texts) else None, prices
 
 
-def load_ohlc_csv(path) -> OhlcSeries:
-    """Read, validate, sort and deduplicate an OHLC file.
-
-    Expects the exact header ``timestamp,open,high,low,close`` with
-    ISO-8601 UTC timestamps.  Duplicate timestamps keep the last record
-    in file order (with a logged warning); every row must be finite and
-    satisfy the OHLC invariant.  Errors name the offending line, counting
-    lines as the ``csv`` reader counts records.
-
-    The file is read ``_BLOCK_LINES`` lines at a time (``_line_blocks``).
-    A block of plain lines is parsed whole by ``_plain_block``.  Any other
-    block (quotes, blank lines, a row of another width, a cell numpy or
-    ``fromisoformat`` refuses) goes through the ``csv`` reader row by row,
-    reading past the block's end only to finish a quoted record.  A stamp,
-    width or decode error is raised where it is met, an unreadable price
-    once every row is read (so a later stamp or width error comes first),
-    then the first row that is not finite or breaks the invariant.  Stamps
-    that are not strictly increasing are sorted and deduplicated.  Results,
-    errors and warnings equal those of the row-by-row
-    ``oracle.load_ohlc_rows``.  When every block is plain and its stamps
-    are canonical (``indicators._canonical``), the series' ``Stamps``
-    column keeps their text, so the writers need not format them again.
-    """
+def _load_ohlc_rows(path) -> OhlcSeries:
+    """``load_ohlc_csv`` one ``csv`` row at a time.  A stamp, width or
+    decode error is raised where it is met, an unreadable price once every
+    row is read."""
     stamps: list[datetime] = []
-    texts: list[str] | None = []  # the stamps' text while every block has kept it
-    prices: list[np.ndarray] = []  # (rows, 4) open, high, low, close of each block
-    numbers: list = []  # the line number of each block's rows
-    price_error = None  # the first unreadable price
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        _header_reader(fh, path, OHLC_HEADER)
-        lineno = 2
-        for block in _line_blocks(fh):
-            plain = _plain_block(block)
-            if plain is not None:
-                stamps += plain[0]
-                if texts is not None and plain[1] is not None:
-                    texts += plain[1]
-                else:
-                    texts = None
-                prices.append(plain[2])
-                numbers.append(range(lineno, lineno + len(block)))
-                lineno += len(block)
-                continue
-            rows, row_lines, texts = [], [], None
-            reader = csv.reader(chain(block, fh))
-            for row in reader:
-                if _is_data_row(row, len(OHLC_HEADER), path, lineno):
-                    try:
-                        stamps.append(_parse_timestamp(row[0].strip()))
-                    except ValueError as exc:
-                        raise ValueError(f"{path}: line {lineno}: {exc}") from None
-                    try:
-                        rows.append([float(v) for v in row[1:]])
-                    except ValueError as exc:
-                        price_error = price_error or f"{path}: line {lineno}: {exc}"
-                        rows.append([math.nan] * 4)
-                    row_lines.append(lineno)
-                lineno += 1
-                if reader.line_num >= len(block):
-                    break
-            prices.append(np.array(rows, dtype=np.float64).reshape(-1, 4))
-            numbers.append(row_lines)
+    cells: list[str] = []  # open, high, low, close of every row, row after row
+    lines: list[int] = []
+    for lineno, row in _csv_rows(path, OHLC_HEADER):
+        try:
+            stamps.append(_parse_timestamp(row[0].strip()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        cells += row[1:]
+        lines.append(lineno)
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells)).reshape(-1, 4)
+    except ValueError:
+        for k, lineno in enumerate(lines):  # name the first row that does not parse
+            try:
+                [float(v) for v in cells[4 * k: 4 * k + 4]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        raise
+    return _ohlc_series(path, stamps, None, values, lines)
+
+
+def _ohlc_series(path, stamps: list[datetime], texts, values: np.ndarray, lines) -> OhlcSeries:
+    """The series of an OHLC file's rows, in file order: their stamps, the
+    stamps' text (None: not known), their ``(rows, 4)`` prices and line
+    numbers.  The checks, sort and dedupe of ``load_ohlc_csv``."""
     if not stamps:
         raise ValueError(f"{path}: no data rows")
-    if price_error:
-        raise ValueError(price_error)
-    values = np.concatenate(prices)
     column = Stamps._with_texts(stamps, texts)
     bad = _bad_rows(*values.T)
     if not bad.size and all(map(operator.lt, stamps, islice(stamps, 1, None))):
         return OhlcSeries(column, *values.T)
-    lines = list(chain.from_iterable(numbers))
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"{path}: line {lines[i]}: {_row_problem(stamps[i], *values[i].tolist())}")
@@ -295,6 +233,48 @@ def load_ohlc_csv(path) -> OhlcSeries:
         last[ts] = i
     keep = [last[ts] for ts in sorted(last)]
     return OhlcSeries(column.take(keep), *values[keep].T)
+
+
+def load_ohlc_csv(path) -> OhlcSeries:
+    """Read, validate, sort and deduplicate an OHLC file.
+
+    Expects the exact header ``timestamp,open,high,low,close`` with
+    ISO-8601 UTC timestamps.  Duplicate timestamps keep the last record
+    in file order (with a logged warning); every row must be finite and
+    satisfy the OHLC invariant.  Errors name the offending line, counting
+    lines as the ``csv`` reader counts records.
+
+    When every block of ``_BLOCK_LINES`` lines is plain (``_plain_block``),
+    the file is parsed block by block and row ``i`` is line ``i + 2``.  At
+    the first block that is not plain, or at a decode error, the whole
+    file is read again by ``_load_ohlc_rows``, so a file that is plain but
+    for one block reads at the row route's speed.  Both routes end in
+    ``_ohlc_series``.  The series' ``Stamps`` column keeps the file's
+    text when every stamp of a plain file is canonical
+    (``indicators._canonical``), so the writers need not format it again.
+    """
+    stamps: list[datetime] = []
+    texts: list[str] | None = []  # the stamps' text while every block has kept it
+    prices = [np.empty((0, 4))]  # (rows, 4) open, high, low, close of each block
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        _header_reader(fh, path, OHLC_HEADER)
+        plain = ()  # no block read yet
+        try:
+            while block := list(islice(fh, _BLOCK_LINES)):
+                plain = _plain_block(block)
+                if plain is None:
+                    break
+                stamps += plain[0]
+                if texts is not None and plain[1] is not None:
+                    texts += plain[1]
+                else:
+                    texts = None
+                prices.append(plain[2])
+        except UnicodeDecodeError:
+            plain = None
+    if plain is None:
+        return _load_ohlc_rows(path)
+    return _ohlc_series(path, stamps, texts, np.concatenate(prices), range(2, 2 + len(stamps)))
 
 
 def write_ohlc_csv(path, bars: OhlcSeries) -> None:

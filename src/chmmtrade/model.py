@@ -183,9 +183,19 @@ def joint_transition(params: ChmmParams, chain: int, s1: int, s2: int, j: int) -
     )
 
 
+def _sizes(n_states: int, n_bins: int) -> tuple[int, int]:
+    """The sizes as integers; one below 1 raises ``ChmmParams``' ValueError."""
+    n, m = int(n_states), int(n_bins)
+    if n < 1:
+        raise ValueError("need at least one state per chain")
+    if m < 1:
+        raise ValueError(f"emit must have shape (2, {n}, M), got (2, {n}, {m})")
+    return n, m
+
+
 def uniform_params(n_states: int, n_bins: int) -> ChmmParams:
     """Uniform distributions everywhere, coupling weights 1/2."""
-    n, m = int(n_states), int(n_bins)
+    n, m = _sizes(n_states, n_bins)
     return ChmmParams(
         priors=np.full((N_CHAINS, n), 1.0 / n),
         trans=np.full((N_CHAINS, N_CHAINS, n, n), 1.0 / n),
@@ -203,7 +213,7 @@ def jittered_params(n_states: int, n_bins: int, seed=0, jitter: float = 0.05) ->
     so training always starts from a jittered point.
     """
     rng = np.random.default_rng(seed)
-    n, m = int(n_states), int(n_bins)
+    n, m = _sizes(n_states, n_bins)
 
     def jig(shape, value, axis):
         noisy = np.full(shape, value) * rng.uniform(1.0 - jitter, 1.0 + jitter, size=shape)

@@ -1,25 +1,30 @@
 """Brute-force references and generators used for verification.
 
-Everything here recomputes model quantities by exhaustive enumeration,
-numerical differencing, forward-mode derivative propagation or
-per-step and per-window loops, sharing no recursion with the library's
-implementations, so tests can cross-check the two routes.  The OHLC
-reader here takes a file one ``csv`` row at a time, the reference for
-the library's block reader.
+Everything here recomputes model quantities another way than the
+library does (exhaustive enumeration, numerical differencing,
+forward-mode derivative propagation, per-step and per-window loops), so
+tests can cross-check the two routes.  What a comparison leaves
+unchecked is shared: ``step_forward`` packs its trellis with
+``inference._trellis``, ``step_adjoint`` forms its gradients with
+``training._gradient_set``, ``fd_gradient`` differences likelihoods of
+``inference._forward``, ``cci_loop`` takes window means from
+``indicators._window_means``, the step loops and ``alpha_gradients``
+look up emissions with ``inference._emission_lookup``, and
+``load_ohlc_rows`` is ``data_io``'s own row route, the reference for its
+block route.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .data_io import OHLC_HEADER, _csv_rows, _parse_timestamp
-from .indicators import Discretizer, OhlcSeries, Stamps, _bad_rows, _row_problem, _window_means
+from .data_io import _load_ohlc_rows
+from .indicators import Discretizer, OhlcSeries, Stamps, _window_means
 from .inference import ForwardTrellis, _emission_lookup, _forward, _trellis
 from .model import ChmmParams, ObservationSequence, check_params
 from .strategy import crossing_side
@@ -42,8 +47,6 @@ __all__ = [
     "synthetic_ohlc",
     "permutation_aligned_mae",
 ]
-
-log = logging.getLogger(__name__)
 
 MAX_ENUM_PATHS = 4096
 # Steps per uniform draw in sample_chmm, so its temporaries stay small at any length.
@@ -471,50 +474,9 @@ def cci_loop(high, low, close, period: int) -> np.ndarray:
     return out
 
 
-def load_ohlc_rows(path) -> OhlcSeries:
-    """Read, validate, sort and deduplicate an OHLC file one ``csv`` row at
-    a time; the reference for ``data_io.load_ohlc_csv``, which reads
-    blocks of rows.
-
-    Expects the exact header ``timestamp,open,high,low,close`` with
-    ISO-8601 UTC timestamps.  Duplicate timestamps keep the last record
-    in file order (with a logged warning); every row must be finite and
-    satisfy the OHLC invariant.  Errors name the offending line.  One
-    pass collects the stamps and the price fields, which are then
-    converted and checked as whole columns.
-    """
-    stamps: list[datetime] = []
-    cells: list[str] = []  # open, high, low, close of every row, row after row
-    lines: list[int] = []
-    for lineno, row in _csv_rows(path, OHLC_HEADER):
-        try:
-            stamps.append(_parse_timestamp(row[0].strip()))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        cells += row[1:]
-        lines.append(lineno)
-    if not stamps:
-        raise ValueError(f"{path}: no data rows")
-    try:
-        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells)).reshape(-1, 4)
-    except ValueError:
-        for k, lineno in enumerate(lines):  # name the first row that does not parse
-            try:
-                [float(v) for v in cells[4 * k: 4 * k + 4]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        raise
-    bad = _bad_rows(*values.T)
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"{path}: line {lines[i]}: {_row_problem(stamps[i], *values[i].tolist())}")
-    last: dict[datetime, int] = {}
-    for i, ts in enumerate(stamps):
-        if ts in last:
-            log.warning("%s: line %d: duplicate timestamp %s, keeping later record", path, lines[i], ts)
-        last[ts] = i
-    keep = [last[ts] for ts in sorted(last)]
-    return OhlcSeries([stamps[i] for i in keep], *values[keep].T)
+# The row route of ``data_io.load_ohlc_csv``, under the name the tests use
+# for the reference its block route is checked against.
+load_ohlc_rows = _load_ohlc_rows
 
 
 def signal_side(kind: str, series, sma_period: int, open_sides=()) -> str:

@@ -11,6 +11,7 @@ from numpy.testing import assert_array_equal
 from chmmtrade import (
     BacktestConfig,
     EquityCurve,
+    FitConfig,
     OhlcSeries,
     atr,
     compare_predictors,
@@ -329,6 +330,16 @@ def test_compare_rows_equal_backtest_diagnostics(system):
     assert_array_equal(cmp.value_marginal, m.predicted_value)
     assert_array_equal(cmp.state_viterbi, v.predicted_state)
     assert_array_equal(cmp.value_viterbi, v.predicted_value)
+
+
+def test_compare_refuses_initial_params_without_warm_start():
+    params = _default_sim_params(3, 8, seed=5)
+    bars1, bars2 = synthetic_ohlc(params, 60, seed=5, amplitude=0.005)
+    cold = BacktestConfig(n_states=3, seed=4, fit=FitConfig(warm_start=False))
+    with pytest.raises(ValueError, match="^initial parameters start only warm-started fits, but the config sets "
+                                         "warm_start = false$"):
+        compare_predictors(cold, bars1, bars2, initial_params=params)
+    assert len(compare_predictors(cold, bars1, bars2)) > 0
 
 
 def test_stats_from_ret_vol_paper_rows():

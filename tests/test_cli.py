@@ -1,8 +1,11 @@
+import argparse
+
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from chmmtrade import ObservationSequence, OhlcSeries, data_io, load_params, sample_chmm, save_params
-from chmmtrade.cli import _default_sim_params, main
+from chmmtrade.cli import _aligned_pair, _default_sim_params, main
 from chmmtrade.model import ChmmParams
 from test_golden import BACKTEST_FILES, BACKTESTS
 
@@ -246,6 +249,23 @@ def test_compare_rejects_params_of_another_model_size(tmp_path, sim_dir, capsys,
     ]
 
 
+def test_compare_rejects_params_when_warm_start_is_off(tmp_path, sim_dir, capsys):
+    pfile = tmp_path / "params.txt"
+    save_params(_default_sim_params(5, 8, seed=1), pfile)
+    cold = tmp_path / "cold.cfg"
+    cold.write_text("warm_start = false\n")
+    capsys.readouterr()
+    code = run_cli(
+        "compare", "--config", str(cold),
+        "--asset1", str(sim_dir / "asset1.csv"), "--asset2", str(sim_dir / "asset2.csv"),
+        "--params", str(pfile), "--seed", "3",
+    )
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: initial parameters start only warm-started fits, but the config sets warm_start = false"
+    ]
+
+
 def test_compare_generic_rates_are_probabilities(tmp_path, sim_dir, capsys):
     capsys.readouterr()
     code = run_cli(
@@ -362,6 +382,29 @@ def test_fit_widens_bins_to_cover_observations(tmp_path):
                    "--n-states", "2", "--n-bins", "4", "--sweeps", "1")
     assert code == 0
     assert load_params(out_file).n_bins == 10
+
+
+def test_fit_rejects_zero_states_with_one_error_line(tmp_path, capsys):
+    obs_file = tmp_path / "obs.csv"
+    data_io.write_obs_csv(obs_file, ObservationSequence.from_lists([0, 1], [1, 0]))
+    capsys.readouterr()
+    code = run_cli("fit", "--obs", str(obs_file), "--params-out", str(tmp_path / "p.txt"), "--n-states", "0")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: need at least one state per chain"]
+
+
+def test_aligned_filter_series_holds_the_traded_stamp_column(tmp_path, sim_dir):
+    # The filter file holds bars the traded file lacks; after alignment
+    # both series share the traded series' column.
+    traded = data_io.load_ohlc_csv(sim_dir / "asset1.csv")[5:]
+    data_io.write_ohlc_csv(tmp_path / "traded.csv", traded)
+    args = argparse.Namespace(asset1=str(tmp_path / "traded.csv"), asset2=str(sim_dir / "asset2.csv"))
+    bars1, bars2 = _aligned_pair(args)
+    assert bars2.timestamps is bars1.timestamps
+    assert bars1.timestamps == traded.timestamps
+    filter_bars = data_io.load_ohlc_csv(sim_dir / "asset2.csv")[5:]
+    for column in ("open", "high", "low", "close"):
+        assert_array_equal(getattr(bars2, column), getattr(filter_bars, column))
 
 
 def test_backtest_of_inputs_that_start_with_a_bom_is_byte_identical(tmp_path, sim_dir, capsys):

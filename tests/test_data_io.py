@@ -630,14 +630,37 @@ def test_block_reader_loads_rows_of_every_route(tmp_path):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data_io, "_BLOCK_LINES", block)
             assert _load_outcome(data_io.load_ohlc_csv, path) == _load_outcome(oracle.load_ohlc_rows, path)
-    # One line a block: the row route reads the quoted record's second line
-    # and hands the next line back to the block reader.
+    # One line a block: the first block that is not plain, the quoted
+    # record's first line, sends the whole file to the row route.
     plain, parse = [], data_io._plain_block
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_io, "_BLOCK_LINES", 1)
         mp.setattr(data_io, "_plain_block", lambda block: plain.append(parse(block) is not None) or parse(block))
         data_io.load_ohlc_csv(path)
-    assert plain == [True, True, False, False, False, True]
+    assert plain == [True, True, False]
+
+
+def test_plain_files_take_the_block_route(tmp_path, monkeypatch):
+    # A written series, the simulate output and plain rows shuffled with
+    # duplicates never reach the row route, across several blocks; one
+    # quoted cell sends the whole file there, once.
+    written = tmp_path / "written.csv"
+    data_io.write_ohlc_csv(written, bars_from_closes(np.linspace(1.0, 1.5, 150)))
+    assert cli.main(["simulate", "--bars", "300", "--seed", "42", "--out", str(tmp_path / "sim")]) == 0
+    header, *rows = written.read_text().splitlines(keepends=True)
+    shuffled = write(tmp_path, "shuffled.csv", header + "".join(rows[90:] + rows[:100]))
+    stamp, open_, rest = rows[120].split(",", 2)
+    rows[120] = f'{stamp},"{open_}",{rest}'
+    quoted = write(tmp_path, "quoted.csv", header + "".join(rows))
+    paths = [written, tmp_path / "sim" / "asset1.csv", tmp_path / "sim" / "asset2.csv", shuffled, quoted]
+    expected = [_load_outcome(oracle.load_ohlc_rows, path) for path in paths]
+    assert len(expected[3][1]) == 10  # the shuffled file's duplicates warned
+    assert len(expected[4][0][0]) == 150  # the quoted file loads
+    calls = []
+    monkeypatch.setattr(data_io, "_BLOCK_LINES", 64)
+    monkeypatch.setattr(data_io, "_load_ohlc_rows", lambda path: calls.append(path) or oracle.load_ohlc_rows(path))
+    assert [_load_outcome(data_io.load_ohlc_csv, path) for path in paths] == expected
+    assert calls == [quoted]
 
 
 @pytest.mark.parametrize("bad_row", [None, "yesterday,1.0,1.2,0.9,1.1", "2013-01-01T00:20:00+00:00,1.0"])

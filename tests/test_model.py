@@ -24,6 +24,18 @@ def test_uniform_params_pass_validation():
     assert validate_params(uniform_params(5, 8)) == []
 
 
+@pytest.mark.parametrize("make", [uniform_params, jittered_params])
+def test_initial_params_reject_zero_sizes_as_chmm_params_does(make):
+    with pytest.raises(ValueError, match="^need at least one state per chain$"):
+        make(0, 8)
+    with pytest.raises(ValueError, match=r"^emit must have shape \(2, 3, M\), got \(2, 3, 0\)$"):
+        make(3, 0)
+    with pytest.raises(ValueError, match="^need at least one state per chain$"):
+        ChmmParams(priors=np.ones((2, 0)), trans=np.ones((2, 2, 0, 0)), emit=np.ones((2, 0, 8)), coupling=np.eye(2))
+    with pytest.raises(ValueError, match=r"^emit must have shape \(2, 3, M\), got \(2, 3, 0\)$"):
+        ChmmParams(priors=np.ones((2, 3)), trans=np.ones((2, 2, 3, 3)), emit=np.ones((2, 3, 0)), coupling=np.eye(2))
+
+
 def test_row_sum_violation_names_matrix_and_row():
     p = uniform_params(2, 2)
     trans = np.array(p.trans)
