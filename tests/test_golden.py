@@ -13,6 +13,9 @@ A second case backtests a non-canonical rewrite of the same CSVs
 (shuffled rows, a duplicated row, ``Z`` stamps and one ``+01:00`` stamp),
 so the loader's parse, deduplication, sort and the alignment of equal
 instants written with different offsets are pinned as well.
+
+A third case pins the parameter text format: a cold ``fit``, a warm
+``fit --params-in`` of its result and ``simulate --params`` on that file.
 """
 
 import hashlib
@@ -189,3 +192,62 @@ NONCANONICAL_GOLDEN = {
 
 def test_noncanonical_inputs_match_golden_digests(tmp_path, capsys):
     assert _noncanonical_digests(tmp_path, capsys) == NONCANONICAL_GOLDEN
+
+
+# A parameter-file case: a cold fit on a fixed observation file, a warm fit
+# read back from its params file, and a simulation driven by that file.
+# This pins ``params_to_text``, ``load_params``, ``jittered_params``,
+# ``reestimate`` and ``sample_chmm`` on a model read from text.
+FIT_FLAGS = ("--n-states", "4", "--n-bins", "8", "--sweeps", "6", "--seed", "3")
+
+
+def _write_obs(path, n_rows: int = 150, n_bins: int = 8, seed: int = 17) -> None:
+    """Two loosely coupled bin walks, drawn by the standard library only."""
+    rng = random.Random(seed)
+    a = b = 0
+    rows = []
+    for _ in range(n_rows):
+        a = min(n_bins - 1, max(0, a + rng.choice((-1, 0, 1))))
+        b = min(n_bins - 1, max(0, (a + b) // 2 + rng.choice((-1, 0, 1))))
+        rows.append(f"{a},{b}")
+    path.write_text("o1,o2\n" + "\n".join(rows) + "\n")
+
+
+def _params_digests(tmp_path, capsys) -> dict:
+    obs = tmp_path / "obs.csv"
+    _write_obs(obs)
+    out = {}
+    cold, warm = tmp_path / "cold.txt", tmp_path / "warm.txt"
+    runs = {
+        "fit": (cold, FIT_FLAGS),
+        "fit-warm": (warm, ("--params-in", str(cold), "--sweeps", "3")),
+    }
+    for run, (params_out, flags) in runs.items():
+        trace = tmp_path / f"{run}-trace.txt"
+        argv = ["fit", "--obs", str(obs), "--params-out", str(params_out), "--trace-out", str(trace), *flags]
+        assert main(argv) == 0
+        out[f"{run}/stdout"] = _sha(capsys.readouterr().out.encode())
+        out[f"{run}/params.txt"] = _sha(params_out.read_bytes())
+        out[f"{run}/trace.txt"] = _sha(trace.read_bytes())
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--bars", "200", "--seed", "5", "--params", str(cold), "--out", str(sim)]) == 0
+    capsys.readouterr()  # simulate's stdout names the output directory
+    for name in ("asset1.csv", "asset2.csv"):
+        out[f"simulate/{name}"] = _sha((sim / name).read_bytes())
+    return out
+
+
+PARAMS_GOLDEN = {
+    "fit/stdout": "a75401e5d93c1e97ca4991e245af131373c8b933d944d919f2eb962cb8b7da29",
+    "fit/params.txt": "a5a7b8c8cb84fa956d37cedbb7d1ef510f9455c1475cccdafe6e55d61a73bf3d",
+    "fit/trace.txt": "39439e85ca1c2304895bbf55258249ef5dc03f54846a2acb1f613b8615326265",
+    "fit-warm/stdout": "70158caa04d2777d2a08cff4e15a8ee1bea68ac112d2f700e3d97165a15890fb",
+    "fit-warm/params.txt": "339713ea6412f15cd7de3d34565283d149decfa99130748a6534f4080e86d4a8",
+    "fit-warm/trace.txt": "f11c17b092a8b5916c408eb00fbedd474cbf68f79c2b5c912c12cd887976a3e2",
+    "simulate/asset1.csv": "bc65ff33864a6889246c8db4b12c4baa6834b6e9a22a1a106e826609da9fa60a",
+    "simulate/asset2.csv": "25f8fcaffa355cb8838a98618f9f25cad4bec4e70623a5cd079352e0c7c491f0",
+}
+
+
+def test_parameter_files_match_golden_digests(tmp_path, capsys):
+    assert _params_digests(tmp_path, capsys) == PARAMS_GOLDEN
