@@ -19,7 +19,7 @@ import numpy as np
 from . import data_io
 from .backtest import PREDICTORS, SYSTEM_DEFAULTS, BacktestConfig, compare_predictors, perf_stats, run_backtest
 from .indicators import OhlcSeries
-from .model import ChmmParams, jittered_params, load_params, save_params
+from .model import ChmmParams, _params_by_family, jittered_params, load_params, save_params
 from .oracle import synthetic_ohlc
 from .strategy import FIDELITIES
 from .training import DegenerateModelError, FitConfig, fit
@@ -101,16 +101,11 @@ def _default_sim_params(n_states: int, n_bins: int, seed) -> ChmmParams:
     """Seeded random model with peaked rows, good enough to drive demos."""
     rng = np.random.default_rng((seed, 3))
 
-    def rows(shape, axis):
-        raw = rng.gamma(0.5, size=shape) + 1e-3
+    def rows(uniform, axis):
+        raw = rng.gamma(0.5, size=uniform.shape) + 1e-3
         return raw / raw.sum(axis=axis, keepdims=True)
 
-    return ChmmParams(
-        priors=rows((2, n_states), 1),
-        trans=rows((2, 2, n_states, n_states), 3),
-        emit=rows((2, n_states, n_bins), 2),
-        coupling=rows((2, 2), 0),
-    )
+    return _params_by_family(n_states, n_bins, rows)
 
 
 def _cmd_simulate(args) -> int:

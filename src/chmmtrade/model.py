@@ -5,18 +5,44 @@ next state is drawn from a convex blend of the rows of four transition
 matrices, one per (source chain, target chain) pair, weighted by the
 coupling matrix.  Observations are bin indices into a discretized
 indicator range.
+
+The parameters form four families of probability simplices, whose order,
+shapes, simplex axes and text keys are stated once, in ``_FAMILIES`` and
+``_family_shapes``; every routine that walks the families reads them.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 N_CHAINS = 2
 SIMPLEX_ATOL = 1e-9
+
+
+class _Family(NamedTuple):
+    name: str        # ChmmParams field
+    stem: str        # text key: ``stem_c...`` per index of the chain axes, 1-based
+    chain_axes: int  # leading axes that split the family into text lines
+    axis: int        # the axis each simplex runs along
+    label: str       # a simplex in validation messages, formatted with its 1-based index
+
+
+# The parameter layout in library order; ``_family_shapes`` gives the shapes.
+_FAMILIES = (
+    _Family("priors", "prior", 1, 1, "prior chain {}"),
+    _Family("trans", "trans", 2, 3, "transition matrix ({},{}) row {}"),
+    _Family("emit", "emit", 1, 2, "emission matrix chain {} row {}"),
+    _Family("coupling", "coupling", 0, 0, "coupling column {}"),
+)
+
+
+def _family_shapes(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The shape of each family, in ``_FAMILIES`` order, for N states and M bins."""
+    return (N_CHAINS, n), (N_CHAINS, N_CHAINS, n, n), (N_CHAINS, n, m), (N_CHAINS, N_CHAINS)
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -53,10 +79,9 @@ class ChmmParams:
     coupling: np.ndarray
 
     def __post_init__(self):
-        priors = _frozen(self.priors)
-        trans = _frozen(self.trans)
-        emit = _frozen(self.emit)
-        coupling = _frozen(self.coupling)
+        for fam in _FAMILIES:
+            object.__setattr__(self, fam.name, _frozen(getattr(self, fam.name)))
+        priors, trans, emit, coupling = self.priors, self.trans, self.emit, self.coupling
         if priors.ndim != 2 or priors.shape[0] != N_CHAINS:
             raise ValueError(f"priors must have shape (2, N), got {priors.shape}")
         n = priors.shape[1]
@@ -68,10 +93,6 @@ class ChmmParams:
             raise ValueError(f"emit must have shape (2, {n}, M), got {emit.shape}")
         if coupling.shape != (N_CHAINS, N_CHAINS):
             raise ValueError(f"coupling must have shape (2, 2), got {coupling.shape}")
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "trans", trans)
-        object.__setattr__(self, "emit", emit)
-        object.__setattr__(self, "coupling", coupling)
 
     @property
     def n_states(self) -> int:
@@ -82,6 +103,20 @@ class ChmmParams:
         return self.emit.shape[2]
 
 
+def _integer_bins(arr: np.ndarray) -> np.ndarray:
+    """A float or object array as int64 when each entry is an integer in
+    int64 range; any other entry or dtype raises ValueError, not truncated."""
+    if arr.dtype.kind in "fO":
+        try:
+            with np.errstate(invalid="ignore"):  # an out-of-range float fails the comparison
+                exact = arr.astype(np.int64)
+            if (exact == arr).all():
+                return exact
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError("observation bins must be integers in int64 range")
+
+
 @dataclass(frozen=True)
 class ObservationSequence:
     """Per-chain sequences of observation bin indices, equal length T >= 1."""
@@ -89,7 +124,10 @@ class ObservationSequence:
     bins: np.ndarray  # (2, T) int64
 
     def __post_init__(self):
-        bins = _frozen(self.bins, dtype=np.int64)
+        bins = np.asarray(self.bins)
+        if bins.dtype.kind not in "iub":  # integer and bool arrays convert as they are
+            bins = _integer_bins(bins)
+        bins = _frozen(bins, dtype=np.int64)
         if bins.ndim != 2 or bins.shape[0] != N_CHAINS:
             raise ValueError(f"bins must have shape (2, T), got {bins.shape}")
         if bins.shape[1] < 1:
@@ -100,8 +138,7 @@ class ObservationSequence:
 
     @classmethod
     def from_lists(cls, obs1, obs2) -> "ObservationSequence":
-        o1 = np.asarray(obs1, dtype=np.int64)
-        o2 = np.asarray(obs2, dtype=np.int64)
+        o1, o2 = np.asarray(obs1), np.asarray(obs2)
         if o1.shape != o2.shape:
             raise ValueError("both chains must observe the same number of bars")
         return cls(np.stack([o1, o2]))
@@ -124,35 +161,25 @@ def validate_params(params: ChmmParams) -> list[str]:
     the range check alone.  Chains, rows and columns are 1-based to match
     the serialized text format.
     """
-    families = {"priors": params.priors, "trans": params.trans, "emit": params.emit, "coupling": params.coupling}
-    entries = np.concatenate([arr.ravel() for arr in families.values()])
+    arrays = [getattr(params, fam.name) for fam in _FAMILIES]
+    entries = np.concatenate([arr.ravel() for arr in arrays])
     in_range = entries.min() >= 0.0 and entries.max() <= 1.0
     # Entries in [0, 1] sum without warnings; out of range, +inf and -inf
     # in one simplex sum to NaN, which the range message already covers.
     with nullcontext() if in_range else np.errstate(invalid="ignore"):
-        sums = np.concatenate(
-            [
-                params.priors.sum(axis=1),
-                params.trans.sum(axis=3).ravel(),
-                params.emit.sum(axis=2).ravel(),
-                params.coupling.sum(axis=0),
-            ]
-        )
-    off = np.abs(sums - 1.0) > SIMPLEX_ATOL
+        sums = [arr.sum(axis=fam.axis) for fam, arr in zip(_FAMILIES, arrays)]
+    flat = np.concatenate([s.ravel() for s in sums])
+    off = np.abs(flat - 1.0) > SIMPLEX_ATOL
     if in_range and not off.any():
         return []
 
-    ends = np.cumsum([arr.size for arr in families.values()])
+    ends = np.cumsum([arr.size for arr in arrays])
     outside = np.split(~((entries >= 0.0) & (entries <= 1.0)), ends[:-1])
-    issues = [f"{name}: entries outside [0, 1]" for name, bad in zip(families, outside) if bad.any()]
-    chains, states = range(1, N_CHAINS + 1), range(1, params.n_states + 1)
-    labels = (
-        [f"prior chain {c}" for c in chains]
-        + [f"transition matrix ({cp},{c}) row {i}" for cp, c, i in product(chains, chains, states)]
-        + [f"emission matrix chain {c} row {j}" for c, j in product(chains, states)]
-        + [f"coupling column {c}" for c in chains]
-    )
-    issues += [f"{labels[k]}: sums to {sums[k]!r}" for k in np.flatnonzero(off)]
+    issues = [f"{fam.name}: entries outside [0, 1]" for fam, bad in zip(_FAMILIES, outside) if bad.any()]
+    labels = [
+        fam.label.format(*(i + 1 for i in idx)) for fam, s in zip(_FAMILIES, sums) for idx in np.ndindex(s.shape)
+    ]
+    issues += [f"{labels[k]}: sums to {flat[k]!r}" for k in np.flatnonzero(off)]
     return issues
 
 
@@ -183,25 +210,19 @@ def joint_transition(params: ChmmParams, chain: int, s1: int, s2: int, j: int) -
     )
 
 
-def _sizes(n_states: int, n_bins: int) -> tuple[int, int]:
-    """The sizes as integers; one below 1 raises ``ChmmParams``' ValueError."""
-    n, m = int(n_states), int(n_bins)
-    if n < 1:
-        raise ValueError("need at least one state per chain")
-    if m < 1:
-        raise ValueError(f"emit must have shape (2, {n}, M), got (2, {n}, {m})")
-    return n, m
+def _params_by_family(n_states: int, n_bins: int, family) -> ChmmParams:
+    """Parameters whose families are ``family(uniform, axis)``, called in
+    ``_FAMILIES`` order on the family with every simplex uniform.  A size
+    below 1 gives an empty family, which ``ChmmParams`` refuses itself."""
+    shapes = _family_shapes(max(int(n_states), 0), max(int(n_bins), 0))
+    return ChmmParams(*(
+        family(np.full(shape, 1.0 / max(shape[fam.axis], 1)), fam.axis) for fam, shape in zip(_FAMILIES, shapes)
+    ))
 
 
 def uniform_params(n_states: int, n_bins: int) -> ChmmParams:
     """Uniform distributions everywhere, coupling weights 1/2."""
-    n, m = _sizes(n_states, n_bins)
-    return ChmmParams(
-        priors=np.full((N_CHAINS, n), 1.0 / n),
-        trans=np.full((N_CHAINS, N_CHAINS, n, n), 1.0 / n),
-        emit=np.full((N_CHAINS, n, m), 1.0 / m),
-        coupling=np.full((N_CHAINS, N_CHAINS), 0.5),
-    )
+    return _params_by_family(n_states, n_bins, lambda uniform, axis: uniform)
 
 
 def jittered_params(n_states: int, n_bins: int, seed=0, jitter: float = 0.05) -> ChmmParams:
@@ -213,18 +234,12 @@ def jittered_params(n_states: int, n_bins: int, seed=0, jitter: float = 0.05) ->
     so training always starts from a jittered point.
     """
     rng = np.random.default_rng(seed)
-    n, m = _sizes(n_states, n_bins)
 
-    def jig(shape, value, axis):
-        noisy = np.full(shape, value) * rng.uniform(1.0 - jitter, 1.0 + jitter, size=shape)
+    def jig(uniform, axis):
+        noisy = uniform * rng.uniform(1.0 - jitter, 1.0 + jitter, size=uniform.shape)
         return noisy / noisy.sum(axis=axis, keepdims=True)
 
-    return ChmmParams(
-        priors=jig((N_CHAINS, n), 1.0 / n, axis=1),
-        trans=jig((N_CHAINS, N_CHAINS, n, n), 1.0 / n, axis=3),
-        emit=jig((N_CHAINS, n, m), 1.0 / m, axis=2),
-        coupling=jig((N_CHAINS, N_CHAINS), 0.5, axis=0),
-    )
+    return _params_by_family(n_states, n_bins, jig)
 
 
 # Serialized text format: one `key = values` line per tensor, row-major,
@@ -232,22 +247,18 @@ def jittered_params(n_states: int, n_bins: int, seed=0, jitter: float = 0.05) ->
 _FLOAT_FMT = "%.17g"
 
 
-def params_to_text(params: ChmmParams) -> str:
-    def row(arr):
-        return " ".join(_FLOAT_FMT % v for v in np.asarray(arr).ravel())
+def _text_lines(fam: _Family):
+    """The key of each text line of a family, with the chain index it holds."""
+    for idx in np.ndindex((N_CHAINS,) * fam.chain_axes):
+        yield "_".join([fam.stem, *(str(c + 1) for c in idx)]), idx
 
-    lines = [
-        f"n_states = {params.n_states}",
-        f"n_bins = {params.n_bins}",
-        f"prior_1 = {row(params.priors[0])}",
-        f"prior_2 = {row(params.priors[1])}",
-    ]
-    for cp in range(N_CHAINS):
-        for c in range(N_CHAINS):
-            lines.append(f"trans_{cp + 1}_{c + 1} = {row(params.trans[cp, c])}")
-    lines.append(f"emit_1 = {row(params.emit[0])}")
-    lines.append(f"emit_2 = {row(params.emit[1])}")
-    lines.append(f"coupling = {row(params.coupling)}")
+
+def params_to_text(params: ChmmParams) -> str:
+    lines = [f"n_states = {params.n_states}", f"n_bins = {params.n_bins}"]
+    for fam in _FAMILIES:
+        arr = getattr(params, fam.name)
+        for key, idx in _text_lines(fam):
+            lines.append(f"{key} = " + " ".join(_FLOAT_FMT % v for v in arr[idx].ravel()))
     return "\n".join(lines) + "\n"
 
 
@@ -291,16 +302,11 @@ def _params_from_fields(fields: dict[str, str], source) -> ChmmParams:
             raise ValueError(f"{source}: key {key!r}: expected {int(np.prod(shape))} values, got {vals.size}")
         return vals.reshape(shape)
 
-    priors = np.stack([vec("prior_1", (n,)), vec("prior_2", (n,))])
-    trans = np.stack(
-        [
-            np.stack([vec(f"trans_{cp + 1}_{c + 1}", (n, n)) for c in range(N_CHAINS)])
-            for cp in range(N_CHAINS)
-        ]
-    )
-    emit = np.stack([vec("emit_1", (n, m)), vec("emit_2", (n, m))])
-    coupling = vec("coupling", (N_CHAINS, N_CHAINS))
-    return ChmmParams(priors=priors, trans=trans, emit=emit, coupling=coupling)
+    families = []
+    for fam, shape in zip(_FAMILIES, _family_shapes(n, m)):
+        blocks = [vec(key, shape[fam.chain_axes:]) for key, _ in _text_lines(fam)]
+        families.append(np.reshape(blocks, shape))
+    return ChmmParams(*families)
 
 
 def save_params(params: ChmmParams, path) -> None:

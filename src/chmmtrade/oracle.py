@@ -26,7 +26,7 @@ import numpy as np
 from .data_io import _load_ohlc_rows
 from .indicators import Discretizer, OhlcSeries, Stamps, _window_means
 from .inference import ForwardTrellis, _emission_lookup, _forward, _trellis
-from .model import ChmmParams, ObservationSequence, check_params
+from .model import _FAMILIES, ChmmParams, ObservationSequence, check_params
 from .strategy import crossing_side
 from .training import GradientSet, _gradient_set
 
@@ -288,9 +288,6 @@ def brute_viterbi(params: ChmmParams, obs: ObservationSequence):
     return paths, log_scores
 
 
-_FAMILIES = ("priors", "trans", "emit", "coupling")
-
-
 def perturbed(params: ChmmParams, family: str, index, delta: float) -> ChmmParams:
     """Copy of ``params`` with one raw entry shifted by ``delta``.
 
@@ -299,7 +296,7 @@ def perturbed(params: ChmmParams, family: str, index, delta: float) -> ChmmParam
     derivative must perturb entries without projecting back onto the
     simplex.
     """
-    if family not in _FAMILIES:
+    if family not in [fam.name for fam in _FAMILIES]:
         raise ValueError(f"unknown parameter family {family!r}")
     arr = np.array(getattr(params, family))
     arr[index] += delta
@@ -316,9 +313,9 @@ def fd_gradient(
     """Central finite difference of the joint likelihood in one raw entry."""
     if h <= 0.0:
         raise ValueError("h must be positive")
-    if family not in _FAMILIES:
+    if family not in [fam.name for fam in _FAMILIES]:
         raise ValueError(f"unknown parameter family {family!r}")
-    w = float(np.asarray(getattr(params, family))[index])
+    w = float(getattr(params, family)[index])
     if not (0.0 <= w - h and w + h <= 1.0):
         raise ValueError(f"perturbation leaves [0, 1]: {family}[{index}] = {w} with h = {h}")
     up = _forward(perturbed(params, family, index, +h), obs, scale=False)[0].joint_likelihood
@@ -499,20 +496,23 @@ def signal_side(kind: str, series, sma_period: int, open_sides=()) -> str:
     return crossing_side(kind, prev, curr, open_sides)
 
 
+# The synthetic series' first opens, bar spacing and indicator range.
+_START_PRICES = (0.95, 1600.0)
+_BAR_MINUTES = 10
+_VALUE_RANGE = (0.0, 100.0)
+
+
 def synthetic_ohlc(
     params: ChmmParams,
     n_bars: int,
     seed=0,
     *,
-    start_prices: tuple[float, float] = (0.95, 1600.0),
     start_time: datetime | None = None,
-    bar_minutes: int = 10,
     amplitude: float = 0.002,
-    value_range: tuple[float, float] = (0.0, 100.0),
 ) -> tuple[OhlcSeries, OhlcSeries]:
     """Turn sampled observations into two aligned synthetic OHLC series.
 
-    Each sampled bin maps to its midpoint in ``value_range``; the signed
+    Each sampled bin maps to its midpoint in ``_VALUE_RANGE``; the signed
     distance from the range center scales a per-bar close-to-close
     return of at most ``amplitude``.  Wicks are small seeded extensions
     beyond the open/close body, so every bar satisfies the OHLC
@@ -520,19 +520,19 @@ def synthetic_ohlc(
     """
     draw = sample_chmm(params, n_bars, seed=seed)
     rng = np.random.default_rng((seed, 7))
-    disc = Discretizer(value_range[0], value_range[1], params.n_bins)
-    center = 0.5 * (value_range[0] + value_range[1])
-    halfspan = 0.5 * (value_range[1] - value_range[0])
+    disc = Discretizer(_VALUE_RANGE[0], _VALUE_RANGE[1], params.n_bins)
+    center = 0.5 * (_VALUE_RANGE[0] + _VALUE_RANGE[1])
+    halfspan = 0.5 * (_VALUE_RANGE[1] - _VALUE_RANGE[0])
     t0 = start_time or datetime(2013, 1, 1, tzinfo=timezone.utc)
     # One column for both series, so writing both formats each stamp once.
-    stamps = Stamps(t0 + timedelta(minutes=bar_minutes * t) for t in range(n_bars))
+    stamps = Stamps(t0 + timedelta(minutes=_BAR_MINUTES * t) for t in range(n_bars))
 
     series = []
     for c in range(2):
         values = disc.lb + (draw.observations.bins[c] + 0.5) * disc.width  # bin midpoints
         ret = amplitude * (values - center) / halfspan
         # Each close is the previous one times (1 + ret), multiplied in bar order.
-        prices = np.multiply.accumulate(np.concatenate(([start_prices[c]], 1.0 + ret)))
+        prices = np.multiply.accumulate(np.concatenate(([_START_PRICES[c]], 1.0 + ret)))
         open_, close = prices[:-1], prices[1:]
         wick = rng.uniform(0.0, 0.25 * amplitude, size=(n_bars, 2))
         high = np.maximum(open_, close) * (1.0 + wick[:, 0])

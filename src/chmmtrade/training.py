@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import _CHAINS, ForwardTrellis, _forward, _scan
-from .model import ChmmParams, ObservationSequence, check_params
+from .model import _FAMILIES, ChmmParams, ObservationSequence, check_params
 
 __all__ = [
     "DegenerateModelError",
@@ -148,12 +148,10 @@ def reestimate(params: ChmmParams, grads: GradientSet) -> ChmmParams:
     normalizer vanishes (the likelihood does not depend on them) keep
     their previous values, the unique continuous completion.
     """
-    return ChmmParams(
-        priors=_simplex_update(np.asarray(params.priors), grads.d_priors, axis=1),
-        trans=_simplex_update(np.asarray(params.trans), grads.d_trans, axis=3),
-        emit=_simplex_update(np.asarray(params.emit), grads.d_emit, axis=2),
-        coupling=_simplex_update(np.asarray(params.coupling), grads.d_coupling, axis=0),
-    )
+    return ChmmParams(*(
+        _simplex_update(getattr(params, fam.name), getattr(grads, "d_" + fam.name), fam.axis)
+        for fam in _FAMILIES
+    ))
 
 
 @dataclass(frozen=True)

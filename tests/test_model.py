@@ -280,6 +280,16 @@ def test_observation_sequence_validation():
         ObservationSequence.from_lists([-1], [0])
     obs = ObservationSequence.from_lists([0, 1, 2], [2, 1, 0])
     assert obs.length == 3
+    # A bin that is not an integer in int64 range is refused, not truncated.
+    for bad in ([0.7, 1], [2.5, 3.9], [1e30, 1], [float("nan"), 1], [10**30, 1], [2**63, 1]):
+        with pytest.raises(ValueError, match="^observation bins must be integers in int64 range$"):
+            ObservationSequence.from_lists(bad, [0, 1])
+    with pytest.raises(ValueError, match="^observation bins must be integers in int64 range$"):
+        ObservationSequence(np.array([[0.5, 1.0], [1.0, 2.0]]))
+    # Integral floats, integer and bool arrays convert as they always did.
+    assert ObservationSequence.from_lists([2.0, 3.0], [1, 0]).bins.tolist() == [[2, 3], [1, 0]]
+    assert ObservationSequence.from_lists(np.array([1, 2], dtype=np.int32), [True, False]).bins.tolist() == [[1, 2], [1, 0]]
+    assert ObservationSequence.from_lists([2**63 - 1], [0]).bins.tolist() == [[2**63 - 1], [0]]
 
 
 def test_serialization_round_trip_is_bit_stable(rng):
@@ -289,11 +299,25 @@ def test_serialization_round_trip_is_bit_stable(rng):
         assert_array_equal(getattr(p, name), getattr(q, name))
 
 
-def test_serialization_rejects_missing_key(rng):
+TEXT_KEYS = ["n_states", "n_bins", "prior_1", "prior_2", "trans_1_1", "trans_1_2", "trans_2_1", "trans_2_2",
+             "emit_1", "emit_2", "coupling"]
+
+
+@pytest.mark.parametrize("key", TEXT_KEYS)
+def test_serialization_rejects_missing_key(rng, key):
     text = params_to_text(random_params(rng, 2, 2))
-    broken = "\n".join(line for line in text.splitlines() if not line.startswith("emit_2"))
-    with pytest.raises(ValueError, match="emit_2"):
+    broken = "\n".join(line for line in text.splitlines() if not line.startswith(key + " "))
+    with pytest.raises(ValueError, match=f"^parameter text: missing key '{key}'$"):
         params_from_text(broken)
+
+
+# One line per family with one value too many: (key, values expected) at N=2, M=3.
+@pytest.mark.parametrize("key, count", [("prior_2", 2), ("trans_1_2", 4), ("emit_1", 6), ("coupling", 4)])
+def test_serialization_rejects_wrong_value_count(rng, key, count):
+    lines = [line + " 0.5" if line.startswith(key + " ") else line
+             for line in params_to_text(random_params(rng, 2, 3)).splitlines()]
+    with pytest.raises(ValueError, match=rf"^parameter text: key '{key}': expected {count} values, got {count + 1}$"):
+        params_from_text("\n".join(lines))
 
 
 def test_serialization_ignores_comments(rng):

@@ -241,7 +241,7 @@ def test_cci_no_consecutive_same_direction_entries(rng):
             open_side = None  # position exits
 
 
-def test_generate_signal_rejects_unknown_kind():
+def test_signal_side_rejects_unknown_kind():
     with pytest.raises(ValueError):
         signal_side("macd", [1.0, 2.0], 1)
     with pytest.raises(ValueError):
@@ -279,7 +279,7 @@ def trigger_cases(draw):
 
 
 @given(case=trigger_cases())
-def test_trigger_means_and_crossing_side_equal_generate_signal(case):
+def test_trigger_means_and_crossing_side_equal_signal_side(case):
     # The backtest reads each bar's cross from means taken once per run;
     # on every bar they must give the side oracle.signal_side gives on the
     # realized window (baseline) and on the window ending on the forecast.
