@@ -103,7 +103,6 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     alpha = np.empty((2, t_len, n))
     scales = np.ones(t_len) if scale else None
     w = params.coupling[:, :, None, None] * params.trans  # (a, c, i, j)
-    w_flat = w.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # rows (a, i), columns (c, j)
 
     first = params.priors * bt[0]  # (2, N)
     if scale:
@@ -122,6 +121,7 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
         return mass
 
     def operator(ops, src):
+        w_flat = w.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # rows (a, i), columns (c, j)
         ops = w_flat.T @ ops
         ops *= later[src].reshape(-1, 2 * n, 1)
         return ops

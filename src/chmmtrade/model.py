@@ -4,11 +4,8 @@ Two discrete-emission hidden Markov chains evolve jointly: each chain's
 next state is drawn from a convex blend of the rows of four transition
 matrices, one per (source chain, target chain) pair, weighted by the
 coupling matrix.  Observations are bin indices into a discretized
-indicator range.
-
-The parameters form four families of probability simplices, whose order,
-shapes, simplex axes and text keys are stated once, in ``_FAMILIES`` and
-``_family_shapes``; every routine that walks the families reads them.
+indicator range.  The parameter layout (family order, shapes, simplex axes
+and text keys) is stated once, in ``_FAMILIES`` and ``_family_shapes``.
 """
 
 from __future__ import annotations
@@ -167,9 +164,8 @@ def validate_params(params: ChmmParams) -> list[str]:
     # Entries in [0, 1] sum without warnings; out of range, +inf and -inf
     # in one simplex sum to NaN, which the range message already covers.
     with nullcontext() if in_range else np.errstate(invalid="ignore"):
-        sums = [arr.sum(axis=fam.axis) for fam, arr in zip(_FAMILIES, arrays)]
-    flat = np.concatenate([s.ravel() for s in sums])
-    off = np.abs(flat - 1.0) > SIMPLEX_ATOL
+        sums = np.concatenate([arr.sum(axis=fam.axis).ravel() for fam, arr in zip(_FAMILIES, arrays)])
+    off = np.abs(sums - 1.0) > SIMPLEX_ATOL
     if in_range and not off.any():
         return []
 
@@ -177,9 +173,11 @@ def validate_params(params: ChmmParams) -> list[str]:
     outside = np.split(~((entries >= 0.0) & (entries <= 1.0)), ends[:-1])
     issues = [f"{fam.name}: entries outside [0, 1]" for fam, bad in zip(_FAMILIES, outside) if bad.any()]
     labels = [
-        fam.label.format(*(i + 1 for i in idx)) for fam, s in zip(_FAMILIES, sums) for idx in np.ndindex(s.shape)
+        fam.label.format(*(i + 1 for i in idx))
+        for fam, arr in zip(_FAMILIES, arrays)
+        for idx in np.ndindex(arr.shape[:fam.axis] + arr.shape[fam.axis + 1:])
     ]
-    issues += [f"{labels[k]}: sums to {flat[k]!r}" for k in np.flatnonzero(off)]
+    issues += [f"{labels[k]}: sums to {sums[k]!r}" for k in np.flatnonzero(off)]
     return issues
 
 
@@ -215,9 +213,10 @@ def _params_by_family(n_states: int, n_bins: int, family) -> ChmmParams:
     ``_FAMILIES`` order on the family with every simplex uniform.  A size
     below 1 gives an empty family, which ``ChmmParams`` refuses itself."""
     shapes = _family_shapes(max(int(n_states), 0), max(int(n_bins), 0))
-    return ChmmParams(*(
-        family(np.full(shape, 1.0 / max(shape[fam.axis], 1)), fam.axis) for fam, shape in zip(_FAMILIES, shapes)
-    ))
+    return ChmmParams(*[
+        family(np.full(shape, 1.0 / max(shape[fam.axis], 1)), fam.axis)
+        for fam, shape in zip(_FAMILIES, shapes)
+    ])
 
 
 def uniform_params(n_states: int, n_bins: int) -> ChmmParams:

@@ -496,7 +496,6 @@ def signal_side(kind: str, series, sma_period: int, open_sides=()) -> str:
     return crossing_side(kind, prev, curr, open_sides)
 
 
-# The synthetic series' first opens, bar spacing and indicator range.
 _START_PRICES = (0.95, 1600.0)
 _BAR_MINUTES = 10
 _VALUE_RANGE = (0.0, 100.0)

@@ -148,10 +148,10 @@ def reestimate(params: ChmmParams, grads: GradientSet) -> ChmmParams:
     normalizer vanishes (the likelihood does not depend on them) keep
     their previous values, the unique continuous completion.
     """
-    return ChmmParams(*(
+    return ChmmParams(*[
         _simplex_update(getattr(params, fam.name), getattr(grads, "d_" + fam.name), fam.axis)
         for fam in _FAMILIES
-    ))
+    ])
 
 
 @dataclass(frozen=True)
