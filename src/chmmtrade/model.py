@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +36,7 @@ _FAMILIES = (
     _Family("emit", "emit", 1, 2, "emission matrix chain {} row {}"),
     _Family("coupling", "coupling", 0, 0, "coupling column {}"),
 )
+_family_arrays = attrgetter(*(fam.name for fam in _FAMILIES))  # a ChmmParams' four arrays, in table order
 
 
 def _family_shapes(n: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -78,7 +80,7 @@ class ChmmParams:
     def __post_init__(self):
         for fam in _FAMILIES:
             object.__setattr__(self, fam.name, _frozen(getattr(self, fam.name)))
-        priors, trans, emit, coupling = self.priors, self.trans, self.emit, self.coupling
+        priors, trans, emit, coupling = _family_arrays(self)
         if priors.ndim != 2 or priors.shape[0] != N_CHAINS:
             raise ValueError(f"priors must have shape (2, N), got {priors.shape}")
         n = priors.shape[1]
@@ -158,7 +160,7 @@ def validate_params(params: ChmmParams) -> list[str]:
     the range check alone.  Chains, rows and columns are 1-based to match
     the serialized text format.
     """
-    arrays = [getattr(params, fam.name) for fam in _FAMILIES]
+    arrays = _family_arrays(params)
     entries = np.concatenate([arr.ravel() for arr in arrays])
     in_range = entries.min() >= 0.0 and entries.max() <= 1.0
     # Entries in [0, 1] sum without warnings; out of range, +inf and -inf
@@ -254,8 +256,7 @@ def _text_lines(fam: _Family):
 
 def params_to_text(params: ChmmParams) -> str:
     lines = [f"n_states = {params.n_states}", f"n_bins = {params.n_bins}"]
-    for fam in _FAMILIES:
-        arr = getattr(params, fam.name)
+    for fam, arr in zip(_FAMILIES, _family_arrays(params)):
         for key, idx in _text_lines(fam):
             lines.append(f"{key} = " + " ".join(_FLOAT_FMT % v for v in arr[idx].ravel()))
     return "\n".join(lines) + "\n"
@@ -301,11 +302,10 @@ def _params_from_fields(fields: dict[str, str], source) -> ChmmParams:
             raise ValueError(f"{source}: key {key!r}: expected {int(np.prod(shape))} values, got {vals.size}")
         return vals.reshape(shape)
 
-    families = []
-    for fam, shape in zip(_FAMILIES, _family_shapes(n, m)):
-        blocks = [vec(key, shape[fam.chain_axes:]) for key, _ in _text_lines(fam)]
-        families.append(np.reshape(blocks, shape))
-    return ChmmParams(*families)
+    return ChmmParams(*[
+        np.reshape([vec(key, shape[fam.chain_axes:]) for key, _ in _text_lines(fam)], shape)
+        for fam, shape in zip(_FAMILIES, _family_shapes(n, m))
+    ])
 
 
 def save_params(params: ChmmParams, path) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import _CHAINS, ForwardTrellis, _forward, _scan
-from .model import _FAMILIES, ChmmParams, ObservationSequence, check_params
+from .model import _FAMILIES, ChmmParams, ObservationSequence, _family_arrays, check_params
 
 __all__ = [
     "DegenerateModelError",
@@ -149,8 +149,8 @@ def reestimate(params: ChmmParams, grads: GradientSet) -> ChmmParams:
     their previous values, the unique continuous completion.
     """
     return ChmmParams(*[
-        _simplex_update(getattr(params, fam.name), getattr(grads, "d_" + fam.name), fam.axis)
-        for fam in _FAMILIES
+        _simplex_update(w, getattr(grads, "d_" + fam.name), fam.axis)
+        for fam, w in zip(_FAMILIES, _family_arrays(params))
     ])
 
 
