@@ -100,12 +100,7 @@ def _cmd_fit(args) -> int:
 def _default_sim_params(n_states: int, n_bins: int, seed) -> ChmmParams:
     """Seeded random model with peaked rows, good enough to drive demos."""
     rng = np.random.default_rng((seed, 3))
-
-    def rows(uniform, axis):
-        raw = rng.gamma(0.5, size=uniform.shape) + 1e-3
-        return raw / raw.sum(axis=axis, keepdims=True)
-
-    return _params_by_family(n_states, n_bins, rows)
+    return _params_by_family(n_states, n_bins, lambda uniform: rng.gamma(0.5, size=uniform.shape) + 1e-3)
 
 
 def _cmd_simulate(args) -> int:

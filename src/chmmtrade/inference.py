@@ -15,7 +15,7 @@ mass forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,20 +26,46 @@ __all__ = ["ForwardTrellis", "ViterbiTrellis", "forward", "coupled_viterbi"]
 
 @dataclass(frozen=True)
 class ForwardTrellis:
-    """Forward recursion output.
+    """Forward recursion output, built from the trellis and its normalizers.
 
     ``alpha[c, t, j]`` is the trellis mass of chain ``c`` in state ``j``
     after observing the first ``t + 1`` symbols.  When ``scale_factors``
     is not None the stored alpha values are normalized per step and the
-    likelihoods are only representable in log space.
+    likelihoods are only representable in log space.  Construction
+    freezes both arrays and derives the log likelihoods; the linear ones
+    are properties, so a caller that reads only the logs pays no ``exp``.
     """
 
-    alpha: np.ndarray                    # (2, T, N)
-    per_chain_likelihood: np.ndarray     # (2,)
-    joint_likelihood: float
-    log_per_chain: np.ndarray            # (2,)
-    log_joint: float
+    alpha: np.ndarray                        # (2, T, N)
     scale_factors: np.ndarray | None = None  # (T,) per-step normalizers
+    log_per_chain: np.ndarray = field(init=False)  # (2,)
+    log_joint: float = field(init=False)
+
+    def __post_init__(self):
+        self.alpha.setflags(write=False)
+        if self.scale_factors is not None:
+            self.scale_factors.setflags(write=False)
+        with np.errstate(divide="ignore"):
+            log_pc = np.log(self.alpha[:, -1].sum(axis=1))  # the final mass of each chain
+            if self.scale_factors is not None:
+                log_pc += float(np.log(self.scale_factors).sum())
+        object.__setattr__(self, "log_per_chain", log_pc)
+        object.__setattr__(self, "log_joint", float(log_pc.sum()))
+
+    @property
+    def per_chain_likelihood(self) -> np.ndarray:  # (2,)
+        if self.scale_factors is None:
+            return self.alpha[:, -1].sum(axis=1)
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_per_chain)
+
+    @property
+    def joint_likelihood(self) -> float:
+        if self.scale_factors is None:
+            p1, p2 = self.per_chain_likelihood
+            return float(p1 * p2)
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_joint))
 
 
 @dataclass(frozen=True)
@@ -49,14 +75,19 @@ class ViterbiTrellis:
     ``psi[c, t, k]`` stores the (i, j) source-state pair that maximized
     the score of landing on state ``k`` at step ``t``; backtracking
     follows the i component, the chain's own trellis index.  Scores are
-    kept in log space with ``-inf`` marking impossible configurations.
+    kept in log space with ``-inf`` marking impossible configurations;
+    ``best_prob`` is ``exp(log_best)``.
     """
 
     log_delta: np.ndarray   # (2, T, N)
     psi: np.ndarray         # (2, T, N, 2) int64
     paths: np.ndarray       # (2, T) int64
     log_best: np.ndarray    # (2,)
-    best_prob: np.ndarray   # (2,)
+
+    @property
+    def best_prob(self) -> np.ndarray:  # (2,)
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_best)
 
 
 # Row index of each chain's emission matrix, shaped to broadcast against bins.T.
@@ -91,8 +122,9 @@ def forward(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -
 
 
 def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
-    """Unvalidated forward recursion; returns the trellis and the emission
-    lookup ``bt`` it used, so the gradient's reverse sweep can reuse both.
+    """Unvalidated forward recursion; returns the trellis, the emission
+    lookup ``bt`` and the coupling-weighted transitions ``w`` (a, c, i, j)
+    it used, so the gradient's reverse sweep can reuse all three.
 
     The steps after the first run as one blocked scan (``_scan``); the
     step loop it replaces is ``oracle.step_forward``."""
@@ -127,33 +159,7 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
         return ops
 
     _scan(alpha.transpose(1, 0, 2), step, operator, scales)
-    return _trellis(alpha, scales), bt
-
-
-def _trellis(alpha: np.ndarray, scales: np.ndarray | None) -> ForwardTrellis:
-    """Likelihoods of a finished forward trellis; freezes both arrays."""
-    tail = alpha[:, -1].sum(axis=1)  # (2,)
-    with np.errstate(divide="ignore", over="ignore"):
-        if scales is not None:
-            log_total = float(np.log(scales).sum())
-            log_pc = np.log(tail) + log_total
-        else:
-            log_pc = np.log(tail)
-        log_joint = float(log_pc.sum())
-        per_chain = np.exp(log_pc) if scales is not None else tail
-        joint = float(np.exp(log_joint)) if scales is not None else float(tail[0] * tail[1])
-
-    alpha.setflags(write=False)
-    if scales is not None:
-        scales.setflags(write=False)
-    return ForwardTrellis(
-        alpha=alpha,
-        per_chain_likelihood=per_chain,
-        joint_likelihood=joint,
-        log_per_chain=log_pc,
-        log_joint=log_joint,
-        scale_factors=scales,
-    )
+    return ForwardTrellis(alpha, scales), bt, w
 
 
 # Fewest steps per block of the scan.  A sequence of up to this many steps
@@ -331,9 +337,4 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
 
     for arr in (log_delta, psi, paths, log_best):
         arr.setflags(write=False)
-    with np.errstate(over="ignore"):
-        best_prob = np.exp(log_best)
-    best_prob.setflags(write=False)
-    return ViterbiTrellis(
-        log_delta=log_delta, psi=psi, paths=paths, log_best=log_best, best_prob=best_prob
-    )
+    return ViterbiTrellis(log_delta=log_delta, psi=psi, paths=paths, log_best=log_best)

@@ -19,6 +19,7 @@ import numpy as np
 
 N_CHAINS = 2
 SIMPLEX_ATOL = 1e-9
+_JITTER = 0.05  # half-width of the multiplicative jitter of ``jittered_params``
 
 
 class _Family(NamedTuple):
@@ -103,9 +104,10 @@ class ChmmParams:
 
 
 def _integer_bins(arr: np.ndarray) -> np.ndarray:
-    """A float or object array as int64 when each entry is an integer in
-    int64 range; any other entry or dtype raises ValueError, not truncated."""
-    if arr.dtype.kind in "fO":
+    """A float, unsigned or object array as int64 when each entry is an
+    integer in int64 range; any other entry or dtype raises ValueError, not
+    truncated or wrapped."""
+    if arr.dtype.kind in "fuO":
         try:
             with np.errstate(invalid="ignore"):  # an out-of-range float fails the comparison
                 exact = arr.astype(np.int64)
@@ -124,7 +126,7 @@ class ObservationSequence:
 
     def __post_init__(self):
         bins = np.asarray(self.bins)
-        if bins.dtype.kind not in "iub":  # integer and bool arrays convert as they are
+        if bins.dtype.kind not in "ib":  # signed integer and bool arrays convert as they are
             bins = _integer_bins(bins)
         bins = _frozen(bins, dtype=np.int64)
         if bins.ndim != 2 or bins.shape[0] != N_CHAINS:
@@ -210,37 +212,42 @@ def joint_transition(params: ChmmParams, chain: int, s1: int, s2: int, j: int) -
     )
 
 
-def _params_by_family(n_states: int, n_bins: int, family) -> ChmmParams:
-    """Parameters whose families are ``family(uniform, axis)``, called in
-    ``_FAMILIES`` order on the family with every simplex uniform.  A size
-    below 1 gives an empty family, which ``ChmmParams`` refuses itself."""
-    shapes = _family_shapes(max(int(n_states), 0), max(int(n_bins), 0))
-    return ChmmParams(*[
-        family(np.full(shape, 1.0 / max(shape[fam.axis], 1)), fam.axis)
-        for fam, shape in zip(_FAMILIES, shapes)
-    ])
+def _simplex_normalize(num: np.ndarray, axis: int, keep: np.ndarray) -> np.ndarray:
+    """``num`` divided by its sums along ``axis``: each simplex scaled to
+    total 1.  A simplex whose sum is not positive takes ``keep``'s values."""
+    denom = num.sum(axis=axis, keepdims=True)
+    return np.divide(num, denom, out=np.array(keep), where=denom > 0.0)
+
+
+def _params_by_family(n_states: int, n_bins: int, draw=None) -> ChmmParams:
+    """Parameters with every simplex uniform or, given ``draw``, each family
+    ``draw(uniform)`` normalized per simplex, drawn in ``_FAMILIES`` order.
+    A size below 1 gives an empty family, which ``ChmmParams`` refuses itself."""
+    families = []
+    for fam, shape in zip(_FAMILIES, _family_shapes(max(int(n_states), 0), max(int(n_bins), 0))):
+        uniform = np.full(shape, 1.0 / max(shape[fam.axis], 1))
+        families.append(uniform if draw is None else _simplex_normalize(draw(uniform), fam.axis, uniform))
+    return ChmmParams(*families)
 
 
 def uniform_params(n_states: int, n_bins: int) -> ChmmParams:
     """Uniform distributions everywhere, coupling weights 1/2."""
-    return _params_by_family(n_states, n_bins, lambda uniform, axis: uniform)
+    return _params_by_family(n_states, n_bins)
 
 
-def jittered_params(n_states: int, n_bins: int, seed=0, jitter: float = 0.05) -> ChmmParams:
+def jittered_params(n_states: int, n_bins: int, seed=0) -> ChmmParams:
     """Uniform parameters with seeded multiplicative jitter, renormalized.
 
-    Each entry is scaled by an independent factor in [1 - jitter, 1 + jitter]
-    before its simplex (row or coupling column) is renormalized.  Exact
-    uniformity is a fixed point of the multiplicative re-estimation update,
-    so training always starts from a jittered point.
+    Each entry is scaled by an independent factor in
+    [1 - _JITTER, 1 + _JITTER] before its simplex (row or coupling column)
+    is renormalized.  Exact uniformity is a fixed point of the
+    multiplicative re-estimation update, so training always starts from a
+    jittered point.
     """
     rng = np.random.default_rng(seed)
-
-    def jig(uniform, axis):
-        noisy = uniform * rng.uniform(1.0 - jitter, 1.0 + jitter, size=uniform.shape)
-        return noisy / noisy.sum(axis=axis, keepdims=True)
-
-    return _params_by_family(n_states, n_bins, jig)
+    return _params_by_family(
+        n_states, n_bins, lambda uniform: uniform * rng.uniform(1.0 - _JITTER, 1.0 + _JITTER, size=uniform.shape)
+    )
 
 
 # Serialized text format: one `key = values` line per tensor, row-major,
@@ -293,8 +300,14 @@ def _params_from_fields(fields: dict[str, str], source) -> ChmmParams:
         except ValueError as exc:
             raise ValueError(f"{source}: key {key!r}: {exc}") from None
 
-    n = need("n_states", int)
-    m = need("n_bins", int)
+    def size(text):
+        value = int(text)
+        if value < 1:
+            raise ValueError(f"must be at least 1, got {value}")
+        return value
+
+    n = need("n_states", size)
+    m = need("n_bins", size)
 
     def vec(key, shape):
         vals = need(key, lambda text: np.array([float(v) for v in text.split()]))

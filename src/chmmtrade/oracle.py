@@ -4,14 +4,14 @@ Everything here recomputes model quantities another way than the
 library does (exhaustive enumeration, numerical differencing,
 forward-mode derivative propagation, per-step and per-window loops), so
 tests can cross-check the two routes.  What a comparison leaves
-unchecked is shared: ``step_forward`` packs its trellis with
-``inference._trellis``, ``step_adjoint`` forms its gradients with
-``training._gradient_set``, ``fd_gradient`` differences likelihoods of
-``inference._forward``, ``cci_loop`` takes window means from
-``indicators._window_means``, the step loops and ``alpha_gradients``
-look up emissions with ``inference._emission_lookup``, and
-``load_ohlc_rows`` is ``data_io``'s own row route, the reference for its
-block route.
+unchecked is shared: ``step_forward`` and ``alpha_gradients`` build an
+``inference.ForwardTrellis``, which derives the likelihoods,
+``step_adjoint`` forms its gradients with ``training._gradient_set``,
+``fd_gradient`` differences likelihoods of ``inference._forward``,
+``cci_loop`` takes window means from ``indicators._window_means``, the
+step loops and ``alpha_gradients`` look up emissions with
+``inference._emission_lookup``, and ``load_ohlc_rows`` is ``data_io``'s
+own row route, the reference for its block route.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .data_io import _load_ohlc_rows
 from .indicators import Discretizer, OhlcSeries, Stamps, _window_means
-from .inference import ForwardTrellis, _emission_lookup, _forward, _trellis
+from .inference import ForwardTrellis, _emission_lookup, _forward
 from .model import _FAMILIES, ChmmParams, ObservationSequence, check_params
 from .strategy import crossing_side
 from .training import GradientSet, _gradient_set
@@ -162,7 +162,7 @@ def step_forward(params: ChmmParams, obs: ObservationSequence, scale: bool = Fal
                 step /= s
                 scales[t] = s
         alpha[:, t] = step
-    return _trellis(alpha, scales)
+    return ForwardTrellis(alpha, scales)
 
 
 def step_adjoint(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis) -> GradientSet:
@@ -367,7 +367,7 @@ def alpha_gradients(params: ChmmParams, obs: ObservationSequence, scale: bool = 
     eyen = np.eye(n)
 
     alpha = np.empty((2, t_len, n))
-    scales = np.ones(t_len)
+    scales = np.ones(t_len) if scale else None
 
     d_pi = np.einsum("pa,qi,pq->pqai", eye2, eyen, bt[0])
     d_a = np.zeros((2, n, 2, 2, n, n))
@@ -418,24 +418,8 @@ def alpha_gradients(params: ChmmParams, obs: ObservationSequence, scale: bool = 
         for hist, arr in zip(history, (d_pi, d_a, d_b, d_th)):
             hist.append(arr)
 
-    tail = alpha[:, -1].sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_scales = np.log(scales) if scale else np.zeros(t_len)
-        log_pc = np.log(tail) + log_scales.sum()
-    log_joint = float(log_pc.sum())
-    with np.errstate(over="ignore"):
-        per_chain = np.exp(log_pc) if scale else tail
-        joint = float(np.exp(log_joint)) if scale else float(tail[0] * tail[1])
-    alpha.setflags(write=False)
-    trellis = ForwardTrellis(
-        alpha=alpha,
-        per_chain_likelihood=per_chain,
-        joint_likelihood=joint,
-        log_per_chain=log_pc,
-        log_joint=log_joint,
-        scale_factors=scales if scale else None,
-    )
     d_pi, d_a, d_b, d_th = (np.stack(h) for h in history)
+    trellis = ForwardTrellis(alpha, scales)
     return AlphaGradients(d_priors=d_pi, d_trans=d_a, d_emit=d_b, d_coupling=d_th, trellis=trellis)
 
 

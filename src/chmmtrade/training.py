@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import _CHAINS, ForwardTrellis, _forward, _scan
-from .model import _FAMILIES, ChmmParams, ObservationSequence, _family_arrays, check_params
+from .model import _FAMILIES, ChmmParams, ObservationSequence, _family_arrays, _simplex_normalize, check_params
 
 __all__ = [
     "DegenerateModelError",
@@ -57,19 +57,23 @@ class GradientSet:
 def _checked_forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     """Validated forward pass of one gradient evaluation.
 
-    Returns the trellis and its emission lookup.  Raises
-    DegenerateModelError when either chain's final trellis mass is zero.
+    Returns ``inference._forward``'s trellis, emission lookup and
+    coupling-weighted transitions.  Raises DegenerateModelError when
+    either chain's final trellis mass is zero.
     """
     check_params(params)
-    trellis, bt = _forward(params, obs, scale)
+    trellis, bt, w = _forward(params, obs, scale)
     if trellis.log_joint == -math.inf:  # a chain's final mass is 0
         tail = trellis.alpha[:, -1].sum(axis=1)
         raise DegenerateModelError(f"zero likelihood: per-chain trellis mass {tail.tolist()}")
-    return trellis, bt
+    return trellis, bt, w
 
 
-def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis, bt) -> GradientSet:
+def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis, bt, w) -> GradientSet:
     """Reverse sweep over a forward trellis; every gradient family at once.
+
+    ``bt`` and ``w`` are the emission lookup and the coupling-weighted
+    transitions (a, c, i, j) the forward pass built for ``params``.
 
     ``u[t, c, j]`` is the derivative of the likelihood in the step-t
     trellis entry before its scaling, i.e. the adjoint of alpha_t divided
@@ -82,7 +86,6 @@ def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     alpha = trellis.alpha                              # (2, T, N)
     t_len, n = obs.length, params.n_states
     scales = trellis.scale_factors if trellis.scale_factors is not None else np.ones(t_len)
-    w = params.coupling[:, :, None, None] * params.trans  # (a, c, i, j)
     w_flat = w.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # rows (a, i), columns (c, j)
 
     # The scan runs from the last step to the first, on (2N, 1) columns:
@@ -134,13 +137,6 @@ def likelihood_gradient(params: ChmmParams, obs: ObservationSequence, scale: boo
     return _adjoint_pass(params, obs, *_checked_forward(params, obs, scale))
 
 
-def _simplex_update(w: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """Growth-transform update of one family; zero-gradient rows freeze."""
-    num = w * g
-    denom = num.sum(axis=axis, keepdims=True)
-    return np.divide(num, denom, out=np.array(w), where=denom > 0.0)
-
-
 def reestimate(params: ChmmParams, grads: GradientSet) -> ChmmParams:
     """One multiplicative re-estimation step; the input is not mutated.
 
@@ -149,7 +145,7 @@ def reestimate(params: ChmmParams, grads: GradientSet) -> ChmmParams:
     their previous values, the unique continuous completion.
     """
     return ChmmParams(*[
-        _simplex_update(w, getattr(grads, "d_" + fam.name), fam.axis)
+        _simplex_normalize(w * getattr(grads, "d_" + fam.name), fam.axis, w)
         for fam, w in zip(_FAMILIES, _family_arrays(params))
     ])
 
@@ -190,19 +186,20 @@ def fit(params0: ChmmParams, obs: ObservationSequence, cfg: FitConfig = FitConfi
     identical inputs give bit-identical parameters.
     """
     params = params0
-    trellis, bt = _checked_forward(params, obs, scale=True)
-    trace = [trellis.log_joint]
+    forward = _checked_forward(params, obs, scale=True)  # (trellis, bt, w)
+    trace = [forward[0].log_joint]
     sweeps_run = 0
     for _ in range(cfg.sweeps):
         # The reverse sweep runs only for a state about to be re-estimated,
         # so the last accepted candidate never pays for one.
-        cand = reestimate(params, _adjoint_pass(params, obs, trellis, bt))
-        cand_trellis, cand_bt = _checked_forward(cand, obs, scale=True)
+        cand = reestimate(params, _adjoint_pass(params, obs, *forward))
+        cand_forward = _checked_forward(cand, obs, scale=True)
+        log_joint = cand_forward[0].log_joint
         # Relative improvement below rel_tol, compared in log space so huge
         # likelihood jumps cannot overflow: P1/P0 - 1 < tol  <=>  log P1 - log P0 < log1p(tol).
-        if cand_trellis.log_joint - trace[-1] < math.log1p(cfg.rel_tol):
+        if log_joint - trace[-1] < math.log1p(cfg.rel_tol):
             break
-        params, trellis, bt = cand, cand_trellis, cand_bt
-        trace.append(trellis.log_joint)
+        params, forward = cand, cand_forward
+        trace.append(log_joint)
         sweeps_run += 1
     return FitResult(params=params, log_likelihoods=trace, sweeps_run=sweeps_run)

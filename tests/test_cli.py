@@ -6,7 +6,7 @@ from numpy.testing import assert_array_equal
 
 from chmmtrade import ObservationSequence, OhlcSeries, data_io, load_params, sample_chmm, save_params
 from chmmtrade.cli import _aligned_pair, _default_sim_params, main
-from chmmtrade.model import ChmmParams
+from chmmtrade.model import ChmmParams, params_to_text
 from test_golden import BACKTEST_FILES, BACKTESTS
 
 
@@ -391,6 +391,18 @@ def test_fit_rejects_zero_states_with_one_error_line(tmp_path, capsys):
     code = run_cli("fit", "--obs", str(obs_file), "--params-out", str(tmp_path / "p.txt"), "--n-states", "0")
     assert code == 1
     assert capsys.readouterr().err.splitlines() == ["error: need at least one state per chain"]
+
+
+def test_a_parameter_file_with_a_size_below_one_is_one_error_line(tmp_path, capsys):
+    pfile = tmp_path / "params.txt"
+    pfile.write_text(params_to_text(_default_sim_params(2, 4, seed=1)).replace("n_states = 2", "n_states = -1"))
+    obs_file = tmp_path / "obs.csv"
+    data_io.write_obs_csv(obs_file, ObservationSequence.from_lists([0, 1], [1, 0]))
+    for argv in (("fit", "--obs", str(obs_file), "--params-in", str(pfile), "--params-out", str(tmp_path / "p.txt")),
+                 ("simulate", "--bars", "10", "--params", str(pfile), "--out", str(tmp_path / "sim"))):
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {pfile}: key 'n_states': must be at least 1, got -1"]
 
 
 def test_aligned_filter_series_holds_the_traded_stamp_column(tmp_path, sim_dir):

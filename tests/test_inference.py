@@ -319,7 +319,7 @@ def _three_operand_forward(params, obs, scale):
 @given(instance=simplex_instances(), scale=st.booleans())
 def test_forward_equals_three_operand_recursion(instance, scale):
     params, obs = instance
-    trellis, bt = inference._forward(params, obs, scale)
+    trellis, bt, _ = inference._forward(params, obs, scale)
     alpha, scales, bt_ref, log_joint = _three_operand_forward(params, obs, scale)
     assert_array_equal(trellis.alpha, alpha)
     if scale:

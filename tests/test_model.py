@@ -290,6 +290,11 @@ def test_observation_sequence_validation():
     assert ObservationSequence.from_lists([2.0, 3.0], [1, 0]).bins.tolist() == [[2, 3], [1, 0]]
     assert ObservationSequence.from_lists(np.array([1, 2], dtype=np.int32), [True, False]).bins.tolist() == [[1, 2], [1, 0]]
     assert ObservationSequence.from_lists([2**63 - 1], [0]).bins.tolist() == [[2**63 - 1], [0]]
+    # An unsigned bin above the int64 maximum is refused, not wrapped to a negative.
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(ValueError, match="^observation bins must be integers in int64 range$"):
+            ObservationSequence(np.array([[big, 1], [0, 1]], dtype=np.uint64))
+    assert ObservationSequence(np.array([[2**63 - 1], [0]], dtype=np.uint64)).bins.tolist() == [[2**63 - 1], [0]]
 
 
 def test_serialization_round_trip_is_bit_stable(rng):
@@ -309,6 +314,15 @@ def test_serialization_rejects_missing_key(rng, key):
     broken = "\n".join(line for line in text.splitlines() if not line.startswith(key + " "))
     with pytest.raises(ValueError, match=f"^parameter text: missing key '{key}'$"):
         params_from_text(broken)
+
+
+@pytest.mark.parametrize("key", ["n_states", "n_bins"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_serialization_rejects_a_size_below_one(rng, key, value):
+    lines = [f"{key} = {value}" if line.startswith(key + " ") else line
+             for line in params_to_text(random_params(rng, 2, 3)).splitlines()]
+    with pytest.raises(ValueError, match=f"^parameter text: key '{key}': must be at least 1, got {value}$"):
+        params_from_text("\n".join(lines))
 
 
 # One line per family with one value too many: (key, values expected) at N=2, M=3.

@@ -59,11 +59,11 @@ def assert_gradients_close(got, want):
 
 
 def assert_scan_matches_loops(params, obs, scale):
-    trellis, bt = inference._forward(params, obs, scale)
+    trellis, bt, w = inference._forward(params, obs, scale)
     ref = oracle.step_forward(params, obs, scale)
     assert_trellis_close(trellis, ref)
     # The adjoint scan on the loop's own trellis, so each scan is checked alone.
-    assert_gradients_close(training._adjoint_pass(params, obs, ref, bt), oracle.step_adjoint(params, obs, ref))
+    assert_gradients_close(training._adjoint_pass(params, obs, ref, bt, w), oracle.step_adjoint(params, obs, ref))
 
 
 @given(instance=simplex_instances(max_len=40), block=st.sampled_from([1, 2, 3]), scale=st.booleans())
@@ -78,13 +78,13 @@ def test_scan_matches_step_loops_across_blocks(instance, block, scale):
 
 
 def assert_scan_equals_loops(params, obs, scale):
-    trellis, bt = inference._forward(params, obs, scale)
+    trellis, bt, w = inference._forward(params, obs, scale)
     ref = oracle.step_forward(params, obs, scale)
     assert_array_equal(trellis.alpha, ref.alpha)
     if scale:
         assert_array_equal(trellis.scale_factors, ref.scale_factors)
     assert trellis.log_joint == ref.log_joint
-    got = training._adjoint_pass(params, obs, trellis, bt)
+    got = training._adjoint_pass(params, obs, trellis, bt, w)
     want = oracle.step_adjoint(params, obs, ref)
     for family in FAMILIES:
         assert_array_equal(getattr(got, family), getattr(want, family), err_msg=family)
@@ -124,7 +124,7 @@ def test_zero_emission_mass_past_the_crossover(rng, chains, at):
     bins = rng.integers(0, 3, size=(2, 5_000))
     bins[list(chains), at] = 3
     obs = ObservationSequence(bins)
-    trellis, _ = inference._forward(params, obs, True)
+    trellis = inference._forward(params, obs, True)[0]
     ref = oracle.step_forward(params, obs, True)
     assert_trellis_close(trellis, ref)
     assert not trellis.alpha[0, at:].any()
