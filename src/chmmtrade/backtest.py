@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .indicators import CCI_DISCRETIZER, RSI_DISCRETIZER, Discretizer, OhlcSeries, atr, cci, discretize, rsi
 from .inference import coupled_viterbi, forward
-from .model import ChmmParams, ObservationSequence, jittered_params
+from .model import ChmmParams, ObservationSequence, _size, jittered_params
 from .strategy import (
     _check_fidelity,
     allocation_fraction,
@@ -88,7 +88,7 @@ class BacktestConfig:
         if self.target_mult is None:
             self.target_mult = d_target
         for name in ("lookback", "n_states", "n_bins", "indicator_period", "sma_period", "atr_period"):
-            if getattr(self, name) < 1:
+            if _size(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.stop_mult < self.target_mult < math.inf:
             raise ValueError(f"need 0 < stop_mult < target_mult < inf, got {self.stop_mult!r} and {self.target_mult!r}")

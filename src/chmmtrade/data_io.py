@@ -3,13 +3,13 @@
 All files are plain delimited text with fixed column orders; every
 writer here has a matching loader so outputs round-trip.  Numbers are
 written with ``repr`` so float64 values survive a round trip bit-stably.
-Every reader accepts a leading UTF-8 byte order mark.  The OHLC reader
-parses a file of plain lines in blocks and any other file one ``csv``
-row at a time.  Stamps are
-written as ``datetime.isoformat`` text; a ``Stamps`` column (a loaded or
-simulated series, and the per-bar results sliced from it) supplies that
-text itself, kept from the file or formatted once, so no writer formats
-such a column again.
+Every reader accepts a leading UTF-8 byte order mark and spaces around a
+stamp.  The OHLC reader parses a file of plain lines in blocks and any
+other file one ``csv`` row at a time; either way ``Stamps`` gets the text
+the stamps were read from and keeps it if ``isoformat`` writes it so.  A
+``Stamps`` column (a loaded or simulated series, and the per-bar results
+sliced from it) supplies the ``isoformat`` text the writers write, so no
+writer formats such a column again.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .backtest import (
     PerfStats,
     TradeRecord,
 )
-from .indicators import OhlcSeries, Stamps, _bad_rows, _canonical, _row_problem
+from .indicators import OhlcSeries, Stamps, _bad_rows, _row_problem
 from .model import ObservationSequence, _key_values
 from .training import FitConfig
 
@@ -78,7 +78,7 @@ class AlignedPair:
 
 
 def _parse_timestamp(text: str) -> datetime:
-    ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts
@@ -152,8 +152,7 @@ _ROW_ROUTE_CHARS = '"\0\x1c\x1d\x1e\x1f'
 
 def _plain_block(block: list[str]):
     """``(stamps, texts, prices)`` of a block of plain OHLC lines, else
-    None; ``texts`` is the stamps' text as written when ``_canonical``
-    shows it is their ``isoformat`` text, else None.
+    None; ``texts`` is the stamps' text as written.
 
     Plain lines are ASCII, hold none of ``_ROW_ROUTE_CHARS``, fit the csv
     field size limit and have exactly five comma-separated fields: an
@@ -183,8 +182,7 @@ def _plain_block(block: list[str]):
         return None
     if None in map(operator.attrgetter("tzinfo"), stamps):
         stamps = [ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts for ts in stamps]
-        return stamps, None, prices
-    return stamps, texts if _canonical(texts) else None, prices
+    return stamps, texts, prices
 
 
 def _load_ohlc_rows(path) -> OhlcSeries:
@@ -192,11 +190,13 @@ def _load_ohlc_rows(path) -> OhlcSeries:
     decode error is raised where it is met, an unreadable price once every
     row is read."""
     stamps: list[datetime] = []
+    texts: list[str] = []
     cells: list[str] = []  # open, high, low, close of every row, row after row
     lines: list[int] = []
     for lineno, row in _csv_rows(path, OHLC_HEADER):
+        texts.append(row[0].strip())
         try:
-            stamps.append(_parse_timestamp(row[0].strip()))
+            stamps.append(_parse_timestamp(texts[-1]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         cells += row[1:]
@@ -210,16 +210,16 @@ def _load_ohlc_rows(path) -> OhlcSeries:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
         raise
-    return _ohlc_series(path, stamps, None, values, lines)
+    return _ohlc_series(path, stamps, texts, values, lines)
 
 
-def _ohlc_series(path, stamps: list[datetime], texts, values: np.ndarray, lines) -> OhlcSeries:
+def _ohlc_series(path, stamps: list[datetime], texts: list[str], values: np.ndarray, lines) -> OhlcSeries:
     """The series of an OHLC file's rows, in file order: their stamps, the
-    stamps' text (None: not known), their ``(rows, 4)`` prices and line
-    numbers.  The checks, sort and dedupe of ``load_ohlc_csv``."""
+    text each was read from (for ``Stamps._read``), their ``(rows, 4)``
+    prices and line numbers.  The checks, sort and dedupe of ``load_ohlc_csv``."""
     if not stamps:
         raise ValueError(f"{path}: no data rows")
-    column = Stamps._with_texts(stamps, texts)
+    column = Stamps._read(stamps, texts)
     bad = _bad_rows(*values.T)
     if not bad.size and all(map(operator.lt, stamps, islice(stamps, 1, None))):
         return OhlcSeries(column, *values.T)
@@ -249,12 +249,10 @@ def load_ohlc_csv(path) -> OhlcSeries:
     the first block that is not plain, or at a decode error, the whole
     file is read again by ``_load_ohlc_rows``, so a file that is plain but
     for one block reads at the row route's speed.  Both routes end in
-    ``_ohlc_series``.  The series' ``Stamps`` column keeps the file's
-    text when every stamp of a plain file is canonical
-    (``indicators._canonical``), so the writers need not format it again.
+    ``_ohlc_series``, which hands the stamps' text to ``Stamps._read``.
     """
     stamps: list[datetime] = []
-    texts: list[str] | None = []  # the stamps' text while every block has kept it
+    texts: list[str] = []
     prices = [np.empty((0, 4))]  # (rows, 4) open, high, low, close of each block
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         _header_reader(fh, path, OHLC_HEADER)
@@ -265,10 +263,7 @@ def load_ohlc_csv(path) -> OhlcSeries:
                 if plain is None:
                     break
                 stamps += plain[0]
-                if texts is not None and plain[1] is not None:
-                    texts += plain[1]
-                else:
-                    texts = None
+                texts += plain[1]
                 prices.append(plain[2])
         except UnicodeDecodeError:
             plain = None
@@ -394,14 +389,8 @@ def write_trades_csv(path, trades) -> None:
 
 def _trade(row: list[str]) -> TradeRecord:
     entry_time, side, size, entry_price, stop_price, target_price, exit_time, exit_price, exit_reason, pnl = row
-    tr = TradeRecord(
-        entry_time=_parse_timestamp(entry_time),
-        entry_price=float(entry_price),
-        side=side,
-        size=float(size),
-        stop_price=float(stop_price),
-        target_price=float(target_price),
-    )
+    tr = TradeRecord(entry_time=_parse_timestamp(entry_time), entry_price=float(entry_price), side=side,
+                     size=float(size), stop_price=float(stop_price), target_price=float(target_price))
     if exit_time:
         tr.exit_time = _parse_timestamp(exit_time)
         tr.exit_price = float(exit_price)
@@ -425,7 +414,7 @@ def write_equity_csv(path, equity: EquityCurve) -> None:
 
 def load_equity_csv(path) -> EquityCurve:
     """Read an equity file headed ``timestamp,equity``; errors name the line."""
-    rows = _csv_records(path, EQUITY_HEADER, lambda row: (_parse_timestamp(row[0].strip()), float(row[1])))
+    rows = _csv_records(path, EQUITY_HEADER, lambda row: (_parse_timestamp(row[0]), float(row[1])))
     if not rows:
         raise ValueError(f"{path}: no equity rows")
     stamps, values = zip(*rows)

@@ -15,6 +15,8 @@ from datetime import datetime
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .model import _size
+
 __all__ = [
     "Stamps",
     "OhlcSeries",
@@ -54,19 +56,18 @@ _LAYOUT_DIGITS = _LAYOUT == ord("0")
 
 
 def _canonical(texts: list[str]) -> bool:
-    """Whether each of ``texts`` (at least one), all of which ``datetime.fromisoformat``
-    has read, is exactly what ``isoformat`` writes for the stamp read.
+    """Whether each of ``texts`` (at least one), all of which a loader has
+    read as stamps, is exactly what ``isoformat`` writes for the stamp read.
 
     The texts must be ASCII and start with the fixed layout
     ``YYYY-MM-DDTHH:MM:SS``, checked over the bytes of all texts of one
     length at once (``fromisoformat`` has checked the ranges; an hour of
     24 is refused too, in case an interpreter reads one).  What follows
-    the layout (the
-    offset, with any fraction before it) is checked once per distinct
-    suffix, by a round trip: ``fromisoformat`` reads ``Z``, ``+00:60``,
-    ``-00:00``, compact offsets and short fractions, and writes each of
-    them otherwise.  A naive stamp is not canonical, since it is read as
-    UTC.
+    the layout (the offset, with any fraction before it) is checked once
+    per distinct suffix, by a round trip: ``fromisoformat`` reads ``Z``,
+    ``+00:60``, ``-00:00``, compact offsets and short fractions, and
+    writes each of them otherwise.  A naive stamp is not canonical, since
+    it is read as UTC.
     """
     width = len(texts[0])
     joined = "".join(texts)
@@ -99,6 +100,11 @@ def _canonical(texts: list[str]) -> bool:
     return True
 
 
+def _pick(items: Sequence, rows) -> Sequence:
+    """The ``items`` at ``rows``: a slice, or row numbers (a tuple of them)."""
+    return items[rows] if isinstance(rows, slice) else tuple(map(items.__getitem__, rows))
+
+
 class Stamps(Sequence):
     """A read-only column of aware timestamps that also holds each one's
     ISO-8601 text, for the writers.
@@ -107,11 +113,11 @@ class Stamps(Sequence):
     the same stamps (either way round), and indexing, slicing, iteration,
     ``len`` and ``bisect`` act as on a list; it is unhashable and has no
     mutators.  A slice, or ``take`` of row numbers, is a new ``Stamps``.
-    The text is the input file's own when ``data_io.load_ohlc_csv`` could
-    show that it reads exactly as ``isoformat`` writes (``_canonical``);
-    otherwise ``isoformat()`` formats it once, on first use.  A part taken
-    before then formats through the column it was taken from, so parts of
-    one column share one formatting.
+    A column read from text (``_read``, on either route of
+    ``data_io.load_ohlc_csv``) keeps it when ``_canonical`` shows that
+    ``isoformat`` writes it so; else ``isoformat()`` formats the text
+    once, on first use.  A part taken before then formats through the
+    column it was taken from, so parts of one column share one formatting.
     """
 
     __slots__ = ("_items", "_texts", "_source")
@@ -123,22 +129,20 @@ class Stamps(Sequence):
         self._source = None  # (column, rows) to take the text from, while it is unformatted
 
     @classmethod
-    def _with_texts(cls, stamps: list, texts) -> "Stamps":
-        """A column of ``stamps`` whose text is known to be ``texts``
-        (None: not known)."""
+    def _read(cls, stamps: list, texts: list[str]) -> "Stamps":
+        """A column of ``stamps`` (at least one) read from ``texts``, which it
+        keeps when ``_canonical`` shows that ``isoformat`` writes them so."""
         column = cls(stamps)
-        column._texts = None if texts is None else tuple(texts)
+        column._texts = tuple(texts) if _canonical(texts) else None
         return column
 
     def _part(self, rows) -> "Stamps":
-        """The stamps at ``rows`` (a slice or row numbers), with their text."""
-        if isinstance(rows, slice):
-            part = Stamps._with_texts(self._items[rows], None if self._texts is None else self._texts[rows])
-        else:
-            texts = None if self._texts is None else map(self._texts.__getitem__, rows)
-            part = Stamps._with_texts(list(map(self._items.__getitem__, rows)), texts)
-        if part._texts is None:
+        """The stamps at ``rows`` (a slice or row numbers), with their text or its source."""
+        part = Stamps(_pick(self._items, rows))
+        if self._texts is None:
             part._source = (self, rows)
+        else:
+            part._texts = _pick(self._texts, rows)
         return part
 
     def take(self, rows) -> "Stamps":
@@ -152,8 +156,7 @@ class Stamps(Sequence):
                 self._texts = tuple(ts.isoformat() for ts in self._items)
             else:
                 column, rows = self._source
-                texts = column.isoformat()
-                self._texts = texts[rows] if isinstance(rows, slice) else tuple(map(texts.__getitem__, rows))
+                self._texts = _pick(column.isoformat(), rows)
                 self._source = None
         return self._texts
 
@@ -227,7 +230,7 @@ class Discretizer:
     def __post_init__(self):
         if not self.lb < self.ub:
             raise ValueError(f"need lb < ub, got [{self.lb}, {self.ub}]")
-        if self.m < 1:
+        if _size("m", self.m) < 1:
             raise ValueError("need at least one bin")
 
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +43,14 @@ _family_arrays = attrgetter(*(fam.name for fam in _FAMILIES))  # a ChmmParams' f
 def _family_shapes(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """The shape of each family, in ``_FAMILIES`` order, for N states and M bins."""
     return (N_CHAINS, n), (N_CHAINS, N_CHAINS, n, n), (N_CHAINS, n, m), (N_CHAINS, N_CHAINS)
+
+
+def _size(name: str, value) -> int:
+    """``value`` as an int; a value ``operator.index`` refuses raises ValueError naming ``name``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -223,11 +231,11 @@ def _params_by_family(n_states: int, n_bins: int, draw=None) -> ChmmParams:
     """Parameters with every simplex uniform or, given ``draw``, each family
     ``draw(uniform)`` normalized per simplex, drawn in ``_FAMILIES`` order.
     A size below 1 gives an empty family, which ``ChmmParams`` refuses itself."""
-    families = []
-    for fam, shape in zip(_FAMILIES, _family_shapes(max(int(n_states), 0), max(int(n_bins), 0))):
-        uniform = np.full(shape, 1.0 / max(shape[fam.axis], 1))
-        families.append(uniform if draw is None else _simplex_normalize(draw(uniform), fam.axis, uniform))
-    return ChmmParams(*families)
+    shapes = _family_shapes(max(_size("n_states", n_states), 0), max(_size("n_bins", n_bins), 0))
+    uniforms = [np.full(shape, 1.0 / max(shape[fam.axis], 1)) for fam, shape in zip(_FAMILIES, shapes)]
+    if draw is None:
+        return ChmmParams(*uniforms)
+    return ChmmParams(*[_simplex_normalize(draw(u), fam.axis, u) for fam, u in zip(_FAMILIES, uniforms)])
 
 
 def uniform_params(n_states: int, n_bins: int) -> ChmmParams:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import _CHAINS, ForwardTrellis, _forward, _scan
-from .model import _FAMILIES, ChmmParams, ObservationSequence, _family_arrays, _simplex_normalize, check_params
+from .model import _FAMILIES, ChmmParams, ObservationSequence, _family_arrays, _simplex_normalize, _size, check_params
 
 __all__ = [
     "DegenerateModelError",
@@ -164,7 +164,7 @@ class FitConfig:
     warm_start: bool = True
 
     def __post_init__(self):
-        if self.sweeps < 1:
+        if _size("sweeps", self.sweeps) < 1:
             raise ValueError("sweeps must be >= 1")
         if not self.rel_tol >= 0.0:
             raise ValueError("rel_tol must be >= 0")

@@ -110,7 +110,7 @@ def test_filter_indicator_computed_only_when_modeled(monkeypatch, predictor, n_s
 
 @pytest.mark.parametrize("system, sma_period", [("rsi", 4), ("cci", 4), ("cci", 1)], ids=["rsi", "cci", "cci-sma1"])
 @pytest.mark.parametrize("predictor", ["baseline", "marginal", "viterbi"])
-def test_signals_equal_generate_signal_on_each_window(system, sma_period, predictor):
+def test_signals_equal_oracle_signal_side_on_each_window(system, sma_period, predictor):
     # The bar loop reads crosses from trigger means and forecast means taken
     # once per run; each bar's side must be oracle.signal_side's on that
     # bar's window, given the positions open at its close.  A one-bar mean

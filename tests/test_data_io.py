@@ -312,6 +312,9 @@ def test_fit_log_round_trip(tmp_path):
     data_io.write_fit_log(path, records)
     again = data_io.load_fit_log(path)
     assert again == records
+    first, second = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(first + "\n  \n" + second, encoding="utf-8")  # blank lines are skipped
+    assert data_io.load_fit_log(path) == records
 
 
 def test_comparison_round_trip(tmp_path):
@@ -993,3 +996,64 @@ def test_every_loader_reads_a_file_that_starts_with_a_bom(tmp_path):
         # pickle compares every field, arrays and the stamps' carried text included
         assert pickle.dumps(loader(_bom_copy(files[name]))) == pickle.dumps(loader(files[name])), loader.__name__
     assert data_io.load_ohlc_csv(_bom_copy(files["ohlc.csv"])).timestamps._texts is not None
+
+
+# -- spaces around a stamp ---------------------------------------------------------
+
+def test_every_stamp_loader_reads_a_stamp_padded_with_spaces(tmp_path):
+    # The OHLC and equity loaders have always read a padded stamp cell;
+    # the other loaders of stamped files read one the same way.
+    stamps = [T0, T0.replace(minute=10)]
+    trade = TradeRecord(entry_time=T0, entry_price=1.0, side="long", size=5.0, stop_price=0.99, target_price=1.03)
+    trade.close(T0.replace(minute=10), 1.03, "target")
+    files = [
+        ("trades.csv", data_io.write_trades_csv, [trade], data_io.load_trades_csv),
+        ("diagnostics.csv", data_io.write_diagnostics_csv, Diagnostics(stamps, signal_side=["long", "none"]),
+         data_io.load_diagnostics_csv),
+        ("comparison.csv", data_io.write_comparison_csv,
+         ComparisonResult(stamps, np.array([1, 2]), np.array([1, 0]), np.array([0.5, 1.5]), np.array([0.5, 2.5])),
+         data_io.load_comparison_csv),
+        ("fits.jsonl", data_io.write_fit_log, [FitRecord(window_end=T0, sweeps_run=2, trace=[-3.5, -3.25])],
+         data_io.load_fit_log),
+    ]
+    for name, write_file, value, load in files:
+        path, padded = tmp_path / name, tmp_path / f"padded-{name}"
+        write_file(path, value)
+        data = path.read_bytes()
+        for ts in stamps:
+            data = data.replace(ts.isoformat().encode(), f"  {ts.isoformat()} ".encode())
+        assert data.count(b"  2013-01-01T00:") == (1 if name == "fits.jsonl" else 2), name
+        padded.write_bytes(data)
+        assert pickle.dumps(load(padded)) == pickle.dumps(load(path)), name
+
+
+# -- the stamp text of a file on the row route --------------------------------------
+
+def _quoted_stamps(data: bytes) -> bytes:
+    """OHLC CSV bytes with every data row's stamp cell quoted."""
+    header, *rows = data.split(b"\r\n")
+    return b"\r\n".join([header] + [b'"' + row.replace(b",", b'",', 1) if row else row for row in rows])
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda data: data + b"\r\n", _quoted_stamps], ids=["trailing-blank-line", "quoted-stamps"]
+)
+def test_a_canonical_file_on_the_row_route_keeps_its_stamp_text(tmp_path, monkeypatch, edit):
+    # The row route hands its stamp text to Stamps as the block route
+    # does, so a canonical file that takes it loads as its plain copy,
+    # text included, and the backtest writes the same bytes from it.
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--bars", "80", "--seed", "7", "--out", str(sim)]) == 0
+    plain, copy = sim / "asset1.csv", sim / "row-route-asset1.csv"
+    copy.write_bytes(edit(plain.read_bytes()))
+    load_rows, routed = data_io._load_ohlc_rows, []
+    monkeypatch.setattr(data_io, "_load_ohlc_rows", lambda path: routed.append(path) or load_rows(path))
+    bars = data_io.load_ohlc_csv(copy)
+    assert routed == [copy]
+    assert bars.timestamps._texts is not None
+    assert pickle.dumps(bars) == pickle.dumps(data_io.load_ohlc_csv(plain))
+    for asset1, out in ((plain, "out-plain"), (copy, "out-row-route")):
+        argv = ["backtest", "--asset1", str(asset1), "--asset2", str(sim / "asset2.csv"), "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 0
+    for name in ("equity.csv", "diagnostics.csv"):
+        assert (tmp_path / "out-row-route" / name).read_bytes() == (tmp_path / "out-plain" / name).read_bytes(), name

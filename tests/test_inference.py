@@ -73,6 +73,7 @@ def test_forward_scaled_matches_linear(instance):
     assert sc.scale_factors is not None
     assert_allclose(sc.log_per_chain, lin.log_per_chain, rtol=1e-12, atol=1e-13)  # a log can be 0
     assert_allclose(sc.per_chain_likelihood, lin.per_chain_likelihood, rtol=1e-12)
+    assert_allclose(sc.joint_likelihood, lin.joint_likelihood, rtol=1e-12)
     # scaled alpha recovers raw alpha through the cumulative factors
     cum = np.cumprod(sc.scale_factors)
     assert_allclose(sc.alpha * cum[None, :, None], lin.alpha, rtol=1e-12)

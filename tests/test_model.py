@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,10 @@ from chmmtrade import (
     uniform_params,
     validate_params,
 )
+from chmmtrade.backtest import BacktestConfig
+from chmmtrade.indicators import Discretizer
 from chmmtrade.model import N_CHAINS, SIMPLEX_ATOL, check_params
+from chmmtrade.training import FitConfig
 from conftest import random_params, simplex_instances
 
 
@@ -34,6 +38,26 @@ def test_initial_params_reject_zero_sizes_as_chmm_params_does(make):
         ChmmParams(priors=np.ones((2, 0)), trans=np.ones((2, 2, 0, 0)), emit=np.ones((2, 0, 8)), coupling=np.eye(2))
     with pytest.raises(ValueError, match=r"^emit must have shape \(2, 3, M\), got \(2, 3, 0\)$"):
         ChmmParams(priors=np.ones((2, 3)), trans=np.ones((2, 2, 3, 3)), emit=np.ones((2, 3, 0)), coupling=np.eye(2))
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (lambda v: uniform_params(v, 3), "n_states", 2.7),
+    (lambda v: uniform_params(2, v), "n_bins", 3.9),
+    (lambda v: jittered_params(v, 3), "n_states", 2.0),
+    (lambda v: BacktestConfig(n_states=v), "n_states", 2.5),
+    (lambda v: BacktestConfig(lookback=v), "lookback", np.float64(4.0)),
+    (lambda v: BacktestConfig(atr_period=v), "atr_period", "5"),
+    (lambda v: Discretizer(0.0, 100.0, v), "m", 2.5),
+    (lambda v: FitConfig(sweeps=v), "sweeps", 2.5),
+    (lambda v: FitConfig(sweeps=v), "sweeps", None),
+], ids=["uniform-n_states", "uniform-n_bins", "jittered-n_states", "backtest-n_states", "backtest-lookback",
+        "backtest-atr_period", "discretizer-m", "fit-sweeps", "fit-sweeps-none"])
+def test_a_size_that_is_not_an_integer_is_refused_by_name(make, field, value):
+    # Any value operator.index refuses, numpy floats and whole floats
+    # included; integer sizes, numpy ones too, are taken as they are.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        make(value)
+    assert make(np.int64(3)) is not None
 
 
 def test_row_sum_violation_names_matrix_and_row():
