@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .indicators import CCI_DISCRETIZER, RSI_DISCRETIZER, Discretizer, OhlcSeries, atr, cci, discretize, rsi
 from .inference import coupled_viterbi, forward
-from .model import ChmmParams, ObservationSequence, _size, jittered_params
+from .model import ChmmParams, ObservationSequence, _check_seed, _size, jittered_params
 from .strategy import (
     _check_fidelity,
     allocation_fraction,
@@ -95,6 +95,7 @@ class BacktestConfig:
         if not 0.0 < self.notional < math.inf:
             raise ValueError(f"notional must be positive and finite, got {self.notional!r}")
         _check_fidelity(self.fidelity)
+        _check_seed(self.seed)
 
     @property
     def discretizer(self) -> Discretizer:

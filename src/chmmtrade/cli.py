@@ -19,7 +19,7 @@ import numpy as np
 from . import data_io
 from .backtest import PREDICTORS, SYSTEM_DEFAULTS, BacktestConfig, compare_predictors, perf_stats, run_backtest
 from .indicators import OhlcSeries
-from .model import ChmmParams, _params_by_family, jittered_params, load_params, save_params
+from .model import ChmmParams, _check_seed, _params_by_family, jittered_params, load_params, save_params
 from .oracle import synthetic_ohlc
 from .strategy import FIDELITIES
 from .training import DegenerateModelError, FitConfig, fit
@@ -79,6 +79,7 @@ def _print_stats(stats) -> None:
 
 
 def _cmd_fit(args) -> int:
+    _check_seed(args.seed)
     obs = data_io.load_obs_csv(args.obs)
     n_bins = max(args.n_bins, int(obs.bins.max()) + 1)
     if args.params_in:
@@ -104,6 +105,7 @@ def _default_sim_params(n_states: int, n_bins: int, seed) -> ChmmParams:
 
 
 def _cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     if args.params:
         params = load_params(args.params)
     else:

@@ -228,10 +228,10 @@ class Discretizer:
     m: int
 
     def __post_init__(self):
-        if not self.lb < self.ub:
-            raise ValueError(f"need lb < ub, got [{self.lb}, {self.ub}]")
         if _size("m", self.m) < 1:
             raise ValueError("need at least one bin")
+        if not 0.0 < self.width < math.inf:  # also refuses lb >= ub and NaN bounds
+            raise ValueError(f"need lb < ub with a finite, positive bin width, got [{self.lb}, {self.ub}]")
 
     @property
     def width(self) -> float:
@@ -263,6 +263,12 @@ RSI_DISCRETIZER = Discretizer(0.0, 100.0, 8)
 CCI_DISCRETIZER = Discretizer(-140.0, 140.0, 8)
 
 
+def _check_period(period) -> None:
+    """Refuse a window length that is not an integer >= 1, naming ``period``."""
+    if _size("period", period) < 1:
+        raise ValueError("period must be >= 1")
+
+
 def _window_means(values: np.ndarray, period: int) -> np.ndarray:
     """Trailing-window means; NaN until the first full window."""
     out = np.full(values.size, np.nan)
@@ -275,8 +281,7 @@ def _window_means(values: np.ndarray, period: int) -> np.ndarray:
 def sma(series, period: int) -> np.ndarray:
     """Simple moving average over a trailing window."""
     values = np.asarray(series, dtype=float)
-    if period < 1:
-        raise ValueError("period must be >= 1")
+    _check_period(period)
     if values.size < period:
         raise ValueError(f"need at least {period} values, got {values.size}")
     return _window_means(values, period)
@@ -290,8 +295,7 @@ def rsi(closes, period: int) -> np.ndarray:
     windows 0 and flat windows 50.
     """
     values = np.asarray(closes, dtype=float)
-    if period < 1:
-        raise ValueError("period must be >= 1")
+    _check_period(period)
     if values.size <= period:
         raise ValueError(f"need more than {period} closes, got {values.size}")
     diffs = np.diff(values)
@@ -321,8 +325,7 @@ def true_range(high, low, close) -> np.ndarray:
 
 def atr(high, low, close, period: int) -> np.ndarray:
     """Average True Range: simple mean of the trailing true ranges."""
-    if period < 1:
-        raise ValueError("period must be >= 1")
+    _check_period(period)
     tr = true_range(high, low, close)
     if tr.size <= period:
         raise ValueError(f"need more than {period} bars, got {tr.size}")
@@ -339,8 +342,7 @@ def cci(high, low, close, period: int) -> np.ndarray:
     of every window is taken at once from a strided view of the typical
     prices, each window's sum in the same order as a per-window loop.
     """
-    if period < 1:
-        raise ValueError("period must be >= 1")
+    _check_period(period)
     tp = (np.asarray(high, dtype=float) + np.asarray(low, dtype=float) + np.asarray(close, dtype=float)) / 3.0
     if tp.size <= period:
         raise ValueError(f"need more than {period} bars, got {tp.size}")

@@ -123,18 +123,19 @@ def forward(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -
 
 def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     """Unvalidated forward recursion; returns the trellis, the emission
-    lookup ``bt`` and the coupling-weighted transitions ``w`` (a, c, i, j)
-    it used, so the gradient's reverse sweep can reuse all three.
+    lookup ``bt`` and the coupling-weighted transitions ``w`` it used, so
+    the gradient's reverse sweep can reuse all three.
 
-    The steps after the first run as one blocked scan (``_scan``); the
-    step loop it replaces is ``oracle.step_forward``."""
+    ``w[a, i, c, j] = coupling[a, c] * trans[a, c, i, j]``, C-contiguous,
+    so ``w.reshape(2N, 2N)`` is the stacked operator as a view.  Later
+    steps run as one blocked scan (``_scan``) of ``oracle.step_forward``'s loop."""
     n = params.n_states
     t_len = obs.length
     bt = _emission_lookup(params, obs)  # (T, 2, N)
 
     alpha = np.empty((2, t_len, n))
     scales = np.ones(t_len) if scale else None
-    w = params.coupling[:, :, None, None] * params.trans  # (a, c, i, j)
+    w = np.multiply(params.coupling[:, None, :, None], params.trans.transpose(0, 2, 1, 3), order="C")
 
     first = params.priors * bt[0]  # (2, N)
     if scale:
@@ -148,13 +149,12 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     def step(x, src):
         # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i]
         # for every block at once, then the emissions: the step loop's arithmetic.
-        mass = np.einsum("acij,bai->bcj", w, x)
+        mass = np.einsum("aicj,bai->bcj", w, x)
         mass *= later[src]
         return mass
 
     def operator(ops, src):
-        w_flat = w.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # rows (a, i), columns (c, j)
-        ops = w_flat.T @ ops
+        ops = w.reshape(2 * n, 2 * n).T @ ops
         ops *= later[src].reshape(-1, 2 * n, 1)
         return ops
 
@@ -256,13 +256,13 @@ def _scan(out: np.ndarray, step, operator, scales: np.ndarray | None = None) -> 
         later[src] = x
 
 
-# Pair scores held at once while back-pointers are recovered (about 1 MB
-# of float64); bounds the decoder's temporaries independently of T.
+# Source pairs (i, j) per back-pointer block, which sets its step count; the
+# block's temporaries hold 2 N^2 floats a step, so they stay bounded in T.
 _PSI_BLOCK_SCORES = 1 << 17
 
 
 def _psi_block_steps(n_states: int) -> int:
-    """Steps per back-pointer block: 2 * N^3 pair scores per step."""
+    """Steps per back-pointer block: 2 * N^3 source pairs per step."""
     return max(1, _PSI_BLOCK_SCORES // (2 * n_states**3))
 
 
@@ -277,8 +277,8 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
     and i indexes the chain's own previous state.  All argmax operations
     break ties toward the lowest index (row-major over (i, j) pairs), so
     decoding is deterministic across platforms.  The recursion keeps only
-    the maximum; the maximizing pairs ``psi`` are recovered from the
-    finished trellis in blocks of steps, with the same scores and ties.
+    the maximum; ``psi`` is recovered from the finished trellis in blocks
+    of steps: the first i reaching it with the best j, then i's first j.
 
     Unlike the forward and adjoint sweeps, the recursion stays a loop over
     steps.  A decoded path must score exactly ``log_best`` under
@@ -308,16 +308,17 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
         own = log_delta[:, t - 1, :, None] + own_a  # (c, i, k)
         log_delta[:, t] = own.max(axis=1) + cross_max + log_bt[t]
 
-    # Back-pointers from the finished trellis, a block of steps at a time:
-    # every pair score of each target state and the first maximum among them.
+    # Back-pointers, a block of steps at a time: a pair (i, j) reaches the maximum only
+    # if fl(own(i) + cross_max) does, so the first such i, then its first j, is the lowest pair.
     psi = np.zeros((2, t_len, n, 2), dtype=np.int64)
     block = _psi_block_steps(n)
+    chains, states = np.arange(2)[:, None, None], np.arange(n)  # to read own(first_i) per (c, t, k)
     for t0 in range(1, t_len, block):
         t1 = min(t0 + block, t_len)
-        partial = log_delta[:, t0 - 1 : t1 - 1, :, None] + own_a[:, None]  # (c, t, i, k)
-        scores = partial[:, :, :, None, :] + cross_a[:, None, None]       # (c, t, i, j, k)
-        best = np.argmax(scores.reshape(2, t1 - t0, n * n, n), axis=2)    # first max: lowest (i, j)
-        np.divmod(best, n, out=(psi[:, t0:t1, :, 0], psi[:, t0:t1, :, 1]))
+        own = log_delta[:, t0 - 1 : t1 - 1, :, None] + own_a[:, None]  # (c, t, i, k)
+        first_i = np.argmax(own + cross_max[:, None, None], axis=2)   # (c, t, k)
+        own_i = own[chains, np.arange(t1 - t0)[:, None], first_i, states][:, :, None]  # (c, t, 1, k)
+        psi[:, t0:t1, :, 0], psi[:, t0:t1, :, 1] = first_i, np.argmax(own_i + cross_a[:, None], axis=2)
 
     # Backtrack through the own-state pointers, a block of steps at a time
     # read as Python lists, so no T-long list is held.

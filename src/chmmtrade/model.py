@@ -53,6 +53,12 @@ def _size(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _check_seed(value) -> None:
+    """Refuse a seed that is not a non-negative integer, naming ``seed``."""
+    if _size("seed", value) < 0:
+        raise ValueError(f"seed must be non-negative, got {value!r}")
+
+
 def _frozen(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)

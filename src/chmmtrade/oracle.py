@@ -5,12 +5,13 @@ library does (exhaustive enumeration, numerical differencing,
 forward-mode derivative propagation, per-step and per-window loops), so
 tests can cross-check the two routes.  What a comparison leaves
 unchecked is shared: ``step_forward`` and ``alpha_gradients`` build an
-``inference.ForwardTrellis``, which derives the likelihoods,
-``step_adjoint`` forms its gradients with ``training._gradient_set``,
-``fd_gradient`` differences likelihoods of ``inference._forward``,
-``cci_loop`` takes window means from ``indicators._window_means``, the
-step loops and ``alpha_gradients`` look up emissions with
-``inference._emission_lookup``, and ``load_ohlc_rows`` is ``data_io``'s
+``inference.ForwardTrellis``, which derives the likelihoods, and look up
+emissions with ``inference._emission_lookup`` (``step_forward`` builds
+its own (a, c, i, j) operator), ``step_adjoint`` reads the emissions and
+the stacked operator of ``inference._forward`` and forms its gradients
+with ``training._gradient_set``, ``fd_gradient`` differences likelihoods
+of ``inference._forward``, ``cci_loop`` takes window means from
+``indicators._window_means``, and ``load_ohlc_rows`` is ``data_io``'s
 own row route, the reference for its block route.
 """
 
@@ -169,16 +170,13 @@ def step_adjoint(params: ChmmParams, obs: ObservationSequence, trellis: ForwardT
     """The reverse (adjoint) sweep one step at a time over a forward
     trellis of ``params`` on ``obs``; the reference for the blocked scan
     of ``training``'s gradient pass.  No check for a zero likelihood."""
-    alpha = trellis.alpha
     t_len, n = obs.length, params.n_states
-    bt = _emission_lookup(params, obs)
     scales = trellis.scale_factors if trellis.scale_factors is not None else np.ones(t_len)
-    w = params.coupling[:, :, None, None] * params.trans
-    w_flat = w.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # rows (a, i), columns (c, j)
+    _, bt, w = _forward(params, obs, trellis.scale_factors is not None)  # emissions and operator only
     u = np.empty((t_len, 2, n))
-    u[-1] = alpha[:, -1].sum(axis=1)[::-1, None] / scales[-1]
+    u[-1] = trellis.alpha[:, -1].sum(axis=1)[::-1, None] / scales[-1]
     for t in range(t_len - 1, 0, -1):
-        u[t - 1] = (w_flat @ (bt[t] * u[t]).ravel()).reshape(2, n) / scales[t - 1]
+        u[t - 1] = (w.reshape(2 * n, 2 * n) @ (bt[t] * u[t]).ravel()).reshape(2, n) / scales[t - 1]
     return _gradient_set(params, obs, trellis, bt, w, u)
 
 
@@ -338,13 +336,6 @@ class AlphaGradients:
     trellis: ForwardTrellis
 
 
-def _one_hot_obs(obs: ObservationSequence, n_bins: int) -> np.ndarray:
-    hot = np.zeros((obs.length, 2, n_bins))
-    for c in range(2):
-        hot[np.arange(obs.length), c, obs.bins[c]] = 1.0
-    return hot
-
-
 def alpha_gradients(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -> AlphaGradients:
     """Forward-mode derivative recursion: full trellis derivative history.
 
@@ -362,7 +353,7 @@ def alpha_gradients(params: ChmmParams, obs: ObservationSequence, scale: bool = 
     n, m = params.n_states, params.n_bins
     t_len = obs.length
     bt = _emission_lookup(params, obs)          # (T, 2, N)
-    hot = _one_hot_obs(obs, m)                  # (T, 2, M)
+    hot = np.eye(m)[obs.bins.T]                 # (T, 2, M) one-hot
     eye2 = np.eye(2)
     eyen = np.eye(n)
 

@@ -73,7 +73,7 @@ def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     """Reverse sweep over a forward trellis; every gradient family at once.
 
     ``bt`` and ``w`` are the emission lookup and the coupling-weighted
-    transitions (a, c, i, j) the forward pass built for ``params``.
+    transitions (a, i, c, j) the forward pass built for ``params``.
 
     ``u[t, c, j]`` is the derivative of the likelihood in the step-t
     trellis entry before its scaling, i.e. the adjoint of alpha_t divided
@@ -83,10 +83,9 @@ def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     sweep is the forward's blocked scan read backwards in t
     (``inference._scan``); its step loop is ``oracle.step_adjoint``.
     """
-    alpha = trellis.alpha                              # (2, T, N)
     t_len, n = obs.length, params.n_states
     scales = trellis.scale_factors if trellis.scale_factors is not None else np.ones(t_len)
-    w_flat = w.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # rows (a, i), columns (c, j)
+    w_flat = w.reshape(2 * n, 2 * n)  # a view: rows (a, i), columns (c, j)
 
     # The scan runs from the last step to the first, on (2N, 1) columns:
     # u[t-1] = w_flat @ (bt[t] * u[t]) / scales[t-1] for every block at once.
@@ -99,25 +98,23 @@ def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: Forward
 
     # dP/dalpha_T weighs each chain by the other chain's final mass.
     u = np.empty((t_len, 2, n))
-    u[-1] = alpha[:, -1].sum(axis=1)[::-1, None] / scales[-1]
+    u[-1] = trellis.alpha[:, -1].sum(axis=1)[::-1, None] / scales[-1]
     _scan(u[::-1].reshape(t_len, 2 * n, 1), step, step)
     return _gradient_set(params, obs, trellis, bt, w, u)
 
 
 def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis, bt, w, u) -> GradientSet:
     """The four families as sums over steps of trellis entries times the
-    adjoints ``u`` (T, 2, N) of the reverse sweep; ``w`` holds the
-    coupling-weighted transitions (a, c, i, j)."""
+    adjoints ``u`` (T, 2, N) of the reverse sweep, with ``w`` (a, i, c, j)
+    from the forward; each step's emission term is added at its bin."""
     alpha = trellis.alpha                              # (2, T, N)
-    t_len = obs.length
     bu = bt * u                                        # (T, 2, N)
     x = np.einsum("ati,tcj->acij", alpha[:, :-1], bu[1:])
-    mass = np.empty((t_len, 2, params.n_states))       # what multiplies bt[t] in the forward step
+    mass = np.empty_like(u)                            # what multiplies bt[t] in the forward step
     mass[0] = params.priors
-    mass[1:] = np.einsum("acij,ati->tcj", w, alpha[:, :-1])
-    hot = np.zeros((t_len, 2, params.n_bins))
-    hot[np.arange(t_len)[:, None], _CHAINS, obs.bins.T] = 1.0
-    d_emit = np.einsum("tck,tcj->cjk", hot, mass * u)
+    mass[1:] = np.einsum("aicj,ati->tcj", w, alpha[:, :-1])
+    d_emit = np.zeros_like(params.emit)
+    np.add.at(d_emit, (_CHAINS, slice(None), obs.bins.T), mass * u)  # [c, :, bins[c, t]] += [t, c]
     scales = trellis.scale_factors
     return GradientSet(
         d_priors=bu[0],

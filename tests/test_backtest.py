@@ -1,4 +1,5 @@
 import math
+import re
 from bisect import bisect_right
 from functools import lru_cache
 
@@ -66,6 +67,16 @@ def test_config_validation():
             BacktestConfig(notional=bad)
     with pytest.raises(ValueError):
         BacktestConfig(lookback=0)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2.5, "seed must be an integer, got 2.5"),
+    ("7", "seed must be an integer, got '7'"),
+    (-1, "seed must be non-negative, got -1"),
+])
+def test_config_refuses_a_bad_seed_by_name(seed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BacktestConfig(seed=seed)
 
 
 def test_flat_series_has_no_trades():

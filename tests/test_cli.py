@@ -393,6 +393,21 @@ def test_fit_rejects_zero_states_with_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: need at least one state per chain"]
 
 
+def test_a_negative_seed_is_one_error_line_naming_it(tmp_path, sim_dir, capsys):
+    # Every command that takes --seed refuses -1 before it reads or writes a file.
+    obs_file = tmp_path / "obs.csv"
+    data_io.write_obs_csv(obs_file, ObservationSequence.from_lists([0, 1], [1, 0]))
+    assets = ("--asset1", str(sim_dir / "asset1.csv"), "--asset2", str(sim_dir / "asset2.csv"))
+    for argv in (("backtest", *assets, "--out", str(tmp_path / "bt")),
+                 ("compare", *assets, "--out", str(tmp_path / "compare.csv")),
+                 ("fit", "--obs", str(obs_file), "--params-out", str(tmp_path / "p.txt")),
+                 ("simulate", "--bars", "10", "--out", str(tmp_path / "sim"))):
+        capsys.readouterr()
+        assert run_cli(*argv, "--seed", "-1") == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be non-negative, got -1"], argv[0]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["obs.csv"]
+
+
 def test_a_parameter_file_with_a_size_below_one_is_one_error_line(tmp_path, capsys):
     pfile = tmp_path / "params.txt"
     pfile.write_text(params_to_text(_default_sim_params(2, 4, seed=1)).replace("n_states = 2", "n_states = -1"))

@@ -145,6 +145,27 @@ def test_atr_nonnegative(rng):
     assert (out[12:] >= 0.0).all()
 
 
+_CLOSES = np.linspace(1.0, 2.0, 12)
+PERIOD_CALLS = {
+    "sma": lambda period: sma(_CLOSES, period),
+    "rsi": lambda period: rsi(_CLOSES, period),
+    "atr": lambda period: atr(_CLOSES + 0.1, _CLOSES - 0.1, _CLOSES, period),
+    "cci": lambda period: cci(_CLOSES + 0.1, _CLOSES - 0.1, _CLOSES, period),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERIOD_CALLS))
+def test_indicators_refuse_a_bad_period_by_name(name):
+    call = PERIOD_CALLS[name]
+    for period in (2.5, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match=re.escape(f"period must be an integer, got {period!r}")):
+            call(period)
+    for period in (0, -1):
+        with pytest.raises(ValueError, match="^period must be >= 1$"):
+            call(period)
+    assert_array_equal(call(np.int64(3)), call(3))
+
+
 def test_discretize_footnote_intervals():
     d = Discretizer(0.0, 100.0, 4)
     assert discretize(d, 30.0) == 1
@@ -163,6 +184,15 @@ def test_discretize_monotone(rng):
     xs = np.sort(rng.uniform(-10.0, 110.0, size=200))
     bins = [discretize(d, x) for x in xs]
     assert all(b <= c for b, c in zip(bins, bins[1:]))
+
+
+@pytest.mark.parametrize("lb, ub", [
+    (-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308),  # an infinite width
+    (0.0, 5e-324), (1.0, 1.0), (1.0, 0.0), (math.nan, 1.0),  # none at all
+])
+def test_discretizer_refuses_bounds_without_a_usable_width(lb, ub):
+    with pytest.raises(ValueError, match=re.escape(f"finite, positive bin width, got [{lb}, {ub}]")):
+        Discretizer(lb, ub, 8)
 
 
 def test_bin_value_midpoints():

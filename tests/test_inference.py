@@ -237,6 +237,20 @@ def _per_chain_viterbi_scores(params, obs):
     return log_delta, psi
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_forward_builds_the_stacked_operator_once_as_a_view(rng, n):
+    # The forward's coupling-weighted transitions are laid out (a, i, c, j),
+    # so the reverse sweep and the scan read the stacked (2N, 2N) operator,
+    # rows (a, i) and columns (c, j), without a transpose copy.
+    p = random_params(rng, n, 3)
+    _, _, w = inference._forward(p, random_obs(rng, 3, 5), scale=False)
+    stacked = w.reshape(2 * n, 2 * n)
+    assert w.flags.c_contiguous
+    assert np.shares_memory(stacked, w)
+    want = (p.coupling[:, :, None, None] * p.trans).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+    assert_array_equal(stacked, want)
+
+
 def _zero_heavy_params(rng, n, m):
     """Small integer weights: exact zeros (-inf scores) and many exact ties."""
 

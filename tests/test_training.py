@@ -21,7 +21,7 @@ from chmmtrade import (
     sample_chmm,
     validate_params,
 )
-from chmmtrade import training
+from chmmtrade import inference, training
 from conftest import random_obs, random_params, simplex_instances
 
 FAMILIES = ("priors", "trans", "emit", "coupling")
@@ -360,3 +360,41 @@ def test_fit_equals_hand_loop_and_skips_unused_reverse_sweeps(rng, monkeypatch, 
     assert res.sweeps_run == len(trace) - 1
     # One reverse sweep per candidate evaluated; none for the final state.
     assert len(reverse_sweeps) == min(sweeps, res.sweeps_run + 1)
+
+
+def _one_hot_d_emit(params, obs, scale):
+    """``d_emit`` of one gradient pass recomputed the way it used to be formed:
+    the pre-emission mass from the (a, c, i, j) operator, then a (T, 2, M)
+    one-hot array contracted over steps, from the trellis and the adjoints
+    the pass hands to ``_gradient_set``."""
+    seen = []
+    gradient_set = training._gradient_set
+
+    def spy(params, obs, trellis, bt, w, u):
+        seen.append((trellis.alpha, u))
+        return gradient_set(params, obs, trellis, bt, w, u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_gradient_set", spy)
+        got = training._adjoint_pass(params, obs, *inference._forward(params, obs, scale)).d_emit
+    (alpha, u), = seen
+    mass = np.empty_like(u)
+    mass[0] = params.priors
+    mass[1:] = np.einsum("acij,ati->tcj", params.coupling[:, :, None, None] * params.trans, alpha[:, :-1])
+    hot = np.eye(params.n_bins)[obs.bins.T]
+    return got, np.einsum("tck,tcj->cjk", hot, mass * u)
+
+
+@given(instance=simplex_instances(), scale=st.booleans())
+def test_emission_gradient_scatter_equals_the_one_hot_contraction(instance, scale):
+    # Zero likelihoods included: the pass runs unchecked.
+    got, want = _one_hot_d_emit(*instance, scale)
+    assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("t_len", [1, 4, 65, 66, 2000])
+def test_emission_gradient_scatter_equals_the_one_hot_contraction_over_long_sequences(rng, t_len):
+    # 65 steps are one scan block, 66 the first length with two.
+    params = random_params(rng, 5, 8)
+    got, want = _one_hot_d_emit(params, random_obs(rng, 8, t_len), scale=True)
+    assert_array_equal(got, want)
