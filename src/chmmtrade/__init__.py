@@ -3,7 +3,6 @@
 from .model import (
     ChmmParams,
     ObservationSequence,
-    joint_transition,
     jittered_params,
     load_params,
     params_from_text,
@@ -63,6 +62,7 @@ from .oracle import (
     brute_likelihood,
     brute_viterbi,
     fd_gradient,
+    joint_transition,
     permutation_aligned_mae,
     sample_chmm,
     synthetic_ohlc,

@@ -235,7 +235,8 @@ class Discretizer:
 
     @property
     def width(self) -> float:
-        return (self.ub - self.lb) / self.m
+        # On Python floats, numpy float bounds whose difference overflows give inf without a warning.
+        return (float(self.ub) - float(self.lb)) / self.m
 
 
 def discretize(d: Discretizer, x: float | np.ndarray) -> int | np.ndarray:

@@ -11,7 +11,9 @@ and text keys) is stated once, in ``_FAMILIES`` and ``_family_shapes``.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
+from math import prod
 from operator import attrgetter, index
 from typing import NamedTuple
 
@@ -45,6 +47,83 @@ def _family_shapes(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return (N_CHAINS, n), (N_CHAINS, N_CHAINS, n, n), (N_CHAINS, n, m), (N_CHAINS, N_CHAINS)
 
 
+class _Layout(NamedTuple):  # see ``_layout``
+    parts: tuple[tuple[slice, tuple[int, ...]], ...]  # (place, shape) of each family
+    groups: tuple[tuple[slice, tuple[int, int], int, slice], ...]  # (place, 2-D shape, axis, sums) per simplex length
+    simplex_of: np.ndarray  # each entry's index in ``_simplex_sums``
+
+
+@lru_cache(maxsize=16)
+def _layout(n: int, m: int) -> _Layout:
+    """The flat buffer of N states and M bins: the families in ``_FAMILIES`` order, each in C order, so
+    rows of length N (priors, transitions), then of length M (emissions), then the coupling's columns."""
+    shapes = _family_shapes(n, m)
+    ends = np.cumsum([prod(shape) for shape in shapes]).tolist()
+    head, tail = ends[1], ends[2]
+    rows = np.cumsum([0, head // n, (tail - head) // m, N_CHAINS]).tolist()
+    groups = tuple(zip(map(slice, [0, head, tail], ends[1:]), [(-1, n), (-1, m), (N_CHAINS, N_CHAINS)], [1, 1, 0],
+                       map(slice, rows, rows[1:])))
+    simplex_of = np.concatenate((np.arange(head) // n, rows[1] + np.arange(tail - head) // m,
+                                 rows[2] + np.tile(np.arange(N_CHAINS), N_CHAINS)))
+    simplex_of.setflags(write=False)  # every caller gets this very array
+    return _Layout(tuple(zip(map(slice, [0, *ends], ends), shapes)), groups, simplex_of)
+
+
+def _views(buf: np.ndarray, n: int, m: int) -> list[np.ndarray]:
+    """The four families of a flat buffer, as views of it in ``_FAMILIES`` order."""
+    return [buf[part].reshape(shape) for part, shape in _layout(n, m).parts]
+
+
+def _adopt(obj, buf: np.ndarray, views, **attrs):
+    """Set ``obj``'s ``_buf``, family fields and ``attrs``; ``buf`` and its family ``views`` become read-only."""
+    for arr in (buf, *views):
+        arr.setflags(write=False)
+    vars(obj).update(zip(obj._names, views), _buf=buf, **attrs)
+    return obj
+
+
+def _simplex_sums(buf: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Every simplex sum of a flat buffer, in ``_FAMILIES`` order, each as numpy sums the family's own array."""
+    lay = _layout(n, m)
+    sums = np.empty(lay.simplex_of[-1] + 1)
+    for part, shape, axis, into in lay.groups:
+        np.add.reduce(buf[part].reshape(shape), axis, out=sums[into])
+    return sums
+
+
+def _simplex_normalize(num: np.ndarray, keep: np.ndarray, n: int, m: int) -> ChmmParams:
+    """Parameters from buffer ``num``, each simplex divided by its sum or, where that is not positive, from ``keep``."""
+    denom = _simplex_sums(num, n, m)[_layout(n, m).simplex_of]
+    buf = np.divide(num, denom, out=keep.copy(), where=denom > 0.0)
+    return _adopt(object.__new__(ChmmParams), buf, _views(buf, n, m))
+
+
+class _Buffered:
+    """The four families (fields ``_names``) as read-only views of one flat buffer, ``_buf``."""
+
+    _names = tuple(fam.name for fam in _FAMILIES)
+
+    def __post_init__(self):
+        names = self._names
+        priors, trans, emit, coupling = arrays = [np.asarray(getattr(self, name), dtype=float) for name in names]
+        if priors.ndim != 2 or priors.shape[0] != N_CHAINS:
+            raise ValueError(f"{names[0]} must have shape (2, N), got {priors.shape}")
+        n = priors.shape[1]
+        if n < 1:
+            raise ValueError("need at least one state per chain")
+        if trans.shape != (N_CHAINS, N_CHAINS, n, n):
+            raise ValueError(f"{names[1]} must have shape (2, 2, {n}, {n}), got {trans.shape}")
+        if emit.ndim != 3 or emit.shape[:2] != (N_CHAINS, n) or emit.shape[2] < 1:
+            raise ValueError(f"{names[2]} must have shape (2, {n}, M), got {emit.shape}")
+        if coupling.shape != (N_CHAINS, N_CHAINS):
+            raise ValueError(f"{names[3]} must have shape (2, 2), got {coupling.shape}")
+        buf = np.concatenate(arrays, axis=None)  # a copy, whatever the arrays were
+        _adopt(self, buf, _views(buf, n, emit.shape[2]))
+
+    def __reduce__(self):  # copies and pickles pack a new buffer through the constructor
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 def _size(name: str, value) -> int:
     """``value`` as an int; a value ``operator.index`` refuses raises ValueError naming ``name``."""
     try:
@@ -59,14 +138,8 @@ def _check_seed(value) -> None:
         raise ValueError(f"seed must be non-negative, got {value!r}")
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
-class ChmmParams:
+class ChmmParams(_Buffered):
     """Full parameter set of the two-chain coupled HMM.
 
     Attributes
@@ -83,30 +156,14 @@ class ChmmParams:
         ``coupling[src, dst]`` weighs chain ``src``'s influence on chain
         ``dst``'s transition; each column sums to one.
 
-    Instances are immutable; the arrays are copied on construction and
-    marked read-only, so params are safe to share across threads.
+    Instances are immutable; the arrays are copied on construction into one read-only
+    buffer (``_layout``), of which they are views, so params are safe to share across threads.
     """
 
     priors: np.ndarray
     trans: np.ndarray
     emit: np.ndarray
     coupling: np.ndarray
-
-    def __post_init__(self):
-        for fam in _FAMILIES:
-            object.__setattr__(self, fam.name, _frozen(getattr(self, fam.name)))
-        priors, trans, emit, coupling = _family_arrays(self)
-        if priors.ndim != 2 or priors.shape[0] != N_CHAINS:
-            raise ValueError(f"priors must have shape (2, N), got {priors.shape}")
-        n = priors.shape[1]
-        if n < 1:
-            raise ValueError("need at least one state per chain")
-        if trans.shape != (N_CHAINS, N_CHAINS, n, n):
-            raise ValueError(f"trans must have shape (2, 2, {n}, {n}), got {trans.shape}")
-        if emit.ndim != 3 or emit.shape[:2] != (N_CHAINS, n) or emit.shape[2] < 1:
-            raise ValueError(f"emit must have shape (2, {n}, M), got {emit.shape}")
-        if coupling.shape != (N_CHAINS, N_CHAINS):
-            raise ValueError(f"coupling must have shape (2, 2), got {coupling.shape}")
 
     @property
     def n_states(self) -> int:
@@ -142,7 +199,8 @@ class ObservationSequence:
         bins = np.asarray(self.bins)
         if bins.dtype.kind not in "ib":  # signed integer and bool arrays convert as they are
             bins = _integer_bins(bins)
-        bins = _frozen(bins, dtype=np.int64)
+        bins = np.array(bins, dtype=np.int64)
+        bins.setflags(write=False)
         if bins.ndim != 2 or bins.shape[0] != N_CHAINS:
             raise ValueError(f"bins must have shape (2, T), got {bins.shape}")
         if bins.shape[1] < 1:
@@ -166,9 +224,9 @@ class ObservationSequence:
 def validate_params(params: ChmmParams) -> list[str]:
     """Check every simplex and range constraint; return violation messages.
 
-    All entries and all simplex sums (prior rows, transition rows,
-    emission rows, coupling columns) are reduced at once; an empty list
-    means every entry lies in [0, 1] and every sum is within
+    One min and max over the parameter buffer and its simplex sums (prior
+    rows, transition rows, emission rows, coupling columns) decide; an
+    empty list means every entry lies in [0, 1] and every sum is within
     ``SIMPLEX_ATOL`` of one.  Otherwise the messages come from those same
     arrays: first each family with an entry outside [0, 1] (NaN
     included), then each sum off by more than the tolerance, in the
@@ -176,26 +234,25 @@ def validate_params(params: ChmmParams) -> list[str]:
     the range check alone.  Chains, rows and columns are 1-based to match
     the serialized text format.
     """
-    arrays = _family_arrays(params)
-    entries = np.concatenate([arr.ravel() for arr in arrays])
-    in_range = entries.min() >= 0.0 and entries.max() <= 1.0
+    buf, n, m = params._buf, params.n_states, params.n_bins
+    in_range = buf.min() >= 0.0 and buf.max() <= 1.0
     # Entries in [0, 1] sum without warnings; out of range, +inf and -inf
     # in one simplex sum to NaN, which the range message already covers.
     with nullcontext() if in_range else np.errstate(invalid="ignore"):
-        sums = np.concatenate([arr.sum(axis=fam.axis).ravel() for fam, arr in zip(_FAMILIES, arrays)])
-    off = np.abs(sums - 1.0) > SIMPLEX_ATOL
-    if in_range and not off.any():
+        sums = _simplex_sums(buf, n, m)
+    dev = np.abs(sums - 1.0)
+    if in_range and dev.max() <= SIMPLEX_ATOL:
         return []
 
-    ends = np.cumsum([arr.size for arr in arrays])
-    outside = np.split(~((entries >= 0.0) & (entries <= 1.0)), ends[:-1])
-    issues = [f"{fam.name}: entries outside [0, 1]" for fam, bad in zip(_FAMILIES, outside) if bad.any()]
+    arrays = _family_arrays(params)
+    issues = [f"{fam.name}: entries outside [0, 1]" for fam, arr in zip(_FAMILIES, arrays)
+              if not ((arr >= 0.0) & (arr <= 1.0)).all()]
     labels = [
         fam.label.format(*(i + 1 for i in idx))
         for fam, arr in zip(_FAMILIES, arrays)
         for idx in np.ndindex(arr.shape[:fam.axis] + arr.shape[fam.axis + 1:])
     ]
-    issues += [f"{labels[k]}: sums to {sums[k]!r}" for k in np.flatnonzero(off)]
+    issues += [f"{labels[k]}: sums to {sums[k]!r}" for k in np.flatnonzero(dev > SIMPLEX_ATOL)]
     return issues
 
 
@@ -206,42 +263,16 @@ def check_params(params: ChmmParams) -> None:
         raise ValueError("invalid parameters: " + "; ".join(issues))
 
 
-def joint_transition(params: ChmmParams, chain: int, s1: int, s2: int, j: int) -> float:
-    """Probability that chain ``chain`` lands on state ``j`` given both
-    chains' previous states ``(s1, s2)``.
-
-    The value is the coupling-weighted blend of the two source rows:
-    ``coupling[0, chain] * trans[0, chain][s1, j] + coupling[1, chain] * trans[1, chain][s2, j]``.
-    """
-    n = params.n_states
-    if chain not in (0, 1):
-        raise IndexError(f"chain must be 0 or 1, got {chain}")
-    for label, idx in (("s1", s1), ("s2", s2), ("j", j)):
-        if not 0 <= idx < n:
-            raise IndexError(f"{label}={idx} out of range for {n} states")
-    theta = params.coupling
-    return float(
-        theta[0, chain] * params.trans[0, chain][s1, j]
-        + theta[1, chain] * params.trans[1, chain][s2, j]
-    )
-
-
-def _simplex_normalize(num: np.ndarray, axis: int, keep: np.ndarray) -> np.ndarray:
-    """``num`` divided by its sums along ``axis``: each simplex scaled to
-    total 1.  A simplex whose sum is not positive takes ``keep``'s values."""
-    denom = num.sum(axis=axis, keepdims=True)
-    return np.divide(num, denom, out=np.array(keep), where=denom > 0.0)
-
-
 def _params_by_family(n_states: int, n_bins: int, draw=None) -> ChmmParams:
-    """Parameters with every simplex uniform or, given ``draw``, each family
-    ``draw(uniform)`` normalized per simplex, drawn in ``_FAMILIES`` order.
-    A size below 1 gives an empty family, which ``ChmmParams`` refuses itself."""
-    shapes = _family_shapes(max(_size("n_states", n_states), 0), max(_size("n_bins", n_bins), 0))
-    uniforms = [np.full(shape, 1.0 / max(shape[fam.axis], 1)) for fam, shape in zip(_FAMILIES, shapes)]
+    """Parameters with every simplex uniform or, given ``draw``, the flat buffer ``draw(uniform)`` normalized."""
+    n, m = _size("n_states", n_states), _size("n_bins", n_bins)
+    if n < 1 or m < 1:  # no layout: ChmmParams refuses the empty family by name
+        return ChmmParams(*[np.ones(shape) for shape in _family_shapes(max(n, 0), max(m, 0))])
+    simplex_of = _layout(n, m).simplex_of
+    uniform = 1.0 / np.bincount(simplex_of)[simplex_of]  # each entry 1 / the length of its simplex
     if draw is None:
-        return ChmmParams(*uniforms)
-    return ChmmParams(*[_simplex_normalize(draw(u), fam.axis, u) for fam, u in zip(_FAMILIES, uniforms)])
+        return _adopt(object.__new__(ChmmParams), uniform, _views(uniform, n, m))
+    return _simplex_normalize(draw(uniform), uniform, n, m)
 
 
 def uniform_params(n_states: int, n_bins: int) -> ChmmParams:

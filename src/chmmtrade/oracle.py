@@ -12,13 +12,17 @@ the stacked operator of ``inference._forward`` and forms its gradients
 with ``training._gradient_set``, ``fd_gradient`` differences likelihoods
 of ``inference._forward``, ``cci_loop`` takes window means from
 ``indicators._window_means``, and ``load_ohlc_rows`` is ``data_io``'s
-own row route, the reference for its block route.
+own row route, the reference for its block route.  The per-family
+references (``validate_by_family``, ``reestimate_by_family``,
+``params_by_family``) read and build ``ChmmParams`` through its arrays
+and its constructor, never through its flat buffer.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
@@ -27,7 +31,9 @@ import numpy as np
 from .data_io import _load_ohlc_rows
 from .indicators import Discretizer, OhlcSeries, Stamps, _window_means
 from .inference import ForwardTrellis, _emission_lookup, _forward
-from .model import _FAMILIES, ChmmParams, ObservationSequence, check_params
+from .model import (
+    _FAMILIES, SIMPLEX_ATOL, ChmmParams, ObservationSequence, _family_arrays, _family_shapes, _size, check_params,
+)
 from .strategy import crossing_side
 from .training import GradientSet, _gradient_set
 
@@ -42,11 +48,15 @@ __all__ = [
     "brute_viterbi",
     "score_path",
     "fd_gradient",
+    "joint_transition",
     "cci_loop",
     "load_ohlc_rows",
     "signal_side",
     "synthetic_ohlc",
     "permutation_aligned_mae",
+    "validate_by_family",
+    "reestimate_by_family",
+    "params_by_family",
 ]
 
 MAX_ENUM_PATHS = 4096
@@ -180,6 +190,28 @@ def step_adjoint(params: ChmmParams, obs: ObservationSequence, trellis: ForwardT
     return _gradient_set(params, obs, trellis, bt, w, u)
 
 
+def joint_transition(params: ChmmParams, chain: int, s1: int, s2: int, j: int) -> float:
+    """Probability that chain ``chain`` lands on state ``j`` given both
+    chains' previous states ``(s1, s2)``, one transition at a time; the
+    library applies all of them at once through ``inference._forward``'s
+    stacked coupled operator.
+
+    The value is the coupling-weighted blend of the two source rows:
+    ``coupling[0, chain] * trans[0, chain][s1, j] + coupling[1, chain] * trans[1, chain][s2, j]``.
+    """
+    n = params.n_states
+    if chain not in (0, 1):
+        raise IndexError(f"chain must be 0 or 1, got {chain}")
+    for label, idx in (("s1", s1), ("s2", s2), ("j", j)):
+        if not 0 <= idx < n:
+            raise IndexError(f"{label}={idx} out of range for {n} states")
+    theta = params.coupling
+    return float(
+        theta[0, chain] * params.trans[0, chain][s1, j]
+        + theta[1, chain] * params.trans[1, chain][s2, j]
+    )
+
+
 def _guard_size(params: ChmmParams, obs: ObservationSequence) -> None:
     if params.n_states ** obs.length > MAX_ENUM_PATHS:
         raise ValueError(
@@ -284,6 +316,57 @@ def brute_viterbi(params: ChmmParams, obs: ObservationSequence):
         log_scores[c] = best_score
     paths.setflags(write=False)
     return paths, log_scores
+
+
+def validate_by_family(params: ChmmParams) -> list[str]:
+    """``model.validate_params`` family by family: the entries and the
+    simplex sums of each of the four arrays reduced on their own, then
+    joined; the reference for the reductions over the flat buffer."""
+    arrays = _family_arrays(params)
+    entries = np.concatenate([arr.ravel() for arr in arrays])
+    in_range = entries.min() >= 0.0 and entries.max() <= 1.0
+    with nullcontext() if in_range else np.errstate(invalid="ignore"):
+        sums = np.concatenate([arr.sum(axis=fam.axis).ravel() for fam, arr in zip(_FAMILIES, arrays)])
+    off = np.abs(sums - 1.0) > SIMPLEX_ATOL
+    if in_range and not off.any():
+        return []
+    ends = np.cumsum([arr.size for arr in arrays])
+    outside = np.split(~((entries >= 0.0) & (entries <= 1.0)), ends[:-1])
+    issues = [f"{fam.name}: entries outside [0, 1]" for fam, bad in zip(_FAMILIES, outside) if bad.any()]
+    labels = [
+        fam.label.format(*(i + 1 for i in idx))
+        for fam, arr in zip(_FAMILIES, arrays)
+        for idx in np.ndindex(arr.shape[:fam.axis] + arr.shape[fam.axis + 1:])
+    ]
+    issues += [f"{labels[k]}: sums to {sums[k]!r}" for k in np.flatnonzero(off)]
+    return issues
+
+
+def _normalize_along(num: np.ndarray, axis: int, keep: np.ndarray) -> np.ndarray:
+    """``num`` divided by its sums along ``axis``; a simplex whose sum is
+    not positive takes ``keep``'s values."""
+    denom = num.sum(axis=axis, keepdims=True)
+    return np.divide(num, denom, out=np.array(keep), where=denom > 0.0)
+
+
+def reestimate_by_family(params: ChmmParams, grads: GradientSet) -> ChmmParams:
+    """``training.reestimate`` family by family, each simplex normalized
+    along its own array's axis."""
+    return ChmmParams(*[
+        _normalize_along(w * getattr(grads, "d_" + fam.name), fam.axis, w)
+        for fam, w in zip(_FAMILIES, _family_arrays(params))
+    ])
+
+
+def params_by_family(n_states: int, n_bins: int, draw=None) -> ChmmParams:
+    """``model._params_by_family`` with one ``draw`` per family: each
+    family's uniform array goes to ``draw`` in ``_FAMILIES`` order and the
+    result is normalized along its simplex axis."""
+    shapes = _family_shapes(max(_size("n_states", n_states), 0), max(_size("n_bins", n_bins), 0))
+    uniforms = [np.full(shape, 1.0 / max(shape[fam.axis], 1)) for fam, shape in zip(_FAMILIES, shapes)]
+    if draw is None:
+        return ChmmParams(*uniforms)
+    return ChmmParams(*[_normalize_along(draw(u), fam.axis, u) for fam, u in zip(_FAMILIES, uniforms)])
 
 
 def perturbed(params: ChmmParams, family: str, index, delta: float) -> ChmmParams:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import _CHAINS, ForwardTrellis, _forward, _scan
-from .model import _FAMILIES, ChmmParams, ObservationSequence, _family_arrays, _simplex_normalize, _size, check_params
+from .model import ChmmParams, ObservationSequence, _adopt, _Buffered, _simplex_normalize, _size, _views, check_params
 
 __all__ = [
     "DegenerateModelError",
@@ -38,15 +38,16 @@ class DegenerateModelError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GradientSet:
+class GradientSet(_Buffered):
     """Partial derivatives of the joint likelihood for every parameter.
 
     When computed with per-step scaling all entries share a single
     positive factor ``exp(log_scale)``; the multiplicative update is
     invariant to it, so re-estimation can consume scaled gradients from
-    arbitrarily long sequences.
+    arbitrarily long sequences.  The arrays share one buffer, as in ``ChmmParams``.
     """
 
+    _names = tuple("d_" + name for name in ChmmParams._names)
     d_priors: np.ndarray    # (2, N)
     d_trans: np.ndarray     # (2, 2, N, N)
     d_emit: np.ndarray      # (2, N, M)
@@ -107,22 +108,22 @@ def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     """The four families as sums over steps of trellis entries times the
     adjoints ``u`` (T, 2, N) of the reverse sweep, with ``w`` (a, i, c, j)
     from the forward; each step's emission term is added at its bin."""
+    n, m = params.n_states, params.n_bins
+    buf = np.zeros(params._buf.size)                   # the families are written into their views
+    d_priors, d_trans, d_emit, d_coupling = views = _views(buf, n, m)
     alpha = trellis.alpha                              # (2, T, N)
     bu = bt * u                                        # (T, 2, N)
+    d_priors[...] = bu[0]
     x = np.einsum("ati,tcj->acij", alpha[:, :-1], bu[1:])
+    np.multiply(params.coupling[:, :, None, None], x, out=d_trans)
+    np.einsum("acij,acij->ac", params.trans, x, out=d_coupling)
     mass = np.empty_like(u)                            # what multiplies bt[t] in the forward step
     mass[0] = params.priors
     mass[1:] = np.einsum("aicj,ati->tcj", w, alpha[:, :-1])
-    d_emit = np.zeros_like(params.emit)
     np.add.at(d_emit, (_CHAINS, slice(None), obs.bins.T), mass * u)  # [c, :, bins[c, t]] += [t, c]
     scales = trellis.scale_factors
-    return GradientSet(
-        d_priors=bu[0],
-        d_trans=params.coupling[:, :, None, None] * x,
-        d_emit=d_emit,
-        d_coupling=np.einsum("acij,acij->ac", params.trans, x),
-        log_scale=2.0 * float(np.log(scales).sum()) if scales is not None else 0.0,
-    )
+    log_scale = 2.0 * float(np.log(scales).sum()) if scales is not None else 0.0
+    return _adopt(object.__new__(GradientSet), buf, views, log_scale=log_scale)
 
 
 def likelihood_gradient(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -> GradientSet:
@@ -141,10 +142,7 @@ def reestimate(params: ChmmParams, grads: GradientSet) -> ChmmParams:
     normalizer vanishes (the likelihood does not depend on them) keep
     their previous values, the unique continuous completion.
     """
-    return ChmmParams(*[
-        _simplex_normalize(w * getattr(grads, "d_" + fam.name), fam.axis, w)
-        for fam, w in zip(_FAMILIES, _family_arrays(params))
-    ])
+    return _simplex_normalize(params._buf * grads._buf, params._buf, params.n_states, params.n_bins)
 
 
 @dataclass(frozen=True)

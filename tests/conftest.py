@@ -29,6 +29,11 @@ def random_params(rng, n, m, low=0.2):
     )
 
 
+def family_bytes(params):
+    """The bytes of each family of a ``ChmmParams``, for bit-equality."""
+    return tuple(getattr(params, name).tobytes() for name in ("priors", "trans", "emit", "coupling"))
+
+
 def random_obs(rng, m, t_len):
     return ObservationSequence(rng.integers(0, m, size=(2, t_len)))
 

@@ -195,6 +195,14 @@ def test_discretizer_refuses_bounds_without_a_usable_width(lb, ub):
         Discretizer(lb, ub, 8)
 
 
+def test_discretizer_refuses_numpy_bounds_whose_width_overflows():
+    # The width is taken on Python floats: numpy bounds overflow to an
+    # infinite width without a RuntimeWarning (an error here), so the
+    # caller gets the ValueError naming the bounds.
+    with pytest.raises(ValueError, match=re.escape("finite, positive bin width, got [-1e+308, 1e+308]")):
+        Discretizer(np.float64(-1e308), np.float64(1e308), 8)
+
+
 def test_bin_value_midpoints():
     d = Discretizer(0.0, 100.0, 8)
     assert bin_value(d, 0) == pytest.approx(6.25)

@@ -18,10 +18,12 @@ from chmmtrade import (
     validate_params,
 )
 from chmmtrade.backtest import BacktestConfig
+from chmmtrade.cli import _default_sim_params
 from chmmtrade.indicators import Discretizer
-from chmmtrade.model import N_CHAINS, SIMPLEX_ATOL, check_params
+from chmmtrade.model import _JITTER, N_CHAINS, SIMPLEX_ATOL, check_params
+from chmmtrade.oracle import params_by_family, validate_by_family
 from chmmtrade.training import FitConfig
-from conftest import random_params, simplex_instances
+from conftest import family_bytes, random_params, simplex_instances
 
 
 def test_uniform_params_pass_validation():
@@ -198,6 +200,57 @@ def test_validate_params_matches_the_family_by_family_messages(params):
     with np.errstate(invalid="ignore"):
         expected = _messages_family_by_family(params)
     assert validate_params(params) == expected
+
+
+# Simplex sums at the tolerance on either side of one, and an ulp or two past it each way.
+_EDGE_SUMS = [edge + k * np.spacing(edge) for edge in (1.0 - SIMPLEX_ATOL, 1.0 + SIMPLEX_ATOL) for k in range(-2, 3)]
+
+
+def _with_simplex_sum(params, family, k, target):
+    """``params`` with the ``k``-th simplex (row, or coupling column) of
+    ``family``, counted cyclically, replaced by one summing to ``target``
+    exactly: ``target - 0.25`` and ``0.25`` are both exact, and so is
+    their sum, in any summation order."""
+    arrays = {name: np.array(getattr(params, name)) for name in FAMILIES}
+    simplices = np.moveaxis(arrays[family], {"priors": 1, "trans": 3, "emit": 2, "coupling": 0}[family], -1)
+    simplex = simplices[np.unravel_index(k % (simplices.size // simplices.shape[-1]), simplices.shape[:-1])]
+    simplex[:] = 0.0
+    simplex[:2] = [target] if simplex.size == 1 else [target - 0.25, 0.25]
+    return ChmmParams(**arrays)
+
+
+@st.composite
+def params_at_the_tolerance(draw):
+    params, _ = draw(simplex_instances(max_len=1))
+    return _with_simplex_sum(params, draw(st.sampled_from(FAMILIES)), draw(st.integers(0, 63)),
+                             draw(st.sampled_from(_EDGE_SUMS)))
+
+
+@given(st.one_of(perturbed_params(), params_at_the_tolerance()))
+def test_validate_params_equals_the_per_family_reduction(params):
+    assert validate_params(params) == validate_by_family(params)
+
+
+@pytest.mark.parametrize("target", _EDGE_SUMS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_sum_an_ulp_from_the_tolerance_is_judged_by_its_distance_from_one(family, target):
+    params = _with_simplex_sum(jittered_params(3, 4), family, 1, target)
+    issues = validate_params(params)
+    assert issues == validate_by_family(params)
+    assert bool(issues) == (abs(target - 1.0) > SIMPLEX_ATOL)
+
+
+@given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2**32))
+def test_initial_params_equal_four_per_family_draws(n, m, seed):
+    # One block of P values in family order reads the same stream as one
+    # draw per family, so the bits are those of four draws.
+    rng = np.random.default_rng(seed)
+    jittered = params_by_family(n, m, lambda u: u * rng.uniform(1.0 - _JITTER, 1.0 + _JITTER, size=u.shape))
+    rng = np.random.default_rng((seed, 3))
+    simulated = params_by_family(n, m, lambda u: rng.gamma(0.5, size=u.shape) + 1e-3)
+    assert family_bytes(jittered_params(n, m, seed)) == family_bytes(jittered)
+    assert family_bytes(_default_sim_params(n, m, seed)) == family_bytes(simulated)
+    assert family_bytes(uniform_params(n, m)) == family_bytes(params_by_family(n, m))
 
 
 def test_check_params_reports_opposite_infinities_without_a_warning():

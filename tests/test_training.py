@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -10,6 +10,7 @@ from chmmtrade import (
     ChmmParams,
     DegenerateModelError,
     FitConfig,
+    GradientSet,
     ObservationSequence,
     alpha_gradients,
     fd_gradient,
@@ -22,7 +23,9 @@ from chmmtrade import (
     validate_params,
 )
 from chmmtrade import inference, training
-from conftest import random_obs, random_params, simplex_instances
+from chmmtrade.model import _family_shapes
+from chmmtrade.oracle import reestimate_by_family
+from conftest import family_bytes, random_obs, random_params, simplex_instances
 
 FAMILIES = ("priors", "trans", "emit", "coupling")
 
@@ -209,6 +212,51 @@ def test_reestimate_never_decreases_likelihood(rng):
         after = forward(q, obs).joint_likelihood
         assert after >= before * (1.0 - 1e-12)
         assert validate_params(q) == []
+
+
+@given(instance=simplex_instances(max_len=8), data=st.data())
+def test_reestimate_equals_the_per_family_update(instance, data):
+    # Drawn gradients are often 0, so whole rows with a zero normalizer
+    # occur and keep their old values; the true gradient is checked too.
+    p, obs = instance
+    entry = st.just(0.0) | st.floats(0.0, 1e6)
+    drawn = [np.reshape(data.draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape))), shape)
+             for shape in _family_shapes(p.n_states, p.n_bins)]
+    grads = [GradientSet(*drawn), GradientSet(*[np.zeros_like(g) for g in drawn])]
+    try:
+        grads.append(likelihood_gradient(p, obs, scale=True))
+    except DegenerateModelError:
+        pass
+    for g in grads:
+        assert family_bytes(reestimate(p, g)) == family_bytes(reestimate_by_family(p, g))
+    assert family_bytes(reestimate(p, grads[1])) == family_bytes(p)
+
+
+@st.composite
+def fit_windows(draw):
+    """Parameters with N and M in 1..6, entries exactly 0 in some draws,
+    and an observation window of 1 to 8 steps."""
+    n, m, t_len = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    zeros = draw(st.sampled_from([0.0, 0.3]))
+
+    def rows(shape, axis):
+        raw = rng.uniform(0.0, 1.0, size=shape) * (rng.random(shape) >= zeros)
+        raw[(raw.sum(axis=axis, keepdims=True) == 0).repeat(shape[axis], axis=axis)] = 1.0
+        return raw / raw.sum(axis=axis, keepdims=True)
+
+    params = ChmmParams(*[rows(shape, axis) for shape, axis in zip(_family_shapes(n, m), (1, 3, 2, 0))])
+    return params, random_obs(rng, m, t_len)
+
+
+@given(window=fit_windows(), scale=st.booleans())
+def test_a_reestimated_candidate_always_validates(window, scale):
+    p, obs = window
+    try:
+        grads = likelihood_gradient(p, obs, scale=scale)
+    except DegenerateModelError:
+        assume(False)
+    assert validate_params(reestimate(p, grads)) == []
 
 
 def _likelihood_one_instance():
