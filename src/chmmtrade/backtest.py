@@ -142,7 +142,7 @@ class TradeRecord:
         self.pnl = self.direction * (price - self.entry_price) * self.size
 
 
-@dataclass
+@dataclass(eq=False)
 class EquityCurve:
     timestamps: Sequence[datetime]
     values: np.ndarray
@@ -182,7 +182,7 @@ class FitRecord:
     trace: list[float]
 
 
-@dataclass
+@dataclass(eq=False)
 class BacktestResult:
     trades: list[TradeRecord]
     equity: EquityCurve
@@ -364,8 +364,8 @@ def run_backtest(
     equity_vals: list[float] = []
     pending = None  # (side, size_fraction, stop_dist, target_dist)
 
-    for t, stamp, open_, high, low, close, atr_now, prev, curr, size_fraction in zip(
-        range(t0, n_bars), stamps, opens, highs, lows, closes, atrs, prevs, currs, fractions
+    for stamp, open_, high, low, close, atr_now, prev, curr, size_fraction in zip(
+        stamps, opens, highs, lows, closes, atrs, prevs, currs, fractions
     ):
         # 1. Fill the signal raised at the previous close at this bar's open.
         if pending is not None:
@@ -396,10 +396,10 @@ def run_backtest(
         unrealized = sum(tr.direction * (close - tr.entry_price) * tr.size for tr in open_trades.values())
         equity_vals.append(cash + unrealized)
 
-        # 4. Decide at the close.
+        # 4. Decide at the close; an order pending after the last bar is never filled.
         side = crossing_side(cfg.system, prev, curr, open_trades)
         sides.append(side)
-        if side != "none" and t + 1 < n_bars and atr_now > 0.0:
+        if side != "none" and atr_now > 0.0:
             pending = (side, size_fraction, cfg.stop_mult * atr_now, cfg.target_mult * atr_now)
 
     # 5. Force-close whatever is still open at the final close.

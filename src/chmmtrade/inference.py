@@ -24,7 +24,7 @@ from .model import ChmmParams, ObservationSequence, check_params
 __all__ = ["ForwardTrellis", "ViterbiTrellis", "forward", "coupled_viterbi"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardTrellis:
     """Forward recursion output, built from the trellis and its normalizers.
 
@@ -32,43 +32,45 @@ class ForwardTrellis:
     after observing the first ``t + 1`` symbols.  When ``scale_factors``
     is not None the stored alpha values are normalized per step and the
     likelihoods are only representable in log space.  Construction
-    freezes both arrays and derives the log likelihoods; the linear ones
-    are properties, so a caller that reads only the logs pays no ``exp``.
+    freezes both arrays and derives every other field once; the linear
+    likelihoods are properties, so a caller reading only logs pays no ``exp``.
     """
 
     alpha: np.ndarray                        # (2, T, N)
     scale_factors: np.ndarray | None = None  # (T,) per-step normalizers
     log_per_chain: np.ndarray = field(init=False)  # (2,)
     log_joint: float = field(init=False)
+    _final_mass: np.ndarray = field(init=False, repr=False)  # (2,) alpha[:, -1] summed per chain
+    _log_scale: float = field(init=False, repr=False)       # log of the scale_factors' product
 
     def __post_init__(self):
-        self.alpha.setflags(write=False)
-        if self.scale_factors is not None:
-            self.scale_factors.setflags(write=False)
+        mass, log_scale = self.alpha[:, -1].sum(axis=1), 0.0
         with np.errstate(divide="ignore"):
-            log_pc = np.log(self.alpha[:, -1].sum(axis=1))  # the final mass of each chain
+            log_pc = np.log(mass)
             if self.scale_factors is not None:
-                log_pc += float(np.log(self.scale_factors).sum())
-        object.__setattr__(self, "log_per_chain", log_pc)
-        object.__setattr__(self, "log_joint", float(log_pc.sum()))
+                self.scale_factors.setflags(write=False)
+                log_scale = float(np.log(self.scale_factors).sum())
+                log_pc += log_scale
+        for arr in (self.alpha, mass):
+            arr.setflags(write=False)
+        vars(self).update(_final_mass=mass, _log_scale=log_scale, log_per_chain=log_pc, log_joint=float(log_pc.sum()))
 
     @property
     def per_chain_likelihood(self) -> np.ndarray:  # (2,)
         if self.scale_factors is None:
-            return self.alpha[:, -1].sum(axis=1)
+            return self._final_mass.copy()
         with np.errstate(over="ignore"):
             return np.exp(self.log_per_chain)
 
     @property
     def joint_likelihood(self) -> float:
         if self.scale_factors is None:
-            p1, p2 = self.per_chain_likelihood
-            return float(p1 * p2)
+            return float(self._final_mass[0] * self._final_mass[1])
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_joint))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViterbiTrellis:
     """Decoder output for both chains.
 
@@ -83,6 +85,10 @@ class ViterbiTrellis:
     psi: np.ndarray         # (2, T, N, 2) int64
     paths: np.ndarray       # (2, T) int64
     log_best: np.ndarray    # (2,)
+
+    def __post_init__(self):
+        for arr in (self.log_delta, self.psi, self.paths, self.log_best):
+            arr.setflags(write=False)
 
     @property
     def best_prob(self) -> np.ndarray:  # (2,)
@@ -137,13 +143,7 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     scales = np.ones(t_len) if scale else None
     w = np.multiply(params.coupling[:, None, :, None], params.trans.transpose(0, 2, 1, 3), order="C")
 
-    first = params.priors * bt[0]  # (2, N)
-    if scale:
-        s = first.sum()
-        if s > 0.0:
-            first = first / s
-            scales[0] = s
-    alpha[:, 0] = first
+    alpha[:, 0] = params.priors * bt[0]
     later = bt[1:]
 
     def step(x, src):
@@ -187,6 +187,16 @@ def _next_start(op: np.ndarray, log_norm: np.ndarray, x: np.ndarray, keep_mass: 
     return y
 
 
+def _normalise(x: np.ndarray, scales: np.ndarray, t: int) -> np.ndarray:
+    """``x``, a batch of one vector, normalised in place as in the step loop: its total, kept as
+    ``scales[t]``, is a number, not a (1, 1, 1) array; zero mass keeps its zeros and factor 1."""
+    s = x.sum()
+    if s > 0.0:
+        x /= s
+        scales[t] = s
+    return x
+
+
 def _scan(out: np.ndarray, step, operator, scales: np.ndarray | None = None) -> None:
     """Fill ``out[1:]`` from ``out[0]`` by a linear recursion, in blocks.
 
@@ -215,6 +225,8 @@ def _scan(out: np.ndarray, step, operator, scales: np.ndarray | None = None) -> 
     """
     t_len = out.shape[0]
     size = max(_SCAN_MIN_BLOCK, math.isqrt(t_len))
+    if scales is not None:  # step 0, from a copy in C order, so it is totalled as block 0's later steps
+        out[0] = _normalise(out[:1].copy(), scales, 0)[0]
     x = out[:1]  # the start of every block
     ragged = t_len - 1  # steps in the last block
     if ragged > size:
@@ -240,14 +252,8 @@ def _scan(out: np.ndarray, step, operator, scales: np.ndarray | None = None) -> 
             x = x[:-1]
         src = slice(l, t_len - 1, size)
         x = step(x, src)
-        if scales is not None and len(x) == 1:
-            # Block 0 alone, as in every window of up to 65 steps: a number
-            # for the normaliser, not a (1, 1, 1) array, keeps the step
-            # loop's cost per call as well as its arithmetic.
-            s = x.sum()
-            if s > 0.0:
-                x /= s
-                scales[l + 1] = s
+        if scales is not None and len(x) == 1:  # block 0 alone, as in every window of up to 65 steps
+            _normalise(x, scales, l + 1)
         elif scales is not None:
             total = x.sum(axis=(1, 2), keepdims=True)
             total[total == 0.0] = 1.0  # a step with zero mass keeps its zeros and factor 1
@@ -256,14 +262,14 @@ def _scan(out: np.ndarray, step, operator, scales: np.ndarray | None = None) -> 
         later[src] = x
 
 
-# Source pairs (i, j) per back-pointer block, which sets its step count; the
-# block's temporaries hold 2 N^2 floats a step, so they stay bounded in T.
-_PSI_BLOCK_SCORES = 1 << 17
+# Floats of temporaries per back-pointer block, which sets its step count;
+# a step's (c, i, k) temporaries hold 2 N^2, so they stay bounded in T.
+_PSI_BLOCK_FLOATS = 1 << 15
 
 
 def _psi_block_steps(n_states: int) -> int:
-    """Steps per back-pointer block: 2 * N^3 source pairs per step."""
-    return max(1, _PSI_BLOCK_SCORES // (2 * n_states**3))
+    """Steps per back-pointer block: 2 * N^2 floats per step."""
+    return max(1, _PSI_BLOCK_FLOATS // (2 * n_states**2))
 
 
 def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrellis:
@@ -323,11 +329,8 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
     # Backtrack through the own-state pointers, a block of steps at a time
     # read as Python lists, so no T-long list is held.
     paths = np.zeros((2, t_len), dtype=np.int64)
-    log_best = np.empty(2)
-    for c in range(2):
-        q = int(np.argmax(log_delta[c, -1]))
-        log_best[c] = log_delta[c, -1, q]
-        paths[c, -1] = q
+    paths[:, -1] = np.argmax(log_delta[:, -1], axis=1)
+    for c, q in enumerate(paths[:, -1].tolist()):
         for t1 in range(t_len, 1, -block):
             t0 = max(1, t1 - block)
             walk = []
@@ -335,7 +338,4 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
                 q = row[q]
                 walk.append(q)
             paths[c, t0 - 1 : t1 - 1] = walk[::-1]
-
-    for arr in (log_delta, psi, paths, log_best):
-        arr.setflags(write=False)
-    return ViterbiTrellis(log_delta=log_delta, psi=psi, paths=paths, log_best=log_best)
+    return ViterbiTrellis(log_delta=log_delta, psi=psi, paths=paths, log_best=log_delta[:, -1].max(axis=1))

@@ -138,7 +138,7 @@ def _check_seed(value) -> None:
         raise ValueError(f"seed must be non-negative, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChmmParams(_Buffered):
     """Full parameter set of the two-chain coupled HMM.
 
@@ -189,7 +189,7 @@ def _integer_bins(arr: np.ndarray) -> np.ndarray:
     raise ValueError("observation bins must be integers in int64 range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSequence:
     """Per-chain sequences of observation bin indices, equal length T >= 1."""
 

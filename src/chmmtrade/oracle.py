@@ -8,14 +8,16 @@ unchecked is shared: ``step_forward`` and ``alpha_gradients`` build an
 ``inference.ForwardTrellis``, which derives the likelihoods, and look up
 emissions with ``inference._emission_lookup`` (``step_forward`` builds
 its own (a, c, i, j) operator), ``step_adjoint`` reads the emissions and
-the stacked operator of ``inference._forward`` and forms its gradients
-with ``training._gradient_set``, ``fd_gradient`` differences likelihoods
-of ``inference._forward``, ``cci_loop`` takes window means from
-``indicators._window_means``, and ``load_ohlc_rows`` is ``data_io``'s
-own row route, the reference for its block route.  The per-family
-references (``validate_by_family``, ``reestimate_by_family``,
-``params_by_family``) read and build ``ChmmParams`` through its arrays
-and its constructor, never through its flat buffer.
+the stacked operator of ``inference._forward`` and the trellis's final
+mass and forms its gradients with ``training._gradient_set``,
+``score_path`` and ``brute_viterbi`` share one private path scorer,
+``fd_gradient`` differences likelihoods of ``inference._forward``,
+``cci_loop`` takes window means from ``indicators._window_means``, and
+``load_ohlc_rows`` is ``data_io``'s own row route, the reference for
+its block route.  The per-family references (``validate_by_family``,
+``reestimate_by_family``, ``params_by_family``) read and build
+``ChmmParams`` through its arrays and its constructor, never through
+its flat buffer.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ MAX_ENUM_PATHS = 4096
 _SAMPLE_BLOCK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledPaths:
     """Seeded draw from the generative model: states plus observations."""
 
@@ -184,7 +186,7 @@ def step_adjoint(params: ChmmParams, obs: ObservationSequence, trellis: ForwardT
     scales = trellis.scale_factors if trellis.scale_factors is not None else np.ones(t_len)
     _, bt, w = _forward(params, obs, trellis.scale_factors is not None)  # emissions and operator only
     u = np.empty((t_len, 2, n))
-    u[-1] = trellis.alpha[:, -1].sum(axis=1)[::-1, None] / scales[-1]
+    u[-1] = trellis._final_mass[::-1, None] / scales[-1]
     for t in range(t_len - 1, 0, -1):
         u[t - 1] = (w.reshape(2 * n, 2 * n) @ (bt[t] * u[t]).ravel()).reshape(2, n) / scales[t - 1]
     return _gradient_set(params, obs, trellis, bt, w, u)
@@ -253,6 +255,24 @@ def brute_likelihood(params: ChmmParams, obs: ObservationSequence):
     return float(per_chain[0]), float(per_chain[1]), float(per_chain[0] * per_chain[1])
 
 
+def _decoder_logs(params: ChmmParams):
+    """Log priors, transitions and emissions, as the decoder reads them."""
+    with np.errstate(divide="ignore"):
+        return np.log(params.priors), np.log(params.trans), np.log(params.emit)
+
+
+def _path_score(logs, bins: np.ndarray, chain: int, path) -> float:
+    """Log score of one chain's state path from ``_decoder_logs``, the decoder's
+    terms added in its order: own-chain transition, then the best free choice
+    of the other matrix's source row, then the emission."""
+    log_pi, log_a, log_b = logs
+    free = log_a[1, chain].max(axis=0)
+    s = log_pi[chain, path[0]] + log_b[chain, path[0], bins[chain, 0]]
+    for t in range(1, bins.shape[1]):
+        s = ((s + log_a[0, chain][path[t - 1], path[t]]) + free[path[t]]) + log_b[chain, path[t], bins[chain, t]]
+    return float(s)
+
+
 def score_path(params: ChmmParams, obs: ObservationSequence, chain: int, path) -> float:
     """Log score of one chain's state path under the decoder's rule.
 
@@ -262,51 +282,26 @@ def score_path(params: ChmmParams, obs: ObservationSequence, chain: int, path) -
     search may legitimately disagree on the argmax while agreeing on the
     score.
     """
-    with np.errstate(divide="ignore"):
-        log_a = np.log(params.trans)
-        log_pi = np.log(params.priors)
-        log_b = np.log(params.emit)
-    free = log_a[1, chain].max(axis=0)
-    bins = obs.bins
-    s = log_pi[chain, path[0]] + log_b[chain, path[0], bins[chain, 0]]
-    for t in range(1, obs.length):
-        s = ((s + log_a[0, chain][path[t - 1], path[t]]) + free[path[t]]) + log_b[
-            chain, path[t], bins[chain, t]
-        ]
-    return float(s)
+    return _path_score(_decoder_logs(params), obs.bins, chain, path)
 
 
 def brute_viterbi(params: ChmmParams, obs: ObservationSequence):
     """Exhaustive best-path search under the decoder's scoring rule.
 
-    For each chain the score of a candidate path is accumulated in log
-    space exactly as the dynamic program would: own-chain transition term,
-    then the best free choice of the other matrix's source row, then the
-    emission term.  Among equal-scoring paths the one with the smallest
-    states reading backwards from the end wins, matching the decoder's
-    lowest-index tie-breaks.  Returns ``(paths, log_scores)``.
+    Each candidate path is scored as ``score_path`` scores it.  Among
+    equal-scoring paths the one with the smallest states reading
+    backwards from the end wins, matching the decoder's lowest-index
+    tie-breaks.  Returns ``(paths, log_scores)``.
     """
     check_params(params)
     _guard_size(params, obs)
-    n = params.n_states
-    t_len = obs.length
-    bins = obs.bins
-    with np.errstate(divide="ignore"):
-        log_a = np.log(params.trans)
-        log_pi = np.log(params.priors)
-        log_b = np.log(params.emit)
-    paths = np.zeros((2, t_len), dtype=np.int64)
+    logs = _decoder_logs(params)
+    paths = np.zeros((2, obs.length), dtype=np.int64)
     log_scores = np.empty(2)
-
     for c in range(2):
-        # Free maximization over the secondary matrix's source state.
-        free = log_a[1, c].max(axis=0)  # (k,)
-        best_score = -np.inf
-        best_path = None
-        for q in itertools.product(range(n), repeat=t_len):
-            s = log_pi[c, q[0]] + log_b[c, q[0], bins[c, 0]]
-            for t in range(1, t_len):
-                s = ((s + log_a[0, c][q[t - 1], q[t]]) + free[q[t]]) + log_b[c, q[t], bins[c, t]]
+        best_score, best_path = -np.inf, None
+        for q in itertools.product(range(params.n_states), repeat=obs.length):
+            s = _path_score(logs, obs.bins, c, q)
             if best_path is None or s > best_score or (
                 s == best_score and tuple(reversed(q)) < tuple(reversed(best_path))
             ):
@@ -404,7 +399,7 @@ def fd_gradient(
     return (up - down) / (2.0 * h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlphaGradients:
     """Trellis derivatives d alpha_t(c, j) / d w for all parameters w.
 

@@ -37,7 +37,7 @@ class DegenerateModelError(RuntimeError):
     """One chain assigns zero likelihood to its observations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientSet(_Buffered):
     """Partial derivatives of the joint likelihood for every parameter.
 
@@ -65,8 +65,7 @@ def _checked_forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     check_params(params)
     trellis, bt, w = _forward(params, obs, scale)
     if trellis.log_joint == -math.inf:  # a chain's final mass is 0
-        tail = trellis.alpha[:, -1].sum(axis=1)
-        raise DegenerateModelError(f"zero likelihood: per-chain trellis mass {tail.tolist()}")
+        raise DegenerateModelError(f"zero likelihood: per-chain trellis mass {trellis._final_mass.tolist()}")
     return trellis, bt, w
 
 
@@ -99,7 +98,7 @@ def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: Forward
 
     # dP/dalpha_T weighs each chain by the other chain's final mass.
     u = np.empty((t_len, 2, n))
-    u[-1] = trellis.alpha[:, -1].sum(axis=1)[::-1, None] / scales[-1]
+    u[-1] = trellis._final_mass[::-1, None] / scales[-1]
     _scan(u[::-1].reshape(t_len, 2 * n, 1), step, step)
     return _gradient_set(params, obs, trellis, bt, w, u)
 
@@ -121,9 +120,7 @@ def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     mass[0] = params.priors
     mass[1:] = np.einsum("aicj,ati->tcj", w, alpha[:, :-1])
     np.add.at(d_emit, (_CHAINS, slice(None), obs.bins.T), mass * u)  # [c, :, bins[c, t]] += [t, c]
-    scales = trellis.scale_factors
-    log_scale = 2.0 * float(np.log(scales).sum()) if scales is not None else 0.0
-    return _adopt(object.__new__(GradientSet), buf, views, log_scale=log_scale)
+    return _adopt(object.__new__(GradientSet), buf, views, log_scale=2.0 * trellis._log_scale)
 
 
 def likelihood_gradient(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -> GradientSet:
@@ -165,7 +162,7 @@ class FitConfig:
             raise ValueError("rel_tol must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     params: ChmmParams
     log_likelihoods: list[float]  # natural log of the joint likelihood per accepted state

@@ -1,6 +1,7 @@
 import math
 import re
 from bisect import bisect_right
+from datetime import timedelta
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +25,7 @@ from chmmtrade import (
 from chmmtrade import backtest
 from chmmtrade.cli import _default_sim_params
 from chmmtrade.oracle import signal_side
-from conftest import bars_from_closes, replace_after
+from conftest import T0, bars_from_closes, replace_after
 
 
 def fixture_closes():
@@ -181,6 +182,65 @@ def test_trade_bracket_geometry_and_accounting(rng):
     assert abs((res.equity.values[-1] - res.equity.values[0]) - pnl_total) < 1e-9 * max(
         1.0, abs(pnl_total)
     )
+
+
+# Bars at 4.0 whose high and low sit 0.125 away, so every full ATR window
+# reads 0.25 exactly: a long entered at 4.0 stops at 3.5 and takes its
+# target at 5.5, a short at 4.5 and 2.5.  With these periods bar 3 is the
+# first decision bar, so a signal there fills at bar 4's open.
+BRACKET_CFG = dict(system="rsi", atr_period=2, indicator_period=2, sma_period=1)
+SIGNAL_BAR = 3
+
+
+def flat_bars(n=8, **columns):
+    """The flat bars above; ``columns`` maps a column name to {bar: value}."""
+    cols = {"open": 4.0, "high": 4.125, "low": 3.875, "close": 4.0}
+    cols = {name: np.full(n, value) for name, value in cols.items()}
+    for name, rows in columns.items():
+        for bar, value in rows.items():
+            cols[name][bar] = value
+    stamps = [T0 + timedelta(minutes=10 * i) for i in range(n)]
+    return OhlcSeries(stamps, cols["open"], cols["high"], cols["low"], cols["close"])
+
+
+def run_with_one_signal(monkeypatch, side, bars, **cfg):
+    """Backtest ``bars`` with ``side`` signalled at the first decision bar only."""
+    sides = iter([side])
+    monkeypatch.setattr(backtest, "crossing_side", lambda *args: next(sides, "none"))
+    return run_backtest(BacktestConfig(**{"predictor": "baseline", **BRACKET_CFG, **cfg}), bars, bars)
+
+
+@pytest.mark.parametrize("side, entry_bar, reason, price", [
+    # A bar that reaches both levels exits at the stop.
+    ("long", {"high": {SIGNAL_BAR + 1: 5.5}, "low": {SIGNAL_BAR + 1: 3.5}}, "stop", 3.5),
+    ("short", {"high": {SIGNAL_BAR + 1: 4.5}, "low": {SIGNAL_BAR + 1: 2.5}}, "stop", 4.5),
+    # A level the bar's extreme equals exactly fills.
+    ("long", {"low": {SIGNAL_BAR + 1: 3.5}}, "stop", 3.5),
+    ("long", {"high": {SIGNAL_BAR + 1: 5.5}}, "target", 5.5),
+    ("short", {"high": {SIGNAL_BAR + 1: 4.5}}, "stop", 4.5),
+    ("short", {"low": {SIGNAL_BAR + 1: 2.5}}, "target", 2.5),
+])
+def test_bracket_exit_rules(monkeypatch, side, entry_bar, reason, price):
+    bars = flat_bars(**entry_bar)
+    (trade,) = run_with_one_signal(monkeypatch, side, bars).trades
+    assert (trade.entry_time, trade.entry_price) == (bars.timestamps[SIGNAL_BAR + 1], 4.0)
+    assert (trade.exit_time, trade.exit_reason, trade.exit_price) == (bars.timestamps[SIGNAL_BAR + 1], reason, price)
+
+
+def test_a_signal_on_a_zero_atr_bar_places_no_order(monkeypatch):
+    still = {bar: 4.0 for bar in range(SIGNAL_BAR + 1)}  # no range up to the signal: ATR 0
+    res = run_with_one_signal(monkeypatch, "long", flat_bars(high=still, low=still))
+    assert res.diagnostics.signal_side[0] == "long"
+    assert res.trades == []
+
+
+@pytest.mark.parametrize("fraction, trades", [(0.0, 0), (0.5, 1)])
+def test_a_zero_allocation_fraction_opens_no_trade(monkeypatch, fraction, trades):
+    monkeypatch.setattr(backtest, "allocation_fraction", lambda *args: fraction)
+    res = run_with_one_signal(
+        monkeypatch, "long", flat_bars(), predictor="marginal", dynamic_allocation=True, lookback=2, n_states=2
+    )
+    assert [tr.size for tr in res.trades] == [500_000.0] * trades
 
 
 def test_backtest_is_bit_reproducible():

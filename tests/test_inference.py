@@ -290,14 +290,14 @@ def test_viterbi_matches_per_chain_loop_with_zero_transitions(rng):
         _assert_viterbi_matches_per_chain_loop(p, random_obs(rng, m, int(rng.integers(1, 8))))
 
 
-@pytest.mark.parametrize("n, block_scores", [(5, None), (2, None), (1, 6), (3, 2 * 27 * 4), (4, 1)])
-def test_viterbi_matches_per_chain_loop_across_psi_blocks(rng, monkeypatch, n, block_scores):
+@pytest.mark.parametrize("n, block_floats", [(5, None), (2, None), (1, 6), (3, 2 * 9 * 4), (4, 1)])
+def test_viterbi_matches_per_chain_loop_across_psi_blocks(rng, monkeypatch, n, block_floats):
     # Back-pointers are recovered in blocks of steps after the recursion;
     # lengths on and around the block edges must decode exactly as the
-    # step-by-step reference.  A small score budget forces short blocks
+    # step-by-step reference.  A small float budget forces short blocks
     # (down to one step) without long sequences.
-    if block_scores is not None:
-        monkeypatch.setattr(inference, "_PSI_BLOCK_SCORES", block_scores)
+    if block_floats is not None:
+        monkeypatch.setattr(inference, "_PSI_BLOCK_FLOATS", block_floats)
     block = inference._psi_block_steps(n)
     for t_len in (1, block, block + 1, 2 * block + 3):
         m = int(rng.integers(1, 5))

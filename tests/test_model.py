@@ -17,13 +17,14 @@ from chmmtrade import (
     uniform_params,
     validate_params,
 )
-from chmmtrade.backtest import BacktestConfig
+from chmmtrade.backtest import BacktestConfig, run_backtest
 from chmmtrade.cli import _default_sim_params
 from chmmtrade.indicators import Discretizer
+from chmmtrade.inference import coupled_viterbi, forward
 from chmmtrade.model import _JITTER, N_CHAINS, SIMPLEX_ATOL, check_params
-from chmmtrade.oracle import params_by_family, validate_by_family
-from chmmtrade.training import FitConfig
-from conftest import family_bytes, random_params, simplex_instances
+from chmmtrade.oracle import alpha_gradients, params_by_family, sample_chmm, validate_by_family
+from chmmtrade.training import FitConfig, fit, likelihood_gradient
+from conftest import bars_from_closes, family_bytes, random_params, simplex_instances
 
 
 def test_uniform_params_pass_validation():
@@ -416,3 +417,31 @@ def test_serialization_ignores_comments(rng):
     text = "# fitted model\n" + params_to_text(p)
     q = params_from_text(text)
     assert_allclose(q.priors, p.priors)
+
+
+def _small_backtest():
+    closes = 1.0 + 0.001 * np.sin(np.arange(30))
+    bars = bars_from_closes(closes)
+    return run_backtest(BacktestConfig(predictor="baseline", atr_period=2, indicator_period=2), bars, bars)
+
+
+_PARAMS, _OBS = uniform_params(2, 3), ObservationSequence(np.array([[0, 2, 1], [1, 1, 0]]))
+ARRAY_HOLDERS = {
+    "ChmmParams": lambda: uniform_params(2, 3),
+    "GradientSet": lambda: likelihood_gradient(_PARAMS, _OBS),
+    "ObservationSequence": lambda: ObservationSequence(_OBS.bins),
+    "ForwardTrellis": lambda: forward(_PARAMS, _OBS),
+    "ViterbiTrellis": lambda: coupled_viterbi(_PARAMS, _OBS),
+    "FitResult": lambda: fit(_PARAMS, _OBS),
+    "SampledPaths": lambda: sample_chmm(_PARAMS, 3, seed=1),
+    "AlphaGradients": lambda: alpha_gradients(_PARAMS, _OBS),
+    "EquityCurve": lambda: _small_backtest().equity,
+    "BacktestResult": _small_backtest,
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_a_result_holding_arrays_compares_and_hashes_by_identity(make):
+    x, twin = make(), make()
+    assert x == x and x != twin
+    assert len({x, twin}) == 2  # both hash, by identity
