@@ -19,7 +19,7 @@ import numpy as np
 from . import data_io
 from .backtest import PREDICTORS, SYSTEM_DEFAULTS, BacktestConfig, compare_predictors, perf_stats, run_backtest
 from .indicators import OhlcSeries
-from .model import ChmmParams, _check_seed, _params_by_family, jittered_params, load_params, save_params
+from .model import ChmmParams, _check_seed, _params_by_family, _size, jittered_params, load_params, save_params
 from .oracle import synthetic_ohlc
 from .strategy import FIDELITIES
 from .training import DegenerateModelError, FitConfig, fit
@@ -78,8 +78,17 @@ def _print_stats(stats) -> None:
             print(f"{key} = {value:.6g}")
 
 
+def _check_sizes(args, *flags) -> None:
+    """Refuse a size flag below 1, naming the flag, before any file is read or written."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if _size(flag, value) < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value!r}")
+
+
 def _cmd_fit(args) -> int:
     _check_seed(args.seed)
+    _check_sizes(args, "--n-states", "--n-bins")
     obs = data_io.load_obs_csv(args.obs)
     n_bins = max(args.n_bins, int(obs.bins.max()) + 1)
     if args.params_in:
@@ -106,6 +115,7 @@ def _default_sim_params(n_states: int, n_bins: int, seed) -> ChmmParams:
 
 def _cmd_simulate(args) -> int:
     _check_seed(args.seed)
+    _check_sizes(args, "--bars", "--n-states", "--n-bins")
     if args.params:
         params = load_params(args.params)
     else:

@@ -32,7 +32,7 @@ class ForwardTrellis:
     after observing the first ``t + 1`` symbols.  When ``scale_factors``
     is not None the stored alpha values are normalized per step and the
     likelihoods are only representable in log space.  Construction
-    freezes both arrays and derives every other field once; the linear
+    freezes both arrays and derives every other field once, read-only; the linear
     likelihoods are properties, so a caller reading only logs pays no ``exp``.
     """
 
@@ -51,7 +51,7 @@ class ForwardTrellis:
                 self.scale_factors.setflags(write=False)
                 log_scale = float(np.log(self.scale_factors).sum())
                 log_pc += log_scale
-        for arr in (self.alpha, mass):
+        for arr in (self.alpha, mass, log_pc):
             arr.setflags(write=False)
         vars(self).update(_final_mass=mass, _log_scale=log_scale, log_per_chain=log_pc, log_joint=float(log_pc.sum()))
 
@@ -291,7 +291,9 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
     ``oracle.score_path``, which adds the terms in this order; the
     rounding of a running sum depends on its size, so a blocked max-plus
     scan, which adds a block's terms before the score that precedes the
-    block, cannot keep that equality.
+    block, cannot keep that equality.  So a step is four ufunc calls into
+    a step-major (T, 2, N) buffer, of which ``log_delta`` is a view, and
+    the back-pointer blocks lay the source state last, (c, t, k, i).
     """
     check_params(params)
     n = params.n_states
@@ -308,23 +310,30 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
     # fl(max_i own(i) + max_j cross(j)): the recursion carries only that.
     cross_max = cross_a.max(axis=1)  # (c, k)
 
-    log_delta = np.empty((2, t_len, n))
-    log_delta[:, 0] = log_pi + log_bt[0]
-    for t in range(1, t_len):
-        own = log_delta[:, t - 1, :, None] + own_a  # (c, i, k)
-        log_delta[:, t] = own.max(axis=1) + cross_max + log_bt[t]
+    trellis = np.empty((t_len, 2, n))  # step-major: trellis[t] is step t's (c, k) block
+    np.add(log_pi, log_bt[0], out=trellis[0])
+    own = np.empty((2, n, n))  # (c, i, k)
+    add, reduce_max = np.add, np.maximum.reduce
+    for prev, row, bt in zip(trellis[:, :, :, None], trellis[1:], log_bt[1:]):
+        add(prev, own_a, out=own)
+        reduce_max(own, axis=1, out=row)
+        add(row, cross_max, out=row)
+        add(row, bt, out=row)
+    trellis.setflags(write=False)
+    log_delta = trellis.transpose(1, 0, 2)  # (2, T, N)
 
     # Back-pointers, a block of steps at a time: a pair (i, j) reaches the maximum only
     # if fl(own(i) + cross_max) does, so the first such i, then its first j, is the lowest pair.
     psi = np.zeros((2, t_len, n, 2), dtype=np.int64)
     block = _psi_block_steps(n)
+    own_t, cross_t = log_a.swapaxes(2, 3)[:, :, None]  # (c, 1, k, i): sums in C order put i last, contiguous
     chains, states = np.arange(2)[:, None, None], np.arange(n)  # to read own(first_i) per (c, t, k)
     for t0 in range(1, t_len, block):
         t1 = min(t0 + block, t_len)
-        own = log_delta[:, t0 - 1 : t1 - 1, :, None] + own_a[:, None]  # (c, t, i, k)
-        first_i = np.argmax(own + cross_max[:, None, None], axis=2)   # (c, t, k)
-        own_i = own[chains, np.arange(t1 - t0)[:, None], first_i, states][:, :, None]  # (c, t, 1, k)
-        psi[:, t0:t1, :, 0], psi[:, t0:t1, :, 1] = first_i, np.argmax(own_i + cross_a[:, None], axis=2)
+        own = np.add(log_delta[:, t0 - 1 : t1 - 1, None, :], own_t, order="C")  # (c, t, k, i)
+        first_i = np.argmax(own + cross_max[:, None, :, None], axis=3)  # (c, t, k)
+        own_i = own[chains, np.arange(t1 - t0)[:, None], states, first_i][..., None]  # (c, t, k, 1)
+        psi[:, t0:t1, :, 0], psi[:, t0:t1, :, 1] = first_i, np.argmax(np.add(own_i, cross_t, order="C"), axis=3)
 
     # Backtrack through the own-state pointers, a block of steps at a time
     # read as Python lists, so no T-long list is held.

@@ -384,13 +384,22 @@ def test_fit_widens_bins_to_cover_observations(tmp_path):
     assert load_params(out_file).n_bins == 10
 
 
-def test_fit_rejects_zero_states_with_one_error_line(tmp_path, capsys):
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command, flag", [
+    ("fit", "--n-states"), ("fit", "--n-bins"),
+    ("simulate", "--bars"), ("simulate", "--n-states"), ("simulate", "--n-bins"),
+])
+def test_a_size_flag_below_one_is_one_error_line_naming_it(tmp_path, capsys, command, flag, value):
+    # A size below 1 is refused by its flag name before a file is read or
+    # written; fit would otherwise widen --n-bins to the observed bins.
     obs_file = tmp_path / "obs.csv"
     data_io.write_obs_csv(obs_file, ObservationSequence.from_lists([0, 1], [1, 0]))
+    argv = {"fit": ("fit", "--obs", str(obs_file), "--params-out", str(tmp_path / "p.txt")),
+            "simulate": ("simulate", "--bars", "10", "--out", str(tmp_path / "sim"))}[command]
     capsys.readouterr()
-    code = run_cli("fit", "--obs", str(obs_file), "--params-out", str(tmp_path / "p.txt"), "--n-states", "0")
-    assert code == 1
-    assert capsys.readouterr().err.splitlines() == ["error: need at least one state per chain"]
+    assert run_cli(*argv, flag, value) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be at least 1, got {value}"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["obs.csv"]
 
 
 def test_a_negative_seed_is_one_error_line_naming_it(tmp_path, sim_dir, capsys):

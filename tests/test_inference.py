@@ -305,6 +305,40 @@ def test_viterbi_matches_per_chain_loop_across_psi_blocks(rng, monkeypatch, n, b
         _assert_viterbi_matches_per_chain_loop(p, random_obs(rng, m, t_len))
 
 
+@pytest.mark.parametrize("model", ["default_sim", "zero_heavy"])
+def test_viterbi_on_long_sequences_scores_its_paths_and_matches_per_chain_loop(rng, model):
+    # The decoder's oracle on a long sequence: the path it returns scores
+    # exactly log_best under score_path, and over four back-pointer blocks
+    # at N = 5 every field equals the step-by-step loop.
+    from chmmtrade.cli import _default_sim_params
+    from chmmtrade.oracle import sample_chmm, score_path
+
+    p = _default_sim_params(5, 8, seed=7) if model == "default_sim" else _zero_heavy_params(rng, 5, 8)
+    obs = sample_chmm(p, 20_000, seed=3).observations
+    vt = coupled_viterbi(p, obs)
+    assert np.isfinite(vt.log_best).all()
+    for c in range(2):
+        assert score_path(p, obs, c, vt.paths[c]) == vt.log_best[c]
+    assert inference._psi_block_steps(5) * 3 < 2_000 - 1 <= inference._psi_block_steps(5) * 4
+    _assert_viterbi_matches_per_chain_loop(p, ObservationSequence(obs.bins[:, :2_000]))
+
+
+@pytest.mark.parametrize("t_len", [1, 3, 700])
+def test_trellis_arrays_and_their_bases_are_read_only(rng, t_len):
+    # Decoder and forward outputs are shared, never copied: no array of
+    # either trellis, nor the array a field is a view of, takes a write.
+    p = random_params(rng, 3, 4)
+    obs = random_obs(rng, 4, t_len)
+    for trellis in (coupled_viterbi(p, obs), forward(p, obs), forward(p, obs, scale=True)):
+        arrays = [a for a in vars(trellis).values() if isinstance(a, np.ndarray)]
+        assert arrays
+        for arr in arrays:
+            while arr is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[(0,) * arr.ndim] = 0
+                arr = arr.base
+
+
 def _three_operand_forward(params, obs, scale):
     """The forward recursion with the coupling weights applied inside a
     three-operand einsum at every step and a stacked emission lookup, as a
