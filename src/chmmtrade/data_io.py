@@ -562,5 +562,7 @@ def load_comparison_csv(path) -> ComparisonResult:
     records = _csv_records(path, COMPARISON_HEADER, lambda r: (
         _parse_timestamp(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4])
     ))
-    stamps, *columns = list(zip(*records)) or [()] * 5
+    if not records:
+        raise ValueError(f"{path}: no comparison rows")
+    stamps, *columns = zip(*records)
     return ComparisonResult(list(stamps), *map(np.array, columns, (int, int, float, float)))

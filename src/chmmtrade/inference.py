@@ -74,20 +74,19 @@ class ForwardTrellis:
 class ViterbiTrellis:
     """Decoder output for both chains.
 
-    ``psi[c, t, k]`` stores the (i, j) source-state pair that maximized
-    the score of landing on state ``k`` at step ``t``; backtracking
-    follows the i component, the chain's own trellis index.  Scores are
-    kept in log space with ``-inf`` marking impossible configurations;
-    ``best_prob`` is ``exp(log_best)``.
+    ``paths[c]`` is chain ``c``'s best state path, backtracked through the
+    own source state i of each step's lowest maximizing (i, j) pair; no
+    back-pointer array is kept.  Scores are kept in log space with
+    ``-inf`` marking impossible configurations; ``best_prob`` is
+    ``exp(log_best)``.
     """
 
     log_delta: np.ndarray   # (2, T, N)
-    psi: np.ndarray         # (2, T, N, 2) int64
     paths: np.ndarray       # (2, T) int64
     log_best: np.ndarray    # (2,)
 
     def __post_init__(self):
-        for arr in (self.log_delta, self.psi, self.paths, self.log_best):
+        for arr in (self.log_delta, self.paths, self.log_best):
             arr.setflags(write=False)
 
     @property
@@ -283,8 +282,9 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
     and i indexes the chain's own previous state.  All argmax operations
     break ties toward the lowest index (row-major over (i, j) pairs), so
     decoding is deterministic across platforms.  The recursion keeps only
-    the maximum; ``psi`` is recovered from the finished trellis in blocks
-    of steps: the first i reaching it with the best j, then i's first j.
+    the maximum; the backtrack then takes each step's pointer from the
+    finished trellis, a block of steps at a time: the first i reaching the
+    maximum with the best j, which is the i of the lowest maximizing pair.
 
     Unlike the forward and adjoint sweeps, the recursion stays a loop over
     steps.  A decoded path must score exactly ``log_best`` under
@@ -322,29 +322,21 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
     trellis.setflags(write=False)
     log_delta = trellis.transpose(1, 0, 2)  # (2, T, N)
 
-    # Back-pointers, a block of steps at a time: a pair (i, j) reaches the maximum only
-    # if fl(own(i) + cross_max) does, so the first such i, then its first j, is the lowest pair.
-    psi = np.zeros((2, t_len, n, 2), dtype=np.int64)
-    block = _psi_block_steps(n)
-    own_t, cross_t = log_a.swapaxes(2, 3)[:, :, None]  # (c, 1, k, i): sums in C order put i last, contiguous
-    chains, states = np.arange(2)[:, None, None], np.arange(n)  # to read own(first_i) per (c, t, k)
-    for t0 in range(1, t_len, block):
-        t1 = min(t0 + block, t_len)
-        own = np.add(log_delta[:, t0 - 1 : t1 - 1, None, :], own_t, order="C")  # (c, t, k, i)
-        first_i = np.argmax(own + cross_max[:, None, :, None], axis=3)  # (c, t, k)
-        own_i = own[chains, np.arange(t1 - t0)[:, None], states, first_i][..., None]  # (c, t, k, 1)
-        psi[:, t0:t1, :, 0], psi[:, t0:t1, :, 1] = first_i, np.argmax(np.add(own_i, cross_t, order="C"), axis=3)
-
-    # Backtrack through the own-state pointers, a block of steps at a time
-    # read as Python lists, so no T-long list is held.
-    paths = np.zeros((2, t_len), dtype=np.int64)
+    # Backtrack from the end a block of steps at a time, taking each block's back-pointers
+    # as Python lists: a pair (i, j) reaches the maximum only if fl(own(i) + cross_max) does,
+    # so the first such i is the own state of the lowest maximizing pair.
+    paths = np.empty((2, t_len), dtype=np.int64)
     paths[:, -1] = np.argmax(log_delta[:, -1], axis=1)
-    for c, q in enumerate(paths[:, -1].tolist()):
-        for t1 in range(t_len, 1, -block):
-            t0 = max(1, t1 - block)
-            walk = []
-            for row in reversed(psi[c, t0:t1, :, 0].tolist()):
-                q = row[q]
-                walk.append(q)
+    block = _psi_block_steps(n)
+    own_t = own_a.swapaxes(1, 2)[:, None]  # (c, 1, k, i): sums in C order put i last, contiguous
+    for t1 in range(t_len, 1, -block):
+        t0 = max(1, t1 - block)
+        own = np.add(log_delta[:, t0 - 1 : t1 - 1, None, :], own_t, order="C")  # (c, t, k, i)
+        own += cross_max[:, None, :, None]
+        for c, rows in enumerate(np.argmax(own, axis=3).tolist()):  # (t, k) per chain
+            state, walk = int(paths[c, t1 - 1]), []
+            for row in reversed(rows):
+                state = row[state]
+                walk.append(state)
             paths[c, t0 - 1 : t1 - 1] = walk[::-1]
-    return ViterbiTrellis(log_delta=log_delta, psi=psi, paths=paths, log_best=log_delta[:, -1].max(axis=1))
+    return ViterbiTrellis(log_delta=log_delta, paths=paths, log_best=log_delta[:, -1].max(axis=1))

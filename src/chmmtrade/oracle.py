@@ -102,6 +102,7 @@ def sample_chmm(params: ChmmParams, length: int, seed=0) -> SampledPaths:
     four ``rng.choice(k, p=row)`` calls per step in that order.
     """
     check_params(params)
+    length = _size("length", length)
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ import itertools
 import logging
 import math
 import pickle
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -335,6 +336,10 @@ def test_comparison_round_trip(tmp_path):
         assert_array_equal(getattr(again, name), getattr(comparison, name))
         assert getattr(again, name).dtype == getattr(comparison, name).dtype
     assert (again.state_agreement, again.value_agreement) == (0.5, 0.5)
+    # A header alone is no comparison: its agreement rates would divide by zero.
+    empty = write(tmp_path, "empty.csv", ",".join(data_io.COMPARISON_HEADER) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{empty}: no comparison rows")):
+        data_io.load_comparison_csv(empty)
 
 
 @pytest.mark.parametrize("loader, text, message", [

@@ -22,7 +22,7 @@ from chmmtrade.cli import _default_sim_params
 from chmmtrade.indicators import Discretizer
 from chmmtrade.inference import coupled_viterbi, forward
 from chmmtrade.model import _JITTER, N_CHAINS, SIMPLEX_ATOL, check_params
-from chmmtrade.oracle import alpha_gradients, params_by_family, sample_chmm, validate_by_family
+from chmmtrade.oracle import alpha_gradients, params_by_family, sample_chmm, synthetic_ohlc, validate_by_family
 from chmmtrade.training import FitConfig, fit, likelihood_gradient
 from conftest import bars_from_closes, family_bytes, random_params, simplex_instances
 
@@ -53,8 +53,15 @@ def test_initial_params_reject_zero_sizes_as_chmm_params_does(make):
     (lambda v: Discretizer(0.0, 100.0, v), "m", 2.5),
     (lambda v: FitConfig(sweeps=v), "sweeps", 2.5),
     (lambda v: FitConfig(sweeps=v), "sweeps", None),
+    (lambda v: sample_chmm(_PARAMS, v), "length", 2.5),
+    (lambda v: sample_chmm(_PARAMS, v), "length", np.float64(3.0)),
+    (lambda v: sample_chmm(_PARAMS, v), "length", "3"),
+    (lambda v: synthetic_ohlc(_PARAMS, v), "length", 2.5),
+    (lambda v: synthetic_ohlc(_PARAMS, v), "length", np.float64(3.0)),
+    (lambda v: synthetic_ohlc(_PARAMS, v), "length", "3"),
 ], ids=["uniform-n_states", "uniform-n_bins", "jittered-n_states", "backtest-n_states", "backtest-lookback",
-        "backtest-atr_period", "discretizer-m", "fit-sweeps", "fit-sweeps-none"])
+        "backtest-atr_period", "discretizer-m", "fit-sweeps", "fit-sweeps-none", "sample-length", "sample-length-numpy",
+        "sample-length-str", "synthetic-length", "synthetic-length-numpy", "synthetic-length-str"])
 def test_a_size_that_is_not_an_integer_is_refused_by_name(make, field, value):
     # Any value operator.index refuses, numpy floats and whole floats
     # included; integer sizes, numpy ones too, are taken as they are.

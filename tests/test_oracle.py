@@ -95,6 +95,12 @@ def test_sampler_same_seed_same_draw(rng):
     assert not np.array_equal(a.states, c.states)
 
 
+@pytest.mark.parametrize("length", [0, -1, np.int64(0)])
+def test_sampler_refuses_a_length_below_one(length):
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        sample_chmm(_default_sim_params(2, 3, 42), length)
+
+
 def test_sampler_transition_frequencies_follow_decoupled_matrix(rng):
     # With no cross-chain influence on chain 1, its empirical transition
     # counts must match the self matrix; chi-square sanity per row.
