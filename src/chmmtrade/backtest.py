@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from itertools import repeat
 
@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .indicators import CCI_DISCRETIZER, RSI_DISCRETIZER, Discretizer, OhlcSeries, atr, cci, discretize, rsi
 from .inference import coupled_viterbi, forward
-from .model import ChmmParams, ObservationSequence, _check_seed, _size, jittered_params
+from .model import ChmmParams, ObservationSequence, _check_seed, _real, _size, jittered_params
 from .strategy import (
     _check_fidelity,
     allocation_fraction,
@@ -90,9 +90,10 @@ class BacktestConfig:
         for name in ("lookback", "n_states", "n_bins", "indicator_period", "sma_period", "atr_period"):
             if _size(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.stop_mult < self.target_mult < math.inf:
+        stop, target = _real("stop_mult", self.stop_mult), _real("target_mult", self.target_mult)
+        if not 0.0 < stop < target < math.inf:
             raise ValueError(f"need 0 < stop_mult < target_mult < inf, got {self.stop_mult!r} and {self.target_mult!r}")
-        if not 0.0 < self.notional < math.inf:
+        if not 0.0 < _real("notional", self.notional) < math.inf:
             raise ValueError(f"notional must be positive and finite, got {self.notional!r}")
         _check_fidelity(self.fidelity)
         _check_seed(self.seed)
@@ -302,7 +303,7 @@ def _model_pass(cfg: BacktestConfig, stamps, ind1, ind2, t0: int, predictors, pr
     for i, t in enumerate(range(t0, len(ind1))):
         obs = ObservationSequence(bins[:, i: i + cfg.lookback])
         params0 = prev_params if cfg.fit.warm_start and prev_params is not None else _init_params(cfg, t)
-        if not np.isfinite(forward(params0, obs, scale=True).log_joint):
+        if not math.isfinite(forward(params0, obs, scale=True).log_joint):
             # Warm-started parameters zeroed a bin this window observes.
             params0 = _init_params(cfg, t)
         result = fit(params0, obs, cfg.fit)
@@ -416,13 +417,24 @@ def run_backtest(
 @dataclass(eq=False)
 class ComparisonResult:
     """Both predictors' next state and forecast for the traded chain, one
-    entry per decision bar, named after the comparison file's header."""
+    entry per decision bar, named after the comparison file's header.
+    Construction refuses zero rows and a column whose length differs from
+    the timestamps', so both agreement rates are defined."""
 
     timestamps: Sequence[datetime]
     state_marginal: np.ndarray
     state_viterbi: np.ndarray
     value_marginal: np.ndarray
     value_viterbi: np.ndarray
+
+    def __post_init__(self):
+        rows = len(self.timestamps)
+        if not rows:
+            raise ValueError("no comparison rows")
+        lengths = {f.name: len(getattr(self, f.name)) for f in fields(self)[1:]}
+        if set(lengths.values()) != {rows}:
+            raise ValueError(f"comparison columns must have one row per timestamp: {rows} timestamps, "
+                             + ", ".join(f"{name} {length}" for name, length in lengths.items()))
 
     def __len__(self) -> int:
         return len(self.timestamps)

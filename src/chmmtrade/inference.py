@@ -15,6 +15,7 @@ mass forward.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,11 @@ class ForwardTrellis:
     after observing the first ``t + 1`` symbols.  When ``scale_factors``
     is not None the stored alpha values are normalized per step and the
     likelihoods are only representable in log space.  Construction
-    freezes both arrays and derives every other field once, read-only; the linear
-    likelihoods are properties, so a caller reading only logs pays no ``exp``.
+    freezes both arrays and derives every other field once, read-only:
+    one ``log`` of the two final masses (silenced only when one is zero)
+    and one of the normalizers; ``log_joint`` is the Python sum of the
+    two per-chain logs.  The linear likelihoods are properties, so a
+    caller reading only logs pays no ``exp``.
     """
 
     alpha: np.ndarray                        # (2, T, N)
@@ -44,16 +48,19 @@ class ForwardTrellis:
     _log_scale: float = field(init=False, repr=False)       # log of the scale_factors' product
 
     def __post_init__(self):
-        mass, log_scale = self.alpha[:, -1].sum(axis=1), 0.0
-        with np.errstate(divide="ignore"):
+        alpha, scales = self.alpha, self.scale_factors
+        mass = alpha[:, -1].sum(axis=1)
+        with np.errstate(divide="ignore") if 0.0 in mass.tolist() else nullcontext():
             log_pc = np.log(mass)
-            if self.scale_factors is not None:
-                self.scale_factors.setflags(write=False)
-                log_scale = float(np.log(self.scale_factors).sum())
-                log_pc += log_scale
-        for arr in (self.alpha, mass, log_pc):
+        log_scale = 0.0
+        if scales is not None:  # normalizers are positive: a step with zero mass keeps factor 1
+            scales.setflags(write=False)
+            log_scale = float(np.log(scales).sum())
+            log_pc += log_scale
+        for arr in (alpha, mass, log_pc):
             arr.setflags(write=False)
-        vars(self).update(_final_mass=mass, _log_scale=log_scale, log_per_chain=log_pc, log_joint=float(log_pc.sum()))
+        log_0, log_1 = log_pc.tolist()
+        vars(self).update(_final_mass=mass, _log_scale=log_scale, log_per_chain=log_pc, log_joint=log_0 + log_1)
 
     @property
     def per_chain_likelihood(self) -> np.ndarray:  # (2,)
@@ -142,7 +149,10 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     scales = np.ones(t_len) if scale else None
     w = np.multiply(params.coupling[:, None, :, None], params.trans.transpose(0, 2, 1, 3), order="C")
 
-    alpha[:, 0] = params.priors * bt[0]
+    start = params.priors * bt[0]  # (2, N) in C order, so it is totalled as the later steps are
+    if scale:
+        _normalise(start[None], scales, 0)
+    alpha[:, 0] = start
     later = bt[1:]
 
     def step(x, src):
@@ -186,14 +196,13 @@ def _next_start(op: np.ndarray, log_norm: np.ndarray, x: np.ndarray, keep_mass: 
     return y
 
 
-def _normalise(x: np.ndarray, scales: np.ndarray, t: int) -> np.ndarray:
-    """``x``, a batch of one vector, normalised in place as in the step loop: its total, kept as
+def _normalise(x: np.ndarray, scales: np.ndarray, t: int) -> None:
+    """Normalise ``x``, a batch of one vector, in place as in the step loop: its total, kept as
     ``scales[t]``, is a number, not a (1, 1, 1) array; zero mass keeps its zeros and factor 1."""
     s = x.sum()
     if s > 0.0:
         x /= s
         scales[t] = s
-    return x
 
 
 def _scan(out: np.ndarray, step, operator, scales: np.ndarray | None = None) -> None:
@@ -209,9 +218,10 @@ def _scan(out: np.ndarray, step, operator, scales: np.ndarray | None = None) -> 
     - ``operator(ops, src)``: the same linear map applied to the columns
       of a batch of (2N, 2N) matrices, (k, 2N, 2N), in any rounding.
 
-    With ``scales`` (T,), every step is normalised by its total mass and
-    the total recorded, as in the scaled step loop; a step with zero mass
-    keeps its zeros and factor 1.
+    With ``scales`` (T,), every later step is normalised by its total
+    mass and the total recorded, as in the scaled step loop, from a
+    normalised ``out[0]``; a step with zero mass keeps its zeros and
+    factor 1.
 
     Steps 1..T-1 are split into blocks of L = max(_SCAN_MIN_BLOCK,
     isqrt(T)).  Phase 1 maps the unit vectors through every block but
@@ -224,8 +234,6 @@ def _scan(out: np.ndarray, step, operator, scales: np.ndarray | None = None) -> 
     """
     t_len = out.shape[0]
     size = max(_SCAN_MIN_BLOCK, math.isqrt(t_len))
-    if scales is not None:  # step 0, from a copy in C order, so it is totalled as block 0's later steps
-        out[0] = _normalise(out[:1].copy(), scales, 0)[0]
     x = out[:1]  # the start of every block
     ragged = t_len - 1  # steps in the last block
     if ragged > size:
@@ -324,19 +332,24 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
 
     # Backtrack from the end a block of steps at a time, taking each block's back-pointers
     # as Python lists: a pair (i, j) reaches the maximum only if fl(own(i) + cross_max) does,
-    # so the first such i is the own state of the lowest maximizing pair.
+    # so the first such i is the own state of the lowest maximizing pair.  Scores are never
+    # NaN, so the last step's Python max and its first index are numpy's max and argmax.
+    last = trellis[-1].tolist()  # (c, k)
+    log_best = [max(row) for row in last]
+    states = [row.index(best) for row, best in zip(last, log_best)]  # each chain's state at the block's end
     paths = np.empty((2, t_len), dtype=np.int64)
-    paths[:, -1] = np.argmax(log_delta[:, -1], axis=1)
+    paths[:, -1] = states
     block = _psi_block_steps(n)
     own_t = own_a.swapaxes(1, 2)[:, None]  # (c, 1, k, i): sums in C order put i last, contiguous
     for t1 in range(t_len, 1, -block):
         t0 = max(1, t1 - block)
         own = np.add(log_delta[:, t0 - 1 : t1 - 1, None, :], own_t, order="C")  # (c, t, k, i)
         own += cross_max[:, None, :, None]
-        for c, rows in enumerate(np.argmax(own, axis=3).tolist()):  # (t, k) per chain
-            state, walk = int(paths[c, t1 - 1]), []
+        for c, rows in enumerate(own.argmax(axis=3).tolist()):  # (t, k) per chain
+            state, walk = states[c], []
             for row in reversed(rows):
                 state = row[state]
                 walk.append(state)
+            states[c] = state
             paths[c, t0 - 1 : t1 - 1] = walk[::-1]
-    return ViterbiTrellis(log_delta=log_delta, paths=paths, log_best=log_delta[:, -1].max(axis=1))
+    return ViterbiTrellis(log_delta=log_delta, paths=paths, log_best=np.array(log_best))

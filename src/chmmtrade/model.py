@@ -14,6 +14,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import prod
+from numbers import Real
 from operator import attrgetter, index
 from typing import NamedTuple
 
@@ -49,8 +50,9 @@ def _family_shapes(n: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 class _Layout(NamedTuple):  # see ``_layout``
     parts: tuple[tuple[slice, tuple[int, ...]], ...]  # (place, shape) of each family
-    groups: tuple[tuple[slice, tuple[int, int], int, slice], ...]  # (place, 2-D shape, axis, sums) per simplex length
+    rows: tuple[tuple[slice, tuple[int, int], slice], ...]  # (place, 2-D shape, sums) of the rows of each length
     simplex_of: np.ndarray  # each entry's index in ``_simplex_sums``
+    uniform: np.ndarray  # each entry 1 / the length of its simplex
 
 
 @lru_cache(maxsize=16)
@@ -60,13 +62,14 @@ def _layout(n: int, m: int) -> _Layout:
     shapes = _family_shapes(n, m)
     ends = np.cumsum([prod(shape) for shape in shapes]).tolist()
     head, tail = ends[1], ends[2]
-    rows = np.cumsum([0, head // n, (tail - head) // m, N_CHAINS]).tolist()
-    groups = tuple(zip(map(slice, [0, head, tail], ends[1:]), [(-1, n), (-1, m), (N_CHAINS, N_CHAINS)], [1, 1, 0],
-                       map(slice, rows, rows[1:])))
-    simplex_of = np.concatenate((np.arange(head) // n, rows[1] + np.arange(tail - head) // m,
-                                 rows[2] + np.tile(np.arange(N_CHAINS), N_CHAINS)))
-    simplex_of.setflags(write=False)  # every caller gets this very array
-    return _Layout(tuple(zip(map(slice, [0, *ends], ends), shapes)), groups, simplex_of)
+    starts = np.cumsum([0, head // n, (tail - head) // m]).tolist()
+    rows = tuple(zip(map(slice, [0, head], [head, tail]), [(-1, n), (-1, m)], map(slice, starts, starts[1:])))
+    simplex_of = np.concatenate((np.arange(head) // n, starts[1] + np.arange(tail - head) // m,
+                                 starts[2] + np.tile(np.arange(N_CHAINS), N_CHAINS)))
+    uniform = 1.0 / np.bincount(simplex_of)[simplex_of]
+    for arr in (simplex_of, uniform):
+        arr.setflags(write=False)  # every caller gets these very arrays
+    return _Layout(tuple(zip(map(slice, [0, *ends], ends), shapes)), rows, simplex_of, uniform)
 
 
 def _views(buf: np.ndarray, n: int, m: int) -> list[np.ndarray]:
@@ -74,11 +77,11 @@ def _views(buf: np.ndarray, n: int, m: int) -> list[np.ndarray]:
     return [buf[part].reshape(shape) for part, shape in _layout(n, m).parts]
 
 
-def _adopt(obj, buf: np.ndarray, views, **attrs):
-    """Set ``obj``'s ``_buf``, family fields and ``attrs``; ``buf`` and its family ``views`` become read-only."""
-    for arr in (buf, *views):
-        arr.setflags(write=False)
-    vars(obj).update(zip(obj._names, views), _buf=buf, **attrs)
+def _adopt(obj, buf: np.ndarray, n: int, m: int, **attrs):
+    """Set ``obj``'s ``_buf``, made read-only, its model size ``_dims``, its family fields as views
+    of ``buf`` (read-only with it, so no view needs its own flag) and ``attrs``."""
+    buf.setflags(write=False)
+    vars(obj).update(zip(obj._names, _views(buf, n, m)), _buf=buf, _dims=(n, m), **attrs)
     return obj
 
 
@@ -86,8 +89,9 @@ def _simplex_sums(buf: np.ndarray, n: int, m: int) -> np.ndarray:
     """Every simplex sum of a flat buffer, in ``_FAMILIES`` order, each as numpy sums the family's own array."""
     lay = _layout(n, m)
     sums = np.empty(lay.simplex_of[-1] + 1)
-    for part, shape, axis, into in lay.groups:
-        np.add.reduce(buf[part].reshape(shape), axis, out=sums[into])
+    for part, shape, into in lay.rows:
+        np.add.reduce(buf[part].reshape(shape), 1, out=sums[into])
+    np.add(buf[-4:-2], buf[-2:], out=sums[-2:])  # the coupling's columns: row 1 added to row 0
     return sums
 
 
@@ -95,11 +99,12 @@ def _simplex_normalize(num: np.ndarray, keep: np.ndarray, n: int, m: int) -> Chm
     """Parameters from buffer ``num``, each simplex divided by its sum or, where that is not positive, from ``keep``."""
     denom = _simplex_sums(num, n, m)[_layout(n, m).simplex_of]
     buf = np.divide(num, denom, out=keep.copy(), where=denom > 0.0)
-    return _adopt(object.__new__(ChmmParams), buf, _views(buf, n, m))
+    return _adopt(object.__new__(ChmmParams), buf, n, m)
 
 
 class _Buffered:
-    """The four families (fields ``_names``) as read-only views of one flat buffer, ``_buf``."""
+    """The four families (fields ``_names``) as read-only views of one flat buffer, ``_buf``, of a
+    model of ``_dims`` (N, M) states and bins."""
 
     _names = tuple(fam.name for fam in _FAMILIES)
 
@@ -117,19 +122,27 @@ class _Buffered:
             raise ValueError(f"{names[2]} must have shape (2, {n}, M), got {emit.shape}")
         if coupling.shape != (N_CHAINS, N_CHAINS):
             raise ValueError(f"{names[3]} must have shape (2, 2), got {coupling.shape}")
-        buf = np.concatenate(arrays, axis=None)  # a copy, whatever the arrays were
-        _adopt(self, buf, _views(buf, n, emit.shape[2]))
+        _adopt(self, np.concatenate(arrays, axis=None), n, emit.shape[2])  # a copy, whatever the arrays were
 
     def __reduce__(self):  # copies and pickles pack a new buffer through the constructor
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _size(name: str, value) -> int:
-    """``value`` as an int; a value ``operator.index`` refuses raises ValueError naming ``name``."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a bool, or a value ``operator.index`` refuses, raises ValueError naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool, or a value that is not a real number, raises ValueError naming ``name``."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_seed(value) -> None:
@@ -167,11 +180,11 @@ class ChmmParams(_Buffered):
 
     @property
     def n_states(self) -> int:
-        return self.priors.shape[1]
+        return self._dims[0]
 
     @property
     def n_bins(self) -> int:
-        return self.emit.shape[2]
+        return self._dims[1]
 
 
 def _integer_bins(arr: np.ndarray) -> np.ndarray:
@@ -205,7 +218,7 @@ class ObservationSequence:
             raise ValueError(f"bins must have shape (2, T), got {bins.shape}")
         if bins.shape[1] < 1:
             raise ValueError("observation sequence must have length >= 1")
-        if (bins < 0).any():
+        if bins.min() < 0:
             raise ValueError("observation bins must be non-negative")
         object.__setattr__(self, "bins", bins)
 
@@ -224,8 +237,11 @@ class ObservationSequence:
 def validate_params(params: ChmmParams) -> list[str]:
     """Check every simplex and range constraint; return violation messages.
 
-    One min and max over the parameter buffer and its simplex sums (prior
-    rows, transition rows, emission rows, coupling columns) decide; an
+    Parameters are immutable, so the messages are worked out on the first
+    call and kept with the instance; a later call returns a new list of
+    the same messages.  One min and max over the parameter buffer and
+    one max over the deviations of its simplex sums (prior rows,
+    transition rows, emission rows, coupling columns) decide; an
     empty list means every entry lies in [0, 1] and every sum is within
     ``SIMPLEX_ATOL`` of one.  Otherwise the messages come from those same
     arrays: first each family with an entry outside [0, 1] (NaN
@@ -234,12 +250,20 @@ def validate_params(params: ChmmParams) -> list[str]:
     the range check alone.  Chains, rows and columns are 1-based to match
     the serialized text format.
     """
-    buf, n, m = params._buf, params.n_states, params.n_bins
+    verdict = vars(params).get("_verdict")
+    if verdict is None:
+        verdict = vars(params)["_verdict"] = tuple(_violations(params))
+    return list(verdict)
+
+
+def _violations(params: ChmmParams) -> list[str]:
+    """The messages ``validate_params`` returns, worked out."""
+    buf = params._buf
     in_range = buf.min() >= 0.0 and buf.max() <= 1.0
     # Entries in [0, 1] sum without warnings; out of range, +inf and -inf
     # in one simplex sum to NaN, which the range message already covers.
     with nullcontext() if in_range else np.errstate(invalid="ignore"):
-        sums = _simplex_sums(buf, n, m)
+        sums = _simplex_sums(buf, *params._dims)
     dev = np.abs(sums - 1.0)
     if in_range and dev.max() <= SIMPLEX_ATOL:
         return []
@@ -268,10 +292,9 @@ def _params_by_family(n_states: int, n_bins: int, draw=None) -> ChmmParams:
     n, m = _size("n_states", n_states), _size("n_bins", n_bins)
     if n < 1 or m < 1:  # no layout: ChmmParams refuses the empty family by name
         return ChmmParams(*[np.ones(shape) for shape in _family_shapes(max(n, 0), max(m, 0))])
-    simplex_of = _layout(n, m).simplex_of
-    uniform = 1.0 / np.bincount(simplex_of)[simplex_of]  # each entry 1 / the length of its simplex
+    uniform = _layout(n, m).uniform
     if draw is None:
-        return _adopt(object.__new__(ChmmParams), uniform, _views(uniform, n, m))
+        return _adopt(object.__new__(ChmmParams), uniform.copy(), n, m)
     return _simplex_normalize(draw(uniform), uniform, n, m)
 
 

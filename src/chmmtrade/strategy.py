@@ -71,7 +71,7 @@ def next_state_marginal(params: ChmmParams, fidelity: str = "corrected") -> tupl
     wins, lowest index on ties.
     """
     _check_fidelity(fidelity)
-    return tuple(int(np.argmax(_marginal_scores(params, chain, fidelity))) for chain in range(2))
+    return tuple(int(_marginal_scores(params, chain, fidelity).argmax()) for chain in range(2))
 
 
 def next_state_viterbi(
@@ -85,12 +85,12 @@ def next_state_viterbi(
     cross matrix's row by the other chain's.
     """
     _check_fidelity(fidelity)
-    phi = (int(vt.paths[0, -1]), int(vt.paths[1, -1]))
+    phi = vt.paths[:, -1].tolist()
     out = []
     for chain in range(2):
         (w_self, m_self), (w_cross, m_cross) = _source_matrices(params, chain, fidelity)
         scores = w_self * m_self[phi[chain]] + w_cross * m_cross[phi[1 - chain]]
-        out.append(int(np.argmax(scores)))
+        out.append(int(scores.argmax()))
     return out[0], out[1]
 
 
@@ -100,7 +100,7 @@ def predict_observation(params: ChmmParams, psi: int, chain: int, d: Discretizer
         raise IndexError(f"state {psi} out of range")
     if chain not in (0, 1):
         raise IndexError(f"chain must be 0 or 1, got {chain}")
-    k = int(np.argmax(params.emit[chain, psi]))
+    k = int(params.emit[chain, psi].argmax())
     return bin_value(d, k)
 
 

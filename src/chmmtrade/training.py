@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import _CHAINS, ForwardTrellis, _forward, _scan
-from .model import ChmmParams, ObservationSequence, _adopt, _Buffered, _simplex_normalize, _size, _views, check_params
+from .model import ChmmParams, ObservationSequence, _Buffered, _real, _simplex_normalize, _size, _views, check_params
 
 __all__ = [
     "DegenerateModelError",
@@ -44,7 +44,10 @@ class GradientSet(_Buffered):
     When computed with per-step scaling all entries share a single
     positive factor ``exp(log_scale)``; the multiplicative update is
     invariant to it, so re-estimation can consume scaled gradients from
-    arbitrarily long sequences.  The arrays share one buffer, as in ``ChmmParams``.
+    arbitrarily long sequences.  The arrays share one buffer, as in
+    ``ChmmParams``; the gradient of a pass makes them, as views of that
+    buffer, only when one is first read, since re-estimation reads the
+    buffer alone.
     """
 
     _names = tuple("d_" + name for name in ChmmParams._names)
@@ -53,6 +56,13 @@ class GradientSet(_Buffered):
     d_emit: np.ndarray      # (2, N, M)
     d_coupling: np.ndarray  # (2, 2)
     log_scale: float = 0.0
+
+    def __getattr__(self, name):  # called only for a missing attribute: a family not yet viewed
+        state = vars(self)
+        if name not in self._names or "_buf" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state.update(zip(self._names, _views(state["_buf"], *state["_dims"])))
+        return state[name]
 
 
 def _checked_forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
@@ -98,7 +108,7 @@ def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: Forward
 
     # dP/dalpha_T weighs each chain by the other chain's final mass.
     u = np.empty((t_len, 2, n))
-    u[-1] = trellis._final_mass[::-1, None] / scales[-1]
+    np.divide(trellis._final_mass[::-1, None], scales[-1], out=u[-1])
     _scan(u[::-1].reshape(t_len, 2 * n, 1), step, step)
     return _gradient_set(params, obs, trellis, bt, w, u)
 
@@ -106,21 +116,25 @@ def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: Forward
 def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis, bt, w, u) -> GradientSet:
     """The four families as sums over steps of trellis entries times the
     adjoints ``u`` (T, 2, N) of the reverse sweep, with ``w`` (a, i, c, j)
-    from the forward; each step's emission term is added at its bin."""
-    n, m = params.n_states, params.n_bins
-    buf = np.zeros(params._buf.size)                   # the families are written into their views
-    d_priors, d_trans, d_emit, d_coupling = views = _views(buf, n, m)
+    from the forward; each step's emission term is added at its bin.  The
+    families are packed into the gradient buffer at once; ``reestimate``
+    reads only that buffer, so no family view is made for it."""
+    n, m = params._dims
     alpha = trellis.alpha                              # (2, T, N)
     bu = bt * u                                        # (T, 2, N)
-    d_priors[...] = bu[0]
     x = np.einsum("ati,tcj->acij", alpha[:, :-1], bu[1:])
-    np.multiply(params.coupling[:, :, None, None], x, out=d_trans)
-    np.einsum("acij,acij->ac", params.trans, x, out=d_coupling)
     mass = np.empty_like(u)                            # what multiplies bt[t] in the forward step
     mass[0] = params.priors
-    mass[1:] = np.einsum("aicj,ati->tcj", w, alpha[:, :-1])
-    np.add.at(d_emit, (_CHAINS, slice(None), obs.bins.T), mass * u)  # [c, :, bins[c, t]] += [t, c]
-    return _adopt(object.__new__(GradientSet), buf, views, log_scale=2.0 * trellis._log_scale)
+    np.einsum("aicj,ati->tcj", w, alpha[:, :-1], out=mass[1:])
+    mass *= u                                          # each step's emission gradient, at its bin
+    d_emit = np.zeros((2, n, m))
+    np.add.at(d_emit, (_CHAINS, slice(None), obs.bins.T), mass)  # [c, :, bins[c, t]] += [t, c]
+    d_coupling = np.einsum("acij,acij->ac", params.trans, x)
+    buf = np.concatenate((bu[0], params.coupling[:, :, None, None] * x, d_emit, d_coupling), axis=None)
+    buf.setflags(write=False)
+    grads = object.__new__(GradientSet)  # no family view: a fit reads none
+    vars(grads).update(_buf=buf, _dims=(n, m), log_scale=2.0 * trellis._log_scale)
+    return grads
 
 
 def likelihood_gradient(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -> GradientSet:
@@ -139,7 +153,7 @@ def reestimate(params: ChmmParams, grads: GradientSet) -> ChmmParams:
     normalizer vanishes (the likelihood does not depend on them) keep
     their previous values, the unique continuous completion.
     """
-    return _simplex_normalize(params._buf * grads._buf, params._buf, params.n_states, params.n_bins)
+    return _simplex_normalize(params._buf * grads._buf, params._buf, *params._dims)
 
 
 @dataclass(frozen=True)
@@ -158,7 +172,7 @@ class FitConfig:
     def __post_init__(self):
         if _size("sweeps", self.sweeps) < 1:
             raise ValueError("sweeps must be >= 1")
-        if not self.rel_tol >= 0.0:
+        if not _real("rel_tol", self.rel_tol) >= 0.0:
             raise ValueError("rel_tol must be >= 0")
 
 

@@ -12,6 +12,7 @@ from numpy.testing import assert_array_equal
 
 from chmmtrade import (
     BacktestConfig,
+    ComparisonResult,
     EquityCurve,
     FitConfig,
     OhlcSeries,
@@ -78,6 +79,44 @@ def test_config_validation():
 def test_config_refuses_a_bad_seed_by_name(seed, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BacktestConfig(seed=seed)
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (lambda v: FitConfig(rel_tol=v), "rel_tol", "1e-6"),
+    (lambda v: FitConfig(rel_tol=v), "rel_tol", None),
+    (lambda v: FitConfig(rel_tol=v), "rel_tol", True),
+    (lambda v: BacktestConfig(notional=v), "notional", "1e6"),
+    (lambda v: BacktestConfig(notional=v), "notional", None),
+    (lambda v: BacktestConfig(notional=v), "notional", 1e6 + 0j),
+    (lambda v: BacktestConfig(stop_mult=v), "stop_mult", "1e-6"),
+    (lambda v: BacktestConfig(stop_mult=v), "stop_mult", True),
+    (lambda v: BacktestConfig(target_mult=v), "target_mult", "1e-6"),
+])
+def test_a_real_field_that_is_not_a_real_number_is_refused_by_name(make, field, value):
+    # A bool is a flag, not a number; ints and numpy floats are numbers.
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+        make(value)
+    assert make(np.float64(3.0)) is not None and make(3) is not None
+
+
+def test_a_comparison_without_rows_is_refused():
+    # Its agreement rates would divide by zero.
+    with pytest.raises(ValueError, match="^no comparison rows$"):
+        ComparisonResult([], np.array([], dtype=int), np.array([], dtype=int), np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("lengths", [(1, 3, 2, 2), (2, 2, 2, 1), (2, 2, 3, 2), (0, 2, 2, 2)])
+def test_a_comparison_column_of_another_length_is_refused(lengths):
+    # Columns of 1 and 3 rows against 2 stamps used to read a state agreement of 0.5.
+    stamps = [T0, T0 + timedelta(minutes=10)]
+    columns = [np.zeros(k, dtype=int) for k in lengths[:2]] + [np.zeros(k) for k in lengths[2:]]
+    message = (
+        "comparison columns must have one row per timestamp: 2 timestamps, "
+        "state_marginal {}, state_viterbi {}, value_marginal {}, value_viterbi {}".format(*lengths)
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ComparisonResult(stamps, *columns)
+    assert len(ComparisonResult(stamps, *[np.zeros(2)] * 4)) == 2
 
 
 def test_flat_series_has_no_trades():

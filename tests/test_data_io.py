@@ -780,9 +780,9 @@ def trade_records(draw):
 @st.composite
 def writer_inputs(draw):
     """A writer's name and a value for it with zero to four rows (at least
-    one for observations, which cannot be empty)."""
+    one for observations and comparisons, which cannot be empty)."""
     name = draw(st.sampled_from(sorted(WRITERS)))
-    n = draw(st.integers(1 if name == "obs" else 0, 4))
+    n = draw(st.integers(1 if name in ("obs", "comparison") else 0, 4))
     stamps = draw(mixed_stamps(n))
     floats = lambda: np.array(draw(st.lists(ANY_FLOAT, min_size=n, max_size=n)), dtype=float)  # noqa: E731
     ints = lambda: np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=np.int64)  # noqa: E731

@@ -53,6 +53,10 @@ def test_initial_params_reject_zero_sizes_as_chmm_params_does(make):
     (lambda v: Discretizer(0.0, 100.0, v), "m", 2.5),
     (lambda v: FitConfig(sweeps=v), "sweeps", 2.5),
     (lambda v: FitConfig(sweeps=v), "sweeps", None),
+    (lambda v: FitConfig(sweeps=v), "sweeps", True),
+    (lambda v: BacktestConfig(n_states=v), "n_states", True),
+    (lambda v: BacktestConfig(seed=v), "seed", False),
+    (lambda v: uniform_params(2, v), "n_bins", np.True_),
     (lambda v: sample_chmm(_PARAMS, v), "length", 2.5),
     (lambda v: sample_chmm(_PARAMS, v), "length", np.float64(3.0)),
     (lambda v: sample_chmm(_PARAMS, v), "length", "3"),
@@ -60,11 +64,13 @@ def test_initial_params_reject_zero_sizes_as_chmm_params_does(make):
     (lambda v: synthetic_ohlc(_PARAMS, v), "length", np.float64(3.0)),
     (lambda v: synthetic_ohlc(_PARAMS, v), "length", "3"),
 ], ids=["uniform-n_states", "uniform-n_bins", "jittered-n_states", "backtest-n_states", "backtest-lookback",
-        "backtest-atr_period", "discretizer-m", "fit-sweeps", "fit-sweeps-none", "sample-length", "sample-length-numpy",
-        "sample-length-str", "synthetic-length", "synthetic-length-numpy", "synthetic-length-str"])
+        "backtest-atr_period", "discretizer-m", "fit-sweeps", "fit-sweeps-none", "fit-sweeps-bool",
+        "backtest-n_states-bool", "backtest-seed-bool", "uniform-n_bins-numpy-bool", "sample-length",
+        "sample-length-numpy", "sample-length-str", "synthetic-length", "synthetic-length-numpy", "synthetic-length-str"])
 def test_a_size_that_is_not_an_integer_is_refused_by_name(make, field, value):
     # Any value operator.index refuses, numpy floats and whole floats
-    # included; integer sizes, numpy ones too, are taken as they are.
+    # included, and bools, which index takes as 0 and 1; integer sizes,
+    # numpy ones too, are taken as they are.
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
         make(value)
     assert make(np.int64(3)) is not None

@@ -20,11 +20,12 @@ from chmmtrade import (
     likelihood_gradient,
     reestimate,
     sample_chmm,
+    uniform_params,
     validate_params,
 )
 from chmmtrade import inference, training
 from chmmtrade.model import _family_shapes
-from chmmtrade.oracle import reestimate_by_family
+from chmmtrade.oracle import reestimate_by_family, step_adjoint, step_forward
 from conftest import family_bytes, random_obs, random_params, simplex_instances
 
 FAMILIES = ("priors", "trans", "emit", "coupling")
@@ -232,20 +233,25 @@ def test_reestimate_equals_the_per_family_update(instance, data):
     assert family_bytes(reestimate(p, grads[1])) == family_bytes(p)
 
 
-@st.composite
-def fit_windows(draw):
-    """Parameters with N and M in 1..6, entries exactly 0 in some draws,
-    and an observation window of 1 to 8 steps."""
-    n, m, t_len = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    zeros = draw(st.sampled_from([0.0, 0.3]))
+def sparse_params(rng, n, m, zeros):
+    """Parameters of N states and M bins, each entry 0 with probability
+    ``zeros`` and an all-zero simplex uniform."""
 
     def rows(shape, axis):
         raw = rng.uniform(0.0, 1.0, size=shape) * (rng.random(shape) >= zeros)
         raw[(raw.sum(axis=axis, keepdims=True) == 0).repeat(shape[axis], axis=axis)] = 1.0
         return raw / raw.sum(axis=axis, keepdims=True)
 
-    params = ChmmParams(*[rows(shape, axis) for shape, axis in zip(_family_shapes(n, m), (1, 3, 2, 0))])
+    return ChmmParams(*[rows(shape, axis) for shape, axis in zip(_family_shapes(n, m), (1, 3, 2, 0))])
+
+
+@st.composite
+def fit_windows(draw):
+    """Parameters with N and M in 1..6, entries exactly 0 in some draws,
+    and an observation window of 1 to 8 steps."""
+    n, m, t_len = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    params = sparse_params(rng, n, m, draw(st.sampled_from([0.0, 0.3])))
     return params, random_obs(rng, m, t_len)
 
 
@@ -408,6 +414,63 @@ def test_fit_equals_hand_loop_and_skips_unused_reverse_sweeps(rng, monkeypatch, 
     assert res.sweeps_run == len(trace) - 1
     # One reverse sweep per candidate evaluated; none for the final state.
     assert len(reverse_sweeps) == min(sweeps, res.sweeps_run + 1)
+
+
+@st.composite
+def refit_windows(draw):
+    """A window of 1 to 65 steps (one scan block) over N in 1..6 states and
+    M in 1..8 bins, its start jittered, uniform or zero-heavy (each entry
+    0 with probability 0.6), and a fit config."""
+    n, m, t_len = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 65))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    start = draw(st.sampled_from(["jittered", "uniform", "zero-heavy"]))
+    if start == "jittered":
+        p0 = jittered_params(n, m, seed=draw(st.integers(0, 2**32)))
+    elif start == "uniform":
+        p0 = uniform_params(n, m)
+    else:
+        p0 = sparse_params(rng, n, m, 0.6)
+    cfg = FitConfig(sweeps=draw(st.integers(1, 4)), rel_tol=draw(st.sampled_from([0.0, 1e-6, 1e-2])))
+    return p0, random_obs(rng, m, t_len), cfg
+
+
+def _step_loop_fit(p0, obs, cfg):
+    """``fit`` restated with the oracle's step loops and per-family growth
+    transform; a zero likelihood raises DegenerateModelError as ``fit`` does."""
+
+    def checked_forward(params):
+        trellis = step_forward(params, obs, scale=True)
+        if trellis.log_joint == -math.inf:
+            raise DegenerateModelError("zero likelihood")
+        return trellis
+
+    params, trellis = p0, checked_forward(p0)
+    trace = [trellis.log_joint]
+    for _ in range(cfg.sweeps):
+        cand = reestimate_by_family(params, step_adjoint(params, obs, trellis))
+        cand_trellis = checked_forward(cand)
+        if cand_trellis.log_joint - trace[-1] < math.log1p(cfg.rel_tol):
+            break
+        params, trellis = cand, cand_trellis
+        trace.append(trellis.log_joint)
+    return params, trace, len(trace) - 1
+
+
+@given(window=refit_windows())
+def test_fit_equals_the_step_loop_refit_bit_for_bit(window):
+    # Up to 65 steps the scans are the step loops, so the whole refit
+    # (trace, accepted sweeps and every parameter bit) must match them.
+    p0, obs, cfg = window
+    try:
+        want = _step_loop_fit(p0, obs, cfg)
+    except DegenerateModelError:
+        with pytest.raises(DegenerateModelError):
+            fit(p0, obs, cfg)
+        return
+    got = fit(p0, obs, cfg)
+    assert got.params._buf.tobytes() == want[0]._buf.tobytes()
+    assert got.log_likelihoods == want[1]
+    assert got.sweeps_run == want[2]
 
 
 def _one_hot_d_emit(params, obs, scale):

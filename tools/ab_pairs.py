@@ -1,0 +1,128 @@
+"""Alternating A/B pairs of one benchmark workload: a base revision against the working tree.
+
+    python tools/ab_pairs.py --workload backtest_rsi_viterbi --base HEAD --pairs 10 --seed 42
+
+The base revision is exported with ``git archive`` into a temporary
+directory, so nothing is written into the checkout.  Each pair runs
+``perfbench/run.py --workload W --seed S --trace 0`` once on each side,
+the side that runs first flipping from pair to pair; pair k uses seed
+S + k on both sides (``--same-seed`` keeps S).  For every end-to-end
+metric that ``BENCHMARK.json`` declares, the report gives both medians,
+each pair's ratio (working tree over base), the pairs the working tree
+won and the base runs' interquartile range.  The exit status is 1 when
+any run reads ``"correct": false`` or prints no verdict.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def summarize(pairs, metrics):
+    """Summary of ``pairs``, a list of (base, work) verdicts as ``perfbench/run.py`` prints
+    them, for ``metrics``, a list of {"name", "better"} entries.
+
+    Returns {"correct": every run correct, "metrics": {name: {...}}}, where each metric
+    has the base and work medians, the per-pair ratios work / base, the pairs the work
+    side won (strictly better in the metric's direction) and the base IQR (quartiles of
+    the base values, inclusive method; 0 with fewer than two pairs).  A metric missing
+    from a run is left out of that metric's summary."""
+    summary = {}
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        values = [
+            (base["metrics"][name]["value"], work["metrics"][name]["value"])
+            for base, work in pairs
+            if name in base.get("metrics", {}) and name in work.get("metrics", {})
+        ]
+        if not values:
+            continue
+        base_vals, work_vals = zip(*values)
+        q1, _, q3 = statistics.quantiles(base_vals, n=4, method="inclusive") if len(values) > 1 else (0, 0, 0)
+        summary[name] = {
+            "better": metric["better"],
+            "base_median": statistics.median(base_vals),
+            "work_median": statistics.median(work_vals),
+            "ratios": [w / b if b else float("nan") for b, w in values],
+            "wins": sum((w < b) if lower else (w > b) for b, w in values),
+            "pairs": len(values),
+            "base_iqr": q3 - q1,
+        }
+    correct = all(run.get("correct") is True for pair in pairs for run in pair)
+    return {"correct": correct, "metrics": summary}
+
+
+def export(rev: str, into: Path) -> None:
+    """Write the tree of ``rev`` into ``into`` with ``git archive``."""
+    data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
+    """One ``perfbench/run.py`` run in ``checkout``; its closing JSON verdict, or an
+    incorrect stand-in when it printed none."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    if seconds is not None:
+        argv += ["--seconds", str(seconds)]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"correct": False, "error": done.stderr[-2000:]}
+
+
+def report(summary: dict, workload: str, base: str) -> None:
+    print(f"{workload}: base {base} against the working tree")
+    print(f"{'metric':<14}{'better':<8}{'base median':>14}{'work median':>14}{'base IQR':>12}  wins   ratios")
+    for name, s in summary["metrics"].items():
+        ratios = " ".join(f"{r:.3f}" for r in s["ratios"])
+        print(f"{name:<14}{s['better']:<8}{s['base_median']:>14.6g}{s['work_median']:>14.6g}"
+              f"{s['base_iqr']:>12.4g}  {s['wins']:>2}/{s['pairs']:<2}  {ratios}")
+    print(f"every run correct: {summary['correct']}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--same-seed", action="store_true", help="run every pair on --seed")
+    parser.add_argument("--seconds", type=float, default=None, help="passed on to perfbench/run.py")
+    args = parser.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
+        base_dir = Path(tmp)
+        export(args.base, base_dir)
+        for k in range(args.pairs):
+            seed = args.seed if args.same_seed else args.seed + k
+            sides = [("base", base_dir), ("work", ROOT)]
+            verdicts = {side: run_once(where, args.workload, seed, args.seconds)
+                        for side, where in (sides if k % 2 == 0 else sides[::-1])}
+            pairs.append((verdicts["base"], verdicts["work"]))
+            print(f"pair {k + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr, flush=True)
+    summary = summarize(pairs, metrics)
+    report(summary, args.workload, args.base)
+    return 0 if summary["correct"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
