@@ -55,9 +55,13 @@ SYSTEM_DEFAULTS = {
 PREDICTORS = ("baseline", "marginal", "viterbi")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BacktestConfig:
-    """Backtest knobs; None-valued exit fields inherit system defaults."""
+    """Backtest knobs; None-valued exit fields inherit system defaults.
+
+    Frozen, so a config is checked once, at construction, and cannot be
+    changed afterwards; ``dataclasses.replace`` builds a checked copy.
+    """
 
     system: str = "rsi"
     lookback: int = 4
@@ -80,13 +84,9 @@ class BacktestConfig:
             raise ValueError(f"system must be one of {tuple(SYSTEM_DEFAULTS)}, got {self.system!r}")
         if self.predictor not in PREDICTORS:
             raise ValueError(f"predictor must be one of {PREDICTORS}, got {self.predictor!r}")
-        d_atr, d_stop, d_target = SYSTEM_DEFAULTS[self.system]
-        if self.atr_period is None:
-            self.atr_period = d_atr
-        if self.stop_mult is None:
-            self.stop_mult = d_stop
-        if self.target_mult is None:
-            self.target_mult = d_target
+        for name, default in zip(("atr_period", "stop_mult", "target_mult"), SYSTEM_DEFAULTS[self.system]):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         for name in ("lookback", "n_states", "n_bins", "indicator_period", "sma_period", "atr_period"):
             if _size(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be positive")

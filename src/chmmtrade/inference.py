@@ -4,8 +4,11 @@ The forward pass propagates per-chain trellis mass where each step mixes
 contributions from both chains' previous steps through the coupling
 weights.  Each step is linear in the stacked (2N) trellis vector, so the
 pass runs as a blocked scan (``_scan``): about 3 sqrt(T) Python-level
-steps instead of T, and the step loop itself up to
-``_SCAN_MIN_BLOCK + 1`` steps.  The decoder intentionally uses a
+steps instead of T, and up to ``_SCAN_MIN_BLOCK + 1`` steps the step
+loop itself, each step written in place into a step-major trellis.  The
+log terms of a pass (final masses, log likelihoods) are derived by one
+helper, ``_log_terms``, for a ``ForwardTrellis`` and for the plain
+``_Trellis`` a fit carries between sweeps.  The decoder intentionally uses a
 different rule: per chain it maximizes over pairs of source states
 scored by the plain product of the two incoming transition rows, with no
 coupling weights, and only the chain's own source state carries trellis
@@ -17,6 +20,8 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import count, repeat
 
 import numpy as np
 
@@ -33,10 +38,8 @@ class ForwardTrellis:
     after observing the first ``t + 1`` symbols.  When ``scale_factors``
     is not None the stored alpha values are normalized per step and the
     likelihoods are only representable in log space.  Construction
-    freezes both arrays and derives every other field once, read-only:
-    one ``log`` of the two final masses (silenced only when one is zero)
-    and one of the normalizers; ``log_joint`` is the Python sum of the
-    two per-chain logs.  The linear likelihoods are properties, so a
+    freezes both arrays and derives every other field once, read-only,
+    with ``_log_terms``.  The linear likelihoods are properties, so a
     caller reading only logs pays no ``exp``.
     """
 
@@ -49,18 +52,12 @@ class ForwardTrellis:
 
     def __post_init__(self):
         alpha, scales = self.alpha, self.scale_factors
-        mass = alpha[:, -1].sum(axis=1)
-        with np.errstate(divide="ignore") if 0.0 in mass.tolist() else nullcontext():
-            log_pc = np.log(mass)
-        log_scale = 0.0
-        if scales is not None:  # normalizers are positive: a step with zero mass keeps factor 1
-            scales.setflags(write=False)
-            log_scale = float(np.log(scales).sum())
-            log_pc += log_scale
-        for arr in (alpha, mass, log_pc):
-            arr.setflags(write=False)
-        log_0, log_1 = log_pc.tolist()
-        vars(self).update(_final_mass=mass, _log_scale=log_scale, log_per_chain=log_pc, log_joint=log_0 + log_1)
+        mass, log_scale, per_chain, log_joint = _log_terms(alpha, scales)
+        log_pc = np.array(per_chain)
+        for arr in (alpha, scales, mass, log_pc):
+            if arr is not None:
+                arr.setflags(write=False)
+        vars(self).update(_final_mass=mass, _log_scale=log_scale, log_per_chain=log_pc, log_joint=log_joint)
 
     @property
     def per_chain_likelihood(self) -> np.ndarray:  # (2,)
@@ -75,6 +72,36 @@ class ForwardTrellis:
             return float(self._final_mass[0] * self._final_mass[1])
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_joint))
+
+
+def _log_terms(alpha: np.ndarray, scales: np.ndarray | None):
+    """The log terms of a forward pass with trellis ``alpha`` (2, T, N) and
+    normalizers ``scales`` (T,) or None: the final mass (2,) of each chain,
+    the log of the normalizers' product (0.0 without them), the two chains'
+    log likelihoods and ``log_joint``, their sum, all Python floats.  One
+    ``log`` of the two final masses, silenced only when one is zero, and
+    one of the normalizers."""
+    mass = np.add.reduce(alpha[:, -1], 1)
+    with np.errstate(divide="ignore") if 0.0 in mass.tolist() else nullcontext():
+        log_0, log_1 = np.log(mass).tolist()
+    log_scale = 0.0
+    if scales is not None:  # normalizers are positive: a step with zero mass keeps factor 1
+        log_scale = float(np.add.reduce(np.log(scales)))
+        log_0, log_1 = log_0 + log_scale, log_1 + log_scale
+    return mass, log_scale, (log_0, log_1), log_0 + log_1
+
+
+class _Trellis:
+    """A forward pass as plain arrays and their log terms (``_log_terms``),
+    under the names ``ForwardTrellis`` gives them, which the gradient's
+    reverse sweep reads: what a fit carries from sweep to sweep, with
+    nothing frozen and no likelihood property."""
+
+    __slots__ = ("alpha", "scale_factors", "_final_mass", "_log_scale", "log_joint")
+
+    def __init__(self, alpha: np.ndarray, scales: np.ndarray | None):
+        self.alpha, self.scale_factors = alpha, scales
+        self._final_mass, self._log_scale, _, self.log_joint = _log_terms(alpha, scales)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +163,19 @@ def forward(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -
 def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     """Unvalidated forward recursion; returns the trellis, the emission
     lookup ``bt`` and the coupling-weighted transitions ``w`` it used, so
-    the gradient's reverse sweep can reuse all three.
+    the gradient's reverse sweep can reuse all three.  The trellis's
+    ``alpha`` is a view of ``_forward_arrays``' step-major array."""
+    steps, scales, bt, w = _forward_arrays(params, obs, scale)
+    steps.setflags(write=False)
+    return ForwardTrellis(steps.transpose(1, 0, 2), scales), bt, w
+
+
+def _forward_arrays(params: ChmmParams, obs: ObservationSequence, scale: bool):
+    """The unvalidated forward recursion as plain arrays: the trellis
+    step-major, ``steps[t, c, j] = alpha[c, t, j]`` (T, 2, N), so that each
+    step's (2, N) block is contiguous and written in place; the normalizers
+    (T,) or None; the emission lookup ``bt`` and the coupling-weighted
+    transitions ``w``.
 
     ``w[a, i, c, j] = coupling[a, c] * trans[a, c, i, j]``, C-contiguous,
     so ``w.reshape(2N, 2N)`` is the stacked operator as a view.  Later
@@ -145,30 +184,27 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     t_len = obs.length
     bt = _emission_lookup(params, obs)  # (T, 2, N)
 
-    alpha = np.empty((2, t_len, n))
+    steps = np.empty((t_len, 2, n))
     scales = np.ones(t_len) if scale else None
     w = np.multiply(params.coupling[:, None, :, None], params.trans.transpose(0, 2, 1, 3), order="C")
 
-    start = params.priors * bt[0]  # (2, N) in C order, so it is totalled as the later steps are
-    if scale:
-        _normalise(start[None], scales, 0)
-    alpha[:, 0] = start
+    start = np.multiply(params.priors, bt[0], out=steps[0])
+    if scale:  # as every later step: zero mass keeps its zeros and factor 1
+        total = np.add.reduce(start, None)
+        if total > 0.0:
+            start /= total
+            scales[0] = total
     later = bt[1:]
-
-    def step(x, src):
-        # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i]
-        # for every block at once, then the emissions: the step loop's arithmetic.
-        mass = np.einsum("aicj,bai->bcj", w, x)
-        mass *= later[src]
-        return mass
 
     def operator(ops, src):
         ops = w.reshape(2 * n, 2 * n).T @ ops
         ops *= later[src].reshape(-1, 2 * n, 1)
         return ops
 
-    _scan(alpha.transpose(1, 0, 2), step, operator, scales)
-    return ForwardTrellis(alpha, scales), bt, w
+    # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i]
+    # for one step or every block at once, then the emissions: the step loop's arithmetic.
+    _scan(steps, partial(np.einsum, "aicj,...ai->...cj", w), (np.multiply, later), operator, scales=scales)
+    return steps, scales, bt, w
 
 
 # Fewest steps per block of the scan.  A sequence of up to this many steps
@@ -196,27 +232,23 @@ def _next_start(op: np.ndarray, log_norm: np.ndarray, x: np.ndarray, keep_mass: 
     return y
 
 
-def _normalise(x: np.ndarray, scales: np.ndarray, t: int) -> None:
-    """Normalise ``x``, a batch of one vector, in place as in the step loop: its total, kept as
-    ``scales[t]``, is a number, not a (1, 1, 1) array; zero mass keeps its zeros and factor 1."""
-    s = x.sum()
-    if s > 0.0:
-        x /= s
-        scales[t] = s
-
-
-def _scan(out: np.ndarray, step, operator, scales: np.ndarray | None = None) -> None:
+def _scan(out: np.ndarray, contract, after, operator=None, before=None, scales: np.ndarray | None = None) -> None:
     """Fill ``out[1:]`` from ``out[0]`` by a linear recursion, in blocks.
 
-    ``out[t]`` is the stacked (2N) vector at position t, in the shape
-    ``step`` works in: (2, N) for the forward pass, a (2N, 1) column for
-    the adjoint.  The recursion is given twice:
+    ``out[t]`` is the stacked (2N) vector at position t, a C-contiguous
+    block in the shape the step works in: (2, N) for the forward pass, a
+    (2N, 1) column for the adjoint.  The step from position t to t + 1 is
+    given as ufunc calls on one such vector or a batch ``x`` (k, ...) of
+    them, so that it runs in place:
 
-    - ``step(x, src)``: the next vectors of a batch ``x`` (k, ...) whose
-      members sit at the positions ``src`` (a slice of ``out[:-1]``, one
-      position per block), each exactly as the step loop computes it;
-    - ``operator(ops, src)``: the same linear map applied to the columns
-      of a batch of (2N, 2N) matrices, (k, 2N, 2N), in any rounding.
+        x = before[t] * x             (only with ``before``)
+        x = contract(x)               (the linear map; it takes ``out=``)
+        x = ufunc(x, operands[t])     (``after = (ufunc, operands)``)
+
+    ``operator(ops, src)`` applies the same linear map to the columns of a
+    batch of (2N, 2N) matrices, (k, 2N, 2N), at the positions ``src`` (a
+    slice, one position per block), in any rounding; without it the step
+    itself does, which suits column vectors.
 
     With ``scales`` (T,), every later step is normalised by its total
     mass and the total recorded, as in the scaled step loop, from a
@@ -224,44 +256,65 @@ def _scan(out: np.ndarray, step, operator, scales: np.ndarray | None = None) -> 
     factor 1.
 
     Steps 1..T-1 are split into blocks of L = max(_SCAN_MIN_BLOCK,
-    isqrt(T)).  Phase 1 maps the unit vectors through every block but
+    isqrt(T)).  A single block, as every window of up to 65 steps, is the
+    step loop itself: each step writes ``out[t + 1]`` from ``out[t]``.
+    Otherwise phase 1 maps the unit vectors through every block but
     the last, all at once in L batched products, normalising each column
     and keeping its log total.  Phase 2 chains the blocks' start vectors,
-    one product per block.  Phase 3 reruns ``step`` from all starts at
+    one product per block.  Phase 3 runs the step from all starts at
     once for L steps and writes each result into ``out``: about
     3 sqrt(T) Python-level steps instead of T.  Block 0 starts from
-    ``out[0]``, so a single block is the step loop bit for bit.
+    ``out[0]``, so its steps are the step loop's bit for bit.
     """
     t_len = out.shape[0]
     size = max(_SCAN_MIN_BLOCK, math.isqrt(t_len))
-    x = out[:1]  # the start of every block
+    ufunc, operands = after
     ragged = t_len - 1  # steps in the last block
-    if ragged > size:
-        n_blocks = -(-ragged // size)
-        ragged -= size * (n_blocks - 1)
-        x = np.empty((n_blocks,) + out.shape[1:])
-        x[0] = out[0]
-        width = x[0].size  # 2N
-        ops = np.tile(np.eye(width), (n_blocks - 1, 1, 1))
-        log_norm = np.zeros((n_blocks - 1, width))
-        with np.errstate(divide="ignore"):
-            for l in range(size):
-                ops = operator(ops, slice(l, l + size * (n_blocks - 1), size))
-                total = ops.sum(axis=1)  # (k, 2N), one total per column
-                log_norm += np.log(total)  # -inf once a column has died
-                total[total == 0.0] = 1.0
-                ops /= total[:, None]
-        for k in range(1, n_blocks):
-            x[k].flat = _next_start(ops[k - 1], log_norm[k - 1], x[k - 1].ravel(), scales is None)
+    if ragged <= size:  # one block: the step loop, each step written into its row of ``out``
+        scratch, pres = (None, repeat(None)) if before is None else (np.empty_like(out[0]), before)
+        for t, x, y, pre, post in zip(count(1), out[:-1], out[1:], pres, operands):
+            if pre is not None:
+                x = np.multiply(pre, x, scratch)
+            contract(x, out=y)
+            ufunc(y, post, y)
+            if scales is not None:
+                total = np.add.reduce(y, None)
+                if total > 0.0:
+                    np.divide(y, total, y)
+                    scales[t] = total
+        return
+
+    def step(x, src):
+        if before is not None:
+            x = before[src] * x
+        x = contract(x)
+        ufunc(x, operands[src], out=x)
+        return x
+
+    operator = operator or step
+    n_blocks = -(-ragged // size)
+    ragged -= size * (n_blocks - 1)
+    x = np.empty((n_blocks,) + out.shape[1:])
+    x[0] = out[0]
+    width = x[0].size  # 2N
+    ops = np.tile(np.eye(width), (n_blocks - 1, 1, 1))
+    log_norm = np.zeros((n_blocks - 1, width))
+    with np.errstate(divide="ignore"):
+        for l in range(size):
+            ops = operator(ops, slice(l, l + size * (n_blocks - 1), size))
+            total = ops.sum(axis=1)  # (k, 2N), one total per column
+            log_norm += np.log(total)  # -inf once a column has died
+            total[total == 0.0] = 1.0
+            ops /= total[:, None]
+    for k in range(1, n_blocks):
+        x[k].flat = _next_start(ops[k - 1], log_norm[k - 1], x[k - 1].ravel(), scales is None)
     later = out[1:]
-    for l in range(min(size, t_len - 1)):
+    for l in range(size):
         if l == ragged:  # the last block is done
             x = x[:-1]
         src = slice(l, t_len - 1, size)
         x = step(x, src)
-        if scales is not None and len(x) == 1:  # block 0 alone, as in every window of up to 65 steps
-            _normalise(x, scales, l + 1)
-        elif scales is not None:
+        if scales is not None:
             total = x.sum(axis=(1, 2), keepdims=True)
             total[total == 0.0] = 1.0  # a step with zero mass keeps its zeros and factor 1
             x /= total

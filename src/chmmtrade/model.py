@@ -13,7 +13,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import prod
+from math import inf, prod
 from numbers import Real
 from operator import attrgetter, index
 from typing import NamedTuple
@@ -53,6 +53,7 @@ class _Layout(NamedTuple):  # see ``_layout``
     rows: tuple[tuple[slice, tuple[int, int], slice], ...]  # (place, 2-D shape, sums) of the rows of each length
     simplex_of: np.ndarray  # each entry's index in ``_simplex_sums``
     uniform: np.ndarray  # each entry 1 / the length of its simplex
+    short_rows: bool  # every simplex short enough that its entries, divided by their sum, sum within SIMPLEX_ATOL of 1
 
 
 @lru_cache(maxsize=16)
@@ -69,7 +70,8 @@ def _layout(n: int, m: int) -> _Layout:
     uniform = 1.0 / np.bincount(simplex_of)[simplex_of]
     for arr in (simplex_of, uniform):
         arr.setflags(write=False)  # every caller gets these very arrays
-    return _Layout(tuple(zip(map(slice, [0, *ends], ends), shapes)), rows, simplex_of, uniform)
+    short_rows = 2 * (max(n, m, N_CHAINS) + 1) * 2.0**-53 <= SIMPLEX_ATOL
+    return _Layout(tuple(zip(map(slice, [0, *ends], ends), shapes)), rows, simplex_of, uniform, short_rows)
 
 
 def _views(buf: np.ndarray, n: int, m: int) -> list[np.ndarray]:
@@ -95,11 +97,22 @@ def _simplex_sums(buf: np.ndarray, n: int, m: int) -> np.ndarray:
     return sums
 
 
-def _simplex_normalize(num: np.ndarray, keep: np.ndarray, n: int, m: int) -> ChmmParams:
-    """Parameters from buffer ``num``, each simplex divided by its sum or, where that is not positive, from ``keep``."""
-    denom = _simplex_sums(num, n, m)[_layout(n, m).simplex_of]
+def _simplex_normalize(num: np.ndarray, keep: np.ndarray, n: int, m: int, keep_valid: bool) -> ChmmParams:
+    """Parameters from buffer ``num``, each simplex divided by its sum or, where that is not positive, from ``keep``.
+
+    With ``keep_valid`` (``keep`` passes ``validate_params``), the result's verdict is recorded as valid when every
+    entry of ``num`` is at least 0 and every simplex sum is finite: a rounded sum of non-negative numbers is at least
+    each of them, so each divided entry lies in [0, 1], and a divided row of L entries sums within about
+    2 (L + 1) 2^-53 of one, inside ``SIMPLEX_ATOL`` for the rows ``_layout`` allows.  Otherwise ``validate_params``
+    works the verdict out when it is asked."""
+    lay = _layout(n, m)
+    sums = _simplex_sums(num, n, m)
+    denom = sums[lay.simplex_of]
     buf = np.divide(num, denom, out=keep.copy(), where=denom > 0.0)
-    return _adopt(object.__new__(ChmmParams), buf, n, m)
+    params = _adopt(object.__new__(ChmmParams), buf, n, m)
+    if keep_valid and lay.short_rows and np.minimum.reduce(num) >= 0.0 and np.maximum.reduce(sums) < inf:  # NaN fails both
+        vars(params)["_verdict"] = ()
+    return params
 
 
 class _Buffered:
@@ -295,7 +308,7 @@ def _params_by_family(n_states: int, n_bins: int, draw=None) -> ChmmParams:
     uniform = _layout(n, m).uniform
     if draw is None:
         return _adopt(object.__new__(ChmmParams), uniform.copy(), n, m)
-    return _simplex_normalize(draw(uniform), uniform, n, m)
+    return _simplex_normalize(draw(uniform), uniform, n, m, keep_valid=True)
 
 
 def uniform_params(n_states: int, n_bins: int) -> ChmmParams:

@@ -8,18 +8,23 @@ the forward pass's blocked scan read backwards; the four gradient
 families are then sums over steps of trellis values times adjoints.
 Re-estimation is the Baum-Eagon growth transform
 ``w <- w * dP/dw / normalizer`` applied per simplex row, which never
-decreases the likelihood.  The forward-mode derivative recursion
-lives on in ``oracle.alpha_gradients`` as a cross-check.
+decreases the likelihood and keeps every simplex, so a candidate of a
+validated state carries the verdict "valid" and its check is a lookup.
+A fit carries each accepted state's forward pass as plain arrays and
+their log terms (``inference._Trellis``), not as a ``ForwardTrellis``.
+The forward-mode derivative recursion lives on in
+``oracle.alpha_gradients`` as a cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .inference import _CHAINS, ForwardTrellis, _forward, _scan
+from .inference import _CHAINS, _forward_arrays, _scan, _Trellis
 from .model import ChmmParams, ObservationSequence, _Buffered, _real, _simplex_normalize, _size, _views, check_params
 
 __all__ = [
@@ -68,22 +73,26 @@ class GradientSet(_Buffered):
 def _checked_forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     """Validated forward pass of one gradient evaluation.
 
-    Returns ``inference._forward``'s trellis, emission lookup and
-    coupling-weighted transitions.  Raises DegenerateModelError when
-    either chain's final trellis mass is zero.
+    Returns the trellis as plain arrays and their log terms
+    (``inference._Trellis``), the emission lookup and the coupling-weighted
+    transitions of ``inference._forward_arrays``.  Raises
+    DegenerateModelError when either chain's final trellis mass is zero.
     """
     check_params(params)
-    trellis, bt, w = _forward(params, obs, scale)
+    steps, scales, bt, w = _forward_arrays(params, obs, scale)
+    trellis = _Trellis(steps.transpose(1, 0, 2), scales)
     if trellis.log_joint == -math.inf:  # a chain's final mass is 0
         raise DegenerateModelError(f"zero likelihood: per-chain trellis mass {trellis._final_mass.tolist()}")
     return trellis, bt, w
 
 
-def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis, bt, w) -> GradientSet:
+def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis, bt, w) -> GradientSet:
     """Reverse sweep over a forward trellis; every gradient family at once.
 
-    ``bt`` and ``w`` are the emission lookup and the coupling-weighted
-    transitions (a, i, c, j) the forward pass built for ``params``.
+    ``trellis`` is a ``ForwardTrellis`` or the plain ``inference._Trellis``
+    of a fit; ``bt`` and ``w`` are the emission lookup and the
+    coupling-weighted transitions (a, i, c, j) the forward pass built for
+    ``params``.
 
     ``u[t, c, j]`` is the derivative of the likelihood in the step-t
     trellis entry before its scaling, i.e. the adjoint of alpha_t divided
@@ -98,22 +107,17 @@ def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     w_flat = w.reshape(2 * n, 2 * n)  # a view: rows (a, i), columns (c, j)
 
     # The scan runs from the last step to the first, on (2N, 1) columns:
-    # u[t-1] = w_flat @ (bt[t] * u[t]) / scales[t-1] for every block at once.
+    # u[t-1] = w_flat @ (bt[t] * u[t]) / scales[t-1] for one step or every block at once.
     back_bt, back_div = bt[::-1].reshape(t_len, 2 * n, 1), scales[-2::-1, None, None]
-
-    def step(x, src):
-        prev = np.matmul(w_flat, back_bt[src] * x)
-        prev /= back_div[src]
-        return prev
 
     # dP/dalpha_T weighs each chain by the other chain's final mass.
     u = np.empty((t_len, 2, n))
     np.divide(trellis._final_mass[::-1, None], scales[-1], out=u[-1])
-    _scan(u[::-1].reshape(t_len, 2 * n, 1), step, step)
+    _scan(u[::-1].reshape(t_len, 2 * n, 1), partial(np.matmul, w_flat), (np.divide, back_div), before=back_bt)
     return _gradient_set(params, obs, trellis, bt, w, u)
 
 
-def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis, bt, w, u) -> GradientSet:
+def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis, bt, w, u) -> GradientSet:
     """The four families as sums over steps of trellis entries times the
     adjoints ``u`` (T, 2, N) of the reverse sweep, with ``w`` (a, i, c, j)
     from the forward; each step's emission term is added at its bin.  The
@@ -153,7 +157,7 @@ def reestimate(params: ChmmParams, grads: GradientSet) -> ChmmParams:
     normalizer vanishes (the likelihood does not depend on them) keep
     their previous values, the unique continuous completion.
     """
-    return _simplex_normalize(params._buf * grads._buf, params._buf, *params._dims)
+    return _simplex_normalize(params._buf * grads._buf, params._buf, *params._dims, vars(params).get("_verdict") == ())
 
 
 @dataclass(frozen=True)

@@ -54,3 +54,31 @@ def test_one_pair_has_zero_iqr_and_a_zero_base_gives_a_nan_ratio():
     assert summary["metrics"]["run_s"]["base_iqr"] == 0
     assert math.isnan(summary["metrics"]["run_s"]["ratios"][0])
     assert summary["metrics"]["bars_per_s"]["ratios"] == [1.5]
+
+
+def _pairs(base_run_s, work_run_s):
+    return [(verdict(b, 1.0 / b), verdict(w, 1.0 / w)) for b, w in zip(base_run_s, work_run_s)]
+
+
+def test_the_verdict_needs_nine_of_ten_wins_and_a_median_gap_above_the_base_iqr():
+    base = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # median 1.045, IQR 0.045
+    faster = [b - 0.1 for b in base[:9]] + [1.2]  # 9 wins, median 0.955: a gap of 0.09
+    summary = ab_pairs.summarize(_pairs(base, faster), METRICS)
+    run_s, bars = summary["metrics"]["run_s"], summary["metrics"]["bars_per_s"]
+    assert run_s["base_iqr"] == pytest.approx(0.045)
+    assert run_s["work_quartiles"] == pytest.approx((0.9225, 0.9675))  # inclusive quartiles of the work runs
+    assert (run_s["wins"], run_s["verdict"]) == (9, "gain")
+    assert (bars["wins"], bars["verdict"]) == (9, "gain")  # higher is better there
+    # Eight wins are too few, however large the gap.
+    eight = [b - 0.5 for b in base[:8]] + [1.2, 1.3]
+    assert ab_pairs.summarize(_pairs(base, eight), METRICS)["metrics"]["run_s"]["verdict"] == "no gain"
+    # Ten wins with a median gap of 0.04, inside the base IQR, are noise.
+    close = [b - 0.04 for b in base]
+    run_s = ab_pairs.summarize(_pairs(base, close), METRICS)["metrics"]["run_s"]
+    assert (run_s["wins"], run_s["verdict"]) == (10, "no gain")
+
+
+def test_one_pair_has_its_value_as_both_work_quartiles():
+    summary = ab_pairs.summarize([(verdict(2.0, 1.0), verdict(1.0, 3.0))], METRICS)
+    assert summary["metrics"]["run_s"]["work_quartiles"] == (1.0, 1.0)
+    assert summary["metrics"]["run_s"]["verdict"] == "gain"  # one of one won, gap 1 above an IQR of 0

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import logging
@@ -159,6 +160,19 @@ def test_config_round_trip(tmp_path):
     path = write(tmp_path, "c.cfg", data_io.config_to_text(cfg))
     loaded = data_io.backtest_config_from_mapping(data_io.load_config(path))
     assert loaded == cfg
+
+
+@pytest.mark.parametrize("system", ["rsi", "cci"])
+def test_a_config_is_frozen_and_its_text_round_trips(tmp_path, system):
+    # An assignment after construction would skip the checks and could
+    # write a config that the loader refuses, such as ``n_states = True``.
+    cfg = BacktestConfig(system=system)
+    for field, value in (("n_states", True), ("atr_period", None), ("fit", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+    assert cfg == BacktestConfig(system=system)
+    path = write(tmp_path, "c.cfg", data_io.config_to_text(cfg))
+    assert data_io.backtest_config_from_mapping(data_io.load_config(path)) == cfg
 
 
 def test_config_text_of_defaults():

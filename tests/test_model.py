@@ -17,13 +17,14 @@ from chmmtrade import (
     uniform_params,
     validate_params,
 )
+from chmmtrade import model
 from chmmtrade.backtest import BacktestConfig, run_backtest
 from chmmtrade.cli import _default_sim_params
 from chmmtrade.indicators import Discretizer
 from chmmtrade.inference import coupled_viterbi, forward
 from chmmtrade.model import _JITTER, N_CHAINS, SIMPLEX_ATOL, check_params
 from chmmtrade.oracle import alpha_gradients, params_by_family, sample_chmm, synthetic_ohlc, validate_by_family
-from chmmtrade.training import FitConfig, fit, likelihood_gradient
+from chmmtrade.training import FitConfig, GradientSet, fit, likelihood_gradient, reestimate
 from conftest import bars_from_closes, family_bytes, random_params, simplex_instances
 
 
@@ -252,6 +253,57 @@ def test_a_sum_an_ulp_from_the_tolerance_is_judged_by_its_distance_from_one(fami
     issues = validate_params(params)
     assert issues == validate_by_family(params)
     assert bool(issues) == (abs(target - 1.0) > SIMPLEX_ATOL)
+
+
+# Entries of a numerator buffer: mostly in [0, 1] with exact zeros and subnormals, all of them scaled by
+# 1e308 at times, and a few wild ones: subnormals, huge values, infinities, NaN and negatives.
+_PLAIN_ENTRIES = st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 1.0), st.floats(5e-324, 2.2e-308))
+_WILD_ENTRIES = st.one_of(
+    st.floats(5e-324, 2.2e-308), st.floats(1e300, np.finfo(float).max),
+    st.sampled_from([np.inf, -np.inf, np.nan]), st.floats(-1.0, -5e-324),
+)
+
+
+@st.composite
+def normalizations(draw):
+    """A parameter buffer made by one of ``_simplex_normalize``'s callers, with the numerator it divided and
+    whether the buffer it keeps rows of is known to be valid.  ``_params_by_family`` keeps rows of the layout's
+    uniform buffer; ``reestimate`` keeps rows of its parent, drawn validated (valid), unvalidated (valid), or
+    with an entry above 1, unvalidated or validated (a non-empty verdict)."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    size = model._layout(n, m).uniform.size
+    raw = np.array(draw(st.lists(_PLAIN_ENTRIES, min_size=size, max_size=size)))
+    raw *= draw(st.sampled_from([1.0, 1e308]))  # huge rows: a sum of two entries may overflow
+    for _ in range(draw(st.integers(0, 2))):
+        raw[draw(st.integers(0, size - 1))] = draw(_WILD_ENTRIES)
+    parent = draw(st.sampled_from(["uniform", "validated", "unvalidated", "above one", "above one, validated"]))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 0 * inf, huge * huge
+        if parent == "uniform":
+            return model._params_by_family(n, m, lambda uniform: raw), raw, True
+        arrays = {name: np.array(getattr(jittered_params(n, m, seed=draw(st.integers(0, 2**32))), name))
+                  for name in FAMILIES}
+        if parent.startswith("above one"):
+            arrays["priors"][0, 0] = 1.5
+        params = ChmmParams(**arrays)  # no verdict yet
+        if parent in ("validated", "above one, validated"):
+            validate_params(params)
+        return reestimate(params, GradientSet(*model._views(raw, n, m))), params._buf * raw, parent == "validated"
+
+
+@given(normalizations())
+def test_a_recorded_verdict_is_the_verdict_worked_out(case):
+    # ``_simplex_normalize`` records a valid verdict only when the kept rows are known valid and every
+    # numerator entry is finite and at least 0; then it must be the verdict ``_violations`` works out.
+    params, num, keep_known_valid = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        premises = keep_known_valid and bool(np.isfinite(num).all() and (num >= 0.0).all())
+        sums_finite = bool(np.isfinite(model._simplex_sums(num, *params._dims)).all())
+    recorded = vars(params).get("_verdict")
+    if recorded is not None:
+        assert premises and recorded == tuple(model._violations(params)) == ()
+    else:
+        # Left to ``validate_params``: a premise fails, or a simplex sum overflows.
+        assert not (premises and sums_finite)
 
 
 @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2**32))

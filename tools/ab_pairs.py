@@ -9,7 +9,8 @@ the side that runs first flipping from pair to pair; pair k uses seed
 S + k on both sides (``--same-seed`` keeps S).  For every end-to-end
 metric that ``BENCHMARK.json`` declares, the report gives both medians,
 each pair's ratio (working tree over base), the pairs the working tree
-won and the base runs' interquartile range.  The exit status is 1 when
+won, the base runs' interquartile range, the working tree's quartiles and a
+verdict, "gain" or "no gain" (see ``summarize``).  The exit status is 1 when
 any run reads ``"correct": false`` or prints no verdict.  Standard
 library only.
 """
@@ -29,15 +30,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _quartiles(values) -> tuple[float, float]:
+    """First and third quartiles, inclusive method; a single value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def summarize(pairs, metrics):
     """Summary of ``pairs``, a list of (base, work) verdicts as ``perfbench/run.py`` prints
     them, for ``metrics``, a list of {"name", "better"} entries.
 
     Returns {"correct": every run correct, "metrics": {name: {...}}}, where each metric
     has the base and work medians, the per-pair ratios work / base, the pairs the work
-    side won (strictly better in the metric's direction) and the base IQR (quartiles of
-    the base values, inclusive method; 0 with fewer than two pairs).  A metric missing
-    from a run is left out of that metric's summary."""
+    side won (strictly better in the metric's direction), the base IQR and the work
+    side's quartiles (inclusive method; with one pair the IQR is 0 and both quartiles
+    are its value) and a verdict: "gain" when the work side won at least 9 of every 10
+    pairs and its median is better than the base median by more than the base IQR,
+    otherwise "no gain".  A metric missing from a run is left out of that metric's
+    summary."""
     summary = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -49,15 +61,20 @@ def summarize(pairs, metrics):
         if not values:
             continue
         base_vals, work_vals = zip(*values)
-        q1, _, q3 = statistics.quantiles(base_vals, n=4, method="inclusive") if len(values) > 1 else (0, 0, 0)
+        base_q1, base_q3 = _quartiles(base_vals)
+        base_median, work_median = statistics.median(base_vals), statistics.median(work_vals)
+        wins = sum((w < b) if lower else (w > b) for b, w in values)
+        gap = base_median - work_median if lower else work_median - base_median
         summary[name] = {
             "better": metric["better"],
-            "base_median": statistics.median(base_vals),
-            "work_median": statistics.median(work_vals),
+            "base_median": base_median,
+            "work_median": work_median,
             "ratios": [w / b if b else float("nan") for b, w in values],
-            "wins": sum((w < b) if lower else (w > b) for b, w in values),
+            "wins": wins,
             "pairs": len(values),
-            "base_iqr": q3 - q1,
+            "base_iqr": base_q3 - base_q1,
+            "work_quartiles": _quartiles(work_vals),
+            "verdict": "gain" if 10 * wins >= 9 * len(values) and gap > base_q3 - base_q1 else "no gain",
         }
     correct = all(run.get("correct") is True for pair in pairs for run in pair)
     return {"correct": correct, "metrics": summary}
@@ -90,11 +107,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
 
 def report(summary: dict, workload: str, base: str) -> None:
     print(f"{workload}: base {base} against the working tree")
-    print(f"{'metric':<14}{'better':<8}{'base median':>14}{'work median':>14}{'base IQR':>12}  wins   ratios")
+    print(f"{'metric':<14}{'better':<8}{'base median':>14}{'work median':>14}{'base IQR':>12}"
+          f"{'work Q1':>14}{'work Q3':>14}  wins   verdict   ratios")
     for name, s in summary["metrics"].items():
         ratios = " ".join(f"{r:.3f}" for r in s["ratios"])
+        q1, q3 = s["work_quartiles"]
         print(f"{name:<14}{s['better']:<8}{s['base_median']:>14.6g}{s['work_median']:>14.6g}"
-              f"{s['base_iqr']:>12.4g}  {s['wins']:>2}/{s['pairs']:<2}  {ratios}")
+              f"{s['base_iqr']:>12.4g}{q1:>14.6g}{q3:>14.6g}  {s['wins']:>2}/{s['pairs']:<2}  {s['verdict']:<8}  {ratios}")
     print(f"every run correct: {summary['correct']}")
 
 
