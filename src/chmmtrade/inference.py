@@ -5,14 +5,11 @@ contributions from both chains' previous steps through the coupling
 weights.  Each step is linear in the stacked (2N) trellis vector, so the
 pass runs as a blocked scan (``_scan``): about 3 sqrt(T) Python-level
 steps instead of T, and up to ``_SCAN_MIN_BLOCK + 1`` steps the step
-loop itself, each step written in place into a step-major trellis.  The
-log terms of a pass (final masses, log likelihoods) are derived by one
-helper, ``_log_terms``, for a ``ForwardTrellis`` and for the plain
-``_Trellis`` a fit carries between sweeps.  The decoder intentionally uses a
-different rule: per chain it maximizes over pairs of source states
-scored by the plain product of the two incoming transition rows, with no
-coupling weights, and only the chain's own source state carries trellis
-mass forward.
+loop itself, each step written in place into a step-major buffer.  The
+decoder intentionally uses a different rule: per chain it maximizes over
+pairs of source states scored by the plain product of the two incoming
+transition rows, with no coupling weights, and only the chain's own
+source state carries trellis mass forward.
 """
 
 from __future__ import annotations
@@ -38,8 +35,10 @@ class ForwardTrellis:
     after observing the first ``t + 1`` symbols.  When ``scale_factors``
     is not None the stored alpha values are normalized per step and the
     likelihoods are only representable in log space.  Construction
-    freezes both arrays and derives every other field once, read-only,
-    with ``_log_terms``.  The linear likelihoods are properties, so a
+    freezes both arrays and derives every other field once, read-only:
+    one ``log`` of the two final masses (silenced only when one is zero)
+    and one of the normalizers; ``log_joint`` is the Python sum of the
+    two per-chain logs.  The linear likelihoods are properties, so a
     caller reading only logs pays no ``exp``.
     """
 
@@ -52,12 +51,18 @@ class ForwardTrellis:
 
     def __post_init__(self):
         alpha, scales = self.alpha, self.scale_factors
-        mass, log_scale, per_chain, log_joint = _log_terms(alpha, scales)
-        log_pc = np.array(per_chain)
-        for arr in (alpha, scales, mass, log_pc):
-            if arr is not None:
-                arr.setflags(write=False)
-        vars(self).update(_final_mass=mass, _log_scale=log_scale, log_per_chain=log_pc, log_joint=log_joint)
+        mass = np.add.reduce(alpha[:, -1], 1)
+        with np.errstate(divide="ignore") if 0.0 in mass.tolist() else nullcontext():
+            log_0, log_1 = np.log(mass).tolist()
+        log_scale = 0.0
+        if scales is not None:  # normalizers are positive: a step with zero mass keeps factor 1
+            scales.setflags(write=False)
+            log_scale = float(np.add.reduce(np.log(scales)))
+            log_0, log_1 = log_0 + log_scale, log_1 + log_scale  # as Python floats: no numpy scalar
+        log_pc = np.array((log_0, log_1))
+        for arr in (alpha, mass, log_pc):
+            arr.setflags(write=False)
+        vars(self).update(_final_mass=mass, _log_scale=log_scale, log_per_chain=log_pc, log_joint=log_0 + log_1)
 
     @property
     def per_chain_likelihood(self) -> np.ndarray:  # (2,)
@@ -72,36 +77,6 @@ class ForwardTrellis:
             return float(self._final_mass[0] * self._final_mass[1])
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_joint))
-
-
-def _log_terms(alpha: np.ndarray, scales: np.ndarray | None):
-    """The log terms of a forward pass with trellis ``alpha`` (2, T, N) and
-    normalizers ``scales`` (T,) or None: the final mass (2,) of each chain,
-    the log of the normalizers' product (0.0 without them), the two chains'
-    log likelihoods and ``log_joint``, their sum, all Python floats.  One
-    ``log`` of the two final masses, silenced only when one is zero, and
-    one of the normalizers."""
-    mass = np.add.reduce(alpha[:, -1], 1)
-    with np.errstate(divide="ignore") if 0.0 in mass.tolist() else nullcontext():
-        log_0, log_1 = np.log(mass).tolist()
-    log_scale = 0.0
-    if scales is not None:  # normalizers are positive: a step with zero mass keeps factor 1
-        log_scale = float(np.add.reduce(np.log(scales)))
-        log_0, log_1 = log_0 + log_scale, log_1 + log_scale
-    return mass, log_scale, (log_0, log_1), log_0 + log_1
-
-
-class _Trellis:
-    """A forward pass as plain arrays and their log terms (``_log_terms``),
-    under the names ``ForwardTrellis`` gives them, which the gradient's
-    reverse sweep reads: what a fit carries from sweep to sweep, with
-    nothing frozen and no likelihood property."""
-
-    __slots__ = ("alpha", "scale_factors", "_final_mass", "_log_scale", "log_joint")
-
-    def __init__(self, alpha: np.ndarray, scales: np.ndarray | None):
-        self.alpha, self.scale_factors = alpha, scales
-        self._final_mass, self._log_scale, _, self.log_joint = _log_terms(alpha, scales)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,20 +138,11 @@ def forward(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -
 def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     """Unvalidated forward recursion; returns the trellis, the emission
     lookup ``bt`` and the coupling-weighted transitions ``w`` it used, so
-    the gradient's reverse sweep can reuse all three.  The trellis's
-    ``alpha`` is a view of ``_forward_arrays``' step-major array."""
-    steps, scales, bt, w = _forward_arrays(params, obs, scale)
-    steps.setflags(write=False)
-    return ForwardTrellis(steps.transpose(1, 0, 2), scales), bt, w
+    the gradient's reverse sweep can reuse all three.
 
-
-def _forward_arrays(params: ChmmParams, obs: ObservationSequence, scale: bool):
-    """The unvalidated forward recursion as plain arrays: the trellis
-    step-major, ``steps[t, c, j] = alpha[c, t, j]`` (T, 2, N), so that each
-    step's (2, N) block is contiguous and written in place; the normalizers
-    (T,) or None; the emission lookup ``bt`` and the coupling-weighted
-    transitions ``w``.
-
+    The recursion runs step-major, ``steps[t, c, j] = alpha[c, t, j]``
+    (T, 2, N), so that each step's (2, N) block is contiguous and written
+    in place; the trellis's ``alpha`` is its C-contiguous (2, T, N) copy.
     ``w[a, i, c, j] = coupling[a, c] * trans[a, c, i, j]``, C-contiguous,
     so ``w.reshape(2N, 2N)`` is the stacked operator as a view.  Later
     steps run as one blocked scan (``_scan``) of ``oracle.step_forward``'s loop."""
@@ -204,7 +170,7 @@ def _forward_arrays(params: ChmmParams, obs: ObservationSequence, scale: bool):
     # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i]
     # for one step or every block at once, then the emissions: the step loop's arithmetic.
     _scan(steps, partial(np.einsum, "aicj,...ai->...cj", w), (np.multiply, later), operator, scales=scales)
-    return steps, scales, bt, w
+    return ForwardTrellis(steps.transpose(1, 0, 2).copy(), scales), bt, w  # alpha in C order
 
 
 # Fewest steps per block of the scan.  A sequence of up to this many steps

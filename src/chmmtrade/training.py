@@ -10,8 +10,6 @@ Re-estimation is the Baum-Eagon growth transform
 ``w <- w * dP/dw / normalizer`` applied per simplex row, which never
 decreases the likelihood and keeps every simplex, so a candidate of a
 validated state carries the verdict "valid" and its check is a lookup.
-A fit carries each accepted state's forward pass as plain arrays and
-their log terms (``inference._Trellis``), not as a ``ForwardTrellis``.
 The forward-mode derivative recursion lives on in
 ``oracle.alpha_gradients`` as a cross-check.
 """
@@ -24,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .inference import _CHAINS, _forward_arrays, _scan, _Trellis
+from .inference import _CHAINS, ForwardTrellis, _forward, _scan
 from .model import ChmmParams, ObservationSequence, _Buffered, _real, _simplex_normalize, _size, _views, check_params
 
 __all__ = [
@@ -73,26 +71,22 @@ class GradientSet(_Buffered):
 def _checked_forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     """Validated forward pass of one gradient evaluation.
 
-    Returns the trellis as plain arrays and their log terms
-    (``inference._Trellis``), the emission lookup and the coupling-weighted
-    transitions of ``inference._forward_arrays``.  Raises
-    DegenerateModelError when either chain's final trellis mass is zero.
+    Returns ``inference._forward``'s trellis, emission lookup and
+    coupling-weighted transitions.  Raises DegenerateModelError when
+    either chain's final trellis mass is zero.
     """
     check_params(params)
-    steps, scales, bt, w = _forward_arrays(params, obs, scale)
-    trellis = _Trellis(steps.transpose(1, 0, 2), scales)
+    trellis, bt, w = _forward(params, obs, scale)
     if trellis.log_joint == -math.inf:  # a chain's final mass is 0
         raise DegenerateModelError(f"zero likelihood: per-chain trellis mass {trellis._final_mass.tolist()}")
     return trellis, bt, w
 
 
-def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis, bt, w) -> GradientSet:
+def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis, bt, w) -> GradientSet:
     """Reverse sweep over a forward trellis; every gradient family at once.
 
-    ``trellis`` is a ``ForwardTrellis`` or the plain ``inference._Trellis``
-    of a fit; ``bt`` and ``w`` are the emission lookup and the
-    coupling-weighted transitions (a, i, c, j) the forward pass built for
-    ``params``.
+    ``bt`` and ``w`` are the emission lookup and the coupling-weighted
+    transitions (a, i, c, j) the forward pass built for ``params``.
 
     ``u[t, c, j]`` is the derivative of the likelihood in the step-t
     trellis entry before its scaling, i.e. the adjoint of alpha_t divided
@@ -117,7 +111,7 @@ def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis, bt, w) 
     return _gradient_set(params, obs, trellis, bt, w, u)
 
 
-def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis, bt, w, u) -> GradientSet:
+def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis, bt, w, u) -> GradientSet:
     """The four families as sums over steps of trellis entries times the
     adjoints ``u`` (T, 2, N) of the reverse sweep, with ``w`` (a, i, c, j)
     from the forward; each step's emission term is added at its bin.  The

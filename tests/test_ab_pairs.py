@@ -76,9 +76,12 @@ def test_the_verdict_needs_nine_of_ten_wins_and_a_median_gap_above_the_base_iqr(
     close = [b - 0.04 for b in base]
     run_s = ab_pairs.summarize(_pairs(base, close), METRICS)["metrics"]["run_s"]
     assert (run_s["wins"], run_s["verdict"]) == (10, "no gain")
+    # Nine pairs, every one won by far, are fewer than the rule reads.
+    run_s = ab_pairs.summarize(_pairs(base[:9], faster[:9]), METRICS)["metrics"]["run_s"]
+    assert (run_s["wins"], run_s["verdict"]) == (9, "too few pairs")
 
 
 def test_one_pair_has_its_value_as_both_work_quartiles():
     summary = ab_pairs.summarize([(verdict(2.0, 1.0), verdict(1.0, 3.0))], METRICS)
     assert summary["metrics"]["run_s"]["work_quartiles"] == (1.0, 1.0)
-    assert summary["metrics"]["run_s"]["verdict"] == "gain"  # one of one won, gap 1 above an IQR of 0
+    assert summary["metrics"]["run_s"]["verdict"] == "too few pairs"  # one of one won, gap 1 above an IQR of 0

@@ -360,6 +360,18 @@ def test_trellis_arrays_and_their_bases_are_read_only(rng, t_len):
                 arr = arr.base
 
 
+@pytest.mark.parametrize("t_len", [4, 700])
+def test_forward_alpha_is_in_c_order(rng, t_len):
+    # Every sum over alpha (the final mass, the gradient's einsums) reads
+    # one contiguous operand, whatever layout the recursion runs in.
+    p = random_params(rng, 3, 4)
+    obs = random_obs(rng, 4, t_len)
+    for scale in (False, True):
+        alpha = forward(p, obs, scale=scale).alpha
+        assert alpha.shape == (2, t_len, 3)
+        assert alpha.flags.c_contiguous
+
+
 def _three_operand_forward(params, obs, scale):
     """The forward recursion with the coupling weights applied inside a
     three-operand einsum at every step and a stacked emission lookup, as a

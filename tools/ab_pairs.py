@@ -10,7 +10,8 @@ S + k on both sides (``--same-seed`` keeps S).  For every end-to-end
 metric that ``BENCHMARK.json`` declares, the report gives both medians,
 each pair's ratio (working tree over base), the pairs the working tree
 won, the base runs' interquartile range, the working tree's quartiles and a
-verdict, "gain" or "no gain" (see ``summarize``).  The exit status is 1 when
+verdict: "gain", "no gain", or "too few pairs" below ten (see ``summarize``).
+The exit status is 1 when
 any run reads ``"correct": false`` or prints no verdict.  Standard
 library only.
 """
@@ -28,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_PAIRS = 10  # the fewest pairs on which the gain rule gives a verdict
 
 
 def _quartiles(values) -> tuple[float, float]:
@@ -46,10 +48,10 @@ def summarize(pairs, metrics):
     has the base and work medians, the per-pair ratios work / base, the pairs the work
     side won (strictly better in the metric's direction), the base IQR and the work
     side's quartiles (inclusive method; with one pair the IQR is 0 and both quartiles
-    are its value) and a verdict: "gain" when the work side won at least 9 of every 10
-    pairs and its median is better than the base median by more than the base IQR,
-    otherwise "no gain".  A metric missing from a run is left out of that metric's
-    summary."""
+    are its value) and a verdict: with fewer than ``MIN_PAIRS`` pairs "too few pairs";
+    else "gain" when the work side won at least 9 of every 10 pairs and its median is
+    better than the base median by more than the base IQR, otherwise "no gain".  A
+    metric missing from a run is left out of that metric's summary."""
     summary = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -65,6 +67,10 @@ def summarize(pairs, metrics):
         base_median, work_median = statistics.median(base_vals), statistics.median(work_vals)
         wins = sum((w < b) if lower else (w > b) for b, w in values)
         gap = base_median - work_median if lower else work_median - base_median
+        if len(values) < MIN_PAIRS:
+            call = "too few pairs"
+        else:
+            call = "gain" if 10 * wins >= 9 * len(values) and gap > base_q3 - base_q1 else "no gain"
         summary[name] = {
             "better": metric["better"],
             "base_median": base_median,
@@ -74,7 +80,7 @@ def summarize(pairs, metrics):
             "pairs": len(values),
             "base_iqr": base_q3 - base_q1,
             "work_quartiles": _quartiles(work_vals),
-            "verdict": "gain" if 10 * wins >= 9 * len(values) and gap > base_q3 - base_q1 else "no gain",
+            "verdict": call,
         }
     correct = all(run.get("correct") is True for pair in pairs for run in pair)
     return {"correct": correct, "metrics": summary}
@@ -108,12 +114,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
 def report(summary: dict, workload: str, base: str) -> None:
     print(f"{workload}: base {base} against the working tree")
     print(f"{'metric':<14}{'better':<8}{'base median':>14}{'work median':>14}{'base IQR':>12}"
-          f"{'work Q1':>14}{'work Q3':>14}  wins   verdict   ratios")
+          f"{'work Q1':>14}{'work Q3':>14}  {'wins':<5}  {'verdict':<13}  ratios")
     for name, s in summary["metrics"].items():
         ratios = " ".join(f"{r:.3f}" for r in s["ratios"])
         q1, q3 = s["work_quartiles"]
         print(f"{name:<14}{s['better']:<8}{s['base_median']:>14.6g}{s['work_median']:>14.6g}"
-              f"{s['base_iqr']:>12.4g}{q1:>14.6g}{q3:>14.6g}  {s['wins']:>2}/{s['pairs']:<2}  {s['verdict']:<8}  {ratios}")
+              f"{s['base_iqr']:>12.4g}{q1:>14.6g}{q3:>14.6g}  {s['wins']:>2}/{s['pairs']:<2}  {s['verdict']:<13}  {ratios}")
     print(f"every run correct: {summary['correct']}")
 
 
