@@ -523,7 +523,11 @@ def write_fit_log(path, records) -> None:
 
 
 def load_fit_log(path) -> list[FitRecord]:
-    """Read a fit log; a line that is not a fit record names the path and line."""
+    """Read a fit log; a line that is not a fit record names the path and line.
+
+    A fit record, as ``fit`` makes it, has a non-negative integer
+    ``sweeps_run`` and a trace of one number per accepted state, its start
+    and each sweep: ``sweeps_run + 1`` of them."""
     records = []
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -532,14 +536,13 @@ def load_fit_log(path) -> list[FitRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                records.append(
-                    FitRecord(
-                        window_end=_parse_timestamp(obj["window_end"]),
-                        sweeps_run=int(obj["sweeps_run"]),
-                        trace=[float(v) for v in obj["trace"]],
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                window_end, sweeps, trace = _parse_timestamp(obj["window_end"]), obj["sweeps_run"], obj["trace"]
+                if type(sweeps) is not int or sweeps < 0:  # a JSON integer: not a bool, not a float
+                    raise ValueError(f"sweeps_run must be a non-negative integer, got {sweeps!r}")
+                if type(trace) is not list or len(trace) != sweeps + 1 or {type(v) for v in trace} - {int, float}:
+                    raise ValueError(f"trace must be a list of sweeps_run + 1 = {sweeps + 1} numbers, got {trace!r}")
+                records.append(FitRecord(window_end=window_end, sweeps_run=sweeps, trace=[float(v) for v in trace]))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float's range
                 detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise ValueError(f"{path}: line {lineno}: not a fit record: {detail}") from None
     return records

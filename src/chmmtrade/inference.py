@@ -32,14 +32,15 @@ class ForwardTrellis:
     """Forward recursion output, built from the trellis and its normalizers.
 
     ``alpha[c, t, j]`` is the trellis mass of chain ``c`` in state ``j``
-    after observing the first ``t + 1`` symbols.  When ``scale_factors``
-    is not None the stored alpha values are normalized per step and the
-    likelihoods are only representable in log space.  Construction
-    freezes both arrays and derives every other field once, read-only:
-    one ``log`` of the two final masses (silenced only when one is zero)
-    and one of the normalizers; ``log_joint`` is the Python sum of the
-    two per-chain logs.  The linear likelihoods are properties, so a
-    caller reading only logs pays no ``exp``.
+    after observing the first ``t + 1`` symbols, a view of a step-major
+    (T, 2, N) buffer (not C-contiguous), as ``log_delta`` is.  When
+    ``scale_factors`` is not None the stored alpha values are normalized
+    per step and the likelihoods are only representable in log space.
+    Construction freezes both arrays and derives every other field once,
+    read-only: one ``log`` of the two final masses (silenced only when one
+    is zero) and one of the normalizers; ``log_joint`` is the Python sum
+    of the two per-chain logs.  The linear likelihoods are properties, so
+    a caller reading only logs pays no ``exp``.
     """
 
     alpha: np.ndarray                        # (2, T, N)
@@ -142,7 +143,7 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
 
     The recursion runs step-major, ``steps[t, c, j] = alpha[c, t, j]``
     (T, 2, N), so that each step's (2, N) block is contiguous and written
-    in place; the trellis's ``alpha`` is its C-contiguous (2, T, N) copy.
+    in place; the trellis's ``alpha`` is its (2, T, N) transposed view.
     ``w[a, i, c, j] = coupling[a, c] * trans[a, c, i, j]``, C-contiguous,
     so ``w.reshape(2N, 2N)`` is the stacked operator as a view.  Later
     steps run as one blocked scan (``_scan``) of ``oracle.step_forward``'s loop."""
@@ -170,7 +171,8 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
     # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i]
     # for one step or every block at once, then the emissions: the step loop's arithmetic.
     _scan(steps, partial(np.einsum, "aicj,...ai->...cj", w), (np.multiply, later), operator, scales=scales)
-    return ForwardTrellis(steps.transpose(1, 0, 2).copy(), scales), bt, w  # alpha in C order
+    steps.setflags(write=False)
+    return ForwardTrellis(steps.transpose(1, 0, 2), scales), bt, w
 
 
 # Fewest steps per block of the scan.  A sequence of up to this many steps

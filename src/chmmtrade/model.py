@@ -97,20 +97,20 @@ def _simplex_sums(buf: np.ndarray, n: int, m: int) -> np.ndarray:
     return sums
 
 
-def _simplex_normalize(num: np.ndarray, keep: np.ndarray, n: int, m: int, keep_valid: bool) -> ChmmParams:
-    """Parameters from buffer ``num``, each simplex divided by its sum or, where that is not positive, from ``keep``.
-
-    With ``keep_valid`` (``keep`` passes ``validate_params``), the result's verdict is recorded as valid when every
-    entry of ``num`` is at least 0 and every simplex sum is finite: a rounded sum of non-negative numbers is at least
-    each of them, so each divided entry lies in [0, 1], and a divided row of L entries sums within about
-    2 (L + 1) 2^-53 of one, inside ``SIMPLEX_ATOL`` for the rows ``_layout`` allows.  Otherwise ``validate_params``
-    works the verdict out when it is asked."""
+def _simplex_normalize(num: np.ndarray, n: int, m: int, keep: ChmmParams | None = None) -> ChmmParams:
+    """Parameters from buffer ``num``, each simplex divided by its sum or, where that is not positive, kept from
+    ``keep`` (``None``: the layout's uniform buffer).  When the kept rows are known valid (uniform, or ``keep``'s
+    verdict is valid), the result's verdict is recorded as valid if every entry of ``num`` is at least 0 and every
+    simplex sum is finite: a rounded sum of non-negative numbers is at least each of them, so each divided entry lies
+    in [0, 1], and a divided row of L entries sums within about 2 (L + 1) 2^-53 of one, inside ``SIMPLEX_ATOL`` for
+    the rows ``_layout`` allows.  Otherwise ``validate_params`` works the verdict out when it is asked."""
     lay = _layout(n, m)
     sums = _simplex_sums(num, n, m)
     denom = sums[lay.simplex_of]
-    buf = np.divide(num, denom, out=keep.copy(), where=denom > 0.0)
+    buf = np.divide(num, denom, out=(lay.uniform if keep is None else keep._buf).copy(), where=denom > 0.0)
     params = _adopt(object.__new__(ChmmParams), buf, n, m)
-    if keep_valid and lay.short_rows and np.minimum.reduce(num) >= 0.0 and np.maximum.reduce(sums) < inf:  # NaN fails both
+    kept_valid = keep is None or vars(keep).get("_verdict") == ()
+    if kept_valid and lay.short_rows and np.minimum.reduce(num) >= 0.0 and np.maximum.reduce(sums) < inf:  # NaN fails both
         vars(params)["_verdict"] = ()
     return params
 
@@ -308,7 +308,7 @@ def _params_by_family(n_states: int, n_bins: int, draw=None) -> ChmmParams:
     uniform = _layout(n, m).uniform
     if draw is None:
         return _adopt(object.__new__(ChmmParams), uniform.copy(), n, m)
-    return _simplex_normalize(draw(uniform), uniform, n, m, keep_valid=True)
+    return _simplex_normalize(draw(uniform), n, m)
 
 
 def uniform_params(n_states: int, n_bins: int) -> ChmmParams:

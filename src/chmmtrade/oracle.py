@@ -5,11 +5,11 @@ library does (exhaustive enumeration, numerical differencing,
 forward-mode derivative propagation, per-step and per-window loops), so
 tests can cross-check the two routes.  What a comparison leaves
 unchecked is shared: ``step_forward`` and ``alpha_gradients`` build an
-``inference.ForwardTrellis``, which derives the likelihoods, and look up
-emissions with ``inference._emission_lookup`` (``step_forward`` builds
-its own (a, c, i, j) operator), ``step_adjoint`` reads the emissions and
-the stacked operator of ``inference._forward`` and the trellis's final
-mass and forms its gradients with ``training._gradient_set``,
+``inference.ForwardTrellis``, which derives the likelihoods, from a
+step-major buffer as the library does; the three step loops look up
+emissions with ``inference._emission_lookup`` and build their own
+coupled operator; ``step_adjoint`` reads the trellis's final mass and
+forms its gradients with ``training._gradient_set``,
 ``score_path`` and ``brute_viterbi`` share one private path scorer,
 ``fd_gradient`` differences likelihoods of ``inference._forward``,
 ``cci_loop`` takes window means from ``indicators._window_means``, and
@@ -153,30 +153,22 @@ def step_forward(params: ChmmParams, obs: ObservationSequence, scale: bool = Fal
     t_len = obs.length
     bt = _emission_lookup(params, obs)  # (T, 2, N)
 
-    alpha = np.empty((2, t_len, n))
+    steps = np.empty((t_len, 2, n))  # step-major: steps[t] is alpha[:, t]
     scales = np.ones(t_len) if scale else None
     w = params.coupling[:, :, None, None] * params.trans  # (a, c, i, j)
 
-    step = params.priors * bt[0]  # (2, N)
-    if scale:
-        s = step.sum()
-        if s > 0.0:
-            step = step / s
-            scales[0] = s
-    alpha[:, 0] = step
-
-    for t in range(1, t_len):
-        # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i],
-        # read from ``step``, which still holds alpha[:, t-1]; then the emissions.
-        step = np.einsum("acij,ai->cj", w, step)
-        step *= bt[t]
+    for t in range(t_len):
+        # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i] after
+        # the first step, read from ``step``, which still holds alpha[:, t-1]; then the emissions.
+        step = (params.priors if t == 0 else np.einsum("acij,ai->cj", w, step)) * bt[t]  # (2, N)
         if scale:
             s = step.sum()
             if s > 0.0:
                 step /= s
                 scales[t] = s
-        alpha[:, t] = step
-    return ForwardTrellis(alpha, scales)
+        steps[t] = step
+    steps.setflags(write=False)
+    return ForwardTrellis(steps.transpose(1, 0, 2), scales)
 
 
 def step_adjoint(params: ChmmParams, obs: ObservationSequence, trellis: ForwardTrellis) -> GradientSet:
@@ -185,12 +177,13 @@ def step_adjoint(params: ChmmParams, obs: ObservationSequence, trellis: ForwardT
     of ``training``'s gradient pass.  No check for a zero likelihood."""
     t_len, n = obs.length, params.n_states
     scales = trellis.scale_factors if trellis.scale_factors is not None else np.ones(t_len)
-    _, bt, w = _forward(params, obs, trellis.scale_factors is not None)  # emissions and operator only
+    bt = _emission_lookup(params, obs)  # (T, 2, N)
+    w = (params.coupling[:, :, None, None] * params.trans).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # (ai, cj)
     u = np.empty((t_len, 2, n))
     u[-1] = trellis._final_mass[::-1, None] / scales[-1]
     for t in range(t_len - 1, 0, -1):
-        u[t - 1] = (w.reshape(2 * n, 2 * n) @ (bt[t] * u[t]).ravel()).reshape(2, n) / scales[t - 1]
-    return _gradient_set(params, obs, trellis, bt, w, u)
+        u[t - 1] = (w @ (bt[t] * u[t]).ravel()).reshape(2, n) / scales[t - 1]
+    return _gradient_set(params, obs, trellis, bt, w.reshape(2, n, 2, n), u)
 
 
 def joint_transition(params: ChmmParams, chain: int, s1: int, s2: int, j: int) -> float:
@@ -436,7 +429,7 @@ def alpha_gradients(params: ChmmParams, obs: ObservationSequence, scale: bool = 
     eye2 = np.eye(2)
     eyen = np.eye(n)
 
-    alpha = np.empty((2, t_len, n))
+    steps = np.empty((t_len, 2, n))  # step-major: steps[t] is alpha[:, t]
     scales = np.ones(t_len) if scale else None
 
     d_pi = np.einsum("pa,qi,pq->pqai", eye2, eyen, bt[0])
@@ -452,12 +445,12 @@ def alpha_gradients(params: ChmmParams, obs: ObservationSequence, scale: bool = 
             d_pi = d_pi / s
             d_b = d_b / s
             scales[0] = s
-    alpha[:, 0] = step
+    steps[0] = step
 
     history = ([d_pi], [d_a], [d_b], [d_th])
 
     for t in range(1, t_len):
-        aprev = alpha[:, t - 1]
+        aprev = steps[t - 1]
         z = params.coupling[:, :, None, None] * params.trans * bt[t][None, :, None, :]
 
         new_pi = np.einsum("acij,ai...->cj...", z, d_pi)
@@ -483,13 +476,14 @@ def alpha_gradients(params: ChmmParams, obs: ObservationSequence, scale: bool = 
                 new_b = new_b / s
                 new_th = new_th / s
                 scales[t] = s
-        alpha[:, t] = step
+        steps[t] = step
         d_pi, d_a, d_b, d_th = new_pi, new_a, new_b, new_th
         for hist, arr in zip(history, (d_pi, d_a, d_b, d_th)):
             hist.append(arr)
 
     d_pi, d_a, d_b, d_th = (np.stack(h) for h in history)
-    trellis = ForwardTrellis(alpha, scales)
+    steps.setflags(write=False)
+    trellis = ForwardTrellis(steps.transpose(1, 0, 2), scales)
     return AlphaGradients(d_priors=d_pi, d_trans=d_a, d_emit=d_b, d_coupling=d_th, trellis=trellis)
 
 

@@ -8,8 +8,8 @@ the forward pass's blocked scan read backwards; the four gradient
 families are then sums over steps of trellis values times adjoints.
 Re-estimation is the Baum-Eagon growth transform
 ``w <- w * dP/dw / normalizer`` applied per simplex row, which never
-decreases the likelihood and keeps every simplex, so a candidate of a
-validated state carries the verdict "valid" and its check is a lookup.
+decreases the likelihood and keeps every simplex, so ``model`` records
+a candidate of a validated state as valid and its check is a lookup.
 The forward-mode derivative recursion lives on in
 ``oracle.alpha_gradients`` as a cross-check.
 """
@@ -115,15 +115,16 @@ def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     """The four families as sums over steps of trellis entries times the
     adjoints ``u`` (T, 2, N) of the reverse sweep, with ``w`` (a, i, c, j)
     from the forward; each step's emission term is added at its bin.  The
-    families are packed into the gradient buffer at once; ``reestimate``
-    reads only that buffer, so no family view is made for it."""
+    sums read the forward's step buffer, C-contiguous.  The families are
+    packed into the gradient buffer at once; ``reestimate`` reads only
+    that buffer, so no family view is made for it."""
     n, m = params._dims
-    alpha = trellis.alpha                              # (2, T, N)
+    steps = trellis.alpha.transpose(1, 0, 2)           # (T, 2, N)
     bu = bt * u                                        # (T, 2, N)
-    x = np.einsum("ati,tcj->acij", alpha[:, :-1], bu[1:])
+    x = np.einsum("tai,tcj->acij", steps[:-1], bu[1:])
     mass = np.empty_like(u)                            # what multiplies bt[t] in the forward step
     mass[0] = params.priors
-    np.einsum("aicj,ati->tcj", w, alpha[:, :-1], out=mass[1:])
+    np.einsum("aicj,tai->tcj", w, steps[:-1], out=mass[1:])
     mass *= u                                          # each step's emission gradient, at its bin
     d_emit = np.zeros((2, n, m))
     np.add.at(d_emit, (_CHAINS, slice(None), obs.bins.T), mass)  # [c, :, bins[c, t]] += [t, c]
@@ -151,7 +152,7 @@ def reestimate(params: ChmmParams, grads: GradientSet) -> ChmmParams:
     normalizer vanishes (the likelihood does not depend on them) keep
     their previous values, the unique continuous completion.
     """
-    return _simplex_normalize(params._buf * grads._buf, params._buf, *params._dims, vars(params).get("_verdict") == ())
+    return _simplex_normalize(params._buf * grads._buf, *params._dims, keep=params)
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,6 @@ def fit(params0: ChmmParams, obs: ObservationSequence, cfg: FitConfig = FitConfi
     params = params0
     forward = _checked_forward(params, obs, scale=True)  # (trellis, bt, w)
     trace = [forward[0].log_joint]
-    sweeps_run = 0
     for _ in range(cfg.sweeps):
         # The reverse sweep runs only for a state about to be re-estimated,
         # so the last accepted candidate never pays for one.
@@ -205,5 +205,4 @@ def fit(params0: ChmmParams, obs: ObservationSequence, cfg: FitConfig = FitConfi
             break
         params, forward = cand, cand_forward
         trace.append(log_joint)
-        sweeps_run += 1
-    return FitResult(params=params, log_likelihoods=trace, sweeps_run=sweeps_run)
+    return FitResult(params=params, log_likelihoods=trace, sweeps_run=len(trace) - 1)

@@ -332,6 +332,30 @@ def test_fit_log_round_trip(tmp_path):
     assert data_io.load_fit_log(path) == records
 
 
+@pytest.mark.parametrize("fields, detail", [
+    ('"sweeps_run": 5, "trace": [1.0]', "trace must be a list of sweeps_run + 1 = 6 numbers, got [1.0]"),
+    ('"sweeps_run": -2, "trace": []', "sweeps_run must be a non-negative integer, got -2"),
+    ('"sweeps_run": 1.7, "trace": [1.0, 2.0]', "sweeps_run must be a non-negative integer, got 1.7"),
+    ('"sweeps_run": 1.0, "trace": [1.0, 2.0]', "sweeps_run must be a non-negative integer, got 1.0"),
+    ('"sweeps_run": true, "trace": [1.0, 2.0]', "sweeps_run must be a non-negative integer, got True"),
+    ('"sweeps_run": "1", "trace": [1.0, 2.0]', "sweeps_run must be a non-negative integer, got '1'"),
+    ('"sweeps_run": 1, "trace": [1.0, true]', "trace must be a list of sweeps_run + 1 = 2 numbers, got [1.0, True]"),
+    ('"sweeps_run": 1, "trace": [1.0, "2.0"]', "trace must be a list of sweeps_run + 1 = 2 numbers, got [1.0, '2.0']"),
+    ('"sweeps_run": 0, "trace": {"0": 1.0}', "trace must be a list of sweeps_run + 1 = 1 numbers, got {'0': 1.0}"),
+    ('"sweeps_run": 0, "trace": [1' + "0" * 400 + "]", "int too large to convert to float"),
+    ('"sweeps_run": 0', "missing field 'trace'"),
+], ids=["short-trace", "negative", "fraction", "float", "bool", "string", "bool-value", "string-value", "object",
+        "huge-value", "no-trace"])
+def test_fit_log_refuses_records_no_fit_makes(tmp_path, fields, detail):
+    good = '{"window_end": "2013-01-01T00:00:00+00:00", "sweeps_run": 1, "trace": [-2, -1.5]}\n'
+    path = write(tmp_path, "fits.jsonl", good + '{"window_end": "2013-01-01T00:10:00+00:00", ' + fields + "}\n")
+    with pytest.raises(ValueError) as info:
+        data_io.load_fit_log(path)
+    assert str(info.value) == f"{path}: line 2: not a fit record: {detail}"
+    path.write_text(good, encoding="utf-8")  # integer trace values are numbers, read as floats
+    assert data_io.load_fit_log(path) == [FitRecord(window_end=T0, sweeps_run=1, trace=[-2.0, -1.5])]
+
+
 def test_comparison_round_trip(tmp_path):
     comparison = ComparisonResult(
         [T0, T0.replace(minute=10)], state_marginal=np.array([2, 0]), state_viterbi=np.array([4, 0]),
@@ -367,7 +391,7 @@ def test_comparison_round_trip(tmp_path):
     (data_io.load_comparison_csv, "timestamp,state_marginal,state_viterbi,value_marginal,value_viterbi\n"
      "2013-01-01T00:00:00+00:00,2,4,43.75\n", "line 2: expected 5 fields, got 4"),
     (data_io.load_stats_txt, "ret = 1.0\nvol = 2.0\n", "missing key 'ratio'"),
-    (data_io.load_fit_log, '{"window_end": "2013-01-01T00:00:00+00:00", "sweeps_run": 1, "trace": [-1.0]}\n'
+    (data_io.load_fit_log, '{"window_end": "2013-01-01T00:00:00+00:00", "sweeps_run": 0, "trace": [-1.0]}\n'
      "not json\n", "line 2: not a fit record"),
     (data_io.load_obs_csv, "o1,o2\n1,2\n3\n", "line 3: expected 2 fields, got 1"),
     (data_io.load_obs_csv, "o1,o2\n1,2\n\n0,-1\n", "line 4: negative observation bin -1"),
@@ -996,7 +1020,7 @@ def test_every_loader_reads_a_file_that_starts_with_a_bom(tmp_path):
     files["run.cfg"].write_text("# a comment\n" + data_io.config_to_text(BacktestConfig()), encoding="utf-8")
     save_params(cli._default_sim_params(3, 8, 1), files["params.txt"])
     data_io.write_stats_txt(files["stats.txt"], PerfStats(ret=1.5, vol=2.0, ratio=0.75, delta_ratio=None))
-    data_io.write_fit_log(files["fits.jsonl"], [FitRecord(window_end=T0, sweeps_run=2, trace=[-3.5, -3.25])])
+    data_io.write_fit_log(files["fits.jsonl"], [FitRecord(window_end=T0, sweeps_run=1, trace=[-3.5, -3.25])])
     data_io.write_trades_csv(files["trades.csv"], [trade])
     data_io.write_equity_csv(files["equity.csv"], EquityCurve(timestamps=stamps, values=np.array([1.0, 2.5])))
     data_io.write_diagnostics_csv(files["diagnostics.csv"], Diagnostics(stamps, signal_side=["long", "none"]))
@@ -1032,7 +1056,7 @@ def test_every_stamp_loader_reads_a_stamp_padded_with_spaces(tmp_path):
         ("comparison.csv", data_io.write_comparison_csv,
          ComparisonResult(stamps, np.array([1, 2]), np.array([1, 0]), np.array([0.5, 1.5]), np.array([0.5, 2.5])),
          data_io.load_comparison_csv),
-        ("fits.jsonl", data_io.write_fit_log, [FitRecord(window_end=T0, sweeps_run=2, trace=[-3.5, -3.25])],
+        ("fits.jsonl", data_io.write_fit_log, [FitRecord(window_end=T0, sweeps_run=1, trace=[-3.5, -3.25])],
          data_io.load_fit_log),
     ]
     for name, write_file, value, load in files:

@@ -13,7 +13,7 @@ from chmmtrade import (
     forward,
     uniform_params,
 )
-from chmmtrade import inference
+from chmmtrade import inference, oracle
 from conftest import random_obs, random_params, simplex_instances
 
 
@@ -361,15 +361,19 @@ def test_trellis_arrays_and_their_bases_are_read_only(rng, t_len):
 
 
 @pytest.mark.parametrize("t_len", [4, 700])
-def test_forward_alpha_is_in_c_order(rng, t_len):
-    # Every sum over alpha (the final mass, the gradient's einsums) reads
-    # one contiguous operand, whatever layout the recursion runs in.
+def test_trellises_are_views_of_their_step_major_buffers(rng, t_len):
+    # Each recursion writes a step-major (T, 2, N) buffer row by row and hands
+    # out its (2, T, N) transposed view; the gradient's sums read that buffer,
+    # C-contiguous, and neither the view nor the buffer takes a write.
     p = random_params(rng, 3, 4)
     obs = random_obs(rng, 4, t_len)
-    for scale in (False, True):
-        alpha = forward(p, obs, scale=scale).alpha
-        assert alpha.shape == (2, t_len, 3)
-        assert alpha.flags.c_contiguous
+    views = [forward(p, obs).alpha, forward(p, obs, scale=True).alpha, coupled_viterbi(p, obs).log_delta,
+             oracle.step_forward(p, obs).alpha, oracle.step_forward(p, obs, scale=True).alpha]
+    for view in views:
+        steps = view.base
+        assert view.shape == (2, t_len, 3) and not view.flags.writeable
+        assert steps.shape == (t_len, 2, 3) and steps.flags.c_contiguous and not steps.flags.writeable
+        assert_array_equal(steps.transpose(1, 0, 2), view)
 
 
 def _three_operand_forward(params, obs, scale):

@@ -16,6 +16,7 @@ from chmmtrade import (
     synthetic_ohlc,
     uniform_params,
 )
+from chmmtrade import inference, oracle, training
 from chmmtrade.cli import _default_sim_params
 from conftest import random_obs, random_params, simplex_instances
 
@@ -226,3 +227,24 @@ def test_synthetic_ohlc_is_valid_and_deterministic(rng):
     assert a1.open.tolist() == b1.open.tolist() and a1.close.tolist() == b1.close.tolist()
     for o, h, l, c in zip(a1.open, a1.high, a1.low, a1.close):
         assert l <= min(o, c) <= max(o, c) <= h
+
+
+@pytest.mark.parametrize("t_len", [1, 4, 65])
+@pytest.mark.parametrize("scale", [False, True])
+def test_step_adjoint_runs_no_forward_and_no_scan(rng, monkeypatch, t_len, scale):
+    # The adjoint reference builds its own emissions and operator: with the
+    # library's forward and scan made to raise, it still gives the library's bits.
+    params, obs = random_params(rng, 3, 4), random_obs(rng, 4, t_len)
+    trellis = oracle.step_forward(params, obs, scale)
+    want = training._adjoint_pass(params, obs, *inference._forward(params, obs, scale))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the adjoint reference ran a library pass")
+
+    for module in (inference, training, oracle):
+        for name in ("_forward", "_scan"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    got = oracle.step_adjoint(params, obs, trellis)
+    assert got._buf.tobytes() == want._buf.tobytes()  # one scan block: the scan is the step loop
+    assert got.log_scale == want.log_scale

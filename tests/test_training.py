@@ -509,3 +509,37 @@ def test_emission_gradient_scatter_equals_the_one_hot_contraction_over_long_sequ
     params = random_params(rng, 5, 8)
     got, want = _one_hot_d_emit(params, random_obs(rng, 8, t_len), scale=True)
     assert_array_equal(got, want)
+
+
+def _chain_major_gradient_buffer(params, obs, trellis, bt, w, u):
+    """The gradient buffer as ``_gradient_set`` formed it from a chain-major
+    (2, T, N) C-order copy of alpha, summing over its strided step axis."""
+    alpha = np.ascontiguousarray(trellis.alpha)
+    bu = bt * u
+    x = np.einsum("ati,tcj->acij", alpha[:, :-1], bu[1:])
+    mass = np.empty_like(u)
+    mass[0] = params.priors
+    np.einsum("aicj,ati->tcj", w, alpha[:, :-1], out=mass[1:])
+    mass *= u
+    d_emit = np.zeros((2, params.n_states, params.n_bins))
+    np.add.at(d_emit, (np.array([[0, 1]]), slice(None), obs.bins.T), mass)
+    d_coupling = np.einsum("acij,acij->ac", params.trans, x)
+    return np.concatenate((bu[0], params.coupling[:, :, None, None] * x, d_emit, d_coupling), axis=None)
+
+
+@given(instance=simplex_instances(max_len=200), scale=st.booleans())
+def test_step_major_gradient_sums_equal_the_chain_major_ones(instance, scale):
+    # Reading the forward's step buffer, not a chain-major copy, changes no
+    # bit of the gradient; zero likelihoods included, as the pass runs unchecked.
+    params, obs = instance
+    seen = []
+    gradient_set = training._gradient_set
+
+    def spy(*args):
+        seen.append(args)
+        return gradient_set(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_gradient_set", spy)
+        got = training._adjoint_pass(params, obs, *inference._forward(params, obs, scale))
+    assert got._buf.tobytes() == _chain_major_gradient_buffer(*seen[0]).tobytes()
