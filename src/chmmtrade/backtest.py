@@ -1,6 +1,14 @@
 """Bar loop in two passes: a model pass refits and forecasts at every
 decision bar, then a trading pass signals, fills and bracket-exits.
 
+The model pass walks the decision bars in blocks of ``_PHASE_WINDOWS``
+windows: the block's fits run serially in window order (each may start
+from the one before), then the block's Viterbi decodes, then one stacked
+readout (``strategy._readout``) fills every predictor's columns for the
+block.  A block holds a few hundred KB whatever the bar count.  The
+public readouts (``next_state_marginal`` and the rest) are that route
+for one window, so the columns equal theirs bit for bit.
+
 Decisions happen at bar closes using only data up to that close; entries
 fill at the next bar's open; exits fill at frozen stop/target levels
 derived from the ATR at signal time.  Only the first instrument is
@@ -22,14 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .indicators import CCI_DISCRETIZER, RSI_DISCRETIZER, Discretizer, OhlcSeries, atr, cci, discretize, rsi
 from .inference import coupled_viterbi, forward
 from .model import ChmmParams, ObservationSequence, _check_seed, _real, _size, jittered_params
-from .strategy import (
-    _check_fidelity,
-    allocation_fraction,
-    crossing_side,
-    next_state_marginal,
-    next_state_viterbi,
-    predict_observation,
-)
+from .strategy import _check_fidelity, _readout, crossing_side
 from .training import FitConfig, fit
 
 __all__ = [
@@ -176,11 +177,27 @@ class Diagnostics:
         return len(self.timestamps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitRecord:
+    """One window's fit, as ``fit`` makes it: a non-negative integer
+    ``sweeps_run`` and a trace of one number per accepted state, its start
+    and each sweep, so ``sweeps_run + 1`` of them.  Construction refuses
+    anything else (a bool is not an integer here) and keeps the trace as
+    floats; the record is frozen, so the fit log holds only such records."""
+
     window_end: datetime
     sweeps_run: int
     trace: list[float]
+
+    def __post_init__(self):
+        sweeps, trace = self.sweeps_run, self.trace
+        if isinstance(sweeps, bool) or not isinstance(sweeps, int) or sweeps < 0:
+            raise ValueError(f"sweeps_run must be a non-negative integer, got {sweeps!r}")
+        if type(trace) is not list or len(trace) != sweeps + 1 or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in trace
+        ):
+            raise ValueError(f"trace must be a list of sweeps_run + 1 = {sweeps + 1} numbers, got {trace!r}")
+        object.__setattr__(self, "trace", [float(v) for v in trace])  # OverflowError: an int past float's range
 
 
 @dataclass(eq=False)
@@ -280,6 +297,13 @@ def _init_params(cfg: BacktestConfig, t: int) -> ChmmParams:
     return jittered_params(cfg.n_states, cfg.n_bins, seed=(cfg.seed, t, 101))
 
 
+# Decision windows per block of the model pass.  A block holds each of its
+# windows' observations and fitted parameters plus their stacked copy for
+# the readout: about 4.4 KB a window at N = 5, M = 8, so under 300 KB a
+# block whatever the number of bars.
+_PHASE_WINDOWS = 64
+
+
 def _model_pass(cfg: BacktestConfig, stamps, ind1, ind2, t0: int, predictors, prev_params=None):
     """Refit once per decision bar and read each named predictor off the fit.
 
@@ -289,6 +313,12 @@ def _model_pass(cfg: BacktestConfig, stamps, ind1, ind2, t0: int, predictors, pr
     previous fit (``prev_params`` for the first window) unless those
     parameters give the window zero likelihood; otherwise from seeded
     jittered parameters.  ``stamps`` are the decision bars' timestamps.
+
+    The windows are walked in blocks of ``_PHASE_WINDOWS``: the block's
+    fits in window order, then, for the "viterbi" predictor, its decodes,
+    then one stacked readout (``strategy._readout``) of every predictor.
+    Only the order of the calls differs from a window-by-window pass, so
+    the results are the same bit for bit.
 
     Returns the fit records and, per predictor, the Diagnostics columns
     of both chains' next states, both forecasts and the traded chain's
@@ -300,24 +330,28 @@ def _model_pass(cfg: BacktestConfig, stamps, ind1, ind2, t0: int, predictors, pr
     fit_records: list[FitRecord] = []
     kinds = (float, int, float, float, int)  # the model columns' dtypes
     readouts = {p: Diagnostics(stamps, *(np.empty(len(stamps), dtype=kind) for kind in kinds)) for p in predictors}
-    for i, t in enumerate(range(t0, len(ind1))):
-        obs = ObservationSequence(bins[:, i: i + cfg.lookback])
-        params0 = prev_params if cfg.fit.warm_start and prev_params is not None else _init_params(cfg, t)
-        if not math.isfinite(forward(params0, obs, scale=True).log_joint):
-            # Warm-started parameters zeroed a bin this window observes.
-            params0 = _init_params(cfg, t)
-        result = fit(params0, obs, cfg.fit)
-        params = prev_params = result.params
-        fit_records.append(FitRecord(window_end=stamps[i], sweeps_run=result.sweeps_run, trace=result.log_likelihoods))
-        for predictor, cols in readouts.items():
-            if predictor == "viterbi":
-                psi = next_state_viterbi(params, coupled_viterbi(params, obs), cfg.fidelity)
-            else:
-                psi = next_state_marginal(params, cfg.fidelity)
-            cols.predicted_state[i], cols.predicted_state2[i] = psi
-            cols.predicted_value[i] = predict_observation(params, psi[0], 0, disc)
-            cols.predicted_value2[i] = predict_observation(params, psi[1], 1, disc)
-            cols.transition_prob[i] = allocation_fraction(params, psi[0], 0, cfg.fidelity)
+    for lo in range(0, len(stamps), _PHASE_WINDOWS):
+        hi = min(lo + _PHASE_WINDOWS, len(stamps))
+        block = range(lo, hi)
+        windows = [ObservationSequence(bins[:, i: i + cfg.lookback]) for i in block]
+        fitted = []
+        for i, obs in zip(block, windows):
+            t = t0 + i
+            params0 = prev_params if cfg.fit.warm_start and prev_params is not None else _init_params(cfg, t)
+            if not math.isfinite(forward(params0, obs, scale=True).log_joint):
+                # Warm-started parameters zeroed a bin this window observes.
+                params0 = _init_params(cfg, t)
+            result = fit(params0, obs, cfg.fit)
+            fitted.append(prev_params := result.params)
+            fit_records.append(FitRecord(window_end=stamps[i], sweeps_run=result.sweeps_run, trace=result.log_likelihoods))
+        tails = None
+        if "viterbi" in readouts:
+            tails = np.array([coupled_viterbi(params, obs).paths[:, -1] for params, obs in zip(fitted, windows)])
+        for predictor, (states, values, fractions) in _readout(fitted, cfg.fidelity, disc, predictors, tails).items():
+            cols = readouts[predictor]
+            cols.predicted_state[lo:hi], cols.predicted_state2[lo:hi] = states.T
+            cols.predicted_value[lo:hi], cols.predicted_value2[lo:hi] = values.T
+            cols.transition_prob[lo:hi] = fractions
     return fit_records, readouts
 
 

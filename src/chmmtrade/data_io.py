@@ -512,22 +512,17 @@ def load_obs_csv(path) -> ObservationSequence:
 
 
 def write_fit_log(path, records) -> None:
-    """Per-fit diagnostics as line-delimited JSON."""
+    """Per-fit diagnostics as line-delimited JSON, one ``FitRecord`` a line."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps({
-                "window_end": rec.window_end.isoformat(),
-                "sweeps_run": int(rec.sweeps_run),
-                "trace": [float(v) for v in rec.trace],
+                "window_end": rec.window_end.isoformat(), "sweeps_run": rec.sweeps_run, "trace": rec.trace,
             }) + "\n")
 
 
 def load_fit_log(path) -> list[FitRecord]:
-    """Read a fit log; a line that is not a fit record names the path and line.
-
-    A fit record, as ``fit`` makes it, has a non-negative integer
-    ``sweeps_run`` and a trace of one number per accepted state, its start
-    and each sweep: ``sweeps_run + 1`` of them."""
+    """Read a fit log; a line that is not a fit record (see ``FitRecord``)
+    names the path and line."""
     records = []
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -536,12 +531,8 @@ def load_fit_log(path) -> list[FitRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                window_end, sweeps, trace = _parse_timestamp(obj["window_end"]), obj["sweeps_run"], obj["trace"]
-                if type(sweeps) is not int or sweeps < 0:  # a JSON integer: not a bool, not a float
-                    raise ValueError(f"sweeps_run must be a non-negative integer, got {sweeps!r}")
-                if type(trace) is not list or len(trace) != sweeps + 1 or {type(v) for v in trace} - {int, float}:
-                    raise ValueError(f"trace must be a list of sweeps_run + 1 = {sweeps + 1} numbers, got {trace!r}")
-                records.append(FitRecord(window_end=window_end, sweeps_run=sweeps, trace=[float(v) for v in trace]))
+                window_end = _parse_timestamp(obj["window_end"])
+                records.append(FitRecord(window_end=window_end, sweeps_run=obj["sweeps_run"], trace=obj["trace"]))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float's range
                 detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise ValueError(f"{path}: line {lineno}: not a fit record: {detail}") from None

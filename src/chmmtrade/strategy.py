@@ -6,15 +6,21 @@ Viterbi predictor conditions the same blend on the decoded tail states.
 The printed source for the second chain's self term is ambiguous, so
 both a symmetric ("corrected", default) and a literal variant ship
 behind the ``fidelity`` switch.
+
+The readouts run on a stack of K windows' parameters at once
+(``_readout``, which the backtest calls once per block of windows); the
+public readouts are that route for one window.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
 from .indicators import Discretizer, bin_value
 from .inference import ViterbiTrellis
-from .model import ChmmParams
+from .model import ChmmParams, _layout
 
 __all__ = [
     "next_state_marginal",
@@ -41,25 +47,77 @@ def _check_fidelity(fidelity: str) -> None:
         raise ValueError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
 
 
-def _source_matrices(params: ChmmParams, chain: int, fidelity: str):
-    """Self and cross transition matrices with their coupling weights.
+def _stack(params: Sequence[ChmmParams]) -> list[np.ndarray]:
+    """The transitions (K, 2, 2, N, N), emissions (K, 2, N, M) and coupling
+    (K, 2, 2) of K parameter sets of one model size, as views of their
+    buffers stacked into one (K, P) array."""
+    buf = np.stack([p._buf for p in params])
+    return [buf[:, part].reshape(-1, *shape) for part, shape in _layout(*params[0]._dims).parts[1:]]
+
+
+def _scores(trans: np.ndarray, coupling: np.ndarray, fidelity: str, tails: np.ndarray | None = None) -> np.ndarray:
+    """(K, 2, N) score of each chain's target states in K windows: the
+    coupling-weighted blend of the two transition matrices feeding the
+    chain, taken as column sums (``tails`` None) or as the rows that the
+    (K, 2) decoded tail states select.
 
     For chain 0 the self term is trans[0, 0] weighted by coupling[0, 0]
     and the cross term trans[1, 0] weighted by coupling[1, 0].  For chain
     1 the corrected variant mirrors that with trans[1, 1] / trans[0, 1];
-    the literal variant keeps trans[0, 0] as the printed self matrix.
+    the literal variant keeps trans[0, 0] as the printed self matrix.  The
+    self matrix's row is indexed by the chain's own tail state, the cross
+    matrix's row by the other chain's.
     """
-    theta = params.coupling
-    if chain == 0:
-        return (theta[0, 0], params.trans[0, 0]), (theta[1, 0], params.trans[1, 0])
-    self_mat = params.trans[0, 0] if fidelity == "literal" else params.trans[1, 1]
-    return (theta[1, 1], self_mat), (theta[0, 1], params.trans[0, 1])
+    # A column sum adds the source rows in order whatever K is, so each
+    # stacked row keeps the bits of the one-window route.
+    scores = np.empty((len(trans), 2, trans.shape[-1]))
+    rows = np.arange(len(trans))
+    for chain in range(2):
+        m_self = trans[:, 0, 0] if fidelity == "literal" else trans[:, chain, chain]
+        m_cross = trans[:, 1 - chain, chain]
+        if tails is None:
+            m_self, m_cross = m_self.sum(axis=1), m_cross.sum(axis=1)
+        else:
+            m_self, m_cross = m_self[rows, tails[:, chain]], m_cross[rows, tails[:, 1 - chain]]
+        w_self, w_cross = coupling[:, chain, chain, None], coupling[:, 1 - chain, chain, None]
+        np.add(w_self * m_self, w_cross * m_cross, out=scores[:, chain])
+    return scores
 
 
-def _marginal_scores(params: ChmmParams, chain: int, fidelity: str) -> np.ndarray:
-    """Coupling-weighted blend of the column sums of the matrices feeding ``chain``."""
-    (w_self, m_self), (w_cross, m_cross) = _source_matrices(params, chain, fidelity)
-    return w_self * m_self.sum(axis=0) + w_cross * m_cross.sum(axis=0)
+def _midpoints(rows: np.ndarray, d: Discretizer) -> np.ndarray:
+    """Midpoint of the most probable bin of each emission row (..., M),
+    lowest bin on ties; a bin past ``d``'s raises the IndexError of
+    ``bin_value`` for the first such row."""
+    bins = rows.argmax(axis=-1)
+    past = bins[bins >= d.m]
+    if past.size:
+        bin_value(d, int(past[0]))  # raises
+    return np.array([bin_value(d, k) for k in range(bins.max() + 1)], dtype=float)[bins]
+
+
+def _fractions(marginal: np.ndarray, states) -> np.ndarray:
+    """Each window's (K, N) marginal score of its state, over the scores' sum."""
+    return marginal[np.arange(len(marginal)), states] / marginal.sum(axis=1)
+
+
+def _readout(
+    params: Sequence[ChmmParams], fidelity: str, d: Discretizer, predictors, tails: np.ndarray | None = None
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each named predictor's readout of K fitted windows in one pass: both
+    chains' next states (K, 2), both forecasts (K, 2) and the traded
+    chain's allocation fraction (K,).  ``tails`` holds the (K, 2) decoded
+    tail states that the "viterbi" predictor conditions on.  Row k is bit
+    for bit what the one-window public calls give for window k, which are
+    this route at K = 1."""
+    trans, emit, coupling = _stack(params)
+    marginal = _scores(trans, coupling, fidelity)
+    rows = np.arange(len(params))[:, None]
+    out = {}
+    for predictor in predictors:
+        scores = marginal if predictor == "marginal" else _scores(trans, coupling, fidelity, tails)
+        states = scores.argmax(axis=-1)
+        out[predictor] = states, _midpoints(emit[rows, (0, 1), states], d), _fractions(marginal[:, 0], states[:, 0])
+    return out
 
 
 def next_state_marginal(params: ChmmParams, fidelity: str = "corrected") -> tuple[int, int]:
@@ -71,7 +129,8 @@ def next_state_marginal(params: ChmmParams, fidelity: str = "corrected") -> tupl
     wins, lowest index on ties.
     """
     _check_fidelity(fidelity)
-    return tuple(int(_marginal_scores(params, chain, fidelity).argmax()) for chain in range(2))
+    trans, _, coupling = _stack((params,))
+    return tuple(_scores(trans, coupling, fidelity)[0].argmax(axis=-1).tolist())
 
 
 def next_state_viterbi(
@@ -85,13 +144,8 @@ def next_state_viterbi(
     cross matrix's row by the other chain's.
     """
     _check_fidelity(fidelity)
-    phi = vt.paths[:, -1].tolist()
-    out = []
-    for chain in range(2):
-        (w_self, m_self), (w_cross, m_cross) = _source_matrices(params, chain, fidelity)
-        scores = w_self * m_self[phi[chain]] + w_cross * m_cross[phi[1 - chain]]
-        out.append(int(scores.argmax()))
-    return out[0], out[1]
+    trans, _, coupling = _stack((params,))
+    return tuple(_scores(trans, coupling, fidelity, vt.paths[None, :, -1])[0].argmax(axis=-1).tolist())
 
 
 def predict_observation(params: ChmmParams, psi: int, chain: int, d: Discretizer) -> float:
@@ -100,8 +154,7 @@ def predict_observation(params: ChmmParams, psi: int, chain: int, d: Discretizer
         raise IndexError(f"state {psi} out of range")
     if chain not in (0, 1):
         raise IndexError(f"chain must be 0 or 1, got {chain}")
-    k = int(params.emit[chain, psi].argmax())
-    return bin_value(d, k)
+    return float(_midpoints(params.emit[chain, psi], d))
 
 
 def allocation_fraction(params: ChmmParams, psi: int, chain: int, fidelity: str = "corrected") -> float:
@@ -115,8 +168,9 @@ def allocation_fraction(params: ChmmParams, psi: int, chain: int, fidelity: str 
     _check_fidelity(fidelity)
     if not 0 <= psi < params.n_states:
         raise IndexError(f"state {psi} out of range")
-    per_target = _marginal_scores(params, chain, fidelity)
-    return float(per_target[psi] / per_target.sum())
+    trans, _, coupling = _stack((params,))
+    marginal = _scores(trans, coupling, fidelity)[:, 0 if chain == 0 else 1]  # any other chain reads chain 1
+    return float(_fractions(marginal, [psi])[0])
 
 
 def _crossed_over(prev: float, curr: float, level: float) -> bool:

@@ -6,6 +6,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from chmmtrade import ChmmParams, ObservationSequence, OhlcSeries
+from chmmtrade.model import _family_shapes
 
 T0 = datetime(2013, 1, 1, tzinfo=timezone.utc)
 
@@ -27,6 +28,18 @@ def random_params(rng, n, m, low=0.2):
         emit=rows((2, n, m), 2),
         coupling=rows((2, 2), 0),
     )
+
+
+def sparse_params(rng, n, m, zeros):
+    """Parameters of N states and M bins, each entry 0 with probability
+    ``zeros`` and an all-zero simplex uniform."""
+
+    def rows(shape, axis):
+        raw = rng.uniform(0.0, 1.0, size=shape) * (rng.random(shape) >= zeros)
+        raw[(raw.sum(axis=axis, keepdims=True) == 0).repeat(shape[axis], axis=axis)] = 1.0
+        return raw / raw.sum(axis=axis, keepdims=True)
+
+    return ChmmParams(*[rows(shape, axis) for shape, axis in zip(_family_shapes(n, m), (1, 3, 2, 0))])
 
 
 def family_bytes(params):

@@ -275,7 +275,13 @@ def test_a_signal_on_a_zero_atr_bar_places_no_order(monkeypatch):
 
 @pytest.mark.parametrize("fraction, trades", [(0.0, 0), (0.5, 1)])
 def test_a_zero_allocation_fraction_opens_no_trade(monkeypatch, fraction, trades):
-    monkeypatch.setattr(backtest, "allocation_fraction", lambda *args: fraction)
+    readout = backtest._readout
+
+    def fraction_stub(*args):  # the stacked readout, with every allocation fraction set to ``fraction``
+        return {p: (states, values, np.full_like(fractions, fraction))
+                for p, (states, values, fractions) in readout(*args).items()}
+
+    monkeypatch.setattr(backtest, "_readout", fraction_stub)
     res = run_with_one_signal(
         monkeypatch, "long", flat_bars(), predictor="marginal", dynamic_allocation=True, lookback=2, n_states=2
     )
@@ -293,6 +299,33 @@ def test_backtest_is_bit_reproducible():
     for ta, tb in zip(a.trades, b.trades):
         assert (ta.entry_time, ta.entry_price, ta.pnl) == (tb.entry_time, tb.entry_price, tb.pnl)
     assert_array_equal(a.diagnostics.predicted_state, b.diagnostics.predicted_state)
+
+
+MODEL_COLUMNS = ("predicted_value", "predicted_state", "transition_prob", "predicted_value2", "predicted_state2")
+
+
+@pytest.mark.parametrize("system", ["rsi", "cci"])
+@pytest.mark.parametrize("warm_start", [True, False])
+def test_the_model_pass_is_the_same_in_blocks_of_any_size(monkeypatch, system, warm_start):
+    # Blocks only reorder calls: the fits stay in window order, then each
+    # block's decodes and readout follow, so no block size moves a bit.
+    bars1, bars2 = synthetic_ohlc(_default_sim_params(4, 8, seed=2), 170, seed=5)
+    cfg = BacktestConfig(system=system, seed=4, fit=FitConfig(warm_start=warm_start))
+    ind1, ind2, _, t0 = backtest._decision_inputs(cfg, bars1, bars2, modeled=True)
+    stamps = bars1.timestamps[t0:]
+    assert len(stamps) > 2 * 64 and len(stamps) % 64
+
+    def model_pass(windows_per_block):
+        monkeypatch.setattr(backtest, "_PHASE_WINDOWS", windows_per_block)
+        records, readouts = backtest._model_pass(cfg, stamps, ind1, ind2, t0, ("marginal", "viterbi"))
+        return (
+            [(r.window_end, r.sweeps_run, [v.hex() for v in r.trace]) for r in records],
+            {p: [getattr(cols, name).tobytes() for name in MODEL_COLUMNS] for p, cols in readouts.items()},
+        )
+
+    window_by_window = model_pass(1)
+    for windows_per_block in (2, 63, 64, 65, len(stamps) + 1):
+        assert model_pass(windows_per_block) == window_by_window
 
 
 def scramble_after(bars, cutoff_index, seed=99):

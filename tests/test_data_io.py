@@ -356,6 +356,26 @@ def test_fit_log_refuses_records_no_fit_makes(tmp_path, fields, detail):
     assert data_io.load_fit_log(path) == [FitRecord(window_end=T0, sweeps_run=1, trace=[-2.0, -1.5])]
 
 
+@pytest.mark.parametrize("sweeps, trace, detail", [
+    (2, [-3.5, -3.25], "trace must be a list of sweeps_run + 1 = 3 numbers, got [-3.5, -3.25]"),
+    (True, [-3.5, -3.25], "sweeps_run must be a non-negative integer, got True"),
+], ids=["short-trace", "bool-sweeps"])
+def test_a_fit_record_the_loader_would_refuse_is_never_built(tmp_path, sweeps, trace, detail):
+    # The rule lives in FitRecord, so the writer cannot write a record the
+    # loader refuses, and a built record cannot be changed into one.
+    with pytest.raises(ValueError) as info:
+        FitRecord(window_end=T0, sweeps_run=sweeps, trace=trace)
+    assert str(info.value) == detail
+    record = FitRecord(window_end=T0, sweeps_run=1, trace=[-3, -3.25])
+    assert record.trace == [-3.0, -3.25] and type(record.trace[0]) is float
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.sweeps_run = sweeps
+    path = tmp_path / "fits.jsonl"
+    data_io.write_fit_log(path, [record])
+    assert path.read_text(encoding="utf-8") == '{"window_end": "2013-01-01T00:00:00+00:00", "sweeps_run": 1, "trace": [-3.0, -3.25]}\n'
+    assert data_io.load_fit_log(path) == [record]
+
+
 def test_comparison_round_trip(tmp_path):
     comparison = ComparisonResult(
         [T0, T0.replace(minute=10)], state_marginal=np.array([2, 0]), state_viterbi=np.array([4, 0]),

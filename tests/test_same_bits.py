@@ -1,6 +1,7 @@
 """The case list and the report of ``tools/same_bits.py``, from hand-made
 digests; no revision is exported and no side is run here."""
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -12,18 +13,26 @@ finally:
     sys.path.remove(_TOOLS)
 
 
-def test_the_case_list_is_the_grid_and_two_long_cases():
+def test_the_case_list_is_the_grid_two_long_cases_and_the_run_cases():
     cases = same_bits.cases()
     names = [case[0] for case in cases]
-    assert len(names) == len(set(names)) == 6 * 3 * 10 * 3 + 2
-    grid = {(n, m, t, start) for _, n, m, t, start, _ in cases[:-2]}
-    assert {n for n, *_ in grid} == {1, 2, 3, 5, 8, 20} and {m for _, m, *_ in grid} == {1, 3, 8}
-    assert {t for _, _, t, _ in grid} == {1, 2, 3, 4, 7, 40, 65, 66, 130, 2000}
-    assert {start for *_, start in grid} == {"jittered", "uniform", "zero-heavy"}
-    assert all(parts == ("forward", "scaled forward", "gradient", "scaled gradient", "fit", "viterbi")
-               for *_, parts in cases[:-2])
-    assert [case[1:] for case in cases[-2:]] == [(5, 8, 50_000, "jittered", ("scaled forward",)),
-                                                  (5, 8, 50_000, "jittered", ("viterbi",))]
+    assert len(names) == len(set(names)) == 6 * 3 * 10 * 3 + 2 + 6
+    grid, long, runs = cases[:-8], cases[-8:-6], cases[-6:]
+    assert {(n, m) for _, n, m, *_ in grid} == set(itertools.product((1, 2, 3, 5, 8, 20), (1, 3, 8)))
+    assert {t for _, _, _, t, *_ in grid} == {1, 2, 3, 4, 7, 40, 65, 66, 130, 2000}
+    assert {start for *_, start, _ in grid} == {"jittered", "uniform", "zero-heavy"}
+    assert all(parts == ("forward", "scaled forward", "gradient", "scaled gradient", "fit", "viterbi", "readout")
+               for *_, parts in grid)
+    assert [case[1:] for case in long] == [(5, 8, 50_000, "jittered", ("scaled forward",)),
+                                           (5, 8, 50_000, "jittered", ("viterbi",))]
+    # At most eight runs on a 400-bar market, varying every knob the model pass reads.
+    assert {(n, m) for _, n, m, *_ in runs} == {(5, 8), (3, 20)} and {t for _, _, _, t, *_ in runs} == {400}
+    fields = [dict(start) for *_, start, _ in runs]
+    assert {f["system"] for f in fields} == {"rsi", "cci"} and {f["lookback"] for f in fields} == {4, 10}
+    assert {f.get("predictor") for f in fields} >= {"marginal", "viterbi"}
+    assert {f.get("fidelity", "corrected") for f in fields} == {"corrected", "literal"}
+    assert {f.get("warm_start", True) for f in fields} == {True, False}
+    assert {parts for *_, parts in runs} == {("backtest",), ("compare",)}
     assert same_bits.cases() == cases  # a fixed order
 
 

@@ -11,6 +11,7 @@ from chmmtrade import (
     allocation_fraction,
     coupled_viterbi,
     crossing_side,
+    jittered_params,
     next_state_marginal,
     next_state_viterbi,
     predict_observation,
@@ -18,7 +19,8 @@ from chmmtrade import (
 )
 from chmmtrade.backtest import _trigger_means
 from chmmtrade.oracle import signal_side
-from conftest import random_obs, random_params
+from chmmtrade.strategy import FIDELITIES, _readout
+from conftest import random_obs, random_params, sparse_params
 
 
 def marginal_oracle(params, fidelity="corrected"):
@@ -188,6 +190,38 @@ def test_allocation_matches_triple_sum_and_normalizes(rng):
                 assert 0.0 <= x <= 1.0
                 total += x
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def readout_stacks(draw):
+    """K in 1..20 windows of N in 1..6 states and M in 1..8 bins, each
+    with its own jittered, uniform (all ties) or zero-heavy parameters
+    (each entry 0 with probability 0.6) and a decode of 1 to 6 steps."""
+    n, m, k = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    params = []
+    for start in draw(st.lists(st.sampled_from(["jittered", "uniform", "zero-heavy"]), min_size=k, max_size=k)):
+        if start == "jittered":
+            params.append(jittered_params(n, m, seed=int(rng.integers(2**32))))
+        else:
+            params.append(uniform_params(n, m) if start == "uniform" else sparse_params(rng, n, m, 0.6))
+    trellises = [coupled_viterbi(p, random_obs(rng, m, int(rng.integers(1, 7)))) for p in params]
+    return params, trellises, draw(st.sampled_from(FIDELITIES))
+
+
+@given(case=readout_stacks())
+def test_row_k_of_a_stacked_readout_is_the_one_window_call_bit_for_bit(case):
+    params, trellises, fidelity = case
+    d = Discretizer(-140.0, 140.0, params[0].n_bins)
+    tails = np.array([vt.paths[:, -1] for vt in trellises])
+    stacked = _readout(params, fidelity, d, ("marginal", "viterbi"), tails)
+    for k, (p, vt) in enumerate(zip(params, trellises)):
+        for predictor, psi in (("marginal", next_state_marginal(p, fidelity)),
+                               ("viterbi", next_state_viterbi(p, vt, fidelity))):
+            states, values, fractions = (col[k] for col in stacked[predictor])
+            assert tuple(states.tolist()) == psi
+            assert values.tobytes() == np.array([predict_observation(p, psi[c], c, d) for c in (0, 1)]).tobytes()
+            assert fractions.tobytes() == np.float64(allocation_fraction(p, psi[0], 0, fidelity)).tobytes()
 
 
 def test_rsi_signal_crosses():

@@ -26,7 +26,7 @@ from chmmtrade import (
 from chmmtrade import inference, training
 from chmmtrade.model import _family_shapes
 from chmmtrade.oracle import reestimate_by_family, step_adjoint, step_forward
-from conftest import family_bytes, random_obs, random_params, simplex_instances
+from conftest import family_bytes, random_obs, random_params, simplex_instances, sparse_params
 
 FAMILIES = ("priors", "trans", "emit", "coupling")
 
@@ -231,18 +231,6 @@ def test_reestimate_equals_the_per_family_update(instance, data):
     for g in grads:
         assert family_bytes(reestimate(p, g)) == family_bytes(reestimate_by_family(p, g))
     assert family_bytes(reestimate(p, grads[1])) == family_bytes(p)
-
-
-def sparse_params(rng, n, m, zeros):
-    """Parameters of N states and M bins, each entry 0 with probability
-    ``zeros`` and an all-zero simplex uniform."""
-
-    def rows(shape, axis):
-        raw = rng.uniform(0.0, 1.0, size=shape) * (rng.random(shape) >= zeros)
-        raw[(raw.sum(axis=axis, keepdims=True) == 0).repeat(shape[axis], axis=axis)] = 1.0
-        return raw / raw.sum(axis=axis, keepdims=True)
-
-    return ChmmParams(*[rows(shape, axis) for shape, axis in zip(_family_shapes(n, m), (1, 3, 2, 0))])
 
 
 @st.composite

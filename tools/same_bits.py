@@ -1,4 +1,4 @@
-"""Bit-for-bit comparison of the model core: a base revision against the working tree.
+"""Bit-for-bit comparison of the model core and the model pass: a base revision against the working tree.
 
     python tools/same_bits.py --base HEAD
 
@@ -6,7 +6,9 @@ The base revision is exported with ``git archive`` into a temporary
 directory, as ``tools/ab_pairs.py`` does.  Each side runs one fixed,
 seeded case set (``cases``) in its own subprocess, with
 ``PYTHONPATH=<side>/src``, and hashes every case's outputs through the
-public API alone (``digest``).  The report names the cases whose sha256
+public API alone (``digest``): the model core and the readouts on a
+grid of model sizes and windows, two long cases, and backtests and
+comparisons on a seeded market.  The report names the cases whose sha256
 differs; the exit status is 1 on any difference or when a side fails to
 run.  Standard library plus numpy.
 """
@@ -34,16 +36,35 @@ STARTS = ("jittered", "uniform", "zero-heavy")
 LONG = 50_000  # steps of the two long N=5 cases: a scaled forward and a decode
 
 
-PARTS = ("forward", "scaled forward", "gradient", "scaled gradient", "fit", "viterbi")  # what a grid case hashes
+# What a grid case hashes.
+PARTS = ("forward", "scaled forward", "gradient", "scaled gradient", "fit", "viterbi", "readout")
+BARS = 400  # bars of the seeded market the run cases trade
+# Run cases: (name, (N, M), BacktestConfig fields); "compare" in a name runs compare_predictors, else run_backtest.
+RUNS = (
+    ("rsi-viterbi-warm-L4-N5M8", (5, 8), dict(system="rsi", predictor="viterbi", lookback=4)),
+    ("rsi-marginal-literal-cold-L10-N3M20", (3, 20),
+     dict(system="rsi", predictor="marginal", fidelity="literal", lookback=10, warm_start=False)),
+    ("cci-marginal-dynamic-warm-L10-N5M8", (5, 8),
+     dict(system="cci", predictor="marginal", lookback=10, dynamic_allocation=True)),
+    ("cci-viterbi-literal-dynamic-cold-L4-N3M20", (3, 20),
+     dict(system="cci", predictor="viterbi", fidelity="literal", lookback=4, dynamic_allocation=True, warm_start=False)),
+    ("rsi-compare-literal-warm-L10-N3M20", (3, 20), dict(system="rsi", fidelity="literal", lookback=10)),
+    ("cci-compare-cold-L4-N5M8", (5, 8), dict(system="cci", lookback=4, warm_start=False)),
+)
 
 
 def cases() -> list[tuple]:
     """Every case as (name, N, M, T, start, parts), in a fixed order: the grid,
-    then the two long cases.  ``parts`` names the outputs a case hashes."""
+    the two long cases, then the run cases, whose T is the market's bars and
+    whose ``start`` holds their config fields.  ``parts`` names the outputs a
+    case hashes."""
     grid = [(f"N{n}-M{m}-T{t}-{start}", n, m, t, start, PARTS)
             for n, m, t, start in product(STATES, BINS, LENGTHS, STARTS)]
-    return grid + [(f"N5-M8-T{LONG}-jittered-forward", 5, 8, LONG, "jittered", ("scaled forward",)),
-                   (f"N5-M8-T{LONG}-jittered-decode", 5, 8, LONG, "jittered", ("viterbi",))]
+    long = [(f"N5-M8-T{LONG}-jittered-forward", 5, 8, LONG, "jittered", ("scaled forward",)),
+            (f"N5-M8-T{LONG}-jittered-decode", 5, 8, LONG, "jittered", ("viterbi",))]
+    runs = [(name, n, m, BARS, tuple(fields.items()), ("compare" if "compare" in name else "backtest",))
+            for name, (n, m), fields in RUNS]
+    return grid + long + runs
 
 
 def _start(chmm, rng, n, m, start):
@@ -63,6 +84,38 @@ def _start(chmm, rng, n, m, start):
                            coupling=rows((2, 2), 0))
 
 
+def _run(chmm, n, m, bars, fields, compare):
+    """A run case's outputs: a backtest's diagnostics columns, fit records,
+    trades and equity, or a comparison's columns, on a seeded market."""
+    fields = dict(fields)
+    fit = chmm.FitConfig(warm_start=fields.pop("warm_start", True))
+    cfg = chmm.BacktestConfig(n_states=n, n_bins=m, seed=7, fit=fit, **fields)
+    bars1, bars2 = chmm.synthetic_ohlc(chmm.jittered_params(n, m, seed=11), bars, seed=13)
+    if compare:
+        c = chmm.compare_predictors(cfg, bars1, bars2)
+        return c.timestamps, c.state_marginal, c.state_viterbi, c.value_marginal, c.value_viterbi
+    r = chmm.run_backtest(cfg, bars1, bars2)
+    d = r.diagnostics
+    records = [(rec.window_end, rec.sweeps_run, [v.hex() for v in rec.trace]) for rec in r.fit_records]
+    trades = [tuple(vars(tr).values()) for tr in r.trades]
+    return (d.timestamps, d.predicted_value, d.predicted_state, d.transition_prob, d.predicted_value2,
+            d.predicted_state2, d.signal_side, records, trades, r.equity.values)
+
+
+def _readout(chmm, params, obs):
+    """Both next-state predictors at both fidelities with both chains'
+    forecasts, and the allocation fraction of every state of each chain."""
+    d = chmm.Discretizer(-140.0, 140.0, params.n_bins)
+    vt = chmm.coupled_viterbi(params, obs)
+    out = []
+    for fidelity in ("corrected", "literal"):
+        for psi in (chmm.next_state_marginal(params, fidelity), chmm.next_state_viterbi(params, vt, fidelity)):
+            out += [psi, *(chmm.predict_observation(params, psi[c], c, d).hex() for c in (0, 1))]
+        out += [chmm.allocation_fraction(params, s, c, fidelity).hex()
+                for c in (0, 1) for s in range(params.n_states)]
+    return out
+
+
 def digest(case) -> str:
     """The sha256 of one case's outputs, in ``parts`` order: each array as its
     dtype, shape and bytes, any other value as its repr, and an exception
@@ -70,6 +123,9 @@ def digest(case) -> str:
     import chmmtrade as chmm
 
     name, n, m, t_len, start, parts = case
+    if parts[0] in ("backtest", "compare"):
+        outputs = {parts[0]: lambda: _run(chmm, n, m, t_len, start, parts[0] == "compare")}
+        return _hash(parts, outputs)
     rng = np.random.default_rng(list(name.encode()))
     params = _start(chmm, rng, n, m, start)
     obs = chmm.ObservationSequence(rng.integers(0, m, size=(2, t_len)))
@@ -93,7 +149,13 @@ def digest(case) -> str:
         "scaled gradient": lambda: gradient(chmm.likelihood_gradient(params, obs, scale=True)),
         "fit": lambda: fitted(chmm.fit(params, obs, chmm.FitConfig(sweeps=2))),
         "viterbi": lambda: decoded(chmm.coupled_viterbi(params, obs)),
+        "readout": lambda: _readout(chmm, params, obs),
     }
+    return _hash(parts, outputs)
+
+
+def _hash(parts, outputs) -> str:
+    """The sha256 of each part's outputs, in ``parts`` order (see ``digest``)."""
     h = hashlib.sha256()
     for part in parts:
         try:
