@@ -179,11 +179,12 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class FitRecord:
-    """One window's fit, as ``fit`` makes it: a non-negative integer
-    ``sweeps_run`` and a trace of one number per accepted state, its start
-    and each sweep, so ``sweeps_run + 1`` of them.  Construction refuses
-    anything else (a bool is not an integer here) and keeps the trace as
-    floats; the record is frozen, so the fit log holds only such records."""
+    """One window's fit, as ``fit`` makes it: the ``window_end`` datetime,
+    a non-negative integer ``sweeps_run`` and a trace of one number per
+    accepted state, its start and each sweep, so ``sweeps_run + 1`` of
+    them.  Construction refuses anything else (a bool is not an integer
+    here) and keeps the trace as floats; the record is frozen, so the fit
+    log holds only such records."""
 
     window_end: datetime
     sweeps_run: int
@@ -191,6 +192,8 @@ class FitRecord:
 
     def __post_init__(self):
         sweeps, trace = self.sweeps_run, self.trace
+        if not isinstance(self.window_end, datetime):
+            raise ValueError(f"window_end must be a datetime, got {self.window_end!r}")
         if isinstance(sweeps, bool) or not isinstance(sweeps, int) or sweeps < 0:
             raise ValueError(f"sweeps_run must be a non-negative integer, got {sweeps!r}")
         if type(trace) is not list or len(trace) != sweeps + 1 or any(

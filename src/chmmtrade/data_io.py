@@ -7,9 +7,10 @@ Every reader accepts a leading UTF-8 byte order mark and spaces around a
 stamp.  The OHLC reader parses a file of plain lines in blocks and any
 other file one ``csv`` row at a time; either way ``Stamps`` gets the text
 the stamps were read from and keeps it if ``isoformat`` writes it so.  A
-``Stamps`` column (a loaded or simulated series, and the per-bar results
-sliced from it) supplies the ``isoformat`` text the writers write, so no
-writer formats such a column again.
+``Stamps`` column supplies the ``isoformat`` text the writers write and
+formats it at most once; the per-bar results sliced from a column that
+holds its text (a loaded series) carry that text, so no writer formats
+them again.
 """
 
 from __future__ import annotations

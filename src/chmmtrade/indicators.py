@@ -116,17 +116,16 @@ class Stamps(Sequence):
     A column read from text (``_read``, on either route of
     ``data_io.load_ohlc_csv``) keeps it when ``_canonical`` shows that
     ``isoformat`` writes it so; else ``isoformat()`` formats the text
-    once, on first use.  A part taken before then formats through the
-    column it was taken from, so parts of one column share one formatting.
+    once, on first use.  A part carries the text its column holds when
+    the part is taken; otherwise it formats its own.
     """
 
-    __slots__ = ("_items", "_texts", "_source")
+    __slots__ = ("_items", "_texts")
     __hash__ = None
 
     def __init__(self, stamps):
         self._items = list(stamps)
         self._texts: tuple[str, ...] | None = None
-        self._source = None  # (column, rows) to take the text from, while it is unformatted
 
     @classmethod
     def _read(cls, stamps: list, texts: list[str]) -> "Stamps":
@@ -137,11 +136,9 @@ class Stamps(Sequence):
         return column
 
     def _part(self, rows) -> "Stamps":
-        """The stamps at ``rows`` (a slice or row numbers), with their text or its source."""
+        """The stamps at ``rows`` (a slice or row numbers), with their text if this column holds it."""
         part = Stamps(_pick(self._items, rows))
-        if self._texts is None:
-            part._source = (self, rows)
-        else:
+        if self._texts is not None:
             part._texts = _pick(self._texts, rows)
         return part
 
@@ -152,12 +149,7 @@ class Stamps(Sequence):
     def isoformat(self) -> tuple[str, ...]:
         """The ISO-8601 text of every stamp, as ``datetime.isoformat`` writes it."""
         if self._texts is None:
-            if self._source is None:
-                self._texts = tuple(ts.isoformat() for ts in self._items)
-            else:
-                column, rows = self._source
-                self._texts = _pick(column.isoformat(), rows)
-                self._source = None
+            self._texts = tuple(ts.isoformat() for ts in self._items)
         return self._texts
 
     def __len__(self) -> int:

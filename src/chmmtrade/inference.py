@@ -161,16 +161,11 @@ def _forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
         if total > 0.0:
             start /= total
             scales[0] = total
-    later = bt[1:]
-
-    def operator(ops, src):
-        ops = w.reshape(2 * n, 2 * n).T @ ops
-        ops *= later[src].reshape(-1, 2 * n, 1)
-        return ops
 
     # mass[c, j] = sum_{c', i} coupling[c', c] * trans[c', c, i, j] * alpha[c', t-1, i]
     # for one step or every block at once, then the emissions: the step loop's arithmetic.
-    _scan(steps, partial(np.einsum, "aicj,...ai->...cj", w), (np.multiply, later), operator, scales=scales)
+    matrix = w.reshape(2 * n, 2 * n).T  # columns (a, i), rows (c, j)
+    _scan(steps, matrix, (np.multiply, bt[1:]), partial(np.einsum, "aicj,...ai->...cj", w), scales=scales)
     steps.setflags(write=False)
     return ForwardTrellis(steps.transpose(1, 0, 2), scales), bt, w
 
@@ -200,23 +195,20 @@ def _next_start(op: np.ndarray, log_norm: np.ndarray, x: np.ndarray, keep_mass: 
     return y
 
 
-def _scan(out: np.ndarray, contract, after, operator=None, before=None, scales: np.ndarray | None = None) -> None:
+def _scan(out: np.ndarray, matrix: np.ndarray, after, contract=None, before=None, scales: np.ndarray | None = None) -> None:
     """Fill ``out[1:]`` from ``out[0]`` by a linear recursion, in blocks.
 
     ``out[t]`` is the stacked (2N) vector at position t, a C-contiguous
     block in the shape the step works in: (2, N) for the forward pass, a
-    (2N, 1) column for the adjoint.  The step from position t to t + 1 is
+    (2N, 1) column for the adjoint.  ``matrix`` is the (2N, 2N) linear
+    map on the stacked vector.  The step from position t to t + 1 is
     given as ufunc calls on one such vector or a batch ``x`` (k, ...) of
     them, so that it runs in place:
 
         x = before[t] * x             (only with ``before``)
-        x = contract(x)               (the linear map; it takes ``out=``)
+        x = contract(x)               (the linear map; it takes ``out=``;
+                                       default ``matrix @ x``)
         x = ufunc(x, operands[t])     (``after = (ufunc, operands)``)
-
-    ``operator(ops, src)`` applies the same linear map to the columns of a
-    batch of (2N, 2N) matrices, (k, 2N, 2N), at the positions ``src`` (a
-    slice, one position per block), in any rounding; without it the step
-    itself does, which suits column vectors.
 
     With ``scales`` (T,), every later step is normalised by its total
     mass and the total recorded, as in the scaled step loop, from a
@@ -227,16 +219,18 @@ def _scan(out: np.ndarray, contract, after, operator=None, before=None, scales: 
     isqrt(T)).  A single block, as every window of up to 65 steps, is the
     step loop itself: each step writes ``out[t + 1]`` from ``out[t]``.
     Otherwise phase 1 maps the unit vectors through every block but
-    the last, all at once in L batched products, normalising each column
-    and keeping its log total.  Phase 2 chains the blocks' start vectors,
-    one product per block.  Phase 3 runs the step from all starts at
-    once for L steps and writes each result into ``out``: about
-    3 sqrt(T) Python-level steps instead of T.  Block 0 starts from
-    ``out[0]``, so its steps are the step loop's bit for bit.
+    the last, all at once in L batched products: the step with
+    ``matrix @`` for ``contract``, on (k, 2N, 2N) batches of columns,
+    normalising each column and keeping its log total.  Phase 2 chains
+    the blocks' start vectors, one product per block.  Phase 3 runs the
+    step from all starts at once for L steps and writes each result into
+    ``out``: about 3 sqrt(T) Python-level steps instead of T.  Block 0
+    starts from ``out[0]``, so its steps are the step loop's bit for bit.
     """
     t_len = out.shape[0]
     size = max(_SCAN_MIN_BLOCK, math.isqrt(t_len))
     ufunc, operands = after
+    contract = contract or partial(np.matmul, matrix)
     ragged = t_len - 1  # steps in the last block
     if ragged <= size:  # one block: the step loop, each step written into its row of ``out``
         scratch, pres = (None, repeat(None)) if before is None else (np.empty_like(out[0]), before)
@@ -252,14 +246,6 @@ def _scan(out: np.ndarray, contract, after, operator=None, before=None, scales: 
                     scales[t] = total
         return
 
-    def step(x, src):
-        if before is not None:
-            x = before[src] * x
-        x = contract(x)
-        ufunc(x, operands[src], out=x)
-        return x
-
-    operator = operator or step
     n_blocks = -(-ragged // size)
     ragged -= size * (n_blocks - 1)
     x = np.empty((n_blocks,) + out.shape[1:])
@@ -269,7 +255,11 @@ def _scan(out: np.ndarray, contract, after, operator=None, before=None, scales: 
     log_norm = np.zeros((n_blocks - 1, width))
     with np.errstate(divide="ignore"):
         for l in range(size):
-            ops = operator(ops, slice(l, l + size * (n_blocks - 1), size))
+            src = slice(l, l + size * (n_blocks - 1), size)
+            if before is not None:
+                ops = before[src] * ops
+            ops = matrix @ ops
+            ufunc(ops, operands[src].reshape(len(ops), -1, 1), out=ops)
             total = ops.sum(axis=1)  # (k, 2N), one total per column
             log_norm += np.log(total)  # -inf once a column has died
             total[total == 0.0] = 1.0
@@ -281,7 +271,10 @@ def _scan(out: np.ndarray, contract, after, operator=None, before=None, scales: 
         if l == ragged:  # the last block is done
             x = x[:-1]
         src = slice(l, t_len - 1, size)
-        x = step(x, src)
+        if before is not None:
+            x = before[src] * x
+        x = contract(x)
+        ufunc(x, operands[src], out=x)
         if scales is not None:
             total = x.sum(axis=(1, 2), keepdims=True)
             total[total == 0.0] = 1.0  # a step with zero mass keeps its zeros and factor 1

@@ -75,15 +75,16 @@ def _layout(n: int, m: int) -> _Layout:
 
 
 def _views(buf: np.ndarray, n: int, m: int) -> list[np.ndarray]:
-    """The four families of a flat buffer, as views of it in ``_FAMILIES`` order."""
-    return [buf[part].reshape(shape) for part, shape in _layout(n, m).parts]
+    """The four families of a flat buffer (P,), or of a stack of K of them (K, P), as views of it in
+    ``_FAMILIES`` order; a stack's leading axis is kept, so family ``f`` of row k is ``_views(buf[k])[f]``."""
+    return [buf[..., part].reshape(buf.shape[:-1] + shape) for part, shape in _layout(n, m).parts]
 
 
 def _adopt(obj, buf: np.ndarray, n: int, m: int, **attrs):
-    """Set ``obj``'s ``_buf``, made read-only, its model size ``_dims``, its family fields as views
-    of ``buf`` (read-only with it, so no view needs its own flag) and ``attrs``."""
+    """Set ``obj``'s ``_buf``, made read-only, its model size ``_dims`` and ``attrs``; its families
+    are viewed from ``buf`` on first read (``_Buffered.__getattr__``)."""
     buf.setflags(write=False)
-    vars(obj).update(zip(obj._names, _views(buf, n, m)), _buf=buf, _dims=(n, m), **attrs)
+    vars(obj).update(_buf=buf, _dims=(n, m), **attrs)
     return obj
 
 
@@ -117,13 +118,16 @@ def _simplex_normalize(num: np.ndarray, n: int, m: int, keep: ChmmParams | None 
 
 class _Buffered:
     """The four families (fields ``_names``) as read-only views of one flat buffer, ``_buf``, of a
-    model of ``_dims`` (N, M) states and bins."""
+    model of ``_dims`` (N, M) states and bins.  Construction packs a copy of the fields into the
+    buffer and drops them; a family is made a view of the buffer when one is first read (read-only
+    with it, so no view needs its own flag), and a caller that reads the buffer alone, as
+    re-estimation, makes none."""
 
     _names = tuple(fam.name for fam in _FAMILIES)
 
     def __post_init__(self):
         names = self._names
-        priors, trans, emit, coupling = arrays = [np.asarray(getattr(self, name), dtype=float) for name in names]
+        priors, trans, emit, coupling = arrays = [np.asarray(vars(self).pop(name), dtype=float) for name in names]
         if priors.ndim != 2 or priors.shape[0] != N_CHAINS:
             raise ValueError(f"{names[0]} must have shape (2, N), got {priors.shape}")
         n = priors.shape[1]
@@ -136,6 +140,13 @@ class _Buffered:
         if coupling.shape != (N_CHAINS, N_CHAINS):
             raise ValueError(f"{names[3]} must have shape (2, 2), got {coupling.shape}")
         _adopt(self, np.concatenate(arrays, axis=None), n, emit.shape[2])  # a copy, whatever the arrays were
+
+    def __getattr__(self, name):  # called only for a missing attribute: a family not yet viewed
+        state = vars(self)
+        if name not in self._names or "_buf" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state.update(zip(self._names, _views(state["_buf"], *state["_dims"])))
+        return state[name]
 
     def __reduce__(self):  # copies and pickles pack a new buffer through the constructor
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -183,7 +194,8 @@ class ChmmParams(_Buffered):
         ``dst``'s transition; each column sums to one.
 
     Instances are immutable; the arrays are copied on construction into one read-only
-    buffer (``_layout``), of which they are views, so params are safe to share across threads.
+    buffer (``_layout``), of which they are views, each made when first read (by any thread:
+    making them again gives equal views), so params are safe to share across threads.
     """
 
     priors: np.ndarray

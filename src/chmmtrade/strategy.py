@@ -20,7 +20,7 @@ import numpy as np
 
 from .indicators import Discretizer, bin_value
 from .inference import ViterbiTrellis
-from .model import ChmmParams, _layout
+from .model import ChmmParams, _size, _views
 
 __all__ = [
     "next_state_marginal",
@@ -49,10 +49,9 @@ def _check_fidelity(fidelity: str) -> None:
 
 def _stack(params: Sequence[ChmmParams]) -> list[np.ndarray]:
     """The transitions (K, 2, 2, N, N), emissions (K, 2, N, M) and coupling
-    (K, 2, 2) of K parameter sets of one model size, as views of their
-    buffers stacked into one (K, P) array."""
-    buf = np.stack([p._buf for p in params])
-    return [buf[:, part].reshape(-1, *shape) for part, shape in _layout(*params[0]._dims).parts[1:]]
+    (K, 2, 2) of K parameter sets of one model size, as ``model._views`` of
+    their buffers stacked into one (K, P) array."""
+    return _views(np.stack([p._buf for p in params]), *params[0]._dims)[1:]
 
 
 def _scores(trans: np.ndarray, coupling: np.ndarray, fidelity: str, tails: np.ndarray | None = None) -> np.ndarray:
@@ -141,19 +140,32 @@ def next_state_viterbi(
     The tail states of the two decoded paths select one row of each
     source matrix; the coupling-weighted blend of those rows is ranked.
     The self matrix's row is indexed by the chain's own tail state, the
-    cross matrix's row by the other chain's.
+    cross matrix's row by the other chain's.  A decode of another number
+    of states raises ValueError.
     """
     _check_fidelity(fidelity)
+    decoded = vt.log_delta.shape[-1]
+    if decoded != params.n_states:
+        raise ValueError(f"the decode has {decoded} states but the parameters have {params.n_states}")
     trans, _, coupling = _stack((params,))
     return tuple(_scores(trans, coupling, fidelity, vt.paths[None, :, -1])[0].argmax(axis=-1).tolist())
 
 
-def predict_observation(params: ChmmParams, psi: int, chain: int, d: Discretizer) -> float:
-    """Midpoint of the most probable emission bin of state ``psi``."""
+def _state_and_chain(params: ChmmParams, psi, chain) -> tuple[int, int]:
+    """``psi`` and ``chain`` as ints: a bool or a non-integer raises ValueError
+    naming the argument, a state or chain out of range IndexError."""
+    psi = _size("psi", psi)
     if not 0 <= psi < params.n_states:
         raise IndexError(f"state {psi} out of range")
+    chain = _size("chain", chain)
     if chain not in (0, 1):
         raise IndexError(f"chain must be 0 or 1, got {chain}")
+    return psi, chain
+
+
+def predict_observation(params: ChmmParams, psi: int, chain: int, d: Discretizer) -> float:
+    """Midpoint of the most probable emission bin of state ``psi``."""
+    psi, chain = _state_and_chain(params, psi, chain)
     return float(_midpoints(params.emit[chain, psi], d))
 
 
@@ -166,11 +178,9 @@ def allocation_fraction(params: ChmmParams, psi: int, chain: int, fidelity: str 
     allocation.  Sums to 1 over all targets.
     """
     _check_fidelity(fidelity)
-    if not 0 <= psi < params.n_states:
-        raise IndexError(f"state {psi} out of range")
+    psi, chain = _state_and_chain(params, psi, chain)
     trans, _, coupling = _stack((params,))
-    marginal = _scores(trans, coupling, fidelity)[:, 0 if chain == 0 else 1]  # any other chain reads chain 1
-    return float(_fractions(marginal, [psi])[0])
+    return float(_fractions(_scores(trans, coupling, fidelity)[:, chain], [psi])[0])
 
 
 def _crossed_over(prev: float, curr: float, level: float) -> bool:

@@ -10,7 +10,9 @@ Re-estimation is the Baum-Eagon growth transform
 ``w <- w * dP/dw / normalizer`` applied per simplex row, which never
 decreases the likelihood and keeps every simplex, so ``model`` records
 a candidate of a validated state as valid and its check is a lookup.
-The forward-mode derivative recursion lives on in
+The gradient pass packs the four families into one buffer and hands it
+to ``model._adopt``; re-estimation multiplies buffers, so a fit views
+no gradient family.  The forward-mode derivative recursion lives on in
 ``oracle.alpha_gradients`` as a cross-check.
 """
 
@@ -18,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .inference import _CHAINS, ForwardTrellis, _forward, _scan
-from .model import ChmmParams, ObservationSequence, _Buffered, _real, _simplex_normalize, _size, _views, check_params
+from .model import ChmmParams, ObservationSequence, _Buffered, _adopt, _real, _simplex_normalize, _size, check_params
 
 __all__ = [
     "DegenerateModelError",
@@ -48,9 +49,8 @@ class GradientSet(_Buffered):
     positive factor ``exp(log_scale)``; the multiplicative update is
     invariant to it, so re-estimation can consume scaled gradients from
     arbitrarily long sequences.  The arrays share one buffer, as in
-    ``ChmmParams``; the gradient of a pass makes them, as views of that
-    buffer, only when one is first read, since re-estimation reads the
-    buffer alone.
+    ``ChmmParams``, and are viewed from it when one is first read
+    (``model._Buffered``); re-estimation reads the buffer alone.
     """
 
     _names = tuple("d_" + name for name in ChmmParams._names)
@@ -59,13 +59,6 @@ class GradientSet(_Buffered):
     d_emit: np.ndarray      # (2, N, M)
     d_coupling: np.ndarray  # (2, 2)
     log_scale: float = 0.0
-
-    def __getattr__(self, name):  # called only for a missing attribute: a family not yet viewed
-        state = vars(self)
-        if name not in self._names or "_buf" not in state:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        state.update(zip(self._names, _views(state["_buf"], *state["_dims"])))
-        return state[name]
 
 
 def _checked_forward(params: ChmmParams, obs: ObservationSequence, scale: bool):
@@ -107,7 +100,7 @@ def _adjoint_pass(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     # dP/dalpha_T weighs each chain by the other chain's final mass.
     u = np.empty((t_len, 2, n))
     np.divide(trellis._final_mass[::-1, None], scales[-1], out=u[-1])
-    _scan(u[::-1].reshape(t_len, 2 * n, 1), partial(np.matmul, w_flat), (np.divide, back_div), before=back_bt)
+    _scan(u[::-1].reshape(t_len, 2 * n, 1), w_flat, (np.divide, back_div), before=back_bt)
     return _gradient_set(params, obs, trellis, bt, w, u)
 
 
@@ -116,8 +109,7 @@ def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     adjoints ``u`` (T, 2, N) of the reverse sweep, with ``w`` (a, i, c, j)
     from the forward; each step's emission term is added at its bin.  The
     sums read the forward's step buffer, C-contiguous.  The families are
-    packed into the gradient buffer at once; ``reestimate`` reads only
-    that buffer, so no family view is made for it."""
+    packed into the gradient buffer at once and viewed only when read."""
     n, m = params._dims
     steps = trellis.alpha.transpose(1, 0, 2)           # (T, 2, N)
     bu = bt * u                                        # (T, 2, N)
@@ -130,10 +122,7 @@ def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     np.add.at(d_emit, (_CHAINS, slice(None), obs.bins.T), mass)  # [c, :, bins[c, t]] += [t, c]
     d_coupling = np.einsum("acij,acij->ac", params.trans, x)
     buf = np.concatenate((bu[0], params.coupling[:, :, None, None] * x, d_emit, d_coupling), axis=None)
-    buf.setflags(write=False)
-    grads = object.__new__(GradientSet)  # no family view: a fit reads none
-    vars(grads).update(_buf=buf, _dims=(n, m), log_scale=2.0 * trellis._log_scale)
-    return grads
+    return _adopt(object.__new__(GradientSet), buf, n, m, log_scale=2.0 * trellis._log_scale)
 
 
 def likelihood_gradient(params: ChmmParams, obs: ObservationSequence, scale: bool = False) -> GradientSet:

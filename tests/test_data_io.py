@@ -356,15 +356,18 @@ def test_fit_log_refuses_records_no_fit_makes(tmp_path, fields, detail):
     assert data_io.load_fit_log(path) == [FitRecord(window_end=T0, sweeps_run=1, trace=[-2.0, -1.5])]
 
 
-@pytest.mark.parametrize("sweeps, trace, detail", [
-    (2, [-3.5, -3.25], "trace must be a list of sweeps_run + 1 = 3 numbers, got [-3.5, -3.25]"),
-    (True, [-3.5, -3.25], "sweeps_run must be a non-negative integer, got True"),
-], ids=["short-trace", "bool-sweeps"])
-def test_a_fit_record_the_loader_would_refuse_is_never_built(tmp_path, sweeps, trace, detail):
+@pytest.mark.parametrize("window_end, sweeps, trace, detail", [
+    (T0, 2, [-3.5, -3.25], "trace must be a list of sweeps_run + 1 = 3 numbers, got [-3.5, -3.25]"),
+    (T0, True, [-3.5, -3.25], "sweeps_run must be a non-negative integer, got True"),
+    ("x", 0, [1.0], "window_end must be a datetime, got 'x'"),
+    (T0.date(), 0, [1.0], "window_end must be a datetime, got datetime.date(2013, 1, 1)"),
+], ids=["short-trace", "bool-sweeps", "text-window-end", "date-window-end"])
+def test_a_fit_record_the_loader_would_refuse_is_never_built(tmp_path, window_end, sweeps, trace, detail):
     # The rule lives in FitRecord, so the writer cannot write a record the
-    # loader refuses, and a built record cannot be changed into one.
+    # loader refuses (nor fail part way through the log on one), and a
+    # built record cannot be changed into one.
     with pytest.raises(ValueError) as info:
-        FitRecord(window_end=T0, sweeps_run=sweeps, trace=trace)
+        FitRecord(window_end=window_end, sweeps_run=sweeps, trace=trace)
     assert str(info.value) == detail
     record = FitRecord(window_end=T0, sweeps_run=1, trace=[-3, -3.25])
     assert record.trace == [-3.0, -3.25] and type(record.trace[0]) is float
@@ -986,25 +989,39 @@ def _counting_start():
     return CountingStamp(2013, 1, 1, tzinfo=timezone.utc)
 
 
-def test_backtest_writers_format_each_stamp_at_most_once(tmp_path):
-    # Two series built apart on equal stamps, as a caller would hand them
-    # in: the backtest's and the comparison's columns are both slices of
-    # the first series' column, so one formatting serves all three files.
+def _counting_run():
+    """A config and two series built apart on equal counting stamps, as a
+    caller would hand them in, with the count reset."""
     params = cli._default_sim_params(3, 8, 5)
     sim = oracle.synthetic_ohlc(params, 120, seed=5, amplitude=0.005, start_time=_counting_start())
     bars1, bars2 = (OhlcSeries(list(b.timestamps), b.open, b.high, b.low, b.close) for b in sim)
     assert type(bars1.timestamps[0]) is CountingStamp
-    cfg = BacktestConfig(system="rsi", predictor="viterbi", n_states=3, seed=4)
-    result = run_backtest(cfg, bars1, bars2)
-    comparison = compare_predictors(cfg, bars1, bars2)
+    return BacktestConfig(system="rsi", predictor="viterbi", n_states=3, seed=4), bars1, bars2
+
+
+def _formatted_once(path, rows):
+    """The first column of ``path``'s rows is every stamp formatted so far, each once."""
+    written = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+    assert len(written) == rows > 50
+    assert set(written) == set(CountingStamp.formatted)
+    assert set(CountingStamp.formatted.values()) == {1}
+
+
+def test_backtest_writers_format_each_stamp_at_most_once(tmp_path):
+    # The equity and diagnostics columns are one part of the first series'
+    # column, so one formatting serves both files.
+    result = run_backtest(*_counting_run())
     assert CountingStamp.formatted == Counter()
     data_io.write_equity_csv(tmp_path / "equity.csv", result.equity)
     data_io.write_diagnostics_csv(tmp_path / "diagnostics.csv", result.diagnostics)
+    _formatted_once(tmp_path / "equity.csv", len(result.diagnostics))
+
+
+def test_comparison_writer_formats_each_stamp_once(tmp_path):
+    comparison = compare_predictors(*_counting_run())
+    assert CountingStamp.formatted == Counter()
     data_io.write_comparison_csv(tmp_path / "comparison.csv", comparison)
-    written = [line.split(",")[0] for line in (tmp_path / "equity.csv").read_text().splitlines()[1:]]
-    assert len(written) == len(comparison) > 50
-    assert set(written) <= set(CountingStamp.formatted)
-    assert max(CountingStamp.formatted.values()) == 1
+    _formatted_once(tmp_path / "comparison.csv", len(comparison))
 
 
 def test_simulate_formats_each_stamp_once_for_both_files(tmp_path, monkeypatch):

@@ -5,6 +5,10 @@ import itertools
 import sys
 from pathlib import Path
 
+import pytest
+
+from chmmtrade import data_io
+
 _TOOLS = str(Path(__file__).resolve().parent.parent / "tools")
 sys.path.insert(0, _TOOLS)
 try:
@@ -54,3 +58,23 @@ def test_the_report_names_every_case_that_differs_or_is_missing(capsys):
         f"  differs: {names[3]}",
         f"  differs: {names[-1]} (missing on a side)",
     ]
+
+
+@pytest.mark.parametrize("name, writer", [
+    ("rsi-viterbi-warm-L4-N5M8", "write_equity_csv"),
+    ("rsi-viterbi-warm-L4-N5M8", "write_diagnostics_csv"),
+    ("rsi-viterbi-warm-L4-N5M8", "write_fit_log"),
+    ("cci-compare-cold-L4-N5M8", "write_comparison_csv"),
+])
+def test_a_run_case_hashes_the_bytes_its_files_are_written_as(monkeypatch, name, writer):
+    case = next(case for case in same_bits.cases() if case[0] == name)
+    before = same_bits.digest(case)
+    write = getattr(data_io, writer)
+
+    def write_one_more_byte(path, value):
+        write(path, value)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+
+    monkeypatch.setattr(data_io, writer, write_one_more_byte)
+    assert same_bits.digest(case) != before

@@ -17,10 +17,11 @@ from chmmtrade import (
     predict_observation,
     uniform_params,
 )
+from chmmtrade import model
 from chmmtrade.backtest import _trigger_means
 from chmmtrade.oracle import signal_side
-from chmmtrade.strategy import FIDELITIES, _readout
-from conftest import random_obs, random_params, sparse_params
+from chmmtrade.strategy import FIDELITIES, _readout, _stack
+from conftest import family_bytes, random_obs, random_params, sparse_params
 
 
 def marginal_oracle(params, fidelity="corrected"):
@@ -150,6 +151,38 @@ def test_predict_observation_argmax_midpoint():
     assert predict_observation(p, 0, 1, Discretizer(0.0, 100.0, 4)) == pytest.approx(62.5)
 
 
+@pytest.mark.parametrize("n_params, n_decode", [(2, 5), (5, 2)])
+def test_next_state_viterbi_refuses_a_decode_of_another_model_size(rng, n_params, n_decode):
+    vt = coupled_viterbi(jittered_params(n_decode, 3), random_obs(rng, 3, 4))
+    with pytest.raises(ValueError, match=f"^the decode has {n_decode} states but the parameters have {n_params}$"):
+        next_state_viterbi(jittered_params(n_params, 3), vt)
+
+
+READOUTS = {
+    "predict_observation": lambda p, psi, chain: predict_observation(p, psi, chain, Discretizer(0.0, 100.0, 3)),
+    "allocation_fraction": allocation_fraction,
+}
+
+
+@pytest.mark.parametrize("readout", list(READOUTS.values()), ids=list(READOUTS))
+@pytest.mark.parametrize("name", ["psi", "chain"])
+@pytest.mark.parametrize("value, error", [
+    (2, IndexError), (-1, IndexError), (True, ValueError), (1.0, ValueError), (np.int64(1), None),
+], ids=["2", "-1", "True", "1.0", "int64-1"])
+def test_readouts_take_a_state_and_a_chain_only_as_integers_in_range(rng, readout, name, value, error):
+    p = random_params(rng, 2, 3)
+    args = dict(psi=0, chain=0)
+    if error is None:  # an integer of another type reads as the int
+        assert readout(p, **dict(args, **{name: value})) == readout(p, **dict(args, **{name: 1}))
+        return
+    message = {
+        ValueError: f"{name} must be an integer, got {value!r}",
+        IndexError: f"state {value} out of range" if name == "psi" else f"chain must be 0 or 1, got {value}",
+    }[error]
+    with pytest.raises(error, match=f"^{message}$"):
+        readout(p, **dict(args, **{name: value}))
+
+
 def allocation_oracle(params, psi, chain):
     theta = params.coupling
     n = params.n_states
@@ -222,6 +255,19 @@ def test_row_k_of_a_stacked_readout_is_the_one_window_call_bit_for_bit(case):
             assert tuple(states.tolist()) == psi
             assert values.tobytes() == np.array([predict_observation(p, psi[c], c, d) for c in (0, 1)]).tobytes()
             assert fractions.tobytes() == np.float64(allocation_fraction(p, psi[0], 0, fidelity)).tobytes()
+
+
+@given(k=st.integers(1, 6), n=st.integers(1, 6), m=st.integers(1, 8), seed=st.integers(0, 2**32))
+def test_views_of_a_stack_are_each_rows_own_views_byte_for_byte(k, n, m, seed):
+    rng = np.random.default_rng(seed)
+    params = [random_params(rng, n, m) for _ in range(k)]
+    stack = np.stack([p._buf for p in params])
+    views = model._views(stack, n, m)
+    assert [v.shape for v in views] == [(k, *shape) for shape in model._family_shapes(n, m)]
+    assert all(np.shares_memory(v, stack) for v in views)
+    for row, p in enumerate(params):
+        assert [v[row].tobytes() for v in views] == [v.tobytes() for v in model._views(p._buf, n, m)]
+        assert [v[row].tobytes() for v in _stack(params)] == list(family_bytes(p)[1:])
 
 
 def test_rsi_signal_crosses():

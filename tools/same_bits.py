@@ -8,7 +8,8 @@ seeded case set (``cases``) in its own subprocess, with
 ``PYTHONPATH=<side>/src``, and hashes every case's outputs through the
 public API alone (``digest``): the model core and the readouts on a
 grid of model sizes and windows, two long cases, and backtests and
-comparisons on a seeded market.  The report names the cases whose sha256
+comparisons on a seeded market, with the bytes their files are written
+as.  The report names the cases whose sha256
 differs; the exit status is 1 on any difference or when a side fails to
 run.  Standard library plus numpy.
 """
@@ -86,20 +87,36 @@ def _start(chmm, rng, n, m, start):
 
 def _run(chmm, n, m, bars, fields, compare):
     """A run case's outputs: a backtest's diagnostics columns, fit records,
-    trades and equity, or a comparison's columns, on a seeded market."""
+    trades and equity, then the bytes of its equity, diagnostics and fit-log
+    files, or a comparison's columns, then the bytes of its file, on a
+    seeded market."""
+    from chmmtrade import data_io
+
     fields = dict(fields)
     fit = chmm.FitConfig(warm_start=fields.pop("warm_start", True))
     cfg = chmm.BacktestConfig(n_states=n, n_bins=m, seed=7, fit=fit, **fields)
     bars1, bars2 = chmm.synthetic_ohlc(chmm.jittered_params(n, m, seed=11), bars, seed=13)
     if compare:
         c = chmm.compare_predictors(cfg, bars1, bars2)
-        return c.timestamps, c.state_marginal, c.state_viterbi, c.value_marginal, c.value_viterbi
+        return (c.timestamps, c.state_marginal, c.state_viterbi, c.value_marginal, c.value_viterbi,
+                *_written((data_io.write_comparison_csv, c)))
     r = chmm.run_backtest(cfg, bars1, bars2)
     d = r.diagnostics
     records = [(rec.window_end, rec.sweeps_run, [v.hex() for v in rec.trace]) for rec in r.fit_records]
     trades = [tuple(vars(tr).values()) for tr in r.trades]
+    files = _written((data_io.write_equity_csv, r.equity), (data_io.write_diagnostics_csv, d),
+                     (data_io.write_fit_log, r.fit_records))
     return (d.timestamps, d.predicted_value, d.predicted_state, d.transition_prob, d.predicted_value2,
-            d.predicted_state2, d.signal_side, records, trades, r.equity.values)
+            d.predicted_state2, d.signal_side, records, trades, r.equity.values, *files)
+
+
+def _written(*writes) -> list[bytes]:
+    """The bytes each ``(writer, value)`` writes to a file, in order, as the CLI writes them."""
+    with tempfile.TemporaryDirectory(prefix="same_bits_") as tmp:
+        paths = [Path(tmp) / str(i) for i in range(len(writes))]
+        for path, (write, value) in zip(paths, writes):
+            write(path, value)
+        return [path.read_bytes() for path in paths]
 
 
 def _readout(chmm, params, obs):
