@@ -109,14 +109,15 @@ class ViterbiTrellis:
 _CHAINS = np.array([[0, 1]])
 
 
-def _emission_lookup(params: ChmmParams, obs: ObservationSequence) -> np.ndarray:
-    """bt[t, c, j] = emission probability of chain c's symbol at step t."""
+def _emission_lookup(params: ChmmParams, obs: ObservationSequence, table: np.ndarray | None = None) -> np.ndarray:
+    """bt[t, c, j] = emission probability of chain c's symbol at step t, or the entry
+    of ``table`` (2, N, M), laid as ``emit``, when one is given."""
     # emit is (2, N, M); chain c reads its own symbol's column at each step.
     # Indexing with bins.T puts the step axis first, so each step's (2, N)
     # block is contiguous for the per-step recursions.  Bins are never
     # negative, so only a bin past the last can miss.
     try:
-        return params.emit[_CHAINS, :, obs.bins.T]  # (T, 2, N)
+        return (params.emit if table is None else table)[_CHAINS, :, obs.bins.T]  # (T, 2, N)
     except IndexError:
         raise ValueError(
             f"observation bin {int(obs.bins.max())} out of range for {params.n_bins} bins"
@@ -293,6 +294,144 @@ def _psi_block_steps(n_states: int) -> int:
     return max(1, _PSI_BLOCK_FLOATS // (2 * n_states**2))
 
 
+def _viterbi_loop(trellis: np.ndarray, start: int, stop: int, own_a, cross_max, log_bt) -> None:
+    """The decoder's step loop: rows ``start + 1 .. stop - 1`` of the step-major trellis from
+    row ``start``, four ufunc calls a step (see ``coupled_viterbi``)."""
+    own = np.empty(own_a.shape)  # (c, i, k)
+    add, reduce_max = np.add, np.maximum.reduce
+    for prev, row, bt in zip(trellis[start : stop - 1, :, :, None], trellis[start + 1 : stop], log_bt[start + 1 : stop]):
+        add(prev, own_a, out=own)
+        reduce_max(own, axis=1, out=row)
+        add(row, cross_max, out=row)
+        add(row, bt, out=row)
+
+
+# The decoder's grid route (``_viterbi_rows``) runs at up to _GRID_MAX_STATES states, where it
+# measures faster than the step loop (phase 1 costs N^3 a step; ``tools/grid_per_n.py`` times
+# both routes per N).  _GRID_MIN_STEPS is the shortest segment tried and the loop's stretch
+# between tries, and _GRID_FLOATS floats of temporaries bound a segment's length and its blocks.
+_GRID_MAX_STATES = 8
+_GRID_MIN_STEPS = 64
+_GRID_FLOATS = 1 << 14
+_NO_PATH = -np.inf  # the max-plus zero, the score of no path: phase 1's identity off its diagonal
+
+
+def _grid_plan(row: list, t: int):
+    """Where row ``t`` (per chain, a list of N scores) stands: ``(exps, room)``.
+
+    ``exps`` holds each chain's binade exponent e, such that every finite score of the chain
+    lies in (-2^e, -2^(e-1)], or is None when a chain has a 0.0 (in no binade) or scores in
+    two binades.  A chain of -inf scores alone stays so on any grid, and takes e = 0.  ``room``
+    is the steps until a chain's lowest score is estimated, at the chain's mean descent
+    -max/t a step, to leave its binade."""
+    exps, room = [], math.inf
+    for scores in row:
+        finite = [v for v in scores if v > -math.inf]
+        if not finite:
+            exps.append(0)
+            continue
+        top, low = max(finite), min(finite)
+        e = math.frexp(top)[1]
+        if top == 0.0 or math.frexp(low)[1] != e:
+            return None, 0
+        exps.append(e)
+        room = min(room, (2.0**e + low) * t / -top)
+    return exps, room
+
+
+def _grid_segment(trellis: np.ndarray, t: int, steps: int, exps: list, consts: np.ndarray, bins: np.ndarray) -> int:
+    """Rows ``t + 1 .. t + steps`` of the trellis by max-plus on each chain's ulp grid, in
+    blocks; returns how many of them are verified, each equal to the step loop's.
+
+    ``consts`` (2, N^2 + N + N M) holds each chain's constants: log a1 (i, k), the cross
+    maxima and the log emissions.  Each is rounded once to a multiple of its chain's ulp
+    u = 2^(e - 53); a constant half way between two multiples (a tie) verifies nothing.  Then
+    ``_scan``'s three phases in max-plus, with each step's rounded cross maxima plus emissions,
+    ``inc`` (2, N, steps), added by broadcasting: phase 1 maps every block but the last from
+    the identity, phase 2 chains the blocks' starts from row ``t``, and phase 3 runs every
+    block from its start for L steps, writing the rows.  The blocks are the last axis of the
+    batched arrays, so each max runs over contiguous rows of blocks."""
+    n = trellis.shape[2]
+    shift = 53 - np.array(exps)[:, None]  # (2, 1)
+    scaled = np.ldexp(consts, shift)
+    grid = np.rint(scaled)
+    with np.errstate(invalid="ignore"):  # -inf minus -inf, which is no tie
+        if (np.abs(scaled - grid) == 0.5).any():
+            return 0
+    np.ldexp(grid, -shift, out=grid)
+    r_a = grid[:, : n * n].reshape(2, n, n, 1)  # (c, i, k, b)
+    inc = np.empty((2, n, steps))
+    for c, table in enumerate(grid[:, n * n + n :].reshape(2, n, -1)):
+        np.take(table, bins[c, t + 1 : t + 1 + steps], axis=1, out=inc[c])
+    inc += grid[:, n * n : n * n + n, None]
+
+    # L ~ sqrt(steps), or longer where phase 1's pair scores, 2 N^3 floats a block, would pass the budget.
+    size = max(math.isqrt(steps), -(-steps * 2 * n**3 // _GRID_FLOATS))
+    n_blocks = -(-steps // size)
+    ragged = steps - size * (n_blocks - 1)  # steps in the last block
+    eye = np.where(np.eye(n, dtype=bool), 0.0, _NO_PATH)[:, :, None]
+    ops = np.broadcast_to(eye, (2, n, n, n_blocks - 1))  # (c, i0, i, b)
+    pairs, maps = np.empty((2, n, n, n, n_blocks - 1)), np.empty((2, n, n, n_blocks - 1))
+    for l in range(size):
+        np.add(ops[:, :, :, None], r_a[:, None], out=pairs)  # (c, i0, i, k, b)
+        ops = np.maximum.reduce(pairs, axis=2, out=maps)  # (c, i0, k, b)
+        ops += inc[:, None, :, l : l + size * (n_blocks - 1) : size]
+    starts = np.empty((n_blocks, 2, n))
+    starts[0] = trellis[t]
+    for k in range(1, n_blocks):
+        np.maximum.reduce(starts[k - 1][:, :, None] + ops[..., k - 1], axis=1, out=starts[k])
+    rows = trellis[t + 1 : t + 1 + steps]
+    x, own = starts.transpose(1, 2, 0), np.empty((2, n, n, n_blocks))  # own: (c, i, k, b)
+    for l in range(size):
+        if l == ragged:  # the last block is done
+            x, own = x[..., :-1], own[..., :-1]
+        y = rows[l::size].transpose(1, 2, 0)  # (c, k, b)
+        np.add(x[:, :, None], r_a, out=own)
+        np.maximum.reduce(own, axis=1, out=y)
+        y += inc[:, :, l::size]
+        x = y
+
+    # Keep the rows up to the first with a finite score outside its chain's binade, and up to
+    # the first block whose phase-2 start is not the phase-3 row that ends the block before.
+    lo, hi = (-np.ldexp(1.0, np.array(exps)[:, None] - d) for d in (0, 1))
+    good = (((rows > lo) & (rows <= hi)) | (rows == -np.inf)).all(axis=(1, 2))
+    kept = steps if good.all() else int(good.argmin())
+    same = (starts[1:] == rows[size - 1 : size * (n_blocks - 1) : size]).all(axis=(1, 2))
+    if not same.all():
+        kept = min(kept, size * (int(same.argmin()) + 1))
+    return kept
+
+
+def _viterbi_rows(trellis: np.ndarray, own_a, cross_max, log_bt, log_emit, bins) -> int:
+    """Fill rows 1.. of the step-major trellis from row 0; returns the steps taken on the grid.
+
+    Up to ``_SCAN_MIN_BLOCK`` steps, and every step at more than ``_GRID_MAX_STATES`` states,
+    are the step loop's.  From each later row that ``_grid_plan`` finds in one binade per
+    chain, with room for at least ``_GRID_MIN_STEPS`` steps, a grid segment of up to
+    ``_GRID_FLOATS / 2N`` steps is tried (``_grid_segment``) and its verified rows kept.
+    After a segment cut short, or from any other row, the loop runs ``_GRID_MIN_STEPS`` steps."""
+    t_len, _, n = trellis.shape
+    t = min(t_len - 1, _SCAN_MIN_BLOCK) if n <= _GRID_MAX_STATES else t_len - 1
+    _viterbi_loop(trellis, 0, t + 1, own_a, cross_max, log_bt)
+    if t == t_len - 1:
+        return 0
+    consts = np.concatenate((own_a.reshape(2, -1), cross_max, log_emit.reshape(2, -1)), axis=1)
+    cap = _GRID_FLOATS // (2 * n)
+    on_grid = 0
+    while t < t_len - 1:
+        exps, room = _grid_plan(trellis[t].tolist(), t)
+        steps = int(min(t_len - 1 - t, cap, room))
+        if exps is not None and steps >= _GRID_MIN_STEPS:
+            kept = _grid_segment(trellis, t, steps, exps, consts, bins)
+            t, on_grid = t + kept, on_grid + kept
+            if kept == steps:
+                continue
+        stop = min(t_len, t + 1 + _GRID_MIN_STEPS)
+        _viterbi_loop(trellis, t, stop, own_a, cross_max, log_bt)
+        t = stop - 1
+    return on_grid
+
+
 def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrellis:
     """Decode the best state path of each chain.
 
@@ -308,14 +447,27 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
     finished trellis, a block of steps at a time: the first i reaching the
     maximum with the best j, which is the i of the lowest maximizing pair.
 
-    Unlike the forward and adjoint sweeps, the recursion stays a loop over
-    steps.  A decoded path must score exactly ``log_best`` under
-    ``oracle.score_path``, which adds the terms in this order; the
-    rounding of a running sum depends on its size, so a blocked max-plus
-    scan, which adds a block's terms before the score that precedes the
-    block, cannot keep that equality.  So a step is four ufunc calls into
-    a step-major (T, 2, N) buffer, of which ``log_delta`` is a view, and
-    the back-pointer blocks lay the source state last, (c, t, k, i).
+    A decoded path must score exactly ``log_best`` under
+    ``oracle.score_path``, which adds the terms in the step loop's order,
+    so every score is the step loop's bit for bit: a step is four ufunc
+    calls into a step-major (T, 2, N) buffer, of which ``log_delta`` is a
+    view.  Long stretches still run in about 3 sqrt(S) Python-level steps
+    per segment of S, by this lemma.  Let B = [2^(e-1), 2^e) be a binade
+    and u = 2^(e-53) its ulp.  Every addend (log a1, the cross maximum,
+    log b) is at most 0, so while every finite score of a chain lies in
+    -B before and after a step, fl(x + a) = x + r(a), with r(a) the
+    multiple of u nearest to a, unless a / u is exactly a half-integer,
+    where ties-to-even reads x's last bit.  The rounded recursion is then
+    exact max-plus arithmetic on multiples of u, which is associative, so
+    ``_grid_segment`` runs a segment as ``_scan``'s blocked scan in
+    max-plus with constants rounded once.  Its guards: no constant is a
+    tie, every finite score stays in its chain's binade (-inf stays
+    exact and is left out; 0.0 lies in no binade), and each block's
+    chained start equals the row that ends the block before.  The rows up
+    to the first failed guard are kept; all else, as short segments, a
+    row in two binades and every step at more than ``_GRID_MAX_STATES``
+    states, is the step loop's (``_viterbi_rows``).  The back-pointer
+    blocks lay the source state last, (c, t, k, i).
     """
     check_params(params)
     n = params.n_states
@@ -323,7 +475,8 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
     with np.errstate(divide="ignore"):
         log_a = np.log(params.trans)    # (2, 2, N, N)
         log_pi = np.log(params.priors)  # (2, N)
-        log_bt = np.log(_emission_lookup(params, obs))  # (T, 2, N)
+        log_emit = np.log(params.emit)  # (2, N, M)
+    log_bt = _emission_lookup(params, obs, log_emit)  # (T, 2, N)
 
     own_a, cross_a = log_a[0], log_a[1]  # log a1[c, i, k], log a2[c, j, k]
     # A pair (i, j) scores own(i) + cross(j), with own(i) = delta_{t-1}(i)
@@ -334,13 +487,7 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
 
     trellis = np.empty((t_len, 2, n))  # step-major: trellis[t] is step t's (c, k) block
     np.add(log_pi, log_bt[0], out=trellis[0])
-    own = np.empty((2, n, n))  # (c, i, k)
-    add, reduce_max = np.add, np.maximum.reduce
-    for prev, row, bt in zip(trellis[:, :, :, None], trellis[1:], log_bt[1:]):
-        add(prev, own_a, out=own)
-        reduce_max(own, axis=1, out=row)
-        add(row, cross_max, out=row)
-        add(row, bt, out=row)
+    _viterbi_rows(trellis, own_a, cross_max, log_bt, log_emit, obs.bins)
     trellis.setflags(write=False)
     log_delta = trellis.transpose(1, 0, 2)  # (2, T, N)
 

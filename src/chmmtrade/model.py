@@ -81,10 +81,12 @@ def _views(buf: np.ndarray, n: int, m: int) -> list[np.ndarray]:
 
 
 def _adopt(obj, buf: np.ndarray, n: int, m: int, **attrs):
-    """Set ``obj``'s ``_buf``, made read-only, its model size ``_dims`` and ``attrs``; its families
-    are viewed from ``buf`` on first read (``_Buffered.__getattr__``)."""
+    """Set ``obj``'s ``_buf``, made read-only, its model size ``n_states`` and ``n_bins``, ``attrs``
+    and its families as views of ``buf``."""
     buf.setflags(write=False)
-    vars(obj).update(_buf=buf, _dims=(n, m), **attrs)
+    state = vars(obj)
+    state.update(_buf=buf, n_states=n, n_bins=m, **attrs)
+    state.update(zip(obj._names, _views(buf, n, m)))
     return obj
 
 
@@ -118,10 +120,9 @@ def _simplex_normalize(num: np.ndarray, n: int, m: int, keep: ChmmParams | None 
 
 class _Buffered:
     """The four families (fields ``_names``) as read-only views of one flat buffer, ``_buf``, of a
-    model of ``_dims`` (N, M) states and bins.  Construction packs a copy of the fields into the
-    buffer and drops them; a family is made a view of the buffer when one is first read (read-only
-    with it, so no view needs its own flag), and a caller that reads the buffer alone, as
-    re-estimation, makes none."""
+    model of ``n_states`` and ``n_bins``.  Construction packs a copy of the fields into the buffer
+    and replaces them with views of it (read-only with it, so no view needs its own flag).  Every
+    attribute, these included, is a plain instance attribute, so its loads are specialised."""
 
     _names = tuple(fam.name for fam in _FAMILIES)
 
@@ -140,13 +141,6 @@ class _Buffered:
         if coupling.shape != (N_CHAINS, N_CHAINS):
             raise ValueError(f"{names[3]} must have shape (2, 2), got {coupling.shape}")
         _adopt(self, np.concatenate(arrays, axis=None), n, emit.shape[2])  # a copy, whatever the arrays were
-
-    def __getattr__(self, name):  # called only for a missing attribute: a family not yet viewed
-        state = vars(self)
-        if name not in self._names or "_buf" not in state:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        state.update(zip(self._names, _views(state["_buf"], *state["_dims"])))
-        return state[name]
 
     def __reduce__(self):  # copies and pickles pack a new buffer through the constructor
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -193,23 +187,17 @@ class ChmmParams(_Buffered):
         ``coupling[src, dst]`` weighs chain ``src``'s influence on chain
         ``dst``'s transition; each column sums to one.
 
+    n_states, n_bins : int
+        N and M, set on construction.
+
     Instances are immutable; the arrays are copied on construction into one read-only
-    buffer (``_layout``), of which they are views, each made when first read (by any thread:
-    making them again gives equal views), so params are safe to share across threads.
+    buffer (``_layout``), of which they are views, so params are safe to share across threads.
     """
 
     priors: np.ndarray
     trans: np.ndarray
     emit: np.ndarray
     coupling: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return self._dims[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self._dims[1]
 
 
 def _integer_bins(arr: np.ndarray) -> np.ndarray:
@@ -288,7 +276,7 @@ def _violations(params: ChmmParams) -> list[str]:
     # Entries in [0, 1] sum without warnings; out of range, +inf and -inf
     # in one simplex sum to NaN, which the range message already covers.
     with nullcontext() if in_range else np.errstate(invalid="ignore"):
-        sums = _simplex_sums(buf, *params._dims)
+        sums = _simplex_sums(buf, params.n_states, params.n_bins)
     dev = np.abs(sums - 1.0)
     if in_range and dev.max() <= SIMPLEX_ATOL:
         return []

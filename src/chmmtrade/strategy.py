@@ -51,7 +51,7 @@ def _stack(params: Sequence[ChmmParams]) -> list[np.ndarray]:
     """The transitions (K, 2, 2, N, N), emissions (K, 2, N, M) and coupling
     (K, 2, 2) of K parameter sets of one model size, as ``model._views`` of
     their buffers stacked into one (K, P) array."""
-    return _views(np.stack([p._buf for p in params]), *params[0]._dims)[1:]
+    return _views(np.stack([p._buf for p in params]), params[0].n_states, params[0].n_bins)[1:]
 
 
 def _scores(trans: np.ndarray, coupling: np.ndarray, fidelity: str, tails: np.ndarray | None = None) -> np.ndarray:

@@ -11,8 +11,7 @@ Re-estimation is the Baum-Eagon growth transform
 decreases the likelihood and keeps every simplex, so ``model`` records
 a candidate of a validated state as valid and its check is a lookup.
 The gradient pass packs the four families into one buffer and hands it
-to ``model._adopt``; re-estimation multiplies buffers, so a fit views
-no gradient family.  The forward-mode derivative recursion lives on in
+to ``model._adopt``; re-estimation multiplies buffers.  The forward-mode derivative recursion lives on in
 ``oracle.alpha_gradients`` as a cross-check.
 """
 
@@ -49,8 +48,8 @@ class GradientSet(_Buffered):
     positive factor ``exp(log_scale)``; the multiplicative update is
     invariant to it, so re-estimation can consume scaled gradients from
     arbitrarily long sequences.  The arrays share one buffer, as in
-    ``ChmmParams``, and are viewed from it when one is first read
-    (``model._Buffered``); re-estimation reads the buffer alone.
+    ``ChmmParams``, of which they are views (``model._Buffered``);
+    re-estimation reads the buffer alone.
     """
 
     _names = tuple("d_" + name for name in ChmmParams._names)
@@ -109,8 +108,8 @@ def _gradient_set(params: ChmmParams, obs: ObservationSequence, trellis: Forward
     adjoints ``u`` (T, 2, N) of the reverse sweep, with ``w`` (a, i, c, j)
     from the forward; each step's emission term is added at its bin.  The
     sums read the forward's step buffer, C-contiguous.  The families are
-    packed into the gradient buffer at once and viewed only when read."""
-    n, m = params._dims
+    packed into the gradient buffer at once."""
+    n, m = params.n_states, params.n_bins
     steps = trellis.alpha.transpose(1, 0, 2)           # (T, 2, N)
     bu = bt * u                                        # (T, 2, N)
     x = np.einsum("tai,tcj->acij", steps[:-1], bu[1:])
@@ -141,7 +140,7 @@ def reestimate(params: ChmmParams, grads: GradientSet) -> ChmmParams:
     normalizer vanishes (the likelihood does not depend on them) keep
     their previous values, the unique continuous completion.
     """
-    return _simplex_normalize(params._buf * grads._buf, *params._dims, keep=params)
+    return _simplex_normalize(params._buf * grads._buf, params.n_states, params.n_bins, keep=params)
 
 
 @dataclass(frozen=True)

@@ -85,3 +85,19 @@ def test_one_pair_has_its_value_as_both_work_quartiles():
     summary = ab_pairs.summarize([(verdict(2.0, 1.0), verdict(1.0, 3.0))], METRICS)
     assert summary["metrics"]["run_s"]["work_quartiles"] == (1.0, 1.0)
     assert summary["metrics"]["run_s"]["verdict"] == "too few pairs"  # one of one won, gap 1 above an IQR of 0
+
+
+def test_stage_medians_are_summarised_without_a_verdict():
+    def staged(run_s, fit_s, decode_s=None):
+        run = verdict(run_s, 1.0 / run_s)
+        run["stages"] = {"fit_s": fit_s} if decode_s is None else {"fit_s": fit_s, "decode_s": decode_s}
+        return run
+
+    pairs = [(staged(1.0, 0.1, 0.9), staged(0.7, 0.1, 0.6)),
+             (staged(1.1, 0.2, 0.9), staged(0.8, 0.2, 0.6)),
+             (staged(1.2, 0.3), staged(0.9, 0.3, 0.5))]  # a run without decode_s: that pair is left out of it
+    stages = ab_pairs.summarize(pairs, METRICS)["stages"]
+    assert stages == {"fit_s": {"base_median": 0.2, "work_median": 0.2, "pairs": 3},
+                      "decode_s": {"base_median": 0.9, "work_median": 0.6, "pairs": 2}}
+    # Runs without records, as the stand-in of a failed run, have no stages.
+    assert ab_pairs.summarize([(verdict(1.0, 1.0), verdict(1.0, 1.0))], METRICS)["stages"] == {}

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -14,7 +16,7 @@ from chmmtrade import (
     uniform_params,
 )
 from chmmtrade import inference, oracle
-from conftest import random_obs, random_params, simplex_instances
+from conftest import random_obs, random_params, simplex_instances, sparse_params
 
 
 def test_forward_single_step_base_case(rng):
@@ -279,6 +281,7 @@ def _assert_viterbi_matches_per_chain_loop(p, obs):
         for t in range(obs.length - 1, 0, -1):
             q.append(int(psi[c, t, q[-1], 0]))
         assert_array_equal(vt.paths[c], q[::-1])
+    return vt, log_delta
 
 
 def test_viterbi_matches_per_chain_loop_with_zero_transitions(rng):
@@ -342,6 +345,187 @@ def test_viterbi_holds_only_its_outputs():
     finally:
         tracemalloc.stop()
     assert held <= vt.log_delta.nbytes + vt.paths.nbytes + (1 << 16)
+
+
+def _decode_and_check(p, obs):
+    """Decode and check every field against the per-chain loop bit for bit,
+    and each chain's path score against ``log_best``."""
+    vt, log_delta = _assert_viterbi_matches_per_chain_loop(p, obs)
+    assert_array_equal(vt.log_best, log_delta[:, -1].max(axis=1))
+    for c in range(2):
+        assert oracle.score_path(p, obs, c, vt.paths[c]) == vt.log_best[c]
+    return vt
+
+
+@settings(max_examples=30)
+@given(t_len=st.integers(0, 3_000 - 66).map(lambda d: 3_000 - d), n=st.integers(1, 8), m=st.integers(1, 8),
+       start=st.sampled_from(["jittered", "uniform", "zero-heavy"]), seed=st.integers(0, 2**32 - 1))
+def test_viterbi_equals_the_per_chain_loop_on_long_sequences(t_len, n, m, start, seed):
+    # Past _SCAN_MIN_BLOCK + 1 steps the recursion runs long stretches on the
+    # ulp grid; every score, path and best score must still be the loop's.
+    from chmmtrade import jittered_params
+
+    rng = np.random.default_rng(seed)
+    p = {"jittered": lambda: jittered_params(n, m, seed=seed), "uniform": lambda: uniform_params(n, m),
+         "zero-heavy": lambda: sparse_params(rng, n, m, 0.6)}[start]()
+    _decode_and_check(p, oracle.sample_chmm(p, t_len, seed=seed).observations)
+
+
+@pytest.fixture
+def segments(monkeypatch):
+    """Every grid segment a decode tries, as (start row, steps, rows kept)."""
+    tried, segment = [], inference._grid_segment
+
+    def spy(trellis, t, steps, *args):
+        kept = segment(trellis, t, steps, *args)
+        tried.append((t, steps, kept))
+        return kept
+
+    monkeypatch.setattr(inference, "_grid_segment", spy)
+    return tried
+
+
+def test_the_grid_takes_most_steps_of_a_long_decode(segments):
+    from chmmtrade.cli import _default_sim_params
+
+    p = _default_sim_params(3, 8, seed=7)
+    _decode_and_check(p, oracle.sample_chmm(p, 6_000, seed=3).observations)
+    assert sum(kept for *_, kept in segments) > 0.8 * 6_000
+
+
+def _one_state_params(p_first):
+    """N = 1, M = 2: each chain's score falls by -log p or -log(1 - p) a step."""
+    return ChmmParams(priors=np.ones((2, 1)), trans=np.ones((2, 2, 1, 1)),
+                      emit=np.tile([[p_first, 1.0 - p_first]], (2, 1, 1)), coupling=np.full((2, 2), 0.5))
+
+
+def test_a_tie_constant_leaves_its_binade_to_the_loop(segments):
+    # log p is a tie on the grid of [1024, 2048), u = 2^-42: a / u is a
+    # half-integer, so ties-to-even reads each score's last bit there.
+    candidates = np.random.default_rng(11).uniform(0.3, 0.7, 1 << 16)
+    scaled = np.ldexp(np.log(candidates), 42)
+    p = _one_state_params(candidates[np.abs(scaled - np.rint(scaled)) == 0.5][0])
+    vt = _decode_and_check(p, random_obs(np.random.default_rng(5), 2, 4_000))
+    tops = vt.log_delta.max(axis=2).min(axis=0)  # the lowest chain's score at each step
+    in_tied = [(t, steps, kept) for t, steps, kept in segments if -2048.0 < tops[t] <= -1024.0]
+    assert in_tied and all(kept == 0 for *_, kept in in_tied)
+    assert sum(kept for *_, kept in segments) > 0  # the grid runs in the binades around it
+
+
+@pytest.mark.parametrize("row, exps, room", [
+    ([[-1000.0, -1030.0], [-3000.0, -3001.0]], None, None),  # chain 0 straddles 1024
+    ([[0.0, -0.75], [-0.6, -0.9]], None, None),  # 0.0 beside scores of frexp exponent 0: 0.0 is in no binade
+    ([[-0.5, -0.75], [-0.6, -0.9]], [0, 0], (1 - 0.9) * 100 / 0.6),  # chain 1's -0.9 leaves first
+    ([[-1000.0, -np.inf], [-3000.0, -3001.0]], [10, 12], (1024 - 1000) * 100 / 1000),  # -inf is left out
+    ([[-np.inf, -np.inf], [-3000.0, -3001.0]], [0, 12], (4096 - 3001) * 100 / 3000),  # a dead chain stays so
+    ([[-np.inf, -np.inf], [-np.inf, -np.inf]], [0, 0], np.inf),  # an all -inf row
+])
+def test_grid_plan_finds_one_binade_per_chain_or_none(row, exps, room):
+    # At each chain's mean descent max / t a step, room is the steps until a
+    # chain's lowest score is estimated to leave its binade.
+    found, estimate = inference._grid_plan(row, 100)
+    assert found == exps
+    if exps is not None:
+        assert estimate == pytest.approx(room)
+
+
+def test_a_row_in_two_binades_goes_to_the_loop(segments, monkeypatch):
+    # Each binade crossing leaves rows in two binades for a few steps; those
+    # steps are the loop's.
+    plans, plan = [], inference._grid_plan
+    monkeypatch.setattr(inference, "_grid_plan", lambda row, t: plans.append(plan(row, t)) or plans[-1])
+    from chmmtrade.cli import _default_sim_params
+
+    p = _default_sim_params(2, 3, seed=5)
+    _decode_and_check(p, oracle.sample_chmm(p, 5_000, seed=1).observations)
+    assert any(exps is None for exps, _ in plans) and sum(kept for *_, kept in segments) > 0
+
+
+def test_rows_that_stay_off_the_grid_take_loop_stretches_of_the_minimum(segments, monkeypatch):
+    # Chain 0 keeps its three scores: its transitions are the identity and
+    # its only observed bin is certain.  The best, log 0.368, lies just
+    # inside (-1, -0.5] and the others, log 0.316, in (-2, -1], so no row
+    # is on the grid and the loop runs _GRID_MIN_STEPS steps between tries.
+    stretches, loop = [], inference._viterbi_loop
+    monkeypatch.setattr(inference, "_viterbi_loop", lambda trellis, start, stop, *args:
+                        stretches.append(stop - start) or loop(trellis, start, stop, *args))
+    eye = np.eye(3)
+    p = ChmmParams(priors=[[0.368, 0.316, 0.316], [0.2, 0.3, 0.5]],
+                   trans=[[eye, np.full((3, 3), 1 / 3)], [eye, np.full((3, 3), 1 / 3)]],  # [own, cross][chain]
+                   emit=[[[1.0, 0.0]] * 3, [[0.4, 0.6], [0.5, 0.5], [0.9, 0.1]]], coupling=np.full((2, 2), 0.5))
+    t_len = 20_000
+    bins = np.random.default_rng(8).integers(0, 2, size=(2, t_len))
+    bins[0] = 0
+    vt = _decode_and_check(p, ObservationSequence(bins))
+    assert (vt.log_delta[0] == vt.log_delta[0, :1]).all()
+    steps = t_len - 1 - inference._SCAN_MIN_BLOCK
+    assert segments == [] and len(stretches) == 1 + -(-steps // inference._GRID_MIN_STEPS)
+
+
+def test_a_chain_that_dies_stays_on_the_grid(segments):
+    # Bin 1 has probability 0 in chain 0's only state: from its first
+    # occurrence on, chain 0's row is -inf, on any grid, and chain 1's
+    # binades alone decide the segments.
+    p = ChmmParams(priors=np.ones((2, 1)), trans=np.ones((2, 2, 1, 1)),
+                   emit=np.array([[[0.6, 0.0, 0.4]], [[0.3, 0.3, 0.4]]]), coupling=np.full((2, 2), 0.5))
+    bins = np.random.default_rng(2).integers(0, 3, size=(2, 3_000))
+    bins[0] = np.where(bins[0] == 1, 0, bins[0])
+    bins[0, 2_000] = 1
+    vt = _decode_and_check(p, ObservationSequence(bins))
+    assert (vt.log_delta[0, 2_000:] == -np.inf).all()
+    assert sum(len(range(max(t + 1, 2_000), t + kept + 1)) for t, _, kept in segments) > 800  # of 1,000 rows
+
+
+def test_a_zero_score_keeps_every_step_in_the_loop(segments):
+    # Chain 0 emits its only bin with probability 1: its score stays 0.0,
+    # which lies in no binade.
+    p = ChmmParams(priors=np.ones((2, 1)), trans=np.ones((2, 2, 1, 1)),
+                   emit=np.array([[[1.0, 0.0]], [[0.5, 0.5]]]), coupling=np.full((2, 2), 0.5))
+    bins = np.random.default_rng(4).integers(0, 2, size=(2, 2_000))
+    bins[0] = 0
+    vt = _decode_and_check(p, ObservationSequence(bins))
+    assert (vt.log_delta[0] == 0.0).all() and segments == []
+
+
+def test_a_wrong_block_start_keeps_only_the_blocks_before_it(segments, monkeypatch):
+    # With 0 for "no path" off the identity, phase 1's block maps and so the
+    # chained starts of blocks 1.. are wrong: a segment keeps block 0 at most.
+    from chmmtrade.cli import _default_sim_params
+
+    monkeypatch.setattr(inference, "_NO_PATH", 0.0)
+    p = _default_sim_params(3, 8, seed=7)
+    _decode_and_check(p, oracle.sample_chmm(p, 6_000, seed=3).observations)
+    # Blocks are isqrt(steps) long at N = 3; a segment whose first row leaves
+    # its binade keeps none.
+    assert any(kept for *_, kept in segments)
+    assert all(kept <= math.isqrt(steps) < steps for _, steps, kept in segments)
+
+
+def test_grid_segments_hold_a_fixed_float_budget(monkeypatch):
+    # Each grid segment's temporaries (rounded increments, phase 1's block
+    # maps and their pair scores) are bounded by _GRID_FLOATS, not by T.
+    import tracemalloc
+
+    from chmmtrade.cli import _default_sim_params
+
+    peaks, segment = [], inference._grid_segment
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kept = segment(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return kept
+
+    monkeypatch.setattr(inference, "_grid_segment", traced)
+    p = _default_sim_params(5, 8, seed=7)
+    obs = oracle.sample_chmm(p, 50_000, seed=3).observations
+    tracemalloc.start()
+    try:
+        coupled_viterbi(p, obs)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) > 5 and max(peaks) <= 3 * 8 * inference._GRID_FLOATS
 
 
 @pytest.mark.parametrize("t_len", [1, 3, 700])

@@ -297,7 +297,7 @@ def test_a_recorded_verdict_is_the_verdict_worked_out(case):
     params, num, keep_known_valid = case
     with np.errstate(invalid="ignore", over="ignore"):
         premises = keep_known_valid and bool(np.isfinite(num).all() and (num >= 0.0).all())
-        sums_finite = bool(np.isfinite(model._simplex_sums(num, *params._dims)).all())
+        sums_finite = bool(np.isfinite(model._simplex_sums(num, params.n_states, params.n_bins)).all())
     recorded = vars(params).get("_verdict")
     if recorded is not None:
         assert premises and recorded == tuple(model._violations(params)) == ()

@@ -74,6 +74,20 @@ def test_every_route_to_params_gives_views_of_one_buffer(rng):
         assert_views_of_one_buffer(g, GRADIENTS)
 
 
+def test_records_hold_their_families_and_size_as_plain_attributes(rng):
+    # No attribute hook on either record type, so the interpreter specialises
+    # every load: each family, N and M sit in the instance's dict from construction.
+    p, obs = _window(rng)
+    grads = likelihood_gradient(p, obs)
+    assert not any("__getattr__" in vars(cls) for cls in ChmmParams.__mro__ + GradientSet.__mro__)
+    for params in (p, uniform_params(2, 5), fit(p, obs).params, ChmmParams(p.priors, p.trans, p.emit, p.coupling)):
+        assert set(PARAMS) | {"n_states", "n_bins"} <= set(vars(params))
+        assert (params.n_states, params.n_bins) == params.emit.shape[1:]
+    for g in (grads, GradientSet(grads.d_priors, grads.d_trans, grads.d_emit, grads.d_coupling)):
+        assert set(GRADIENTS) | {"n_states", "n_bins"} <= set(vars(g))
+        assert (g.n_states, g.n_bins) == g.d_emit.shape[1:]
+
+
 def test_construction_copies_the_arrays(rng):
     arrays = {name: np.array(getattr(random_params(rng, 2, 3), name)) for name in PARAMS}
     params = ChmmParams(**arrays)

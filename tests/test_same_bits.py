@@ -17,11 +17,11 @@ finally:
     sys.path.remove(_TOOLS)
 
 
-def test_the_case_list_is_the_grid_two_long_cases_and_the_run_cases():
+def test_the_case_list_is_the_grid_the_long_cases_and_the_run_cases():
     cases = same_bits.cases()
     names = [case[0] for case in cases]
-    assert len(names) == len(set(names)) == 6 * 3 * 10 * 3 + 2 + 6
-    grid, long, runs = cases[:-8], cases[-8:-6], cases[-6:]
+    assert len(names) == len(set(names)) == 6 * 3 * 10 * 3 + 2 + 10 + 6
+    grid, long, decodes, runs = cases[:-18], cases[-18:-16], cases[-16:-6], cases[-6:]
     assert {(n, m) for _, n, m, *_ in grid} == set(itertools.product((1, 2, 3, 5, 8, 20), (1, 3, 8)))
     assert {t for _, _, _, t, *_ in grid} == {1, 2, 3, 4, 7, 40, 65, 66, 130, 2000}
     assert {start for *_, start, _ in grid} == {"jittered", "uniform", "zero-heavy"}
@@ -29,6 +29,9 @@ def test_the_case_list_is_the_grid_two_long_cases_and_the_run_cases():
                for *_, parts in grid)
     assert [case[1:] for case in long] == [(5, 8, 50_000, "jittered", ("scaled forward",)),
                                            (5, 8, 50_000, "jittered", ("viterbi",))]
+    # Long decodes on each side of the grid route's size gate, from ties and dead chains.
+    assert [case[1:] for case in decodes] == [(n, 8, 20_000, start, ("viterbi",))
+                                              for n in (1, 2, 3, 8, 20) for start in ("uniform", "zero-heavy")]
     # At most eight runs on a 400-bar market, varying every knob the model pass reads.
     assert {(n, m) for _, n, m, *_ in runs} == {(5, 8), (3, 20)} and {t for _, _, _, t, *_ in runs} == {400}
     fields = [dict(start) for *_, start, _ in runs]

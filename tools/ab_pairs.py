@@ -11,7 +11,9 @@ metric that ``BENCHMARK.json`` declares, the report gives both medians,
 each pair's ratio (working tree over base), the pairs the working tree
 won, the base runs' interquartile range, the working tree's quartiles and a
 verdict: "gain", "no gain", or "too few pairs" below ten (see ``summarize``).
-The exit status is 1 when
+It also gives both sides' medians of the stage times a workload records
+(``STAGES``, read from each run's ``.perfbench_out`` record), without a
+verdict, so that a gain can be placed in a stage.  The exit status is 1 when
 any run reads ``"correct": false`` or prints no verdict.  Standard
 library only.
 """
@@ -30,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10  # the fewest pairs on which the gain rule gives a verdict
+STAGES = ("fit_s", "decode_s")  # stage times a run's record may hold under "extra"
 
 
 def _quartiles(values) -> tuple[float, float]:
@@ -51,7 +54,9 @@ def summarize(pairs, metrics):
     are its value) and a verdict: with fewer than ``MIN_PAIRS`` pairs "too few pairs";
     else "gain" when the work side won at least 9 of every 10 pairs and its median is
     better than the base median by more than the base IQR, otherwise "no gain".  A
-    metric missing from a run is left out of that metric's summary."""
+    metric missing from a run is left out of that metric's summary.  Under "stages",
+    each of ``STAGES`` that both runs of a pair hold (their "stages") gets both
+    sides' medians and its pair count, and no verdict."""
     summary = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -82,8 +87,16 @@ def summarize(pairs, metrics):
             "work_quartiles": _quartiles(work_vals),
             "verdict": call,
         }
+    stages = {}
+    for name in STAGES:
+        values = [(base["stages"][name], work["stages"][name]) for base, work in pairs
+                  if name in base.get("stages", {}) and name in work.get("stages", {})]
+        if values:
+            base_vals, work_vals = zip(*values)
+            stages[name] = {"base_median": statistics.median(base_vals),
+                            "work_median": statistics.median(work_vals), "pairs": len(values)}
     correct = all(run.get("correct") is True for pair in pairs for run in pair)
-    return {"correct": correct, "metrics": summary}
+    return {"correct": correct, "metrics": summary, "stages": stages}
 
 
 def export(rev: str, into: Path) -> None:
@@ -98,17 +111,24 @@ def export(rev: str, into: Path) -> None:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``; its closing JSON verdict, or an
-    incorrect stand-in when it printed none."""
+    """One ``perfbench/run.py`` run in ``checkout``; its closing JSON verdict, with the
+    ``STAGES`` its record holds as "stages", or an incorrect stand-in when it printed none."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     if seconds is not None:
         argv += ["--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        verdict = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return {"correct": False, "error": done.stderr[-2000:]}
+    record = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
+    try:
+        extra = json.loads(record.read_text(encoding="utf-8"))["extra"]
+    except (OSError, ValueError, KeyError):  # no record: the summary leaves this run's stages out
+        extra = {}
+    verdict["stages"] = {name: extra[name] for name in STAGES if name in extra}
+    return verdict
 
 
 def report(summary: dict, workload: str, base: str) -> None:
@@ -120,6 +140,9 @@ def report(summary: dict, workload: str, base: str) -> None:
         q1, q3 = s["work_quartiles"]
         print(f"{name:<14}{s['better']:<8}{s['base_median']:>14.6g}{s['work_median']:>14.6g}"
               f"{s['base_iqr']:>12.4g}{q1:>14.6g}{q3:>14.6g}  {s['wins']:>2}/{s['pairs']:<2}  {s['verdict']:<13}  {ratios}")
+    for name, s in summary["stages"].items():
+        print(f"stage {name:<10}base median {s['base_median']:.6g}  work median {s['work_median']:.6g}"
+              f"  ({s['pairs']} pairs, no verdict)")
     print(f"every run correct: {summary['correct']}")
 
 

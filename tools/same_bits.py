@@ -7,9 +7,9 @@ directory, as ``tools/ab_pairs.py`` does.  Each side runs one fixed,
 seeded case set (``cases``) in its own subprocess, with
 ``PYTHONPATH=<side>/src``, and hashes every case's outputs through the
 public API alone (``digest``): the model core and the readouts on a
-grid of model sizes and windows, two long cases, and backtests and
-comparisons on a seeded market, with the bytes their files are written
-as.  The report names the cases whose sha256
+grid of model sizes and windows, long forward and decode cases, and
+backtests and comparisons on a seeded market, with the bytes their files
+are written as.  The report names the cases whose sha256
 differs; the exit status is 1 on any difference or when a side fails to
 run.  Standard library plus numpy.
 """
@@ -35,6 +35,10 @@ BINS = (1, 3, 8)
 LENGTHS = (1, 2, 3, 4, 7, 40, 65, 66, 130, 2000)
 STARTS = ("jittered", "uniform", "zero-heavy")
 LONG = 50_000  # steps of the two long N=5 cases: a scaled forward and a decode
+# Long decodes of each size the decoder's grid route treats apart (N = 20 keeps the step loop)
+# from uniform starts (ties) and zero-heavy ones (dead chains, exact zeros).
+DECODE_STATES = (1, 2, 3, 8, 20)
+DECODE_LENGTH = 20_000
 
 
 # What a grid case hashes.
@@ -56,13 +60,15 @@ RUNS = (
 
 def cases() -> list[tuple]:
     """Every case as (name, N, M, T, start, parts), in a fixed order: the grid,
-    the two long cases, then the run cases, whose T is the market's bars and
+    the long cases, then the run cases, whose T is the market's bars and
     whose ``start`` holds their config fields.  ``parts`` names the outputs a
     case hashes."""
     grid = [(f"N{n}-M{m}-T{t}-{start}", n, m, t, start, PARTS)
             for n, m, t, start in product(STATES, BINS, LENGTHS, STARTS)]
     long = [(f"N5-M8-T{LONG}-jittered-forward", 5, 8, LONG, "jittered", ("scaled forward",)),
             (f"N5-M8-T{LONG}-jittered-decode", 5, 8, LONG, "jittered", ("viterbi",))]
+    long += [(f"N{n}-M8-T{DECODE_LENGTH}-{start}-decode", n, 8, DECODE_LENGTH, start, ("viterbi",))
+             for n, start in product(DECODE_STATES, ("uniform", "zero-heavy"))]
     runs = [(name, n, m, BARS, tuple(fields.items()), ("compare" if "compare" in name else "backtest",))
             for name, (n, m), fields in RUNS]
     return grid + long + runs
