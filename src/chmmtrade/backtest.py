@@ -1,4 +1,4 @@
-"""Bar loop in two passes: a model pass refits and forecasts at every
+"""Backtest in two passes: a model pass refits and forecasts at every
 decision bar, then a trading pass signals, fills and bracket-exits.
 
 The model pass walks the decision bars in blocks of ``_PHASE_WINDOWS``
@@ -9,11 +9,26 @@ block.  A block holds a few hundred KB whatever the bar count.  The
 public readouts (``next_state_marginal`` and the rest) are that route
 for one window, so the columns equal theirs bit for bit.
 
-Decisions happen at bar closes using only data up to that close; entries
-fill at the next bar's open; exits fill at frozen stop/target levels
-derived from the ATR at signal time.  Only the first instrument is
-traded, the second acts as the coupled filter, though its predictions
-are recorded for diagnostics.
+The trading pass (``_trading_pass``) is event-driven: one
+``crossing_side`` call per decision bar gives the raw signals, and then
+only signals, fills and exits take Python steps, O(trades) of them
+rather than O(bars).  Its reference is the per-bar loop
+``oracle.trade_bars``, which it equals bit for bit.  Decisions happen at
+bar closes using only data up to that close.  A signal fills at the next
+bar's open when its side is not open at the signal's close, its ATR and
+allocation fraction are above 0, it is not on the last bar, and its
+bracket, rounded at the fill price, lies strictly on both sides of that
+price (an ATR below half an ulp of the price places no order, as a zero
+ATR does); a CCI signal whose side is open is "none"
+(``strategy._suppresses_open_side``).  A position exits
+at its frozen stop or target, derived from the ATR at signal time, on
+the first bar from its fill bar on whose low or high reaches one, the
+stop first when a bar reaches both.  Trades are listed by exit bar, ties
+in fill order, then the end-of-data closes in fill order; cash adds
+their P&L in that order, and each close's equity is cash plus
+0 + x_long + x_short, the open positions' marks.  Only the first
+instrument is traded, the second acts as the coupled filter, though its
+predictions are recorded for diagnostics.
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .indicators import CCI_DISCRETIZER, RSI_DISCRETIZER, Discretizer, OhlcSeries, atr, cci, discretize, rsi
 from .inference import coupled_viterbi, forward
 from .model import ChmmParams, ObservationSequence, _check_seed, _real, _size, jittered_params
-from .strategy import _check_fidelity, _readout, crossing_side
+from .strategy import _check_fidelity, _readout, _suppresses_open_side, crossing_side
 from .training import FitConfig, fit
 
 __all__ = [
@@ -358,10 +373,99 @@ def _model_pass(cfg: BacktestConfig, stamps, ind1, ind2, t0: int, predictors, pr
     return fit_records, readouts
 
 
+# Bars in the first window of a trade's exit search; each further window
+# doubles.  Most trades last tens of bars, so one window of a few numpy
+# calls finds their exit, at about the cost of a shorter one.
+_EXIT_WINDOW = 256
+
+
+def _exit_bar(lows: np.ndarray, highs: np.ndarray, fill: int, below: float, above: float) -> int:
+    """First bar from ``fill`` on whose low is at most ``below`` or whose
+    high is at least ``above``, or ``len(lows)`` when none is.  Windows
+    that double in length from the fill bar are searched in turn, so a
+    trade costs a few numpy calls per doubling of its length, not a pass
+    over the tail."""
+    start, width = fill, _EXIT_WINDOW
+    while start < len(lows):
+        end = start + width
+        hit = (lows[start:end] <= below) | (highs[start:end] >= above)
+        k = int(hit.argmax())
+        if hit[k]:
+            return start + k
+        start, width = end, 2 * width
+    return len(lows)
+
+
+def _trading_pass(cfg: BacktestConfig, stamps, bars, atr: np.ndarray, prevs, currs, fractions):
+    """Signals, fills, bracket exits and equity marks of the decision bars,
+    by the rules in the module docs.
+
+    ``bars`` holds the decision bars' open, high, low and close columns,
+    ``atr`` the traded series' ATR at each, ``prevs`` and ``currs`` the
+    smoothed values each bar's cross runs between, and ``fractions`` each
+    bar's allocation fraction, or None for the full notional.  Returns the
+    trades, the equity at each close and the side signalled at each close,
+    bit for bit as ``oracle.trade_bars`` gives them.
+
+    Each side's signal bars are walked on their own, since no rule reads
+    the other side, and a position's exit bar is searched for with
+    ``_exit_bar``.  The loop adds the open positions' marks in fill
+    order, but with one position a side there are at most two terms, and
+    IEEE addition commutes, so adding the long mark first moves no bit.
+    """
+    opens, highs, lows, closes = bars
+    n = len(stamps)
+    sides = list(map(crossing_side, repeat(cfg.system), prevs.tolist(), currs.tolist()))
+    positions = []  # (exit bar, fill bar, trade); the exit bar is n for an end-of-data close
+    marks = np.zeros((2, n))  # each side's x = (direction * (close - entry)) * size at each close
+    suppress = _suppresses_open_side(cfg.system)
+    for row, side in enumerate(("long", "short")):
+        direction = 1 if side == "long" else -1
+        busy = i = -1  # the side is open at the closes before its position's exit bar ``busy``
+        while True:
+            try:
+                i = sides.index(side, i + 1)
+            except ValueError:
+                break
+            if i < busy:
+                if suppress:
+                    sides[i] = "none"
+                continue
+            atr_now, frac = float(atr[i]), 1.0 if fractions is None else float(fractions[i])
+            if not (atr_now > 0.0 and frac > 0.0 and i + 1 < n):
+                continue
+            fill = i + 1
+            entry = float(opens[fill])
+            stop = entry - direction * (cfg.stop_mult * atr_now)
+            target = entry + direction * (cfg.target_mult * atr_now)
+            below, above = (stop, target) if direction == 1 else (target, stop)
+            if not below < entry < above:  # an ATR under half an ulp of the fill price
+                continue
+            tr = TradeRecord(entry_time=stamps[fill], entry_price=entry, side=side, size=cfg.notional * frac,
+                             stop_price=stop, target_price=target)
+            busy = _exit_bar(lows, highs, fill, below, above)
+            if busy < n:
+                hit_stop = lows[busy] <= stop if direction == 1 else highs[busy] >= stop
+                tr.close(stamps[busy], stop if hit_stop else target, "stop" if hit_stop else "target")
+            else:
+                tr.close(stamps[-1], float(closes[-1]), "end-of-data")
+            marks[row, fill:busy] = (direction * (closes[fill:busy] - entry)) * tr.size
+            positions.append((busy, fill, tr))
+
+    positions.sort(key=lambda p: p[:2])
+    cash, changes = [cfg.notional], [0]  # each cash level and the first close it holds at
+    for exit_bar, _, tr in positions:
+        if exit_bar < n:
+            cash.append(cash[-1] + tr.pnl)
+            changes.append(exit_bar)
+    values = np.repeat(cash, np.diff([*changes, n])) + ((0.0 + marks[0]) + marks[1])
+    return [p[2] for p in positions], values, sides
+
+
 def run_backtest(
     cfg: BacktestConfig, bars1: OhlcSeries, bars2: OhlcSeries, baseline_ratio: float | None = None
 ) -> BacktestResult:
-    """Run the bar loop over two aligned OHLC series; see module docs.
+    """Run both passes over two aligned OHLC series; see module docs.
 
     Deterministic for a fixed ``cfg.seed``.  Raises ValueError on
     misaligned series or when no bar has enough history to decide on.
@@ -389,64 +493,10 @@ def run_backtest(
         fit_records = []
         diagnostics = Diagnostics(stamps)
         prevs, currs = means[t0 - 1: -1], means[t0:]
-    fractions = diagnostics.transition_prob.tolist() if modeled and cfg.dynamic_allocation else repeat(1.0)
-    sides = diagnostics.signal_side
-    opens, highs, lows, closes, atrs = (
-        col[t0:].tolist() for col in (bars1.open, bars1.high, bars1.low, bars1.close, atr1)
-    )
-
-    cash = cfg.notional
-    # At most one position per side, in fill order.
-    open_trades: dict[str, TradeRecord] = {}
-    trades: list[TradeRecord] = []
-    equity_vals: list[float] = []
-    pending = None  # (side, size_fraction, stop_dist, target_dist)
-
-    for stamp, open_, high, low, close, atr_now, prev, curr, size_fraction in zip(
-        stamps, opens, highs, lows, closes, atrs, prevs, currs, fractions
-    ):
-        # 1. Fill the signal raised at the previous close at this bar's open.
-        if pending is not None:
-            side, frac, stop_dist, target_dist = pending
-            pending = None
-            if frac > 0.0 and side not in open_trades:
-                direction = 1 if side == "long" else -1
-                open_trades[side] = TradeRecord(
-                    entry_time=stamp, entry_price=open_, side=side, size=cfg.notional * frac,
-                    stop_price=open_ - direction * stop_dist, target_price=open_ + direction * target_dist,
-                )
-
-        # 2. Bracket exits; the stop is checked first when both levels
-        #    sit inside the bar's range.
-        for side, tr in list(open_trades.items()):
-            hit_stop = low <= tr.stop_price if side == "long" else high >= tr.stop_price
-            hit_target = high >= tr.target_price if side == "long" else low <= tr.target_price
-            if hit_stop:
-                tr.close(stamp, tr.stop_price, "stop")
-            elif hit_target:
-                tr.close(stamp, tr.target_price, "target")
-            if tr.exit_reason is not None:
-                cash += tr.pnl
-                trades.append(tr)
-                del open_trades[side]
-
-        # 3. Mark to market at the close.
-        unrealized = sum(tr.direction * (close - tr.entry_price) * tr.size for tr in open_trades.values())
-        equity_vals.append(cash + unrealized)
-
-        # 4. Decide at the close; an order pending after the last bar is never filled.
-        side = crossing_side(cfg.system, prev, curr, open_trades)
-        sides.append(side)
-        if side != "none" and atr_now > 0.0:
-            pending = (side, size_fraction, cfg.stop_mult * atr_now, cfg.target_mult * atr_now)
-
-    # 5. Force-close whatever is still open at the final close.
-    for tr in open_trades.values():
-        tr.close(stamps[-1], closes[-1], "end-of-data")
-        cash += tr.pnl
-        trades.append(tr)
-
-    equity = EquityCurve(timestamps=stamps, values=np.asarray(equity_vals))
+    fractions = diagnostics.transition_prob if modeled and cfg.dynamic_allocation else None
+    bars = tuple(col[t0:] for col in (bars1.open, bars1.high, bars1.low, bars1.close))
+    trades, values, diagnostics.signal_side = _trading_pass(cfg, stamps, bars, atr1[t0:], prevs, currs, fractions)
+    equity = EquityCurve(timestamps=stamps, values=values)
     stats = perf_stats(equity, baseline_ratio)
     return BacktestResult(trades=trades, equity=equity, stats=stats, diagnostics=diagnostics, fit_records=fit_records)
 

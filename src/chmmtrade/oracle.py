@@ -14,7 +14,9 @@ forms its gradients with ``training._gradient_set``,
 ``fd_gradient`` differences likelihoods of ``inference._forward``,
 ``cci_loop`` takes window means from ``indicators._window_means``, and
 ``load_ohlc_rows`` is ``data_io``'s own row route, the reference for
-its block route.  The per-family references (``validate_by_family``,
+its block route, and ``trade_bars``, the per-bar trading loop, shares
+``strategy.crossing_side`` and ``backtest.TradeRecord`` with the
+event-driven pass it checks.  The per-family references (``validate_by_family``,
 ``reestimate_by_family``, ``params_by_family``) read and build
 ``ChmmParams`` through its arrays and its constructor, never through
 its flat buffer.
@@ -27,9 +29,11 @@ from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from itertools import repeat
 
 import numpy as np
 
+from .backtest import TradeRecord
 from .data_io import _load_ohlc_rows
 from .indicators import Discretizer, OhlcSeries, Stamps, _window_means
 from .inference import ForwardTrellis, _emission_lookup, _forward
@@ -54,6 +58,7 @@ __all__ = [
     "cci_loop",
     "load_ohlc_rows",
     "signal_side",
+    "trade_bars",
     "synthetic_ohlc",
     "permutation_aligned_mae",
     "validate_by_family",
@@ -542,6 +547,60 @@ def signal_side(kind: str, series, sma_period: int, open_sides=()) -> str:
     prev = float(values[-sma_period - 1: -1].mean())
     curr = float(values[-sma_period:].mean())
     return crossing_side(kind, prev, curr, open_sides)
+
+
+def trade_bars(cfg, stamps, bars, atr, prevs, currs, fractions=None):
+    """The trading pass as a loop over plain Python rows, one bar at a
+    time; the reference for ``backtest._trading_pass``, with its arguments
+    and results.
+
+    At each decision bar: the order signalled at the previous close fills
+    at this open, unless its fraction is not above 0, its side is open,
+    or its bracket, rounded at the fill price, does not lie strictly on
+    both sides of it (an ATR below half an ulp of that price); then each
+    open position, in fill order, exits at its stop or, failing that, its
+    target when the bar's low or high reaches it; then equity is marked
+    at the close; then ``crossing_side`` decides, given the open sides,
+    and a side with an ATR above 0 places an order.  What is open after
+    the last bar closes at the last close.
+    """
+    fracs = repeat(1.0) if fractions is None else np.asarray(fractions, dtype=float).tolist()
+    rows = zip(stamps, *(np.asarray(col, dtype=float).tolist() for col in (*bars, atr, prevs, currs)), fracs)
+    cash = cfg.notional
+    open_trades: dict[str, TradeRecord] = {}  # at most one position per side, in fill order
+    trades, equity, sides = [], [], []
+    pending = None  # (side, fraction, stop distance, target distance)
+    for stamp, open_, high, low, close, atr_now, prev, curr, frac in rows:
+        if pending is not None:
+            side, size_fraction, stop_dist, target_dist = pending
+            pending = None
+            direction = 1 if side == "long" else -1
+            stop, target = open_ - direction * stop_dist, open_ + direction * target_dist
+            bracketed = stop < open_ < target if side == "long" else target < open_ < stop
+            if size_fraction > 0.0 and side not in open_trades and bracketed:
+                open_trades[side] = TradeRecord(
+                    entry_time=stamp, entry_price=open_, side=side, size=cfg.notional * size_fraction,
+                    stop_price=stop, target_price=target,
+                )
+        for side, tr in list(open_trades.items()):
+            if (low <= tr.stop_price) if side == "long" else (high >= tr.stop_price):
+                tr.close(stamp, tr.stop_price, "stop")
+            elif (high >= tr.target_price) if side == "long" else (low <= tr.target_price):
+                tr.close(stamp, tr.target_price, "target")
+            else:
+                continue
+            cash += tr.pnl
+            trades.append(tr)
+            del open_trades[side]
+        equity.append(cash + sum(tr.direction * (close - tr.entry_price) * tr.size for tr in open_trades.values()))
+        side = crossing_side(cfg.system, prev, curr, open_trades)
+        sides.append(side)
+        if side != "none" and atr_now > 0.0:
+            pending = (side, frac, cfg.stop_mult * atr_now, cfg.target_mult * atr_now)
+    for tr in open_trades.values():
+        tr.close(stamps[-1], close, "end-of-data")
+        trades.append(tr)
+    return trades, np.asarray(equity, dtype=float), sides
 
 
 _START_PRICES = (0.95, 1600.0)

@@ -191,26 +191,36 @@ def _crossed_under(prev: float, curr: float, level: float) -> bool:
     return prev > level and curr <= level
 
 
+def _suppresses_open_side(kind: str) -> bool:
+    """Whether a ``kind`` signal is dropped while a position of its side is
+    open: a CCI signal is, an RSI signal is not.  ``crossing_side`` and the
+    backtest's trading pass both read this rule here."""
+    return kind == "cci"
+
+
 def crossing_side(kind: str, prev: float, curr: float, open_sides=()) -> str:
     """Side entered when the smoothed indicator moves from ``prev`` to ``curr``.
 
     Landing exactly on the level counts as crossed; a NaN mean never
     crosses.  RSI: long over 20, short under 80.  CCI: long under 105,
     short over -105, and a same-direction open position suppresses the
-    new signal.  Returns "long", "short" or "none".
+    new signal (``_suppresses_open_side``).  Returns "long", "short" or
+    "none".
     """
     if kind == "rsi":
         if _crossed_over(prev, curr, RSI_LONG_LEVEL):
-            return "long"
-        if _crossed_under(prev, curr, RSI_SHORT_LEVEL):
-            return "short"
-        return "none"
-    if kind == "cci":
+            side = "long"
+        elif _crossed_under(prev, curr, RSI_SHORT_LEVEL):
+            side = "short"
+        else:
+            return "none"
+    elif kind == "cci":
         if _crossed_under(prev, curr, CCI_LONG_LEVEL):
             side = "long"
         elif _crossed_over(prev, curr, CCI_SHORT_LEVEL):
             side = "short"
         else:
             return "none"
-        return "none" if side in open_sides else side
-    raise ValueError(f"kind must be 'rsi' or 'cci', got {kind!r}")
+    else:
+        raise ValueError(f"kind must be 'rsi' or 'cci', got {kind!r}")
+    return "none" if side in open_sides and _suppresses_open_side(kind) else side

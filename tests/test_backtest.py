@@ -23,9 +23,10 @@ from chmmtrade import (
     stats_from_ret_vol,
     synthetic_ohlc,
 )
-from chmmtrade import backtest
+from chmmtrade import backtest, oracle
 from chmmtrade.cli import _default_sim_params
 from chmmtrade.oracle import signal_side
+from chmmtrade.strategy import crossing_side
 from conftest import T0, bars_from_closes, replace_after
 
 
@@ -273,6 +274,45 @@ def test_a_signal_on_a_zero_atr_bar_places_no_order(monkeypatch):
     assert res.trades == []
 
 
+def test_a_signal_whose_bracket_rounds_onto_the_fill_price_places_no_order(monkeypatch):
+    # Bars at 1e-3 with a range of 1e-17, then a gap to 4.0: half an ulp of 4.0 is 4.4e-16, so a positive
+    # ATR rounds both levels onto the entry price.  Such a signal places no order, as a zero ATR does.
+    tiny = {bar: 1e-3 for bar in range(SIGNAL_BAR + 1)}
+    bars = flat_bars(open=tiny, close=tiny, high={bar: 1e-3 + 5e-18 for bar in tiny},
+                     low={bar: 1e-3 - 5e-18 for bar in tiny})
+    atr_now = atr(bars.high, bars.low, bars.close, BRACKET_CFG["atr_period"])[SIGNAL_BAR]
+    assert 0.0 < atr_now and 4.0 - 2.0 * atr_now == 4.0 == 4.0 + 6.0 * atr_now
+    res = run_with_one_signal(monkeypatch, "long", bars)
+    assert res.diagnostics.signal_side[0] == "long"
+    assert res.trades == []
+    assert res.equity.values.tolist() == [1_000_000.0] * len(res.diagnostics)
+
+
+# (prev, curr) smoothed values that cross into each side, per system; a NaN mean never crosses.
+SIGNALS = {
+    "rsi": {"none": (50.0, 50.0), "nan": (math.nan, 30.0), "long": (10.0, 30.0), "short": (90.0, 70.0)},
+    "cci": {"none": (0.0, 0.0), "nan": (math.nan, 100.0), "long": (110.0, 100.0), "short": (-110.0, -100.0)},
+}
+ROUTES = pytest.mark.parametrize("route", [backtest._trading_pass, oracle.trade_bars], ids=["event pass", "per-bar loop"])
+
+
+@ROUTES
+@pytest.mark.parametrize("side, atr_now, open_", [
+    ("long", 1e-17, 4.0),  # both levels round onto the entry
+    ("short", 3e-16, 4.0),  # only the stop does: 4.0's ulp above is twice its ulp below
+])
+def test_both_routes_refuse_a_bracket_that_rounds_onto_the_fill_price(route, side, atr_now, open_):
+    cfg = BacktestConfig(**{"predictor": "baseline", **BRACKET_CFG, "stop_mult": 1.0, "target_mult": 1.5})
+    stamps = [T0 + timedelta(minutes=10 * i) for i in range(2)]
+    bars = (np.array([1e-3, open_]),) * 4
+    prevs, currs = (np.array(column) for column in zip(SIGNALS["rsi"][side], SIGNALS["rsi"]["none"]))
+    trades, values, sides = route(cfg, stamps, bars, np.array([atr_now, 0.0]), prevs, currs, None)
+    assert (trades, values.tolist(), sides) == ([], [1_000_000.0] * 2, [side, "none"])
+    # With an ATR well above the fill price's ulp, the same signal fills.
+    (trade,), *_ = route(cfg, stamps, bars, np.array([1e-9, 0.0]), prevs, currs, None)
+    assert (trade.side, trade.entry_price, trade.exit_reason) == (side, open_, "end-of-data")
+
+
 @pytest.mark.parametrize("fraction, trades", [(0.0, 0), (0.5, 1)])
 def test_a_zero_allocation_fraction_opens_no_trade(monkeypatch, fraction, trades):
     readout = backtest._readout
@@ -286,6 +326,105 @@ def test_a_zero_allocation_fraction_opens_no_trade(monkeypatch, fraction, trades
         monkeypatch, "long", flat_bars(), predictor="marginal", dynamic_allocation=True, lookback=2, n_states=2
     )
     assert [tr.size for tr in res.trades] == [500_000.0] * trades
+
+
+def _outcome(trades, values, sides):
+    """A trading pass's results, exactly: every trade field by repr, the equity bytes and the sides."""
+    return [repr(tuple(vars(tr).values())) for tr in trades], values.dtype, values.tobytes(), sides
+
+
+TICK = 0.125  # prices, ranges and ATRs on one binary grid, so levels often land exactly on a bar's low or high
+
+
+@st.composite
+def trading_inputs(draw):
+    """Arguments of a trading pass over up to 40 bars: a walk of small bodies from 8.0 with occasional gaps
+    and wide ranges (through both levels), ATRs of 0, NaN, below half an ulp of the price and on the grid,
+    a signal on any bar (re-signals while a side is open, both sides open at once, the last bar), and
+    fractions of 0, NaN and others, or none."""
+    system = draw(st.sampled_from(["rsi", "cci"]))
+    n = draw(st.integers(1, 40))
+    stop_mult, target_mult = draw(st.sampled_from([(2.0, 6.0), (4.0, 10.0), (1.0, 2.0), (0.5, 1.5)]))
+    cfg = BacktestConfig(system=system, predictor="baseline", stop_mult=stop_mult, target_mult=target_mult,
+                         notional=draw(st.sampled_from([1_000_000.0, 3.0])))
+    column = lambda elements: np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+    gaps, bodies = column(st.sampled_from([0, 0, 0, 0, -16, -4, 4, 16])), column(st.integers(-2, 2))
+    closes = 8.0 + np.cumsum(gaps + bodies) * TICK
+    opens = closes - bodies * TICK
+    wicks = st.sampled_from([0, 0, 1, 2, 16])
+    highs = np.maximum(opens, closes) + column(wicks) * TICK
+    lows = np.minimum(opens, closes) - column(wicks) * TICK
+    atrs = column(st.sampled_from([0.0, math.nan, 1e-17, 3e-16, TICK / 2, TICK, 4 * TICK]))
+    signals = draw(st.lists(st.sampled_from(["none", "nan", "long", "short"]), min_size=n, max_size=n))
+    prevs, currs = (np.array(column) for column in zip(*(SIGNALS[system][side] for side in signals)))
+    fractions = draw(st.none() | st.builds(column, st.just(st.sampled_from([0.0, math.nan, 0.25, 0.5, 1.0]))))
+    stamps = [T0 + timedelta(minutes=10 * i) for i in range(n)]
+    return cfg, stamps, (opens, highs, lows, closes), atrs, prevs, currs, fractions
+
+
+@given(args=trading_inputs())
+def test_the_event_pass_equals_the_per_bar_loop(args):
+    assert _outcome(*backtest._trading_pass(*args)) == _outcome(*oracle.trade_bars(*args))
+
+
+W = backtest._EXIT_WINDOW
+
+
+@pytest.mark.parametrize("level", ["low", "high"])
+@pytest.mark.parametrize("distance", [0, 1, W - 1, W, W + 1, 3 * W - 1, 3 * W, 3 * W + 1, 7 * W - 1, None])
+def test_the_exit_search_finds_the_first_bar_from_the_fill_that_reaches_a_level(distance, level):
+    # Trades that outlast the first windows, with a level reached exactly on either side of a window edge,
+    # after a bar before the fill that reaches both and before a later bar that reaches both.
+    fill, n = 5, 5 + 7 * W
+    lows, highs = np.full(n, 1.0), np.full(n, 2.0)
+    lows[fill - 1], highs[fill - 1] = 0.0, 3.0
+    if distance is not None:
+        (lows if level == "low" else highs)[fill + distance] = 0.5 if level == "low" else 2.5
+        if fill + distance + 1 < n:
+            lows[fill + distance + 1], highs[fill + distance + 1] = 0.0, 3.0
+    assert backtest._exit_bar(lows, highs, fill, 0.5, 2.5) == (n if distance is None else fill + distance)
+
+
+@pytest.mark.parametrize("system", ["rsi", "cci"])
+@pytest.mark.parametrize("predictor, dynamic", [("baseline", False), ("marginal", True), ("viterbi", False)])
+def test_a_backtest_trades_as_the_per_bar_loop_on_its_own_inputs(monkeypatch, system, predictor, dynamic):
+    trading_pass, seen = backtest._trading_pass, []
+
+    def recorded(*args):
+        seen.append((args, trading_pass(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(backtest, "_trading_pass", recorded)
+    bars1, bars2 = synthetic_ohlc(_default_sim_params(2, 8, 42), 300, seed=2, amplitude=0.004)
+    cfg = BacktestConfig(system=system, predictor=predictor, dynamic_allocation=dynamic, n_states=2)
+    res = run_backtest(cfg, bars1, bars2)
+    ((args, out),) = seen
+    assert _outcome(*out) == _outcome(*oracle.trade_bars(*args))
+    assert res.trades
+
+
+@pytest.mark.parametrize("predictor", ["baseline", "marginal"])
+def test_crossing_side_is_called_once_per_decision_bar_in_bar_order(monkeypatch, predictor):
+    # The benchmark's layer counts pin one call per decision bar (backtest.decision_bars == strategy.calls);
+    # each call reads the bar's trigger mean and its current mean, the forecast's for a model predictor.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return crossing_side(*args)
+
+    monkeypatch.setattr(backtest, "crossing_side", counted)
+    bars1, bars2 = synthetic_ohlc(_default_sim_params(2, 8, 42), 300, seed=2)
+    cfg = BacktestConfig(system="cci", predictor=predictor, n_states=2)
+    diag = run_backtest(cfg, bars1, bars2).diagnostics
+    ind1, k = backtest._indicator_series(cfg, bars1), cfg.sma_period
+    expected = []
+    for i in range(len(diag)):
+        t = len(bars1) - len(diag) + i
+        window = ind1[t - k: t + 1] if predictor == "baseline" else np.append(ind1[t - k + 1: t + 1],
+                                                                             diag.predicted_value[i])
+        expected.append(("cci", float(window[:-1].mean()), float(window[1:].mean())))
+    assert repr(calls) == repr(expected)
 
 
 def test_backtest_is_bit_reproducible():

@@ -371,6 +371,27 @@ def test_viterbi_equals_the_per_chain_loop_on_long_sequences(t_len, n, m, start,
     _decode_and_check(p, oracle.sample_chmm(p, t_len, seed=seed).observations)
 
 
+@settings(max_examples=100)
+@given(t_len=st.integers(1, 300), n=st.integers(1, 6), m=st.integers(1, 8), chain=st.integers(0, 1),
+       start=st.sampled_from(["jittered", "uniform", "zero-heavy"]), seed=st.integers(0, 2**32 - 1))
+def test_a_chains_decode_reads_only_its_own_bins(t_len, n, m, chain, start, seed):
+    # delta_t(k) = max_i [delta_{t-1}(i) + log a_self[i, k]] + max_j log a_cross[j, k] + log b_k(o_t): the
+    # cross maximum is a constant per target state, so the decoder's two chains are two single-chain
+    # recursions, coupled only through the parameters.  Redrawing the other chain's bins leaves a chain's
+    # scores, path and best score bit-identical, on the step loop and on the grid route past 65 steps.
+    from chmmtrade import jittered_params
+
+    rng = np.random.default_rng(seed)
+    p = {"jittered": lambda: jittered_params(n, m, seed=seed), "uniform": lambda: uniform_params(n, m),
+         "zero-heavy": lambda: _zero_heavy_params(rng, n, m)}[start]()
+    bins = rng.integers(0, m, size=(2, t_len))
+    redrawn = bins.copy()
+    redrawn[1 - chain] = rng.integers(0, m, size=t_len)
+    a, b = (coupled_viterbi(p, ObservationSequence(x)) for x in (bins, redrawn))
+    for field in ("log_delta", "paths", "log_best"):
+        assert getattr(a, field)[chain].tobytes() == getattr(b, field)[chain].tobytes()
+
+
 @pytest.fixture
 def segments(monkeypatch):
     """Every grid segment a decode tries, as (start row, steps, rows kept)."""

@@ -20,8 +20,8 @@ finally:
 def test_the_case_list_is_the_grid_the_long_cases_and_the_run_cases():
     cases = same_bits.cases()
     names = [case[0] for case in cases]
-    assert len(names) == len(set(names)) == 6 * 3 * 10 * 3 + 2 + 10 + 6
-    grid, long, decodes, runs = cases[:-18], cases[-18:-16], cases[-16:-6], cases[-6:]
+    assert len(names) == len(set(names)) == 6 * 3 * 10 * 3 + 2 + 10 + 9
+    grid, long, decodes, runs = cases[:-21], cases[-21:-19], cases[-19:-9], cases[-9:]
     assert {(n, m) for _, n, m, *_ in grid} == set(itertools.product((1, 2, 3, 5, 8, 20), (1, 3, 8)))
     assert {t for _, _, _, t, *_ in grid} == {1, 2, 3, 4, 7, 40, 65, 66, 130, 2000}
     assert {start for *_, start, _ in grid} == {"jittered", "uniform", "zero-heavy"}
@@ -32,14 +32,18 @@ def test_the_case_list_is_the_grid_the_long_cases_and_the_run_cases():
     # Long decodes on each side of the grid route's size gate, from ties and dead chains.
     assert [case[1:] for case in decodes] == [(n, 8, 20_000, start, ("viterbi",))
                                               for n in (1, 2, 3, 8, 20) for start in ("uniform", "zero-heavy")]
-    # At most eight runs on a 400-bar market, varying every knob the model pass reads.
-    assert {(n, m) for _, n, m, *_ in runs} == {(5, 8), (3, 20)} and {t for _, _, _, t, *_ in runs} == {400}
+    # Nine runs, varying every knob the model pass reads, and three baselines for the trading pass: both
+    # systems on a 400-bar market and CCI on a 5,000-bar one.
+    assert {(n, m) for _, n, m, *_ in runs} == {(5, 8), (3, 20)}
     fields = [dict(start) for *_, start, _ in runs]
-    assert {f["system"] for f in fields} == {"rsi", "cci"} and {f["lookback"] for f in fields} == {4, 10}
-    assert {f.get("predictor") for f in fields} >= {"marginal", "viterbi"}
+    assert {f["system"] for f in fields} == {"rsi", "cci"} and {f["lookback"] for f in fields if "lookback" in f} == {4, 10}
+    assert {f.get("predictor") for f in fields} >= {"marginal", "viterbi", "baseline"}
     assert {f.get("fidelity", "corrected") for f in fields} == {"corrected", "literal"}
     assert {f.get("warm_start", True) for f in fields} == {True, False}
     assert {parts for *_, parts in runs} == {("backtest",), ("compare",)}
+    baselines = [(f["system"], t) for (*_, t, _, _), f in zip(runs, fields) if f.get("predictor") == "baseline"]
+    assert baselines == [("rsi", 400), ("cci", 400), ("cci", 5000)]
+    assert {t for (*_, t, _, _), f in zip(runs, fields) if f.get("predictor") != "baseline"} == {400}
     assert same_bits.cases() == cases  # a fixed order
 
 
@@ -67,6 +71,8 @@ def test_the_report_names_every_case_that_differs_or_is_missing(capsys):
     ("rsi-viterbi-warm-L4-N5M8", "write_equity_csv"),
     ("rsi-viterbi-warm-L4-N5M8", "write_diagnostics_csv"),
     ("rsi-viterbi-warm-L4-N5M8", "write_fit_log"),
+    ("cci-baseline-long-N5M8", "write_trades_csv"),
+    ("cci-baseline-long-N5M8", "write_stats_txt"),
     ("cci-compare-cold-L4-N5M8", "write_comparison_csv"),
 ])
 def test_a_run_case_hashes_the_bytes_its_files_are_written_as(monkeypatch, name, writer):

@@ -8,8 +8,8 @@ seeded case set (``cases``) in its own subprocess, with
 ``PYTHONPATH=<side>/src``, and hashes every case's outputs through the
 public API alone (``digest``): the model core and the readouts on a
 grid of model sizes and windows, long forward and decode cases, and
-backtests and comparisons on a seeded market, with the bytes their files
-are written as.  The report names the cases whose sha256
+backtests (the baseline's among them) and comparisons on seeded markets,
+with the bytes their files are written as.  The report names the cases whose sha256
 differs; the exit status is 1 on any difference or when a side fails to
 run.  Standard library plus numpy.
 """
@@ -43,24 +43,28 @@ DECODE_LENGTH = 20_000
 
 # What a grid case hashes.
 PARTS = ("forward", "scaled forward", "gradient", "scaled gradient", "fit", "viterbi", "readout")
-BARS = 400  # bars of the seeded market the run cases trade
-# Run cases: (name, (N, M), BacktestConfig fields); "compare" in a name runs compare_predictors, else run_backtest.
+# Run cases: (name, (N, M), bars of the seeded market, BacktestConfig fields); "compare" in a name runs
+# compare_predictors, else run_backtest.  The baselines run no model: they check the trading pass, the
+# 5,000-bar one on a market with many fills and exits of both sides.
 RUNS = (
-    ("rsi-viterbi-warm-L4-N5M8", (5, 8), dict(system="rsi", predictor="viterbi", lookback=4)),
-    ("rsi-marginal-literal-cold-L10-N3M20", (3, 20),
+    ("rsi-viterbi-warm-L4-N5M8", (5, 8), 400, dict(system="rsi", predictor="viterbi", lookback=4)),
+    ("rsi-marginal-literal-cold-L10-N3M20", (3, 20), 400,
      dict(system="rsi", predictor="marginal", fidelity="literal", lookback=10, warm_start=False)),
-    ("cci-marginal-dynamic-warm-L10-N5M8", (5, 8),
+    ("cci-marginal-dynamic-warm-L10-N5M8", (5, 8), 400,
      dict(system="cci", predictor="marginal", lookback=10, dynamic_allocation=True)),
-    ("cci-viterbi-literal-dynamic-cold-L4-N3M20", (3, 20),
+    ("cci-viterbi-literal-dynamic-cold-L4-N3M20", (3, 20), 400,
      dict(system="cci", predictor="viterbi", fidelity="literal", lookback=4, dynamic_allocation=True, warm_start=False)),
-    ("rsi-compare-literal-warm-L10-N3M20", (3, 20), dict(system="rsi", fidelity="literal", lookback=10)),
-    ("cci-compare-cold-L4-N5M8", (5, 8), dict(system="cci", lookback=4, warm_start=False)),
+    ("rsi-compare-literal-warm-L10-N3M20", (3, 20), 400, dict(system="rsi", fidelity="literal", lookback=10)),
+    ("cci-compare-cold-L4-N5M8", (5, 8), 400, dict(system="cci", lookback=4, warm_start=False)),
+    ("rsi-baseline-N5M8", (5, 8), 400, dict(system="rsi", predictor="baseline")),
+    ("cci-baseline-N3M20", (3, 20), 400, dict(system="cci", predictor="baseline")),
+    ("cci-baseline-long-N5M8", (5, 8), 5000, dict(system="cci", predictor="baseline")),
 )
 
 
 def cases() -> list[tuple]:
     """Every case as (name, N, M, T, start, parts), in a fixed order: the grid,
-    the long cases, then the run cases, whose T is the market's bars and
+    the long cases, then the run cases, whose T is their market's bars and
     whose ``start`` holds their config fields.  ``parts`` names the outputs a
     case hashes."""
     grid = [(f"N{n}-M{m}-T{t}-{start}", n, m, t, start, PARTS)
@@ -69,8 +73,8 @@ def cases() -> list[tuple]:
             (f"N5-M8-T{LONG}-jittered-decode", 5, 8, LONG, "jittered", ("viterbi",))]
     long += [(f"N{n}-M8-T{DECODE_LENGTH}-{start}-decode", n, 8, DECODE_LENGTH, start, ("viterbi",))
              for n, start in product(DECODE_STATES, ("uniform", "zero-heavy"))]
-    runs = [(name, n, m, BARS, tuple(fields.items()), ("compare" if "compare" in name else "backtest",))
-            for name, (n, m), fields in RUNS]
+    runs = [(name, n, m, bars, tuple(fields.items()), ("compare" if "compare" in name else "backtest",))
+            for name, (n, m), bars, fields in RUNS]
     return grid + long + runs
 
 
@@ -93,9 +97,9 @@ def _start(chmm, rng, n, m, start):
 
 def _run(chmm, n, m, bars, fields, compare):
     """A run case's outputs: a backtest's diagnostics columns, fit records,
-    trades and equity, then the bytes of its equity, diagnostics and fit-log
-    files, or a comparison's columns, then the bytes of its file, on a
-    seeded market."""
+    trades, equity and stats, then the bytes of the five files the CLI
+    writes of it, or a comparison's columns, then the bytes of its file, on
+    a seeded market."""
     from chmmtrade import data_io
 
     fields = dict(fields)
@@ -111,9 +115,10 @@ def _run(chmm, n, m, bars, fields, compare):
     records = [(rec.window_end, rec.sweeps_run, [v.hex() for v in rec.trace]) for rec in r.fit_records]
     trades = [tuple(vars(tr).values()) for tr in r.trades]
     files = _written((data_io.write_equity_csv, r.equity), (data_io.write_diagnostics_csv, d),
-                     (data_io.write_fit_log, r.fit_records))
+                     (data_io.write_fit_log, r.fit_records), (data_io.write_trades_csv, r.trades),
+                     (data_io.write_stats_txt, r.stats))
     return (d.timestamps, d.predicted_value, d.predicted_state, d.transition_prob, d.predicted_value2,
-            d.predicted_state2, d.signal_side, records, trades, r.equity.values, *files)
+            d.predicted_state2, d.signal_side, records, trades, r.equity.values, vars(r.stats), *files)
 
 
 def _written(*writes) -> list[bytes]:
