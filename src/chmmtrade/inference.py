@@ -8,8 +8,10 @@ steps instead of T, and up to ``_SCAN_MIN_BLOCK + 1`` steps the step
 loop itself, each step written in place into a step-major buffer.  The
 decoder intentionally uses a different rule: per chain it maximizes over
 pairs of source states scored by the plain product of the two incoming
-transition rows, with no coupling weights, and only the chain's own
-source state carries trellis mass forward.
+transition rows, with no coupling weights.  The best cross source is then
+a constant per target state, so the decoder is L independent single-chain
+recursions (``_decode``), one lane per chain, whose constants only
+``coupled_viterbi`` builds from the parameters.
 """
 
 from __future__ import annotations
@@ -295,9 +297,9 @@ def _psi_block_steps(n_states: int) -> int:
 
 
 def _viterbi_loop(trellis: np.ndarray, start: int, stop: int, own_a, cross_max, log_bt) -> None:
-    """The decoder's step loop: rows ``start + 1 .. stop - 1`` of the step-major trellis from
-    row ``start``, four ufunc calls a step (see ``coupled_viterbi``)."""
-    own = np.empty(own_a.shape)  # (c, i, k)
+    """The decoder's step loop: rows ``start + 1 .. stop - 1`` of the step-major (T, L, N)
+    trellis from row ``start``, four ufunc calls a step for every lane (see ``_decode``)."""
+    own = np.empty(own_a.shape)  # (lane, i, k)
     add, reduce_max = np.add, np.maximum.reduce
     for prev, row, bt in zip(trellis[start : stop - 1, :, :, None], trellis[start + 1 : stop], log_bt[start + 1 : stop]):
         add(prev, own_a, out=own)
@@ -309,127 +311,155 @@ def _viterbi_loop(trellis: np.ndarray, start: int, stop: int, own_a, cross_max, 
 # The decoder's grid route (``_viterbi_rows``) runs at up to _GRID_MAX_STATES states, where it
 # measures faster than the step loop (phase 1 costs N^3 a step; ``tools/grid_per_n.py`` times
 # both routes per N).  _GRID_MIN_STEPS is the shortest segment tried and the loop's stretch
-# between tries, and _GRID_FLOATS floats of temporaries bound a segment's length and its blocks.
+# between tries, and _GRID_FLOATS floats of temporaries bound a lane segment's length (N floats
+# of increments a step) and its blocks (phase 1's N^3 pair scores a block).
 _GRID_MAX_STATES = 8
 _GRID_MIN_STEPS = 64
-_GRID_FLOATS = 1 << 14
+_GRID_FLOATS = 1 << 15
 _NO_PATH = -np.inf  # the max-plus zero, the score of no path: phase 1's identity off its diagonal
 
 
-def _grid_plan(row: list, t: int):
-    """Where row ``t`` (per chain, a list of N scores) stands: ``(exps, room)``.
+def _grid_plan(scores: list, t: int):
+    """Where one lane's row ``t`` of N scores stands: ``(e, room)``.
 
-    ``exps`` holds each chain's binade exponent e, such that every finite score of the chain
-    lies in (-2^e, -2^(e-1)], or is None when a chain has a 0.0 (in no binade) or scores in
-    two binades.  A chain of -inf scores alone stays so on any grid, and takes e = 0.  ``room``
-    is the steps until a chain's lowest score is estimated, at the chain's mean descent
-    -max/t a step, to leave its binade."""
-    exps, room = [], math.inf
-    for scores in row:
-        finite = [v for v in scores if v > -math.inf]
-        if not finite:
-            exps.append(0)
-            continue
-        top, low = max(finite), min(finite)
-        e = math.frexp(top)[1]
-        if top == 0.0 or math.frexp(low)[1] != e:
-            return None, 0
-        exps.append(e)
-        room = min(room, (2.0**e + low) * t / -top)
-    return exps, room
+    ``e`` is the binade exponent such that every finite score lies in (-2^e, -2^(e-1)], or
+    None when the row holds a 0.0 (in no binade) or scores in two binades; a row of -inf scores
+    alone stays so on any grid, and takes e = 0.  ``room`` is the steps until the lowest score
+    is estimated, at the lane's mean descent -max/t a step, to leave its binade."""
+    finite = [v for v in scores if v > -math.inf]
+    if not finite:
+        return 0, math.inf
+    top, low = max(finite), min(finite)
+    e = math.frexp(top)[1]
+    if top == 0.0 or math.frexp(low)[1] != e:
+        return None, 0
+    return e, (2.0**e + low) * t / -top
 
 
-def _grid_segment(trellis: np.ndarray, t: int, steps: int, exps: list, consts: np.ndarray, bins: np.ndarray) -> int:
-    """Rows ``t + 1 .. t + steps`` of the trellis by max-plus on each chain's ulp grid, in
-    blocks; returns how many of them are verified, each equal to the step loop's.
+def _grid_segment(lane: np.ndarray, t: int, steps: int, e: int, consts: np.ndarray, bins: np.ndarray) -> int:
+    """Rows ``t + 1 .. t + steps`` of one lane's (T, N) trellis view by max-plus on the ulp grid
+    of binade ``e``, in blocks; returns how many of them are verified, each the step loop's.
 
-    ``consts`` (2, N^2 + N + N M) holds each chain's constants: log a1 (i, k), the cross
-    maxima and the log emissions.  Each is rounded once to a multiple of its chain's ulp
-    u = 2^(e - 53); a constant half way between two multiples (a tie) verifies nothing.  Then
-    ``_scan``'s three phases in max-plus, with each step's rounded cross maxima plus emissions,
-    ``inc`` (2, N, steps), added by broadcasting: phase 1 maps every block but the last from
-    the identity, phase 2 chains the blocks' starts from row ``t``, and phase 3 runs every
-    block from its start for L steps, writing the rows.  The blocks are the last axis of the
-    batched arrays, so each max runs over contiguous rows of blocks."""
-    n = trellis.shape[2]
-    shift = 53 - np.array(exps)[:, None]  # (2, 1)
-    scaled = np.ldexp(consts, shift)
+    ``consts`` (N^2 + N + N M), the lane's log a1 (i, k), cross maxima and log emissions, are
+    rounded once to multiples of u = 2^(e - 53); a constant half way between two (a tie)
+    verifies nothing.  Then ``_scan``'s three phases in max-plus, with each step's rounded cross
+    maxima plus emissions, ``inc`` (N, steps), added by broadcasting: phase 1 maps every block
+    but the last from the identity, phase 2 chains the blocks' starts from row ``t``, and phase 3
+    runs every block from its start for L steps, writing the rows.  The blocks are the last axis
+    of the batched arrays, so each max runs over contiguous rows of blocks."""
+    n = lane.shape[1]
+    scaled = np.ldexp(consts, 53 - e)
     grid = np.rint(scaled)
     with np.errstate(invalid="ignore"):  # -inf minus -inf, which is no tie
         if (np.abs(scaled - grid) == 0.5).any():
             return 0
-    np.ldexp(grid, -shift, out=grid)
-    r_a = grid[:, : n * n].reshape(2, n, n, 1)  # (c, i, k, b)
-    inc = np.empty((2, n, steps))
-    for c, table in enumerate(grid[:, n * n + n :].reshape(2, n, -1)):
-        np.take(table, bins[c, t + 1 : t + 1 + steps], axis=1, out=inc[c])
-    inc += grid[:, n * n : n * n + n, None]
+    np.ldexp(grid, e - 53, out=grid)
+    r_a = grid[: n * n].reshape(n, n, 1)  # (i, k, b)
+    inc = np.take(grid[n * n + n :].reshape(n, -1), bins[t + 1 : t + 1 + steps], axis=1)  # (k, steps)
+    inc += grid[n * n : n * n + n, None]
 
-    # L ~ sqrt(steps), or longer where phase 1's pair scores, 2 N^3 floats a block, would pass the budget.
-    size = max(math.isqrt(steps), -(-steps * 2 * n**3 // _GRID_FLOATS))
+    # L ~ sqrt(steps), or longer where phase 1's pair scores, N^3 floats a block, would pass the budget.
+    size = max(math.isqrt(steps), -(-steps * n**3 // _GRID_FLOATS))
     n_blocks = -(-steps // size)
     ragged = steps - size * (n_blocks - 1)  # steps in the last block
     eye = np.where(np.eye(n, dtype=bool), 0.0, _NO_PATH)[:, :, None]
-    ops = np.broadcast_to(eye, (2, n, n, n_blocks - 1))  # (c, i0, i, b)
-    pairs, maps = np.empty((2, n, n, n, n_blocks - 1)), np.empty((2, n, n, n_blocks - 1))
+    ops = np.broadcast_to(eye, (n, n, n_blocks - 1))  # (i0, i, b)
+    pairs, maps = np.empty((n, n, n, n_blocks - 1)), np.empty((n, n, n_blocks - 1))
     for l in range(size):
-        np.add(ops[:, :, :, None], r_a[:, None], out=pairs)  # (c, i0, i, k, b)
-        ops = np.maximum.reduce(pairs, axis=2, out=maps)  # (c, i0, k, b)
-        ops += inc[:, None, :, l : l + size * (n_blocks - 1) : size]
-    starts = np.empty((n_blocks, 2, n))
-    starts[0] = trellis[t]
+        np.add(ops[:, :, None], r_a, out=pairs)  # (i0, i, k, b)
+        ops = np.maximum.reduce(pairs, axis=1, out=maps)  # (i0, k, b)
+        ops += inc[:, l : l + size * (n_blocks - 1) : size]
+    starts = np.empty((n_blocks, n))
+    starts[0] = lane[t]
     for k in range(1, n_blocks):
-        np.maximum.reduce(starts[k - 1][:, :, None] + ops[..., k - 1], axis=1, out=starts[k])
-    rows = trellis[t + 1 : t + 1 + steps]
-    x, own = starts.transpose(1, 2, 0), np.empty((2, n, n, n_blocks))  # own: (c, i, k, b)
+        np.maximum.reduce(starts[k - 1][:, None] + ops[..., k - 1], axis=0, out=starts[k])
+    rows = lane[t + 1 : t + 1 + steps]
+    x, own = starts.T, np.empty((n, n, n_blocks))  # own: (i, k, b)
     for l in range(size):
         if l == ragged:  # the last block is done
-            x, own = x[..., :-1], own[..., :-1]
-        y = rows[l::size].transpose(1, 2, 0)  # (c, k, b)
-        np.add(x[:, :, None], r_a, out=own)
-        np.maximum.reduce(own, axis=1, out=y)
-        y += inc[:, :, l::size]
+            x, own = x[:, :-1], own[..., :-1]
+        y = rows[l::size].T  # (k, b)
+        np.add(x[:, None], r_a, out=own)
+        np.maximum.reduce(own, axis=0, out=y)
+        y += inc[:, l::size]
         x = y
 
-    # Keep the rows up to the first with a finite score outside its chain's binade, and up to
-    # the first block whose phase-2 start is not the phase-3 row that ends the block before.
-    lo, hi = (-np.ldexp(1.0, np.array(exps)[:, None] - d) for d in (0, 1))
-    good = (((rows > lo) & (rows <= hi)) | (rows == -np.inf)).all(axis=(1, 2))
+    # Keep the rows up to the first with a finite score outside the binade, and up to the
+    # first block whose phase-2 start is not the phase-3 row that ends the block before.
+    lo, hi = -np.ldexp(1.0, (e, e - 1))
+    good = (((rows > lo) & (rows <= hi)) | (rows == -np.inf)).all(axis=1)
     kept = steps if good.all() else int(good.argmin())
-    same = (starts[1:] == rows[size - 1 : size * (n_blocks - 1) : size]).all(axis=(1, 2))
+    same = (starts[1:] == rows[size - 1 : size * (n_blocks - 1) : size]).all(axis=1)
     if not same.all():
         kept = min(kept, size * (int(same.argmin()) + 1))
     return kept
 
 
 def _viterbi_rows(trellis: np.ndarray, own_a, cross_max, log_bt, log_emit, bins) -> int:
-    """Fill rows 1.. of the step-major trellis from row 0; returns the steps taken on the grid.
-
-    Up to ``_SCAN_MIN_BLOCK`` steps, and every step at more than ``_GRID_MAX_STATES`` states,
-    are the step loop's.  From each later row that ``_grid_plan`` finds in one binade per
-    chain, with room for at least ``_GRID_MIN_STEPS`` steps, a grid segment of up to
-    ``_GRID_FLOATS / 2N`` steps is tried (``_grid_segment``) and its verified rows kept.
-    After a segment cut short, or from any other row, the loop runs ``_GRID_MIN_STEPS`` steps."""
-    t_len, _, n = trellis.shape
-    t = min(t_len - 1, _SCAN_MIN_BLOCK) if n <= _GRID_MAX_STATES else t_len - 1
-    _viterbi_loop(trellis, 0, t + 1, own_a, cross_max, log_bt)
-    if t == t_len - 1:
+    """Fill rows 1.. of the step-major (T, L, N) trellis from row 0; returns the grid's steps, summed
+    over the lanes.  Up to ``_SCAN_MIN_BLOCK`` steps, and every step at more than ``_GRID_MAX_STATES``
+    states, are the step loop's, for all lanes at once.  Then each lane is walked on its own: from
+    each row that ``_grid_plan`` finds in one binade, with room for at least ``_GRID_MIN_STEPS``
+    steps, a grid segment of up to ``_GRID_FLOATS / N`` steps is tried (``_grid_segment``) and its
+    verified rows kept; after a segment cut short, or from any other row, the loop runs
+    ``_GRID_MIN_STEPS`` steps of that lane."""
+    t_len, lanes, n = trellis.shape
+    first = min(t_len - 1, _SCAN_MIN_BLOCK) if n <= _GRID_MAX_STATES else t_len - 1
+    _viterbi_loop(trellis, 0, first + 1, own_a, cross_max, log_bt)
+    if first == t_len - 1:
         return 0
-    consts = np.concatenate((own_a.reshape(2, -1), cross_max, log_emit.reshape(2, -1)), axis=1)
-    cap = _GRID_FLOATS // (2 * n)
     on_grid = 0
-    while t < t_len - 1:
-        exps, room = _grid_plan(trellis[t].tolist(), t)
-        steps = int(min(t_len - 1 - t, cap, room))
-        if exps is not None and steps >= _GRID_MIN_STEPS:
-            kept = _grid_segment(trellis, t, steps, exps, consts, bins)
-            t, on_grid = t + kept, on_grid + kept
-            if kept == steps:
-                continue
-        stop = min(t_len, t + 1 + _GRID_MIN_STEPS)
-        _viterbi_loop(trellis, t, stop, own_a, cross_max, log_bt)
-        t = stop - 1
+    for c in range(lanes):
+        lane, one = trellis[:, c], slice(c, c + 1)
+        consts = np.concatenate((own_a[c].ravel(), cross_max[c], log_emit[c].ravel()))
+        t = first
+        while t < t_len - 1:
+            e, room = _grid_plan(lane[t].tolist(), t)
+            steps = int(min(t_len - 1 - t, _GRID_FLOATS // n, room))
+            if e is not None and steps >= _GRID_MIN_STEPS:
+                kept = _grid_segment(lane, t, steps, e, consts, bins[c])
+                t, on_grid = t + kept, on_grid + kept
+                if kept == steps:
+                    continue
+            stop = min(t_len, t + 1 + _GRID_MIN_STEPS)
+            _viterbi_loop(trellis[:, one], t, stop, own_a[one], cross_max[one], log_bt[:, one])
+            t = stop - 1
     return on_grid
+
+
+def _decode(log_pi, own_a, cross_max, log_bt, log_emit, bins):
+    """L independent single-chain Viterbi recursions, one a lane, from ``delta_0 = log_pi + log_bt[0]``:
+    ``delta_t(k) = max_i [delta_{t-1}(i) + own_a[i, k]] + cross_max[k] + log_bt[t, k]``.  Returns
+    ``log_delta`` (L, T, N), a read-only view of the trellis, each lane's best path and best score."""
+    t_len, lanes, n = log_bt.shape
+    trellis = np.empty((t_len, lanes, n))  # step-major: trellis[t] is step t's (lane, k) block
+    np.add(log_pi, log_bt[0], out=trellis[0])
+    _viterbi_rows(trellis, own_a, cross_max, log_bt, log_emit, bins)
+    trellis.setflags(write=False)
+    log_delta = trellis.transpose(1, 0, 2)  # (L, T, N)
+
+    # Backtrack from the end a block of steps at a time, taking each block's back-pointers, the
+    # first i reaching the maximum, as Python lists.  Scores are never NaN, so the last step's
+    # Python max and its first index are numpy's max and argmax.
+    last = trellis[-1].tolist()  # (lane, k)
+    log_best = [max(row) for row in last]
+    states = [row.index(best) for row, best in zip(last, log_best)]  # each lane's state at the block's end
+    paths = np.empty((lanes, t_len), dtype=np.int64)
+    paths[:, -1] = states
+    block = _psi_block_steps(n)
+    own_t = own_a.swapaxes(1, 2)[:, None]  # (lane, 1, k, i): sums in C order put i last, contiguous
+    for t1 in range(t_len, 1, -block):
+        t0 = max(1, t1 - block)
+        own = np.add(log_delta[:, t0 - 1 : t1 - 1, None, :], own_t, order="C")  # (lane, t, k, i)
+        own += cross_max[:, None, :, None]
+        for c, rows in enumerate(own.argmax(axis=3).tolist()):  # (t, k) per lane
+            state, walk = states[c], []
+            for row in reversed(rows):
+                state = row[state]
+                walk.append(state)
+            states[c] = state
+            paths[c, t0 - 1 : t1 - 1] = walk[::-1]
+    return log_delta, paths, log_best
 
 
 def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrellis:
@@ -439,78 +469,47 @@ def coupled_viterbi(params: ChmmParams, obs: ObservationSequence) -> ViterbiTrel
 
         delta_t(k) = max_{i,j} [delta_{t-1}(i) + log a1[i, k] + log a2[j, k]] + log b_k(o_t)
 
-    where a1, a2 are the two transition matrices pointing into chain c
-    and i indexes the chain's own previous state.  All argmax operations
-    break ties toward the lowest index (row-major over (i, j) pairs), so
-    decoding is deterministic across platforms.  The recursion keeps only
-    the maximum; the backtrack then takes each step's pointer from the
-    finished trellis, a block of steps at a time: the first i reaching the
+    where a1, a2 are the two transition matrices pointing into chain c and i
+    indexes the chain's own previous state.  The cross maximum max_j log a2[j, k]
+    is a constant per target state, so the decoder is two independent
+    single-chain recursions, the lanes of ``_decode``, coupled only through
+    their constants (log pi, log a1, the cross maxima, the log emissions),
+    which only this function builds from the parameters.  All argmax
+    operations break ties toward the lowest index (row-major over (i, j)
+    pairs), so decoding is deterministic across platforms.  The recursion
+    keeps only the maximum; the backtrack then takes each step's pointer from
+    the finished trellis, a block of steps at a time: the first i reaching the
     maximum with the best j, which is the i of the lowest maximizing pair.
 
-    A decoded path must score exactly ``log_best`` under
-    ``oracle.score_path``, which adds the terms in the step loop's order,
-    so every score is the step loop's bit for bit: a step is four ufunc
-    calls into a step-major (T, 2, N) buffer, of which ``log_delta`` is a
-    view.  Long stretches still run in about 3 sqrt(S) Python-level steps
-    per segment of S, by this lemma.  Let B = [2^(e-1), 2^e) be a binade
-    and u = 2^(e-53) its ulp.  Every addend (log a1, the cross maximum,
-    log b) is at most 0, so while every finite score of a chain lies in
-    -B before and after a step, fl(x + a) = x + r(a), with r(a) the
-    multiple of u nearest to a, unless a / u is exactly a half-integer,
-    where ties-to-even reads x's last bit.  The rounded recursion is then
-    exact max-plus arithmetic on multiples of u, which is associative, so
-    ``_grid_segment`` runs a segment as ``_scan``'s blocked scan in
-    max-plus with constants rounded once.  Its guards: no constant is a
-    tie, every finite score stays in its chain's binade (-inf stays
-    exact and is left out; 0.0 lies in no binade), and each block's
-    chained start equals the row that ends the block before.  The rows up
-    to the first failed guard are kept; all else, as short segments, a
-    row in two binades and every step at more than ``_GRID_MAX_STATES``
-    states, is the step loop's (``_viterbi_rows``).  The back-pointer
-    blocks lay the source state last, (c, t, k, i).
+    A decoded path must score exactly ``log_best`` under ``oracle.score_path``,
+    which adds the terms in the step loop's order, so every score is the step
+    loop's bit for bit: a step is four ufunc calls into a step-major (T, 2, N)
+    buffer, of which ``log_delta`` is a view.  Long stretches of a lane still
+    run in about 3 sqrt(S) Python-level steps per segment of S, by this lemma,
+    which holds per lane.  Let B = [2^(e-1), 2^e) be a binade and u = 2^(e-53)
+    its ulp.  Every addend (log a1, the cross maximum, log b) is at most 0, so
+    while every finite score of a lane lies in -B before and after a step,
+    fl(x + a) = x + r(a), with r(a) the multiple of u nearest to a, unless
+    a / u is exactly a half-integer, where ties-to-even reads x's last bit.
+    The lane's rounded recursion is then exact max-plus arithmetic on
+    multiples of u, which is associative, so ``_grid_segment`` runs a segment
+    as ``_scan``'s blocked scan in max-plus with the lane's constants rounded
+    once.  Its guards: none of them is a tie, every finite score stays in the
+    binade (-inf stays exact and is left out; 0.0 lies in no binade), and each
+    block's chained start equals the row that ends the block before.  The
+    rows up to the first failed guard are kept; all else, as short segments,
+    a row in two binades and every step at more than ``_GRID_MAX_STATES``
+    states, is the step loop's (``_viterbi_rows``).
     """
     check_params(params)
-    n = params.n_states
-    t_len = obs.length
     with np.errstate(divide="ignore"):
         log_a = np.log(params.trans)    # (2, 2, N, N)
         log_pi = np.log(params.priors)  # (2, N)
         log_emit = np.log(params.emit)  # (2, N, M)
-    log_bt = _emission_lookup(params, obs, log_emit)  # (T, 2, N)
-
-    own_a, cross_a = log_a[0], log_a[1]  # log a1[c, i, k], log a2[c, j, k]
-    # A pair (i, j) scores own(i) + cross(j), with own(i) = delta_{t-1}(i)
-    # + log a1[i, k] and cross(j) = log a2[j, k].  Rounding is monotone in
-    # each operand, so the largest rounded pair score is exactly
-    # fl(max_i own(i) + max_j cross(j)): the recursion carries only that.
-    cross_max = cross_a.max(axis=1)  # (c, k)
-
-    trellis = np.empty((t_len, 2, n))  # step-major: trellis[t] is step t's (c, k) block
-    np.add(log_pi, log_bt[0], out=trellis[0])
-    _viterbi_rows(trellis, own_a, cross_max, log_bt, log_emit, obs.bins)
-    trellis.setflags(write=False)
-    log_delta = trellis.transpose(1, 0, 2)  # (2, T, N)
-
-    # Backtrack from the end a block of steps at a time, taking each block's back-pointers
-    # as Python lists: a pair (i, j) reaches the maximum only if fl(own(i) + cross_max) does,
-    # so the first such i is the own state of the lowest maximizing pair.  Scores are never
-    # NaN, so the last step's Python max and its first index are numpy's max and argmax.
-    last = trellis[-1].tolist()  # (c, k)
-    log_best = [max(row) for row in last]
-    states = [row.index(best) for row, best in zip(last, log_best)]  # each chain's state at the block's end
-    paths = np.empty((2, t_len), dtype=np.int64)
-    paths[:, -1] = states
-    block = _psi_block_steps(n)
-    own_t = own_a.swapaxes(1, 2)[:, None]  # (c, 1, k, i): sums in C order put i last, contiguous
-    for t1 in range(t_len, 1, -block):
-        t0 = max(1, t1 - block)
-        own = np.add(log_delta[:, t0 - 1 : t1 - 1, None, :], own_t, order="C")  # (c, t, k, i)
-        own += cross_max[:, None, :, None]
-        for c, rows in enumerate(own.argmax(axis=3).tolist()):  # (t, k) per chain
-            state, walk = states[c], []
-            for row in reversed(rows):
-                state = row[state]
-                walk.append(state)
-            states[c] = state
-            paths[c, t0 - 1 : t1 - 1] = walk[::-1]
+    # A pair (i, j) scores own(i) + cross(j), with own(i) = delta_{t-1}(i) + log a1[i, k] and
+    # cross(j) = log a2[j, k].  Rounding is monotone in each operand, so the largest rounded pair
+    # score is exactly fl(max_i own(i) + max_j cross(j)): the recursion carries only that.
+    own_a, cross_max = log_a[0], log_a[1].max(axis=1)  # log a1[c, i, k], max_j log a2[c, j, k]
+    log_delta, paths, log_best = _decode(log_pi, own_a, cross_max, _emission_lookup(params, obs, log_emit),
+                                         log_emit, obs.bins)
     return ViterbiTrellis(log_delta=log_delta, paths=paths, log_best=np.array(log_best))

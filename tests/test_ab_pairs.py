@@ -1,8 +1,10 @@
-"""The summary that ``tools/ab_pairs.py`` prints, from hand-made verdicts;
-the script's runs themselves are not exercised here."""
+"""The summary that ``tools/ab_pairs.py`` prints, from hand-made verdicts, and
+the checkouts it runs in, with ``run_once`` stubbed: no benchmark runs here."""
 
 import importlib.util
+import json
 import math
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,43 @@ def test_stage_medians_are_summarised_without_a_verdict():
                       "decode_s": {"base_median": 0.9, "work_median": 0.6, "pairs": 2}}
     # Runs without records, as the stand-in of a failed run, have no stages.
     assert ab_pairs.summarize([(verdict(1.0, 1.0), verdict(1.0, 1.0))], METRICS)["stages"] == {}
+
+
+def _git(repo, *argv):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *argv],
+                   capture_output=True, check=True)
+
+
+def test_both_sides_run_from_sibling_copies_and_the_work_side_holds_the_untracked_files(tmp_path, monkeypatch):
+    # A repository with a committed file then edited, a tracked file deleted, an untracked new
+    # file and an ignored one: the work side holds the tree as it stands, less what git ignores.
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}), encoding="utf-8")
+    (repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
+    (repo / "pkg" / "kept.py").write_text("base\n", encoding="utf-8")
+    (repo / "gone.py").write_text("gone\n", encoding="utf-8")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "pkg" / "kept.py").write_text("work\n", encoding="utf-8")
+    (repo / "gone.py").unlink()
+    (repo / "pkg" / "new.py").write_text("new\n", encoding="utf-8")
+    (repo / "run.log").write_text("ignored\n", encoding="utf-8")
+    seen = {}
+
+    def run_once(checkout, workload, seed, seconds):
+        files = {str(p.relative_to(checkout)): p.read_text(encoding="utf-8")
+                 for p in checkout.rglob("*") if p.is_file() and ".git" not in p.parts}
+        seen.setdefault(checkout, files)
+        return verdict(1.0, 1.0)
+
+    monkeypatch.setattr(ab_pairs, "ROOT", repo)
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    assert ab_pairs.main(["--workload", "w", "--pairs", "2"]) == 0
+    (base, base_files), (work, work_files) = sorted(seen.items(), key=lambda item: item[0].name)
+    assert (base.name, work.name) == ("base", "work") and base.parent == work.parent
+    assert repo not in (base, work) and repo not in base.parents and repo not in work.parents
+    assert base_files["pkg/kept.py"] == "base\n" and "gone.py" in base_files and "pkg/new.py" not in base_files
+    assert work_files["pkg/kept.py"] == "work\n" and work_files["pkg/new.py"] == "new\n"
+    assert "gone.py" not in work_files and "run.log" not in work_files

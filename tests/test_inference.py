@@ -392,18 +392,42 @@ def test_a_chains_decode_reads_only_its_own_bins(t_len, n, m, chain, start, seed
         assert getattr(a, field)[chain].tobytes() == getattr(b, field)[chain].tobytes()
 
 
+def _lane(view):
+    """The first lane of a decode trellis (T, L, N) that ``view`` starts at: its offset in lanes."""
+    root = view if view.base is None else view.base
+    return (view.ctypes.data - root.ctypes.data) // (view.itemsize * view.shape[-1])
+
+
 @pytest.fixture
 def segments(monkeypatch):
-    """Every grid segment a decode tries, as (start row, steps, rows kept)."""
+    """Every grid segment a decode tries, as (lane, start row, steps, rows kept)."""
     tried, segment = [], inference._grid_segment
 
-    def spy(trellis, t, steps, *args):
-        kept = segment(trellis, t, steps, *args)
-        tried.append((t, steps, kept))
+    def spy(lane, t, steps, *args):
+        kept = segment(lane, t, steps, *args)
+        tried.append((_lane(lane), t, steps, kept))
         return kept
 
     monkeypatch.setattr(inference, "_grid_segment", spy)
     return tried
+
+
+@pytest.fixture
+def stretches(monkeypatch):
+    """Every loop stretch a decode runs, as (lanes, rows from start to stop)."""
+    ran, loop = [], inference._viterbi_loop
+
+    def spy(trellis, start, stop, *args):
+        ran.append((range(_lane(trellis), _lane(trellis) + trellis.shape[1]), stop - start))
+        loop(trellis, start, stop, *args)
+
+    monkeypatch.setattr(inference, "_viterbi_loop", spy)
+    return ran
+
+
+def _kept_rows(segments, lane):
+    """The rows that ``lane``'s grid segments kept."""
+    return {r for c, t, _, kept in segments if c == lane for r in range(t + 1, t + kept + 1)}
 
 
 def test_the_grid_takes_most_steps_of_a_long_decode(segments):
@@ -411,65 +435,80 @@ def test_the_grid_takes_most_steps_of_a_long_decode(segments):
 
     p = _default_sim_params(3, 8, seed=7)
     _decode_and_check(p, oracle.sample_chmm(p, 6_000, seed=3).observations)
-    assert sum(kept for *_, kept in segments) > 0.8 * 6_000
+    assert all(len(_kept_rows(segments, c)) > 0.8 * 6_000 for c in (0, 1))
 
 
-def _one_state_params(p_first):
-    """N = 1, M = 2: each chain's score falls by -log p or -log(1 - p) a step."""
+def _one_state_params(p_first, p_second=None):
+    """N = 1, M = 2: each chain's score falls by -log p or -log(1 - p) a step, with p =
+    ``p_first`` in chain 0 and ``p_second`` (default ``p_first``) in chain 1."""
+    p_second = p_first if p_second is None else p_second
     return ChmmParams(priors=np.ones((2, 1)), trans=np.ones((2, 2, 1, 1)),
-                      emit=np.tile([[p_first, 1.0 - p_first]], (2, 1, 1)), coupling=np.full((2, 2), 0.5))
+                      emit=[[[p_first, 1.0 - p_first]], [[p_second, 1.0 - p_second]]], coupling=np.full((2, 2), 0.5))
+
+
+def _tie_at_2_to_the_10():
+    """A p in (0.3, 0.7) whose log is a tie on the grid of [1024, 2048), u = 2^-42: log p / u
+    is a half-integer, so ties-to-even reads each score's last bit there."""
+    candidates = np.random.default_rng(11).uniform(0.3, 0.7, 1 << 16)
+    scaled = np.ldexp(np.log(candidates), 42)
+    return candidates[np.abs(scaled - np.rint(scaled)) == 0.5][0]
 
 
 def test_a_tie_constant_leaves_its_binade_to_the_loop(segments):
-    # log p is a tie on the grid of [1024, 2048), u = 2^-42: a / u is a
-    # half-integer, so ties-to-even reads each score's last bit there.
-    candidates = np.random.default_rng(11).uniform(0.3, 0.7, 1 << 16)
-    scaled = np.ldexp(np.log(candidates), 42)
-    p = _one_state_params(candidates[np.abs(scaled - np.rint(scaled)) == 0.5][0])
-    vt = _decode_and_check(p, random_obs(np.random.default_rng(5), 2, 4_000))
-    tops = vt.log_delta.max(axis=2).min(axis=0)  # the lowest chain's score at each step
-    in_tied = [(t, steps, kept) for t, steps, kept in segments if -2048.0 < tops[t] <= -1024.0]
-    assert in_tied and all(kept == 0 for *_, kept in in_tied)
+    vt = _decode_and_check(_one_state_params(_tie_at_2_to_the_10()), random_obs(np.random.default_rng(5), 2, 4_000))
+    tops = vt.log_delta.max(axis=2)  # each lane's score at each step
+    in_tied = [kept for c, t, _, kept in segments if -2048.0 < tops[c, t] <= -1024.0]
+    assert in_tied and not any(in_tied)
     assert sum(kept for *_, kept in segments) > 0  # the grid runs in the binades around it
 
 
-@pytest.mark.parametrize("row, exps, room", [
-    ([[-1000.0, -1030.0], [-3000.0, -3001.0]], None, None),  # chain 0 straddles 1024
-    ([[0.0, -0.75], [-0.6, -0.9]], None, None),  # 0.0 beside scores of frexp exponent 0: 0.0 is in no binade
-    ([[-0.5, -0.75], [-0.6, -0.9]], [0, 0], (1 - 0.9) * 100 / 0.6),  # chain 1's -0.9 leaves first
-    ([[-1000.0, -np.inf], [-3000.0, -3001.0]], [10, 12], (1024 - 1000) * 100 / 1000),  # -inf is left out
-    ([[-np.inf, -np.inf], [-3000.0, -3001.0]], [0, 12], (4096 - 3001) * 100 / 3000),  # a dead chain stays so
-    ([[-np.inf, -np.inf], [-np.inf, -np.inf]], [0, 0], np.inf),  # an all -inf row
+def test_a_tie_in_one_lane_leaves_the_other_lanes_segments_their_steps(segments):
+    # Chain 0's log p is a tie on [1024, 2048); chain 1's constants are no tie on the grids of
+    # [2^7, 2^8) to [2^12, 2^13), where its scores lie over those rows.  Chain 0's binade goes to
+    # the loop, while chain 1's segments over the same rows keep their steps.
+    q = 0.4
+    assert (np.ldexp(np.log([[q], [1.0 - q]]), 53 - np.arange(8, 14)) % 1.0 != 0.5).all()
+    vt = _decode_and_check(_one_state_params(_tie_at_2_to_the_10(), q), random_obs(np.random.default_rng(5), 2, 4_000))
+    tied = {t for t, top in enumerate(vt.log_delta[0].max(axis=1)) if -2048.0 < top <= -1024.0}
+    assert len(tied) > 1_000 and not tied & _kept_rows(segments, 0)
+    assert len(tied & _kept_rows(segments, 1)) > 0.8 * len(tied)
+
+
+@pytest.mark.parametrize("scores, e, room", [
+    ([-1000.0, -1030.0], None, None),  # straddles 1024
+    ([0.0, -0.75], None, None),  # 0.0 beside scores of frexp exponent 0: 0.0 is in no binade
+    ([-0.6, -0.9], 0, (1 - 0.9) * 100 / 0.6),
+    ([-3000.0, -3001.0], 12, (4096 - 3001) * 100 / 3000),  # the lowest score leaves first
+    ([-1000.0, -np.inf], 10, (1024 - 1000) * 100 / 1000),  # -inf is left out
+    ([-np.inf, -np.inf], 0, np.inf),  # a dead lane stays so
 ])
-def test_grid_plan_finds_one_binade_per_chain_or_none(row, exps, room):
-    # At each chain's mean descent max / t a step, room is the steps until a
-    # chain's lowest score is estimated to leave its binade.
-    found, estimate = inference._grid_plan(row, 100)
-    assert found == exps
-    if exps is not None:
+def test_grid_plan_finds_a_lanes_binade_or_none(scores, e, room):
+    # At the lane's mean descent max / t a step, room is the steps until its
+    # lowest score is estimated to leave its binade.
+    found, estimate = inference._grid_plan(scores, 100)
+    assert found == e
+    if e is not None:
         assert estimate == pytest.approx(room)
 
 
 def test_a_row_in_two_binades_goes_to_the_loop(segments, monkeypatch):
-    # Each binade crossing leaves rows in two binades for a few steps; those
-    # steps are the loop's.
+    # Each binade crossing leaves a lane's rows in two binades for a few
+    # steps; those steps are the loop's.
     plans, plan = [], inference._grid_plan
-    monkeypatch.setattr(inference, "_grid_plan", lambda row, t: plans.append(plan(row, t)) or plans[-1])
+    monkeypatch.setattr(inference, "_grid_plan", lambda scores, t: plans.append(plan(scores, t)) or plans[-1])
     from chmmtrade.cli import _default_sim_params
 
     p = _default_sim_params(2, 3, seed=5)
     _decode_and_check(p, oracle.sample_chmm(p, 5_000, seed=1).observations)
-    assert any(exps is None for exps, _ in plans) and sum(kept for *_, kept in segments) > 0
+    assert any(e is None for e, _ in plans) and sum(kept for *_, kept in segments) > 0
 
 
-def test_rows_that_stay_off_the_grid_take_loop_stretches_of_the_minimum(segments, monkeypatch):
+def test_rows_that_stay_off_the_grid_take_loop_stretches_of_the_minimum(segments, stretches):
     # Chain 0 keeps its three scores: its transitions are the identity and
     # its only observed bin is certain.  The best, log 0.368, lies just
-    # inside (-1, -0.5] and the others, log 0.316, in (-2, -1], so no row
-    # is on the grid and the loop runs _GRID_MIN_STEPS steps between tries.
-    stretches, loop = [], inference._viterbi_loop
-    monkeypatch.setattr(inference, "_viterbi_loop", lambda trellis, start, stop, *args:
-                        stretches.append(stop - start) or loop(trellis, start, stop, *args))
+    # inside (-1, -0.5] and the others, log 0.316, in (-2, -1], so no row of
+    # lane 0 is on the grid and the loop runs _GRID_MIN_STEPS steps of it
+    # between tries, while lane 1 takes grid segments.
     eye = np.eye(3)
     p = ChmmParams(priors=[[0.368, 0.316, 0.316], [0.2, 0.3, 0.5]],
                    trans=[[eye, np.full((3, 3), 1 / 3)], [eye, np.full((3, 3), 1 / 3)]],  # [own, cross][chain]
@@ -480,13 +519,16 @@ def test_rows_that_stay_off_the_grid_take_loop_stretches_of_the_minimum(segments
     vt = _decode_and_check(p, ObservationSequence(bins))
     assert (vt.log_delta[0] == vt.log_delta[0, :1]).all()
     steps = t_len - 1 - inference._SCAN_MIN_BLOCK
-    assert segments == [] and len(stretches) == 1 + -(-steps // inference._GRID_MIN_STEPS)
+    assert stretches[0] == (range(2), inference._SCAN_MIN_BLOCK + 1)  # the first stretch, both lanes at once
+    lane_0 = [rows - 1 for lanes, rows in stretches if lanes == range(1)]
+    assert sum(lane_0) == steps and len(lane_0) == -(-steps // inference._GRID_MIN_STEPS)
+    assert {c for c, *_ in segments} == {1} and len(_kept_rows(segments, 1)) > 0.8 * steps
 
 
 def test_a_chain_that_dies_stays_on_the_grid(segments):
     # Bin 1 has probability 0 in chain 0's only state: from its first
-    # occurrence on, chain 0's row is -inf, on any grid, and chain 1's
-    # binades alone decide the segments.
+    # occurrence on, chain 0's row is -inf, on any grid, so the dead lane's
+    # rows run on the grid.
     p = ChmmParams(priors=np.ones((2, 1)), trans=np.ones((2, 2, 1, 1)),
                    emit=np.array([[[0.6, 0.0, 0.4]], [[0.3, 0.3, 0.4]]]), coupling=np.full((2, 2), 0.5))
     bins = np.random.default_rng(2).integers(0, 3, size=(2, 3_000))
@@ -494,32 +536,35 @@ def test_a_chain_that_dies_stays_on_the_grid(segments):
     bins[0, 2_000] = 1
     vt = _decode_and_check(p, ObservationSequence(bins))
     assert (vt.log_delta[0, 2_000:] == -np.inf).all()
-    assert sum(len(range(max(t + 1, 2_000), t + kept + 1)) for t, _, kept in segments) > 800  # of 1,000 rows
+    assert len({r for r in _kept_rows(segments, 0) if r >= 2_000}) > 800  # of 1,000 rows
 
 
-def test_a_zero_score_keeps_every_step_in_the_loop(segments):
+def test_a_zero_score_keeps_every_step_of_its_lane_in_the_loop(segments):
     # Chain 0 emits its only bin with probability 1: its score stays 0.0,
-    # which lies in no binade.
+    # which lies in no binade.  Chain 1's lane takes the grid.
     p = ChmmParams(priors=np.ones((2, 1)), trans=np.ones((2, 2, 1, 1)),
                    emit=np.array([[[1.0, 0.0]], [[0.5, 0.5]]]), coupling=np.full((2, 2), 0.5))
     bins = np.random.default_rng(4).integers(0, 2, size=(2, 2_000))
     bins[0] = 0
     vt = _decode_and_check(p, ObservationSequence(bins))
-    assert (vt.log_delta[0] == 0.0).all() and segments == []
+    assert (vt.log_delta[0] == 0.0).all()
+    assert {c for c, *_ in segments} == {1} and len(_kept_rows(segments, 1)) > 1_000
 
 
-def test_a_wrong_block_start_keeps_only_the_blocks_before_it(segments, monkeypatch):
+def test_a_wrong_block_start_keeps_only_rows_that_are_exact(segments, monkeypatch):
     # With 0 for "no path" off the identity, phase 1's block maps and so the
-    # chained starts of blocks 1.. are wrong: a segment keeps block 0 at most.
+    # chained starts of blocks 1.. are wrong.  A wrong start may still equal
+    # the true row, so a segment can keep a later block; what the guard
+    # promises is that every kept row is the step loop's (``_decode_and_check``)
+    # and that a segment is cut at the edge of the block whose start differs.
     from chmmtrade.cli import _default_sim_params
 
     monkeypatch.setattr(inference, "_NO_PATH", 0.0)
     p = _default_sim_params(3, 8, seed=7)
     _decode_and_check(p, oracle.sample_chmm(p, 6_000, seed=3).observations)
-    # Blocks are isqrt(steps) long at N = 3; a segment whose first row leaves
-    # its binade keeps none.
+    sizes = [max(math.isqrt(steps), -(-steps * 27 // inference._GRID_FLOATS)) for _, _, steps, _ in segments]
     assert any(kept for *_, kept in segments)
-    assert all(kept <= math.isqrt(steps) < steps for _, steps, kept in segments)
+    assert any(0 < kept < steps and kept % size == 0 for (*_, steps, kept), size in zip(segments, sizes))
 
 
 def test_grid_segments_hold_a_fixed_float_budget(monkeypatch):

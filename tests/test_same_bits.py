@@ -20,8 +20,8 @@ finally:
 def test_the_case_list_is_the_grid_the_long_cases_and_the_run_cases():
     cases = same_bits.cases()
     names = [case[0] for case in cases]
-    assert len(names) == len(set(names)) == 6 * 3 * 10 * 3 + 2 + 10 + 9
-    grid, long, decodes, runs = cases[:-21], cases[-21:-19], cases[-19:-9], cases[-9:]
+    assert len(names) == len(set(names)) == 6 * 3 * 10 * 3 + 2 + 10 + 2 + 9
+    grid, long, decodes, truths, runs = cases[:-23], cases[-23:-21], cases[-21:-11], cases[-11:-9], cases[-9:]
     assert {(n, m) for _, n, m, *_ in grid} == set(itertools.product((1, 2, 3, 5, 8, 20), (1, 3, 8)))
     assert {t for _, _, _, t, *_ in grid} == {1, 2, 3, 4, 7, 40, 65, 66, 130, 2000}
     assert {start for *_, start, _ in grid} == {"jittered", "uniform", "zero-heavy"}
@@ -32,6 +32,8 @@ def test_the_case_list_is_the_grid_the_long_cases_and_the_run_cases():
     # Long decodes on each side of the grid route's size gate, from ties and dead chains.
     assert [case[1:] for case in decodes] == [(n, 8, 20_000, start, ("viterbi",))
                                               for n in (1, 2, 3, 8, 20) for start in ("uniform", "zero-heavy")]
+    # Long decodes of the simulator's truth models on their own samples, where the decoder's lanes diverge.
+    assert [case[1:] for case in truths] == [(n, 8, 20_000, "truth", ("viterbi",)) for n in (5, 8)]
     # Nine runs, varying every knob the model pass reads, and three baselines for the trading pass: both
     # systems on a 400-bar market and CCI on a 5,000-bar one.
     assert {(n, m) for _, n, m, *_ in runs} == {(5, 8), (3, 20)}

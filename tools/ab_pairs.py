@@ -2,8 +2,11 @@
 
     python tools/ab_pairs.py --workload backtest_rsi_viterbi --base HEAD --pairs 10 --seed 42
 
-The base revision is exported with ``git archive`` into a temporary
-directory, so nothing is written into the checkout.  Each pair runs
+The base revision is exported with ``git archive``, and the working
+tree's files (tracked and untracked, not ignored) are copied, into two
+sibling directories of one temporary directory, and both sides run from
+there: nothing is written into the checkout, and the two sides differ in
+their files alone, not in where they run.  Each pair runs
 ``perfbench/run.py --workload W --seed S --trace 0`` once on each side,
 the side that runs first flipping from pair to pair; pair k uses seed
 S + k on both sides (``--same-seed`` keeps S).  For every end-to-end
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -110,6 +114,17 @@ def export(rev: str, into: Path) -> None:
             tar.extractall(into)
 
 
+def copy_worktree(into: Path) -> None:
+    """Copy the working tree's files, tracked and untracked but not ignored, into ``into``;
+    a tracked file deleted from the tree is left out."""
+    names = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "-co", "--exclude-standard"],
+                           capture_output=True, check=True).stdout.decode().split("\0")
+    for name in filter(None, names):
+        if (ROOT / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``; its closing JSON verdict, with the
     ``STAGES`` its record holds as "stages", or an incorrect stand-in when it printed none."""
@@ -158,11 +173,12 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
-        base_dir = Path(tmp)
+        base_dir, work_dir = Path(tmp) / "base", Path(tmp) / "work"
         export(args.base, base_dir)
+        copy_worktree(work_dir)
         for k in range(args.pairs):
             seed = args.seed if args.same_seed else args.seed + k
-            sides = [("base", base_dir), ("work", ROOT)]
+            sides = [("base", base_dir), ("work", work_dir)]
             verdicts = {side: run_once(where, args.workload, seed, args.seconds)
                         for side, where in (sides if k % 2 == 0 else sides[::-1])}
             pairs.append((verdicts["base"], verdicts["work"]))

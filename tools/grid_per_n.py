@@ -9,7 +9,9 @@ a held-out sequence of ``--steps`` bars is decoded.  Each round times
 ``inference._viterbi_loop`` over every row against
 ``inference._viterbi_rows`` (which applies the ``_GRID_MAX_STATES`` gate),
 the rounds interleaved, and the rows are checked equal.  A line gives
-both best times, their ratio and the share of steps the grid took.
+both best times, their ratio and each lane's share of steps on the grid,
+``on_grid / (lanes * (steps - 1))``: the decoder walks its two lanes (the
+chains) one at a time, and counts the grid steps of both.
 ``--ungated`` lifts the gate, to time the grid route where it is off.
 """
 
@@ -40,7 +42,7 @@ def recursion_inputs(n: int, seed: int, steps: int):
 
 
 def time_routes(n: int, seed: int, steps: int, rounds: int) -> tuple[float, float, float]:
-    """Best loop and grid-route times (s) over ``rounds`` and the grid's share of steps."""
+    """Best loop and grid-route times (s) over ``rounds`` and the grid's share of each lane's steps."""
     trellis, loop_args, grid_args = recursion_inputs(n, seed, steps)
     ref = trellis.copy()
     inference._viterbi_loop(ref, 0, steps, *loop_args)
@@ -54,7 +56,7 @@ def time_routes(n: int, seed: int, steps: int, rounds: int) -> tuple[float, floa
         loop_s.append(t1 - t0)
     if not np.array_equal(trellis, ref):
         raise AssertionError(f"N={n} seed={seed}: the grid route's rows differ from the loop's")
-    return min(loop_s), min(grid_s), on_grid / (steps - 1)
+    return min(loop_s), min(grid_s), on_grid / (trellis.shape[1] * (steps - 1))
 
 
 def main(argv=None) -> None:

@@ -7,7 +7,10 @@ directory, as ``tools/ab_pairs.py`` does.  Each side runs one fixed,
 seeded case set (``cases``) in its own subprocess, with
 ``PYTHONPATH=<side>/src``, and hashes every case's outputs through the
 public API alone (``digest``): the model core and the readouts on a
-grid of model sizes and windows, long forward and decode cases, and
+grid of model sizes and windows, long forward and decode cases (among
+them the simulator's own N = 5 and N = 8 models on their samples, on
+which the decoder's two lanes leave their binades at different steps, and
+at N = 5 tie constants send a binade of one lane only to the loop), and
 backtests (the baseline's among them) and comparisons on seeded markets,
 with the bytes their files are written as.  The report names the cases whose sha256
 differs; the exit status is 1 on any difference or when a side fails to
@@ -36,9 +39,11 @@ LENGTHS = (1, 2, 3, 4, 7, 40, 65, 66, 130, 2000)
 STARTS = ("jittered", "uniform", "zero-heavy")
 LONG = 50_000  # steps of the two long N=5 cases: a scaled forward and a decode
 # Long decodes of each size the decoder's grid route treats apart (N = 20 keeps the step loop)
-# from uniform starts (ties) and zero-heavy ones (dead chains, exact zeros).
+# from uniform starts (ties) and zero-heavy ones (dead chains, exact zeros), then of the simulator's
+# truth models on their own samples, where the lanes' plans diverge (at N = 5 one lane's tie constants).
 DECODE_STATES = (1, 2, 3, 8, 20)
 DECODE_LENGTH = 20_000
+TRUTH_STATES = (5, 8)
 
 
 # What a grid case hashes.
@@ -73,14 +78,21 @@ def cases() -> list[tuple]:
             (f"N5-M8-T{LONG}-jittered-decode", 5, 8, LONG, "jittered", ("viterbi",))]
     long += [(f"N{n}-M8-T{DECODE_LENGTH}-{start}-decode", n, 8, DECODE_LENGTH, start, ("viterbi",))
              for n, start in product(DECODE_STATES, ("uniform", "zero-heavy"))]
+    long += [(f"N{n}-M8-T{DECODE_LENGTH}-truth-decode", n, 8, DECODE_LENGTH, "truth", ("viterbi",))
+             for n in TRUTH_STATES]
     runs = [(name, n, m, bars, tuple(fields.items()), ("compare" if "compare" in name else "backtest",))
             for name, (n, m), bars, fields in RUNS]
     return grid + long + runs
 
 
 def _start(chmm, rng, n, m, start):
-    """Start parameters: seeded jitter, uniform, or each entry 0 with probability 0.6
-    (an all-zero simplex is uniform)."""
+    """Start parameters: seeded jitter, uniform, the simulator's truth model
+    ``cli._default_sim_params(N, M, 42)``, or each entry 0 with probability 0.6 (an
+    all-zero simplex is uniform)."""
+    if start == "truth":
+        from chmmtrade.cli import _default_sim_params
+
+        return _default_sim_params(n, m, 42)
     if start == "jittered":
         return chmm.jittered_params(n, m, seed=int(rng.integers(2**32)))
     if start == "uniform":
@@ -156,7 +168,10 @@ def digest(case) -> str:
         return _hash(parts, outputs)
     rng = np.random.default_rng(list(name.encode()))
     params = _start(chmm, rng, n, m, start)
-    obs = chmm.ObservationSequence(rng.integers(0, m, size=(2, t_len)))
+    if start == "truth":  # a sample of the model itself
+        obs = chmm.sample_chmm(params, t_len, seed=int(rng.integers(2**32))).observations
+    else:
+        obs = chmm.ObservationSequence(rng.integers(0, m, size=(2, t_len)))
 
     def trellis(tr):
         return tr.alpha, tr.scale_factors, tr.log_per_chain, tr.log_joint, tr.per_chain_likelihood, tr.joint_likelihood
